@@ -23,7 +23,6 @@ from .dictionaries import (
     build_dft,
     build_dmu,
     build_polar_baseline,
-    coherence_limited_rings,
     dft_grid,
     export_dictionary,
     load_dictionary_matrix,
@@ -36,7 +35,6 @@ from .coherence import (
     coherence_exact,
     empirical_sparsity,
     fresnel,
-    fresnel_increment_bound_check,
     params_from_geometry,
     predicted_support,
     sparsity_bound,
@@ -45,21 +43,16 @@ from .coherence import (
 from .recovery import (
     BlockOMP,
     BlockPartition,
-    RecoveryResult,
     SensingProblem,
-    block_omp,
     gen_pilots,
     ls_estimate,
     make_problem,
     nmse,
     noise_variance,
-    omp,
 )
 from .block_rip import (
-    GaussianityReport,
     RipProbeReport,
     empirical_rip_probe,
-    gaussianity_probe,
     sample_complexity,
     varrho_bound,
 )

@@ -153,53 +153,3 @@ def empirical_rip_probe(
         target_xi=target_xi,
     )
 
-
-@dataclass(frozen=True)
-class GaussianityReport:
-    """Entry statistics of a sensing matrix against the CN(0, 1/N) model."""
-
-    mean: complex
-    variance: float
-    expected_variance: float
-    cross_correlation: float
-    n_sampled: int
-    degenerate: bool
-
-
-def gaussianity_probe(pilots, dictionary, samples: int = 100_000, seed=0) -> GaussianityReport:
-    """Empirical mean/variance of Psi = F D entries and cross-entry correlation.
-
-    The correlation is the modulus of the average product of entry pairs from
-    distinct rows and columns, normalised by the entry variance. Variance far
-    below the 1/N model marks the probe degenerate (for instance an all-zero
-    pilot matrix).
-    """
-    pilots = as_complex_matrix(pilots, "pilots")
-    psi = pilots @ dictionary.matrix
-    t, m = psi.shape
-    n = dictionary.n_antennas
-    flat = psi.ravel()
-    take = min(samples, flat.size)
-    rng = rng_from(seed, "gaussianity")
-    sel = rng.choice(flat.size, size=take, replace=False) if take < flat.size else np.arange(flat.size)
-    entries = flat[sel]
-    mean = complex(entries.mean())
-    variance = float(np.mean(np.abs(entries) ** 2))
-    degenerate = variance < 0.25 / n
-    if t > 1 and m > 1 and not degenerate:
-        rows1 = rng.integers(0, t, size=take)
-        cols1 = rng.integers(0, m, size=take)
-        rows2 = (rows1 + 1 + rng.integers(0, t - 1, size=take)) % t
-        cols2 = (cols1 + 1 + rng.integers(0, m - 1, size=take)) % m
-        prod = psi[rows1, cols1] * np.conj(psi[rows2, cols2])
-        cross = float(abs(prod.mean()) / variance)
-    else:
-        cross = float("nan")
-    return GaussianityReport(
-        mean=mean,
-        variance=variance,
-        expected_variance=1.0 / n,
-        cross_correlation=cross,
-        n_sampled=take,
-        degenerate=degenerate,
-    )

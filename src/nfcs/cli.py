@@ -9,38 +9,16 @@ Config files are flat key/value text with dotted sections, e.g.::
 """
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
 from .harness import (
     EXPERIMENT_KINDS,
     ConfigError,
-    ExperimentConfig,
     emit,
     preset_config,
     run,
 )
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _parse_float(text: str) -> float:
-    value = float(text)
-    return value
-
-
-def _parse_float_or_inf(text: str) -> float:
-    if text.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
 
 
 def _parse_optional_float(text: str):
@@ -63,16 +41,16 @@ def _parse_str_list(text: str) -> tuple:
 
 # dotted config key -> (ExperimentConfig attribute, parser)
 CONFIG_KEYS = {
-    "array.carrier_freq_hz": ("carrier_freq", _parse_float),
+    "array.carrier_freq_hz": ("carrier_freq", float),
     "array.n_antennas": ("n_antennas", int),
-    "array.spacing_m": ("spacing", _parse_float),
+    "array.spacing_m": ("spacing", float),
     "channel.n_paths": ("n_paths", int),
-    "channel.power_split_db": ("power_split_db", _parse_float),
-    "channel.distance_min_m": ("distance_min", _parse_float),
-    "channel.distance_max_m": ("distance_max", _parse_float),
+    "channel.power_split_db": ("power_split_db", float),
+    "channel.distance_min_m": ("distance_min", float),
+    "channel.distance_max_m": ("distance_max", float),
     "experiment.trials": ("trials", int),
     "experiment.seed": ("seed", int),
-    "experiment.delta": ("delta", _parse_float),
+    "experiment.delta": ("delta", float),
     "experiment.n_list": ("n_list", _parse_int_list),
     "experiment.t_list": ("t_list", _parse_int_list),
     "experiment.snr_db_list": ("snr_db_list", _parse_float_list),
@@ -80,19 +58,19 @@ CONFIG_KEYS = {
     "experiment.block_size_list": ("block_size_list", _parse_int_list),
     "experiment.methods": ("methods", _parse_str_list),
     "experiment.n_measurements": ("n_measurements", int),
-    "experiment.snr_db": ("snr_db", _parse_float),
-    "experiment.mu0_bin_tolerance": ("mu0_bin_tolerance", _parse_float),
-    "dictionary.mu": ("mu", _parse_float_or_inf),
+    "experiment.snr_db": ("snr_db", float),
+    "experiment.mu0_bin_tolerance": ("mu0_bin_tolerance", float),
+    "dictionary.mu": ("mu", float),
     "dictionary.polar_rings": ("polar_rings", int),
-    "dictionary.polar_r_min_m": ("polar_r_min", _parse_float),
-    "dictionary.polar_r_max_m": ("polar_r_max", _parse_float),
+    "dictionary.polar_r_min_m": ("polar_r_min", float),
+    "dictionary.polar_r_max_m": ("polar_r_max", float),
     "recovery.block_size": ("block_size", int),
     "recovery.k_max": ("k_max", int),
     "recovery.stop_alpha": ("stop_alpha", _parse_optional_float),
     "recovery.pilot_kind": ("pilot_kind", str),
     "rip.block_size": ("rip_block_size", int),
     "rip.k": ("rip_k", int),
-    "rip.target_xi": ("rip_target_xi", _parse_float),
+    "rip.target_xi": ("rip_target_xi", float),
 }
 
 
@@ -119,11 +97,7 @@ def parse_config_file(path: str) -> dict:
     return overrides
 
 
-def _kind_to_command(kind: str) -> str:
-    return kind.lower().replace("_", "-")
-
-
-_COMMAND_TO_KIND = {_kind_to_command(kind): kind for kind in EXPERIMENT_KINDS}
+_COMMAND_TO_KIND = {kind.lower().replace("_", "-"): kind for kind in EXPERIMENT_KINDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,7 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     for command, kind in _COMMAND_TO_KIND.items():
         p = sub.add_parser(command, help=f"run the {kind} experiment")
         p.add_argument("--config", help="flat key/value config file")
-        p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
+        p.add_argument(
+            "--seed",
+            type=int,
+            help="master seed (default: experiment.seed from --config, else 1)",
+        )
         p.add_argument("--trials", type=int, help="override trial count")
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -154,7 +132,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     kind = _COMMAND_TO_KIND[args.command]
     try:
-        config = preset_config(kind, args.preset, args.seed)
+        config = preset_config(kind, args.preset, seed=1)
         if args.config:
             try:
                 overrides = parse_config_file(args.config)

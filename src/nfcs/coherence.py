@@ -15,7 +15,7 @@ from scipy.special import fresnel as _fresnel_normalized
 
 from .geometry import ArrayConfig
 from .dictionaries import dft_grid
-from .validation import check_positive, check_positive_or_inf
+from .validation import check_positive_or_inf
 
 B_ZERO_TOL = 1e-15
 """|b| below this is treated as the pure-phase-slope (b = 0) regime."""
@@ -239,12 +239,3 @@ def empirical_sparsity(alpha, delta: float) -> tuple:
     count = int(np.count_nonzero(np.abs(beta) >= delta))
     return count, count / beta.size
 
-
-def fresnel_increment_bound_check(x: float, delta_x: float) -> bool:
-    """Check |C(x+dx) - C(x)| < 1/x and the same for S (a test oracle)."""
-    check_positive(x, "x")
-    check_positive(delta_x, "delta_x")
-    c_hi, s_hi = fresnel(x + delta_x)
-    c_lo, s_lo = fresnel(x)
-    bound = 1.0 / x
-    return bool(abs(c_hi - c_lo) < bound and abs(s_hi - s_lo) < bound)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayConfig, b_vector, field_boundaries
+from .geometry import ArrayConfig, _element_delay, b_vector, field_boundaries
 from .validation import as_complex_matrix, as_complex_vector
 
 MAGIC = b"NFCS"
@@ -49,13 +49,6 @@ class Dictionary:
     @property
     def n_atoms(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def is_unitary(self) -> bool:
-        return self.kind in ("dmu", "dft")
-
-    def fit(self, X=None, y=None):
-        return self
 
     def transform(self, X) -> np.ndarray:
         """Adjoint analysis: channel rows (or a single vector) to coefficients."""
@@ -159,9 +152,7 @@ def build_polar_baseline(
         if math.isinf(radius):
             cols = _far_matrix(cfg)
         else:
-            delay = -offsets[:, None] * grid[None, :] + offsets[:, None] ** 2 * (
-                1.0 - grid[None, :] ** 2
-            ) / (2.0 * radius)
+            delay = _element_delay(grid, radius, offsets[:, None], "taylor")
             cols = np.exp(-1j * wavenumber * delay) / math.sqrt(cfg.n_antennas)
         blocks.append(cols)
         sin_meta.append(grid)
@@ -172,21 +163,6 @@ def build_polar_baseline(
         sin_grid=np.concatenate(sin_meta),
         radii=np.concatenate(radius_meta),
     )
-
-
-def coherence_limited_rings(cfg: ArrayConfig, beta: float = 1.2) -> tuple:
-    """Ring parameters whose 1/r spacing keeps adjacent-ring column coherence bounded.
-
-    Returns ``(n_rings, (r_min, r_max))`` for :func:`build_polar_baseline`,
-    with rings at r = Z/q for q = 1..Q and Z = N^2 d^2 / (2 lam beta^2), the
-    classical coherence-limited distance grid for polar dictionaries. Larger
-    ``beta`` means coarser rings.
-    """
-    _require_half_wavelength(cfg)
-    fresnel, _ = field_boundaries(cfg)
-    z = cfg.n_antennas**2 * cfg.spacing**2 / (2 * cfg.wavelength * beta**2)
-    q_max = max(1, int(z / fresnel))
-    return q_max + 1, (z / q_max, z)
 
 
 def analyze(dictionary: Dictionary, h) -> SparseRep:

@@ -118,20 +118,19 @@ def far_steering(cfg: ArrayConfig, theta: float) -> np.ndarray:
     return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
 
 
-def _element_delay(cfg: ArrayConfig, theta: float, r: float, offsets: np.ndarray, mode: str) -> np.ndarray:
+def _element_delay(sin_t, r, offsets, mode: str):
     """Excess path length r^(n) - r for antenna offsets (n-1)*d.
 
-    The exact branch evaluates the spherical-wavefront distance through a
+    Broadcasts over ``sin_t = sin(theta)``, ``r`` and ``offsets``. The exact
+    branch evaluates the spherical-wavefront distance through a
     cancellation-free form; the second-order branch uses the standard
     expansion -(n-1)d sin(theta) + (n-1)^2 d^2 cos^2(theta) / (2r) and
     accepts r = inf as the plane-wave limit.
     """
-    sin_t = math.sin(theta)
     if mode == "taylor":
-        inv_r = 0.0 if math.isinf(r) else 1.0 / r
-        return -offsets * sin_t + offsets**2 * (math.cos(theta) ** 2) * inv_r / 2.0
+        return -offsets * sin_t + offsets**2 * (1.0 - sin_t**2) / (2.0 * r)
     if mode == "exact":
-        if math.isinf(r):
+        if np.any(np.isinf(r)):
             raise ValueError("exact mode requires a finite distance")
         # r*(sqrt(1+delta)-1) evaluated as r*delta/(sqrt(1+delta)+1)
         delta = offsets * (offsets - 2.0 * r * sin_t) / r**2
@@ -148,7 +147,7 @@ def element_distance(cfg: ArrayConfig, theta: float, r: float, n, mode: str = "e
     if np.any(n_arr < 1) or np.any(n_arr > cfg.n_antennas):
         raise ValueError(f"antenna index must lie in [1, {cfg.n_antennas}]")
     offsets = (n_arr - 1) * cfg.spacing
-    out = r + _element_delay(cfg, theta, r, offsets, mode)
+    out = r + _element_delay(math.sin(theta), r, offsets, mode)
     return float(out) if np.isscalar(n) else out
 
 
@@ -158,7 +157,7 @@ def near_steering(cfg: ArrayConfig, theta: float, r: float, mode: str = "exact")
     if not (math.isinf(r) and mode == "taylor"):
         check_positive(r, "r")
     offsets = np.arange(cfg.n_antennas) * cfg.spacing
-    delay = _element_delay(cfg, theta, r, offsets, mode)
+    delay = _element_delay(math.sin(theta), r, offsets, mode)
     phase = -(2 * np.pi / cfg.wavelength) * delay
     return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
 

@@ -6,11 +6,13 @@ grid point and the trial index, so grid points can run in any order (or in
 parallel) and still produce byte-identical output files.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from . import block_rip as rip_mod
 from .coherence import _approx_magnitudes, _exact_magnitudes, sparsity_bound
 from .dictionaries import Dictionary, build_dft, build_dmu, build_polar_baseline, mutual_coherence
-from .geometry import ArrayConfig, ChannelSpec, PathParams, field_boundaries, sample_channel
+from .geometry import ArrayConfig, ChannelSpec, PathParams, _element_delay, field_boundaries, sample_channel
 from .recovery import BlockOMP, gen_pilots, ls_estimate, make_problem, nmse
 from .seeding import rng_from
 
@@ -219,8 +221,17 @@ def emit(rows, fmt: str, path: str) -> str:
         raise ValueError(f"unknown output format {fmt!r}")
     if path == "-":
         return text
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    # write a sibling file and rename it over the target, so readers see
+    # either the old file or the complete new one
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return text
 
 
@@ -453,7 +464,7 @@ def _run_sparsity_level(config: ExperimentConfig, rows):
 
         def steering(sin_t, r):
             # exact spherical-wavefront responses, one column per draw
-            delay = np.sqrt(r**2 + offsets[:, None] ** 2 - 2 * r * offsets[:, None] * sin_t) - r
+            delay = _element_delay(sin_t, r, offsets[:, None], "exact")
             return np.exp(-1j * wavenumber * delay) / math.sqrt(n)
 
         # dictionary effective distances drawn as the effective distance of a

@@ -1,13 +1,13 @@
 """Pilot generation, noisy observation synthesis, and greedy block-sparse solvers."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtri
 
 from .base import BaseEstimator
-from .dictionaries import Dictionary, analyze
+from .dictionaries import Dictionary
 from .geometry import ArrayConfig, ChannelSpec, synthesize_channel
 from .seeding import as_rng
 from .validation import as_complex_matrix, as_complex_vector
@@ -52,7 +52,6 @@ class SensingProblem:
     noise: np.ndarray
     noise_var: float
     channel: np.ndarray
-    coefficients: np.ndarray = None
     snr_db: float = None
 
     @property
@@ -62,18 +61,6 @@ class SensingProblem:
     @property
     def n_antennas(self) -> int:
         return self.pilots.shape[1]
-
-
-@dataclass
-class RecoveryResult:
-    """Sparse solve output: coefficients, support, channel estimate, diagnostics."""
-
-    coefficients: np.ndarray
-    support: np.ndarray
-    channel_estimate: np.ndarray
-    n_iterations: int
-    residual_norm: float
-    residual_path: np.ndarray = field(default=None)
 
 
 def gen_pilots(n_measurements: int, n_antennas: int, kind: str = "gaussian", seed=None) -> np.ndarray:
@@ -120,9 +107,7 @@ def make_problem(
     """Assemble a sensing problem from a channel spec.
 
     The channel is synthesised in exact (spherical-wavefront) mode; the
-    model mismatch of the dictionary atoms then acts as extra noise. The
-    stored truth coefficients are the adjoint analysis of the channel for
-    unitary dictionaries and None otherwise.
+    model mismatch of the dictionary atoms then acts as extra noise.
     """
     rng = as_rng(seed)
     h = synthesize_channel(cfg, spec, mode="exact")
@@ -143,7 +128,6 @@ def make_problem(
     else:
         noise = np.zeros(t, dtype=np.complex128)
     y = pilots @ h + noise
-    beta = analyze(dictionary, h).beta if dictionary.is_unitary else None
     return SensingProblem(
         pilots=pilots,
         dictionary=dictionary,
@@ -152,7 +136,6 @@ def make_problem(
         noise=noise,
         noise_var=sigma2,
         channel=h,
-        coefficients=beta,
         snr_db=snr_db,
     )
 
@@ -237,7 +220,7 @@ class BlockOMP(BaseEstimator):
         # greedy loop runs to exact reconstruction or the block budget
         use_score_stop = self.stop_alpha is not None and sigma2 > 0
         if use_score_stop:
-            score_threshold = chi2.isf(min(self.stop_alpha / nb, 1.0), 2 * s)
+            score_threshold = chdtri(2 * s, min(self.stop_alpha / nb, 1.0))
 
         y_norm2 = float(np.linalg.norm(y) ** 2)
         resid = y.copy()
@@ -317,43 +300,6 @@ class BlockOMP(BaseEstimator):
     def predict(self, X) -> np.ndarray:
         X = as_complex_matrix(X, "X")
         return X @ self.coef_
-
-
-def block_omp(
-    problem: SensingProblem,
-    partition,
-    k_max: int = None,
-    residual_tol: float = None,
-    stop_alpha: float = 0.05,
-) -> RecoveryResult:
-    """Run block OMP on a sensing problem and map back to a channel estimate."""
-    block_size = getattr(partition, "block_size", partition)
-    est = BlockOMP(
-        block_size=int(block_size),
-        k_max=k_max,
-        residual_tol=residual_tol,
-        stop_alpha=stop_alpha,
-        noise_var=problem.noise_var,
-    )
-    est.fit(problem.sensing_matrix, problem.observations)
-    return RecoveryResult(
-        coefficients=est.coef_,
-        support=est.support_,
-        channel_estimate=problem.dictionary.inverse_transform(est.coef_),
-        n_iterations=est.n_iter_,
-        residual_norm=est.residual_norm_,
-        residual_path=est.residual_path_,
-    )
-
-
-def omp(
-    problem: SensingProblem,
-    k_max: int = None,
-    residual_tol: float = None,
-    stop_alpha: float = 0.05,
-) -> RecoveryResult:
-    """Single-atom orthogonal matching pursuit (block OMP with block size 1)."""
-    return block_omp(problem, 1, k_max=k_max, residual_tol=residual_tol, stop_alpha=stop_alpha)
 
 
 def ls_estimate(problem: SensingProblem) -> np.ndarray:

@@ -40,9 +40,3 @@ def as_complex_matrix(x, name: str = "x") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
 
-
-def check_consistent_length(a, b, name_a: str, name_b: str):
-    if len(a) != len(b):
-        raise ValueError(
-            f"{name_a} and {name_b} have inconsistent lengths: {len(a)} vs {len(b)}"
-        )

@@ -7,8 +7,6 @@ from nfcs import (
     ArrayConfig,
     build_dmu,
     empirical_rip_probe,
-    gaussianity_probe,
-    gen_pilots,
     sample_complexity,
     varrho_bound,
 )
@@ -142,28 +140,3 @@ class TestRipProbe:
             medians[t] = np.median(values)
         assert medians[64] < medians[32]
 
-
-class TestGaussianityProbe:
-    def test_entry_statistics(self):
-        cfg = ArrayConfig(100e9, 256)
-        dmu = build_dmu(cfg, 20.0)
-        pilots = gen_pilots(400, 256, "gaussian", seed=8)
-        report = gaussianity_probe(pilots, dmu, samples=100_000, seed=9)
-        assert abs(report.mean) < 3e-3
-        assert report.variance == pytest.approx(1 / 256, rel=0.05)
-        assert report.expected_variance == pytest.approx(1 / 256)
-        assert not report.degenerate
-
-    def test_cross_correlation_small(self):
-        cfg = ArrayConfig(100e9, 256)
-        dmu = build_dmu(cfg, 20.0)
-        pilots = gen_pilots(400, 256, "rademacher", seed=10)
-        report = gaussianity_probe(pilots, dmu, samples=50_000, seed=11)
-        assert report.cross_correlation < 0.05
-
-    def test_zero_pilots_degenerate(self):
-        cfg = ArrayConfig(100e9, 64)
-        dmu = build_dmu(cfg, 10.0)
-        report = gaussianity_probe(np.zeros((16, 64), dtype=complex), dmu, seed=12)
-        assert report.degenerate
-        assert report.variance == 0.0

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from nfcs.cli import main, parse_config_file
@@ -140,3 +142,39 @@ def test_preset_flag(capsys):
     assert code == 0
     rows = parse_rows(capsys.readouterr().out, "csv")
     assert rows[0].experiment == "coherence_error:desk"
+
+
+def _seeds(capsys):
+    return {r.seed for r in parse_rows(capsys.readouterr().out, "csv")}
+
+
+def test_config_file_seed_is_honoured(tmp_path, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("experiment.seed = 7\n")
+    assert run_cli(["rip-probe", "--trials", "10", "--config", str(cfg)]) == 0
+    assert _seeds(capsys) == {7}
+
+
+def test_seed_flag_overrides_config_file(tmp_path, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("experiment.seed = 7\n")
+    assert run_cli(["rip-probe", "--trials", "10", "--config", str(cfg), "--seed", "9"]) == 0
+    assert _seeds(capsys) == {9}
+
+
+def test_seed_defaults_to_one(capsys):
+    assert run_cli(["rip-probe", "--trials", "10"]) == 0
+    assert _seeds(capsys) == {1}
+
+
+def test_failed_output_rename_exits_3(tmp_path, monkeypatch):
+    out = tmp_path / "result.csv"
+    out.write_text("previous\n")
+
+    def fail(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert run_cli(["rip-probe", "--seed", "1", "--trials", "10", "--out", str(out)]) == 3
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["result.csv"]

@@ -12,7 +12,6 @@ from nfcs import (
     empirical_sparsity,
     field_boundaries,
     fresnel,
-    fresnel_increment_bound_check,
     near_steering,
     params_from_geometry,
     predicted_support,
@@ -20,6 +19,17 @@ from nfcs import (
     thresholds,
 )
 from nfcs.dictionaries import dft_grid
+from nfcs.validation import check_positive
+
+
+def fresnel_increment_bound_check(x: float, delta_x: float) -> bool:
+    """Check |C(x+dx) - C(x)| < 1/x and the same for S."""
+    check_positive(x, "x")
+    check_positive(delta_x, "delta_x")
+    c_hi, s_hi = fresnel(x + delta_x)
+    c_lo, s_lo = fresnel(x)
+    bound = 1.0 / x
+    return bool(abs(c_hi - c_lo) < bound and abs(s_hi - s_lo) < bound)
 
 # frozen from piecewise adaptive quadrature of cos(t^2), sin(t^2) between
 # integrand sign changes (absolute error < 1e-12)

@@ -9,7 +9,6 @@ from nfcs import (
     build_dft,
     build_dmu,
     build_polar_baseline,
-    coherence_limited_rings,
     dft_grid,
     export_dictionary,
     field_boundaries,
@@ -118,11 +117,6 @@ def test_transform_rows_and_single(cfg):
     np.testing.assert_allclose(back, h, atol=1e-10)
 
 
-def test_dictionary_fit_is_noop(cfg):
-    d = build_dmu(cfg, 20.0)
-    assert d.fit(None) is d
-
-
 def test_polar_single_ring_is_dft(cfg):
     polar = build_polar_baseline(cfg, n_rings=1)
     dft = build_dft(cfg)
@@ -156,17 +150,6 @@ def test_polar_rejects_bad_args(cfg):
         build_polar_baseline(cfg, n_rings=0)
     with pytest.raises(ValueError):
         build_polar_baseline(cfg, n_rings=3, distance_range=(5.0, 2.0))
-
-
-def test_coherence_limited_rings(cfg):
-    n_rings, (lo, hi) = coherence_limited_rings(cfg)
-    fresnel, _ = field_boundaries(cfg)
-    assert n_rings >= 2
-    assert lo >= fresnel * 0.9
-    # ring radii follow hi/q for q = 1..n_rings-1
-    assert lo == pytest.approx(hi / (n_rings - 1))
-    polar = build_polar_baseline(cfg, n_rings, (lo, hi))
-    assert polar.matrix.shape[1] == n_rings * 256
 
 
 def test_mutual_coherence_unitary(cfg):
