@@ -26,59 +26,108 @@ def dft_grid(n_antennas: int) -> np.ndarray:
 
 
 class Dictionary:
-    """An N x M sparsifying matrix with transformer-style helpers.
+    """An N x M sparsifying dictionary with transformer-style helpers.
 
-    ``transform`` maps channel vectors to coefficients via the adjoint, and
-    ``inverse_transform`` synthesises channels from coefficients. For the
-    unitary kinds ("dmu", "dft") the two are exact inverses. Instances are
-    immutable after construction and safe to share across threads.
+    ``sense`` forms the sensing matrix ``pilots @ D``, ``transform`` maps
+    channel vectors to coefficients via the adjoint, and ``inverse_transform``
+    synthesises channels from coefficients. For the unitary kinds ("dmu",
+    "dft") the two are exact inverses.
+
+    The chirped kinds ("dmu", "dft") are not stored densely. With
+    half-wavelength spacing ``D_mu = diag(b_mu) F`` and ``F = diag(s) W``,
+    where ``W`` is the unitary inverse DFT and ``s_n = exp(-j*pi*n*(N-1)/N)``
+    carries the centring of the angular grid, so all three products apply
+    the length-N chirp ``c = b_mu * s`` and one FFT along the antenna axis,
+    in O(N log N) per vector. Their ``matrix`` is built on first access from
+    the closed form ``b_mu[:, None] * F`` and cached. The polar baseline has
+    a different quadratic term on every ring, so it keeps a dense matrix and
+    dense products.
+
+    ``matrix`` is read-only; instances are immutable after construction and
+    safe to share across threads.
     """
 
-    def __init__(self, matrix, kind: str, mu: float = None, sin_grid=None, radii=None):
-        self.matrix = as_complex_matrix(matrix, "matrix")
-        self.matrix.setflags(write=False)
+    def __init__(self, matrix, kind: str, mu: float = None, sin_grid=None, radii=None, cfg=None):
+        """Dense dictionary from ``matrix``, or with ``matrix=None`` the chirped
+        dictionary ``diag(b_vector(cfg, mu)) F`` of a half-wavelength array."""
         self.kind = kind
         self.mu = mu
         self.sin_grid = None if sin_grid is None else np.asarray(sin_grid, dtype=float)
         self.radii = None if radii is None else np.asarray(radii, dtype=float)
+        self._cfg = cfg
+        if matrix is None:
+            n = cfg.n_antennas
+            shift = np.exp(-1j * np.pi * np.arange(n) * (n - 1) / n)
+            self._chirp = b_vector(cfg, mu) * shift
+            self._matrix = None
+            self.shape = (n, n)
+        else:
+            self._chirp = None
+            self._matrix = as_complex_matrix(matrix, "matrix")
+            self._matrix.setflags(write=False)
+            self.shape = self._matrix.shape
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense N x M matrix (read-only; chirped kinds build it on first access)."""
+        if self._matrix is None:
+            matrix = b_vector(self._cfg, self.mu)[:, None] * _far_matrix(self._cfg)
+            matrix.setflags(write=False)
+            self._matrix = matrix
+        return self._matrix
 
     @property
     def n_antennas(self) -> int:
-        return self.matrix.shape[0]
+        return self.shape[0]
 
     @property
     def n_atoms(self) -> int:
-        return self.matrix.shape[1]
+        return self.shape[1]
+
+    def sense(self, pilots) -> np.ndarray:
+        """Sensing matrix ``pilots @ D`` for a T x N pilot block."""
+        arr = as_complex_matrix(pilots, "pilots")
+        _check_length(arr, self.n_antennas, "pilot rows")
+        if self._chirp is None:
+            return arr @ self._matrix
+        return np.fft.ifft(arr * self._chirp, axis=1, norm="ortho")
 
     def transform(self, X) -> np.ndarray:
         """Adjoint analysis: channel rows (or a single vector) to coefficients."""
-        arr = np.asarray(X, dtype=np.complex128)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.shape[1] != self.n_antennas:
-            raise ValueError(
-                f"expected vectors of length {self.n_antennas}, got {arr.shape[1]}"
-            )
-        out = arr @ np.conj(self.matrix)
+        arr, single = _as_rows(X)
+        _check_length(arr, self.n_antennas, "vectors")
+        if self._chirp is None:
+            out = arr @ np.conj(self._matrix)
+        else:
+            out = np.fft.fft(np.conj(self._chirp) * arr, axis=1, norm="ortho")
         return out[0] if single else out
 
     def inverse_transform(self, X) -> np.ndarray:
         """Synthesis: coefficient rows (or a single vector) to channels."""
-        arr = np.asarray(X, dtype=np.complex128)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.shape[1] != self.n_atoms:
-            raise ValueError(
-                f"expected coefficient vectors of length {self.n_atoms}, got {arr.shape[1]}"
-            )
-        out = arr @ self.matrix.T
+        arr, single = _as_rows(X)
+        _check_length(arr, self.n_atoms, "coefficient vectors")
+        if self._chirp is None:
+            out = arr @ self._matrix.T
+        else:
+            out = self._chirp * np.fft.ifft(arr, axis=1, norm="ortho")
         return out[0] if single else out
 
     def __repr__(self):
         mu = "" if self.mu is None else f", mu={self.mu!r}"
-        return f"Dictionary(kind={self.kind!r}, shape={self.matrix.shape}{mu})"
+        return f"Dictionary(kind={self.kind!r}, shape={self.shape}{mu})"
+
+
+def _as_rows(X):
+    """``X`` as complex rows, and whether it was a single vector."""
+    arr = np.asarray(X, dtype=np.complex128)
+    if arr.ndim == 1:
+        return arr[None, :], True
+    return arr, False
+
+
+def _check_length(rows, length: int, what: str):
+    if rows.shape[1] != length:
+        raise ValueError(f"expected {what} of length {length}, got {rows.shape[1]}")
 
 
 @dataclass(frozen=True)
@@ -110,16 +159,13 @@ def _far_matrix(cfg: ArrayConfig) -> np.ndarray:
 def build_dmu(cfg: ArrayConfig, mu: float) -> Dictionary:
     """Unitary chirped dictionary for one effective distance (inf gives the DFT)."""
     _require_half_wavelength(cfg)
-    chirp = b_vector(cfg, mu)
-    matrix = chirp[:, None] * _far_matrix(cfg)
-    return Dictionary(matrix, kind="dmu", mu=mu, sin_grid=dft_grid(cfg.n_antennas))
+    return Dictionary(None, kind="dmu", mu=mu, sin_grid=dft_grid(cfg.n_antennas), cfg=cfg)
 
 
 def build_dft(cfg: ArrayConfig) -> Dictionary:
     """Plain DFT dictionary (the chirped dictionary at infinite effective distance)."""
     _require_half_wavelength(cfg)
-    d = build_dmu(cfg, math.inf)
-    return Dictionary(d.matrix, kind="dft", mu=math.inf, sin_grid=d.sin_grid)
+    return Dictionary(None, kind="dft", mu=math.inf, sin_grid=dft_grid(cfg.n_antennas), cfg=cfg)
 
 
 def build_polar_baseline(

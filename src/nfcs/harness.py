@@ -106,12 +106,35 @@ class ExperimentConfig:
             raise ConfigError("experiment.seed", "a seed is mandatory")
         if self.trials < 1:
             raise ConfigError("experiment.trials", f"must be >= 1, got {self.trials}")
-        if self.carrier_freq <= 0:
-            raise ConfigError("array.carrier_freq_hz", "must be positive")
+        if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0):
+            raise ConfigError(
+                "array.carrier_freq_hz", f"must be positive and finite, got {self.carrier_freq!r}"
+            )
         if self.n_antennas < 2:
             raise ConfigError("array.n_antennas", "must be >= 2")
         if self.n_paths < 1:
             raise ConfigError("channel.n_paths", "must be >= 1")
+        if self.n_measurements < 1:
+            raise ConfigError(
+                "experiment.n_measurements", f"must be >= 1, got {self.n_measurements}"
+            )
+        # +inf is the noiseless sentinel; -inf and nan name no noise level
+        for field_path, values in (
+            ("experiment.snr_db", (self.snr_db,)),
+            ("experiment.snr_db_list", self.snr_db_list),
+        ):
+            bad = [v for v in values if not -math.inf < v <= math.inf]
+            if bad:
+                raise ConfigError(field_path, f"must be finite or inf, got {bad[0]!r}")
+        # +inf is the plane-wave (DFT) dictionary
+        if not self.mu > 0:
+            raise ConfigError("dictionary.mu", f"must be positive or inf, got {self.mu!r}")
+        if self.stop_alpha is not None and not 0 < self.stop_alpha <= 1:
+            raise ConfigError(
+                "recovery.stop_alpha", f"must lie in (0, 1] or be none, got {self.stop_alpha!r}"
+            )
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ConfigError("experiment.delta", f"must be positive and finite, got {self.delta!r}")
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise ConfigError(
@@ -442,14 +465,15 @@ def _run_coherence_error(config: ExperimentConfig, rows):
             )
 
 
-def _fast_analysis_fractions(dft_matrix, chirps, channels, delta):
+def _fast_analysis_fractions(dft, chirps, channels, delta):
     """Fraction of dictionary coefficients above delta, batched over draws.
 
-    Exploits D_mu^H h = D^H (conj(chirp) * h) so the DFT matrix is built once.
+    Exploits D_mu^H h = D^H (conj(chirp) * h), so one DFT dictionary analyses
+    the draws of every mu in one batched transform.
     """
-    alphas = np.conj(dft_matrix).T @ (np.conj(chirps) * channels)
-    counts = (np.abs(alphas) >= delta).sum(axis=0)
-    return counts / dft_matrix.shape[0]
+    alphas = dft.transform((np.conj(chirps) * channels).T)
+    counts = (np.abs(alphas) >= delta).sum(axis=1)
+    return counts / dft.n_antennas
 
 
 def _run_sparsity_level(config: ExperimentConfig, rows):
@@ -474,12 +498,12 @@ def _run_sparsity_level(config: ExperimentConfig, rows):
         mu = r_mu / (1.0 - sin_mu**2)
         chirps = np.exp(-1j * wavenumber * offsets[:, None] ** 2 / (2.0 * mu))
 
-        dft_matrix = build_dft(cfg).matrix
+        dft = build_dft(cfg)
         sin_0 = rng.uniform(-1.0, 1.0, trials)
         r_0 = rng.uniform(fresnel, rayleigh, trials)
         mu_0 = r_0 / (1.0 - sin_0**2)
         los = steering(sin_0, r_0)
-        frac_los = _fast_analysis_fractions(dft_matrix, chirps, los, config.delta)
+        frac_los = _fast_analysis_fractions(dft, chirps, los, config.delta)
 
         # multipath channels: unit total power, fixed LOS/NLOS power split
         g = (rng.standard_normal((config.n_paths, trials)) + 1j * rng.standard_normal((config.n_paths, trials))) / math.sqrt(2)
@@ -493,7 +517,7 @@ def _run_sparsity_level(config: ExperimentConfig, rows):
             sin_l = rng.uniform(-1.0, 1.0, trials)
             r_l = rng.uniform(fresnel, rayleigh, trials)
             multi = multi + g[path] * steering(sin_l, r_l)
-        frac_multi = _fast_analysis_fractions(dft_matrix, chirps, multi, config.delta)
+        frac_multi = _fast_analysis_fractions(dft, chirps, multi, config.delta)
 
         bounds = np.array(
             [
@@ -541,7 +565,7 @@ def _run_mutual_coherence(config: ExperimentConfig, rows):
             for trial in range(config.trials):
                 rng = rng_from(config.seed, config.experiment_id, label, trial)
                 pilots = gen_pilots(t, cfg.n_antennas, config.pilot_kind, rng)
-                values[trial] = mutual_coherence(pilots @ dictionary.matrix)
+                values[trial] = mutual_coherence(dictionary.sense(pilots))
             for metric, value in (
                 ("median_mutual_coherence", float(np.median(values))),
                 ("mean_mutual_coherence", float(values.mean())),
@@ -598,7 +622,7 @@ def _run_rip_probe(config: ExperimentConfig, rows):
             t, cfg.n_antennas, config.pilot_kind, rng_from(config.seed, config.experiment_id, label, "pilots")
         )
         report = rip_mod.empirical_rip_probe(
-            pilots @ dmu.matrix,
+            dmu.sense(pilots),
             config.rip_block_size,
             config.rip_k,
             config.trials,

@@ -131,7 +131,7 @@ def make_problem(
     return SensingProblem(
         pilots=pilots,
         dictionary=dictionary,
-        sensing_matrix=pilots @ dictionary.matrix,
+        sensing_matrix=dictionary.sense(pilots),
         observations=y,
         noise=noise,
         noise_var=sigma2,

@@ -91,6 +91,40 @@ def test_invalid_config_combination_exits_2(tmp_path, capsys):
     assert "ls" in err
 
 
+@pytest.mark.parametrize(
+    "line, field_path",
+    [
+        ("dictionary.mu = -5", "dictionary.mu"),
+        ("experiment.n_measurements = 0", "experiment.n_measurements"),
+        ("array.carrier_freq_hz = nan", "array.carrier_freq_hz"),
+        ("recovery.stop_alpha = 2", "recovery.stop_alpha"),
+        ("experiment.snr_db = nan", "experiment.snr_db"),
+        ("experiment.delta = nan", "experiment.delta"),
+    ],
+)
+def test_out_of_range_value_exits_2(tmp_path, capsys, line, field_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code = run_cli(["mutual-coherence", "--seed", "1", "--trials", "1", "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field_path}: ")
+
+
+def test_infinite_mu_and_snr_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(
+        """
+array.n_antennas = 64
+experiment.trials = 1
+experiment.t_list = 32
+experiment.snr_db = inf
+dictionary.mu = inf
+"""
+    )
+    assert run_cli(["nmse-vs-t", "--seed", "1", "--config", str(cfg)]) == 0
+    assert parse_rows(capsys.readouterr().out, "csv")
+
+
 def test_unwritable_output_exits_3(capsys):
     code = run_cli(
         [

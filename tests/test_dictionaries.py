@@ -12,6 +12,7 @@ from nfcs import (
     dft_grid,
     export_dictionary,
     field_boundaries,
+    gen_pilots,
     load_dictionary_matrix,
     mutual_coherence,
     near_steering,
@@ -205,6 +206,29 @@ def test_parseval_on_sampled_channels(cfg):
 
 
 def test_dictionary_matrix_immutable(cfg):
-    d = build_dmu(cfg, 20.0)
-    with pytest.raises(ValueError):
-        d.matrix[0, 0] = 0.0
+    for d in (build_dmu(cfg, 20.0), build_dft(cfg), build_polar_baseline(cfg, n_rings=3)):
+        matrix = d.matrix  # the chirped kinds build it here, on first access
+        assert d.matrix is matrix
+        with pytest.raises(ValueError):
+            d.matrix[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            matrix[:, 1] *= 2.0
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 2048])
+@pytest.mark.parametrize("kind", ["dmu", "dft"])
+def test_fft_products_match_dense_matrix(kind, n):
+    # unit-scale inputs: pilots as gen_pilots draws them, unit-norm vectors;
+    # the dense matrix itself carries rounding of order eps * N in its phases
+    cfg_n = ArrayConfig(carrier_freq=100e9, n_antennas=n)
+    d = build_dmu(cfg_n, 20.0) if kind == "dmu" else build_dft(cfg_n)
+    dense = d.matrix
+    rng = np.random.default_rng(n)
+    pilots = gen_pilots(40, n, seed=rng)
+    np.testing.assert_allclose(d.sense(pilots), pilots @ dense, rtol=0, atol=1e-12)
+    rows = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    np.testing.assert_allclose(d.transform(rows), rows @ np.conj(dense), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d.inverse_transform(rows), rows @ dense.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d.transform(rows[2]), np.conj(dense.T) @ rows[2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d.inverse_transform(rows[2]), dense @ rows[2], rtol=0, atol=1e-12)

@@ -1,22 +1,32 @@
-"""Golden tables that pin the steering and dictionary paths byte for byte.
+"""Golden tables that pin the steering and dictionary paths.
 
 The CSVs in ``tests/golden/`` were emitted by the code as it stood before the
 sparsity runner and the polar baseline were routed through
 ``geometry._element_delay``. Each one is the output of
-``emit(run(ExperimentConfig(**GOLDEN[name])), "csv", path)``; a change of
-arithmetic anywhere on those paths shows up as a byte difference here.
+``emit(run(ExperimentConfig(**GOLDEN[name])), "csv", path)``.
+
+``sparsity_level`` must match byte for byte. The other two tables were
+emitted while the chirped dictionaries were still dense matrices; their
+sensing matrices are now formed by FFT, which moves the last bits of the
+values (at most 1.8e-13 relative on ``nmse_vs_snr`` and 1.1e-14 on
+``mutual_coherence``). Their rows are compared field by field: every label,
+the trial count, the seed and the config hash exactly, the value within
+``VALUE_RTOL``.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nfcs.geometry import ArrayConfig, _element_delay
-from nfcs.harness import ExperimentConfig, emit, run
+from nfcs.harness import ExperimentConfig, emit, parse_rows, run
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+BYTE_EXACT = ("sparsity_level",)
+VALUE_RTOL = 1e-9
 
 GOLDEN = {
     "sparsity_level": dict(kind="sparsity_level", seed=3, n_list=(256, 512), trials=40),
@@ -36,7 +46,16 @@ GOLDEN = {
 def test_emit_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     emit(run(ExperimentConfig(**GOLDEN[name])), "csv", str(out))
-    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    golden = (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    if name in BYTE_EXACT:
+        assert out.read_bytes() == golden
+        return
+    got = parse_rows(out.read_text())
+    expected = parse_rows(golden.decode())
+    assert len(got) == len(expected)
+    for row, ref in zip(got, expected):
+        assert replace(row, value=ref.value) == ref
+        assert row.value == pytest.approx(ref.value, rel=VALUE_RTOL, abs=0.0)
 
 
 @pytest.mark.parametrize("mode", ["exact", "taylor"])
