@@ -6,6 +6,10 @@ Config files are flat key/value text with dotted sections, e.g.::
     array.n_antennas = 256
     experiment.trials = 200
     experiment.snr_db_list = 0, 5, 10
+
+Every key, its value parser and its admissible range are declared once, on
+the fields of ``harness.ExperimentConfig``; ``harness.CONFIG_FIELDS`` maps
+each key to its field.
 """
 
 import argparse
@@ -13,65 +17,13 @@ import sys
 from dataclasses import replace
 
 from .harness import (
+    CONFIG_FIELDS,
     EXPERIMENT_KINDS,
     ConfigError,
     emit,
     preset_config,
     run,
 )
-
-
-def _parse_optional_float(text: str):
-    if text.strip().lower() == "none":
-        return None
-    return float(text)
-
-
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(v.strip()) for v in text.split(",") if v.strip())
-
-
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(v.strip()) for v in text.split(",") if v.strip())
-
-
-def _parse_str_list(text: str) -> tuple:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
-
-
-# dotted config key -> (ExperimentConfig attribute, parser)
-CONFIG_KEYS = {
-    "array.carrier_freq_hz": ("carrier_freq", float),
-    "array.n_antennas": ("n_antennas", int),
-    "array.spacing_m": ("spacing", float),
-    "channel.n_paths": ("n_paths", int),
-    "channel.power_split_db": ("power_split_db", float),
-    "channel.distance_min_m": ("distance_min", float),
-    "channel.distance_max_m": ("distance_max", float),
-    "experiment.trials": ("trials", int),
-    "experiment.seed": ("seed", int),
-    "experiment.delta": ("delta", float),
-    "experiment.n_list": ("n_list", _parse_int_list),
-    "experiment.t_list": ("t_list", _parse_int_list),
-    "experiment.snr_db_list": ("snr_db_list", _parse_float_list),
-    "experiment.mu0_bins": ("mu0_bins", _parse_float_list),
-    "experiment.block_size_list": ("block_size_list", _parse_int_list),
-    "experiment.methods": ("methods", _parse_str_list),
-    "experiment.n_measurements": ("n_measurements", int),
-    "experiment.snr_db": ("snr_db", float),
-    "experiment.mu0_bin_tolerance": ("mu0_bin_tolerance", float),
-    "dictionary.mu": ("mu", float),
-    "dictionary.polar_rings": ("polar_rings", int),
-    "dictionary.polar_r_min_m": ("polar_r_min", float),
-    "dictionary.polar_r_max_m": ("polar_r_max", float),
-    "recovery.block_size": ("block_size", int),
-    "recovery.k_max": ("k_max", int),
-    "recovery.stop_alpha": ("stop_alpha", _parse_optional_float),
-    "recovery.pilot_kind": ("pilot_kind", str),
-    "rip.block_size": ("rip_block_size", int),
-    "rip.k": ("rip_k", int),
-    "rip.target_xi": ("rip_target_xi", float),
-}
 
 
 def parse_config_file(path: str) -> dict:
@@ -87,11 +39,11 @@ def parse_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in CONFIG_KEYS:
+            if key not in CONFIG_FIELDS:
                 raise ConfigError(key, "unknown config key")
-            attr, parser = CONFIG_KEYS[key]
+            f = CONFIG_FIELDS[key]
             try:
-                overrides[attr] = parser(value)
+                overrides[f.name] = f.metadata["parse"](value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(key, f"bad value {value!r}: {exc}") from exc
     return overrides

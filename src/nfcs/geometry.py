@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import as_rng
-from .validation import check_angle, check_positive, check_positive_or_inf
+from .validation import check_angle, check_positive
 
 SPEED_OF_LIGHT = 2.998e8
 """Propagation speed used to derive wavelengths, in m/s."""
@@ -162,16 +162,20 @@ def near_steering(cfg: ArrayConfig, theta: float, r: float, mode: str = "exact")
     return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
 
 
-def b_vector(cfg: ArrayConfig, mu: float) -> np.ndarray:
+def b_vector(cfg: ArrayConfig, mu) -> np.ndarray:
     """Quadratic-phase (chirp) vector; entry n is exp(-j*(2pi/lam)*(n-1)^2 d^2/(2 mu)).
 
     ``mu = inf`` is the plane-wave sentinel and yields the all-ones vector.
-    Entries are unit modulus; the vector is not normalised.
+    Entries are unit modulus; the vector is not normalised. An array of
+    ``mu`` gives an N x len(mu) matrix with one chirp per column.
     """
-    check_positive_or_inf(mu, "mu")
+    mu = np.asarray(mu, dtype=float)
+    if not np.all(mu > 0):
+        raise ValueError(f"mu must be positive or inf, got {mu.tolist()!r}")
     offsets = np.arange(cfg.n_antennas) * cfg.spacing
-    inv_mu = 0.0 if math.isinf(mu) else 1.0 / mu
-    phase = -(2 * np.pi / cfg.wavelength) * offsets**2 * inv_mu / 2.0
+    if mu.ndim:
+        offsets = offsets[:, None]
+    phase = -(2 * np.pi / cfg.wavelength) * offsets**2 * (1.0 / mu) / 2.0
     return np.exp(1j * phase)
 
 
@@ -181,6 +185,21 @@ def synthesize_channel(cfg: ArrayConfig, spec: ChannelSpec, mode: str = "exact")
     for p in spec.paths:
         h += p.gain * near_steering(cfg, p.theta, p.distance, mode)
     return h
+
+
+def _scale_gains(gains: np.ndarray, power_split_db: float, normalize: bool):
+    """Rescale one draw's path gains in place, LOS first.
+
+    The non-LOS gains are scaled so the LOS to non-LOS power ratio equals
+    ``power_split_db``; with ``normalize`` all gains are then scaled to unit
+    total power.
+    """
+    if gains.size > 1:
+        nlos_power = float(np.sum(np.abs(gains[1:]) ** 2))
+        target = abs(gains[0]) ** 2 / 10.0 ** (power_split_db / 10.0)
+        gains[1:] *= math.sqrt(target / nlos_power)
+    if normalize:
+        gains /= math.sqrt(float(np.sum(np.abs(gains) ** 2)))
 
 
 def sample_channel(
@@ -217,12 +236,7 @@ def sample_channel(
     sines = rng.uniform(-1.0, 1.0, n_paths)
     dists = rng.uniform(lo, hi, n_paths)
     gains = (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)) / math.sqrt(2)
-    if n_paths > 1:
-        nlos_power = float(np.sum(np.abs(gains[1:]) ** 2))
-        target = abs(gains[0]) ** 2 / 10.0 ** (power_split_db / 10.0)
-        gains[1:] *= math.sqrt(target / nlos_power)
-    if normalize:
-        gains /= math.sqrt(float(np.sum(np.abs(gains) ** 2)))
+    _scale_gains(gains, power_split_db, normalize)
     paths = tuple(
         PathParams(
             gain=complex(gains[i]),

@@ -12,16 +12,26 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import block_rip as rip_mod
 from .coherence import _approx_magnitudes, _exact_magnitudes, sparsity_bound
 from .dictionaries import Dictionary, build_dft, build_dmu, build_polar_baseline, mutual_coherence
-from .geometry import ArrayConfig, ChannelSpec, PathParams, _element_delay, field_boundaries, sample_channel
-from .recovery import BlockOMP, gen_pilots, ls_estimate, make_problem, nmse
+from .geometry import (
+    ArrayConfig,
+    ChannelSpec,
+    PathParams,
+    _element_delay,
+    _scale_gains,
+    b_vector,
+    field_boundaries,
+    sample_channel,
+)
+from .recovery import PILOT_KINDS, BlockOMP, gen_pilots, ls_estimate, make_problem, nmse
 from .seeding import rng_from
 
 EXPERIMENT_KINDS = (
@@ -46,47 +56,90 @@ class ConfigError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
+def _list_of(parse):
+    return lambda text: tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+
+
+def _optional_float(text: str):
+    return None if text.strip().lower() == "none" else float(text)
+
+
+# admissible values: (predicate, requirement)
+def _integer(lo):
+    return lambda v: isinstance(v, numbers.Integral) and v >= lo, f"must be an integer >= {lo}"
+
+
+def _one_of(names):
+    return names.__contains__, f"must be one of {', '.join(names)}"
+
+
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be positive and finite")
+# +inf is the noiseless sentinel; -inf and nan name no noise level
+_SNR = (lambda v: -math.inf < v <= math.inf, "must be finite or inf")
+
+
+def _setting(key, parse, rule, default=MISSING):
+    """Field settable from a config file by its dotted ``key``; ``parse`` reads
+    the value text and ``rule`` is the (predicate, requirement) pair of the
+    admissible values, applied to each entry of a tuple field."""
+    predicate, requirement = rule
+    return field(
+        default=default,
+        metadata={"key": key, "parse": parse, "rule": predicate, "requirement": requirement},
+    )
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
-    seed: int
-    trials: int = 200
+    seed: int = _setting("experiment.seed", int, (lambda v: isinstance(v, numbers.Integral), "must be an integer"))
+    trials: int = _setting("experiment.trials", int, _integer(1), 200)
     preset: str = "desk"
     # array
-    carrier_freq: float = 100e9
-    n_antennas: int = 256
-    spacing: float = None
+    carrier_freq: float = _setting("array.carrier_freq_hz", float, _POSITIVE, 100e9)
+    n_antennas: int = _setting("array.n_antennas", int, _integer(2), 256)
+    spacing: float = _setting("array.spacing_m", float, _POSITIVE, None)
     # channel statistics
-    n_paths: int = 3
-    power_split_db: float = 13.0
-    distance_min: float = None
-    distance_max: float = None
+    n_paths: int = _setting("channel.n_paths", int, _integer(1), 3)
+    power_split_db: float = _setting("channel.power_split_db", float, (math.isfinite, "must be finite"), 13.0)
+    distance_min: float = _setting("channel.distance_min_m", float, _POSITIVE, None)
+    distance_max: float = _setting("channel.distance_max_m", float, _POSITIVE, None)
     # grids
-    n_list: tuple = ()
-    t_list: tuple = ()
-    snr_db_list: tuple = ()
-    mu0_bins: tuple = ()
-    block_size_list: tuple = ()
-    methods: tuple = ("dmu_block_omp",)
+    n_list: tuple = _setting("experiment.n_list", _list_of(int), _integer(2), ())
+    t_list: tuple = _setting("experiment.t_list", _list_of(int), _integer(1), ())
+    snr_db_list: tuple = _setting("experiment.snr_db_list", _list_of(float), _SNR, ())
+    mu0_bins: tuple = _setting("experiment.mu0_bins", _list_of(float), _POSITIVE, ())
+    block_size_list: tuple = _setting("experiment.block_size_list", _list_of(int), _integer(1), ())
+    methods: tuple = _setting("experiment.methods", _list_of(str), _one_of(METHOD_NAMES), ("dmu_block_omp",))
     # fixed operating point for single-axis sweeps
-    n_measurements: int = 100
-    snr_db: float = 5.0
-    # dictionaries and solver
-    mu: float = 20.0
-    block_size: int = 4
-    k_max: int = None
-    stop_alpha: float = 0.05
-    pilot_kind: str = "gaussian"
-    polar_rings: int = 6
-    polar_r_min: float = None
-    polar_r_max: float = None
+    n_measurements: int = _setting("experiment.n_measurements", int, _integer(1), 100)
+    snr_db: float = _setting("experiment.snr_db", float, _SNR, 5.0)
+    # dictionaries and solver; mu = +inf is the plane-wave (DFT) dictionary
+    mu: float = _setting("dictionary.mu", float, (lambda v: v > 0, "must be positive or inf"), 20.0)
+    block_size: int = _setting("recovery.block_size", int, _integer(1), 4)
+    k_max: int = _setting("recovery.k_max", int, _integer(0), None)
+    stop_alpha: float = _setting(
+        "recovery.stop_alpha",
+        _optional_float,
+        (lambda v: v is None or 0 < v <= 1, "must lie in (0, 1] or be none"),
+        0.05,
+    )
+    pilot_kind: str = _setting("recovery.pilot_kind", str, _one_of(PILOT_KINDS), "gaussian")
+    polar_rings: int = _setting("dictionary.polar_rings", int, _integer(1), 6)
+    polar_r_min: float = _setting("dictionary.polar_r_min_m", float, _POSITIVE, None)
+    polar_r_max: float = _setting("dictionary.polar_r_max_m", float, _POSITIVE, None)
     # analytics
-    delta: float = 0.01
-    mu0_bin_tolerance: float = 1.25
+    delta: float = _setting("experiment.delta", float, _POSITIVE, 0.01)
+    mu0_bin_tolerance: float = _setting(
+        "experiment.mu0_bin_tolerance",
+        float,
+        (lambda v: math.isfinite(v) and v > 1, "must be finite and exceed 1.0"),
+        1.25,
+    )
     # restricted-isometry probe
-    rip_block_size: int = 16
-    rip_k: int = 2
-    rip_target_xi: float = 0.5
+    rip_block_size: int = _setting("rip.block_size", int, _integer(1), 16)
+    rip_k: int = _setting("rip.k", int, _integer(1), 2)
+    rip_target_xi: float = _setting("rip.target_xi", float, (lambda v: 0 < v < 1, "must lie in (0, 1)"), 0.5)
 
     def array_config(self, n_antennas: int = None) -> ArrayConfig:
         return ArrayConfig(
@@ -102,45 +155,21 @@ class ExperimentConfig:
     def validate(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError("experiment.kind", f"unknown kind {self.kind!r}")
-        if self.seed is None:
-            raise ConfigError("experiment.seed", "a seed is mandatory")
-        if self.trials < 1:
-            raise ConfigError("experiment.trials", f"must be >= 1, got {self.trials}")
-        if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0):
-            raise ConfigError(
-                "array.carrier_freq_hz", f"must be positive and finite, got {self.carrier_freq!r}"
-            )
-        if self.n_antennas < 2:
-            raise ConfigError("array.n_antennas", "must be >= 2")
-        if self.n_paths < 1:
-            raise ConfigError("channel.n_paths", "must be >= 1")
-        if self.n_measurements < 1:
-            raise ConfigError(
-                "experiment.n_measurements", f"must be >= 1, got {self.n_measurements}"
-            )
-        # +inf is the noiseless sentinel; -inf and nan name no noise level
-        for field_path, values in (
-            ("experiment.snr_db", (self.snr_db,)),
-            ("experiment.snr_db_list", self.snr_db_list),
-        ):
-            bad = [v for v in values if not -math.inf < v <= math.inf]
-            if bad:
-                raise ConfigError(field_path, f"must be finite or inf, got {bad[0]!r}")
-        # +inf is the plane-wave (DFT) dictionary
-        if not self.mu > 0:
-            raise ConfigError("dictionary.mu", f"must be positive or inf, got {self.mu!r}")
-        if self.stop_alpha is not None and not 0 < self.stop_alpha <= 1:
-            raise ConfigError(
-                "recovery.stop_alpha", f"must lie in (0, 1] or be none, got {self.stop_alpha!r}"
-            )
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ConfigError("experiment.delta", f"must be positive and finite, got {self.delta!r}")
-        for m in self.methods:
-            if m not in METHOD_NAMES:
-                raise ConfigError(
-                    "experiment.methods",
-                    f"unknown method {m!r}; valid: {', '.join(METHOD_NAMES)}",
-                )
+        for f in fields(self):
+            if not f.metadata:
+                continue
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            for v in value if isinstance(f.default, tuple) else (value,):
+                try:
+                    ok = f.metadata["rule"](v)
+                except TypeError:  # a value of the wrong type from a library caller
+                    ok = False
+                if not ok:
+                    raise ConfigError(f.metadata["key"], f"{f.metadata['requirement']}, got {v!r}")
+
+        # checks spanning several fields
         grid_field = {
             "coherence_error": "n_list",
             "sparsity_level": "n_list",
@@ -152,45 +181,87 @@ class ExperimentConfig:
             "rip_probe": "t_list",
         }[self.kind]
         if not getattr(self, grid_field):
-            raise ConfigError(f"experiment.{grid_field}", "grid must be non-empty")
-        if self.kind in ("block_size_sweep", "nmse_vs_T", "nmse_vs_snr", "nmse_vs_mu0"):
+            raise ConfigError(_key(grid_field), "grid must be non-empty")
+        cfg = self.array_config()
+        if self.kind != "coherence_error" and not cfg.is_half_wavelength:
+            raise ConfigError(
+                _key("spacing"),
+                f"the dictionaries need half-wavelength spacing {cfg.wavelength / 2!r}, "
+                f"got {self.spacing!r}",
+            )
+        estimation = self.kind in ("block_size_sweep", "nmse_vs_T", "nmse_vs_snr", "nmse_vs_mu0")
+        if estimation:
             if not self.methods:
-                raise ConfigError("experiment.methods", "must be non-empty")
+                raise ConfigError(_key("methods"), "must be non-empty")
             t_values = self.t_list if self.kind == "nmse_vs_T" else (self.n_measurements,)
             if "ls" in self.methods:
                 bad = [t for t in t_values if t < self.n_antennas]
                 if bad:
                     raise ConfigError(
-                        "experiment.methods",
+                        _key("methods"),
                         f"method 'ls' needs n_measurements >= n_antennas; offending T values: {bad}",
                     )
-            sizes = self.block_size_list if self.kind == "block_size_sweep" else (self.block_size,)
-            for s in sizes:
+            sweep = self.kind == "block_size_sweep"
+            for s in self.block_size_list if sweep else (self.block_size,):
                 if self.n_antennas % s != 0:
                     raise ConfigError(
-                        "recovery.block_size",
+                        _key("block_size_list" if sweep else "block_size"),
                         f"block size {s} does not divide n_antennas {self.n_antennas}",
                     )
+            fresnel, _ = field_boundaries(cfg)
+            lo, hi = _distance_range(self, cfg)
+            if lo < fresnel * (1 - 1e-9):
+                raise ConfigError(
+                    _key("distance_min"),
+                    f"must be at or beyond the Fresnel distance {fresnel!r}, got {lo!r}",
+                )
+            if lo > hi:
+                raise ConfigError(
+                    _key("distance_max" if self.distance_max is not None else "distance_min"),
+                    f"the distance range ({lo!r}, {hi!r}) is inverted",
+                )
+            if self.kind == "nmse_vs_mu0":
+                # every effective distance r / cos^2(theta) is at least r >= lo
+                for b in self.mu0_bins:
+                    if b * self.mu0_bin_tolerance <= lo:
+                        raise ConfigError(
+                            _key("mu0_bins"),
+                            f"bin {b!r} is unreachable: {b!r} * {_key('mu0_bin_tolerance')} "
+                            f"lies below the minimum distance {lo!r}",
+                        )
+        if self.kind == "mutual_coherence" or (estimation and "polar_omp" in self.methods):
+            lo, hi = _polar_range(self, cfg)
+            if lo > hi:
+                raise ConfigError(
+                    _key("polar_r_max" if self.polar_r_max is not None else "polar_r_min"),
+                    f"the polar distance range ({lo!r}, {hi!r}) is inverted",
+                )
         if self.kind == "rip_probe":
             if self.n_antennas % self.rip_block_size != 0:
                 raise ConfigError(
-                    "rip.block_size",
+                    _key("rip_block_size"),
                     f"{self.rip_block_size} does not divide n_antennas {self.n_antennas}",
                 )
-        if self.kind == "sparsity_level" or self.kind == "coherence_error":
-            for n in self.n_list:
-                if n < 2:
-                    raise ConfigError("experiment.n_list", f"antenna counts must be >= 2, got {n}")
+            n_blocks = self.n_antennas // self.rip_block_size
+            if self.rip_k > n_blocks:
+                raise ConfigError(_key("rip_k"), f"{self.rip_k} exceeds the number of blocks {n_blocks}")
         if self.kind == "sparsity_level":
             floor = max(1.0 / n for n in self.n_list)
             if self.delta <= floor:
                 raise ConfigError(
-                    "experiment.delta",
+                    _key("delta"),
                     f"must exceed the validity floor 1/N = {floor:.3e} "
-                    f"for the smallest antenna count in experiment.n_list",
+                    f"for the smallest antenna count in {_key('n_list')}",
                 )
-        if self.mu0_bin_tolerance <= 1.0:
-            raise ConfigError("experiment.mu0_bin_tolerance", "must exceed 1.0")
+
+
+# dotted config-file key -> ExperimentConfig field, derived from the declarations above
+CONFIG_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig) if f.metadata}
+
+
+def _key(name: str) -> str:
+    """Config-file key of the ExperimentConfig field ``name``."""
+    return next(key for key, f in CONFIG_FIELDS.items() if f.name == name)
 
 
 @dataclass(frozen=True)
@@ -299,6 +370,13 @@ def _distance_range(config: ExperimentConfig, cfg: ArrayConfig) -> tuple:
     return lo, hi
 
 
+def _polar_range(config: ExperimentConfig, cfg: ArrayConfig) -> tuple:
+    fresnel, rayleigh = field_boundaries(cfg)
+    lo = config.polar_r_min if config.polar_r_min is not None else fresnel
+    hi = config.polar_r_max if config.polar_r_max is not None else rayleigh
+    return lo, hi
+
+
 def _build_method_dictionary(config: ExperimentConfig, cfg: ArrayConfig, method: str, cache: dict) -> Dictionary:
     key = (method, cfg.n_antennas)
     if key not in cache:
@@ -307,10 +385,7 @@ def _build_method_dictionary(config: ExperimentConfig, cfg: ArrayConfig, method:
         elif method == "dft_omp":
             cache[key] = build_dft(cfg)
         elif method == "polar_omp":
-            fresnel, rayleigh = field_boundaries(cfg)
-            lo = config.polar_r_min if config.polar_r_min is not None else fresnel
-            hi = config.polar_r_max if config.polar_r_max is not None else rayleigh
-            cache[key] = build_polar_baseline(cfg, config.polar_rings, (lo, hi))
+            cache[key] = build_polar_baseline(cfg, config.polar_rings, _polar_range(config, cfg))
         else:
             cache[key] = build_dft(cfg)  # ls ignores the dictionary; keep problems uniform
     return cache[key]
@@ -343,9 +418,10 @@ def _sample_mu0_binned(config, cfg, dist_range, bin_center, data_key, trial):
                 PathParams(los.gain, math.asin(sin0), r0, is_los=True),
             ) + base.paths[1:]
             return ChannelSpec(paths=paths)
-    raise RuntimeError(
-        f"could not hit the mu0 bin {bin_center} within the sampling budget; "
-        f"widen experiment.mu0_bin_tolerance"
+    raise ConfigError(
+        _key("mu0_bins"),
+        f"could not hit the bin {bin_center!r} within the sampling budget; "
+        f"widen {_key('mu0_bin_tolerance')}",
     )
 
 
@@ -376,7 +452,7 @@ def _estimation_nmse(config, cfg, method, dictionary, t, snr_db, spec, obs_rng) 
     return nmse(problem.channel, h_hat)
 
 
-def _nmse_rows(config, grid_points, grid_label, rows):
+def _nmse_rows(config, grid_points, grid_label):
     """Shared driver for the NMSE sweeps (grid-major, method-minor order).
 
     Channel and observation draws are seeded from the grid coordinates the
@@ -387,7 +463,6 @@ def _nmse_rows(config, grid_points, grid_label, rows):
     cfg = config.array_config()
     dist_range = _distance_range(config, cfg)
     cache = {}
-    chash = config_hash(config)
     for point in grid_points:
         label = grid_label(point)
         t, snr_db, s, mu0_bin = point
@@ -416,27 +491,15 @@ def _nmse_rows(config, grid_points, grid_label, rows):
                 )
             mean = float(values.mean())
             stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-            for metric, value in (("nmse_mean", mean), ("nmse_stderr", stderr)):
-                rows.append(
-                    ResultRow(
-                        experiment=config.experiment_id,
-                        method=method,
-                        grid=label,
-                        metric=metric,
-                        value=value,
-                        trials=config.trials,
-                        seed=config.seed,
-                        config_hash=chash,
-                    )
-                )
+            yield method, label, "nmse_mean", mean
+            yield method, label, "nmse_stderr", stderr
 
 
 # ---------------------------------------------------------------------------
 # experiment implementations
 
 
-def _run_coherence_error(config: ExperimentConfig, rows):
-    chash = config_hash(config)
+def _run_coherence_error(config: ExperimentConfig):
     for n in config.n_list:
         cfg = config.array_config(n)
         fresnel, rayleigh = field_boundaries(cfg)
@@ -447,22 +510,8 @@ def _run_coherence_error(config: ExperimentConfig, rows):
         a = (2 * np.pi * cfg.spacing / cfg.wavelength) * (sines[:, 0] - sines[:, 1])
         b = (np.pi * cfg.spacing**2 / cfg.wavelength) * (1.0 / mus[:, 1] - 1.0 / mus[:, 0])
         err = np.abs(_approx_magnitudes(a, b, n) - _exact_magnitudes(a, b, n))
-        for metric, value in (
-            ("mean_abs_error", float(err.mean())),
-            ("max_abs_error", float(err.max())),
-        ):
-            rows.append(
-                ResultRow(
-                    experiment=config.experiment_id,
-                    method="coherence_approx",
-                    grid=f"N={n}",
-                    metric=metric,
-                    value=value,
-                    trials=config.trials,
-                    seed=config.seed,
-                    config_hash=chash,
-                )
-            )
+        yield "coherence_approx", f"N={n}", "mean_abs_error", float(err.mean())
+        yield "coherence_approx", f"N={n}", "max_abs_error", float(err.max())
 
 
 def _fast_analysis_fractions(dft, chirps, channels, delta):
@@ -476,8 +525,7 @@ def _fast_analysis_fractions(dft, chirps, channels, delta):
     return counts / dft.n_antennas
 
 
-def _run_sparsity_level(config: ExperimentConfig, rows):
-    chash = config_hash(config)
+def _run_sparsity_level(config: ExperimentConfig):
     trials = config.trials
     for n in config.n_list:
         cfg = config.array_config(n)
@@ -496,7 +544,7 @@ def _run_sparsity_level(config: ExperimentConfig, rows):
         sin_mu = rng.uniform(-1.0, 1.0, trials)
         r_mu = rng.uniform(fresnel, rayleigh, trials)
         mu = r_mu / (1.0 - sin_mu**2)
-        chirps = np.exp(-1j * wavenumber * offsets[:, None] ** 2 / (2.0 * mu))
+        chirps = b_vector(cfg, mu)
 
         dft = build_dft(cfg)
         sin_0 = rng.uniform(-1.0, 1.0, trials)
@@ -507,11 +555,8 @@ def _run_sparsity_level(config: ExperimentConfig, rows):
 
         # multipath channels: unit total power, fixed LOS/NLOS power split
         g = (rng.standard_normal((config.n_paths, trials)) + 1j * rng.standard_normal((config.n_paths, trials))) / math.sqrt(2)
-        if config.n_paths > 1:
-            nlos_power = np.sum(np.abs(g[1:]) ** 2, axis=0)
-            target = np.abs(g[0]) ** 2 / 10.0 ** (config.power_split_db / 10.0)
-            g[1:] *= np.sqrt(target / nlos_power)
-        g /= np.sqrt(np.sum(np.abs(g) ** 2, axis=0))
+        for i in range(trials):
+            _scale_gains(g[:, i], config.power_split_db, normalize=True)
         multi = g[0] * los
         for path in range(1, config.n_paths):
             sin_l = rng.uniform(-1.0, 1.0, trials)
@@ -530,30 +575,15 @@ def _run_sparsity_level(config: ExperimentConfig, rows):
                 for i in range(trials)
             ]
         )
-        metrics = (
-            ("los", "mean_fraction", float(frac_los.mean())),
-            ("multipath", "mean_fraction", float(frac_multi.mean())),
-            ("theory", "mean_bound_fraction", float(bounds.mean())),
-            ("los", "within_bound_rate", float(np.mean(frac_los < bounds))),
-            ("multipath", "within_bound_rate", float(np.mean(frac_multi < bounds))),
-        )
-        for method, metric, value in metrics:
-            rows.append(
-                ResultRow(
-                    experiment=config.experiment_id,
-                    method=method,
-                    grid=f"N={n}",
-                    metric=metric,
-                    value=value,
-                    trials=trials,
-                    seed=config.seed,
-                    config_hash=chash,
-                )
-            )
+        label = f"N={n}"
+        yield "los", label, "mean_fraction", float(frac_los.mean())
+        yield "multipath", label, "mean_fraction", float(frac_multi.mean())
+        yield "theory", label, "mean_bound_fraction", float(bounds.mean())
+        yield "los", label, "within_bound_rate", float(np.mean(frac_los < bounds))
+        yield "multipath", label, "within_bound_rate", float(np.mean(frac_multi < bounds))
 
 
-def _run_mutual_coherence(config: ExperimentConfig, rows):
-    chash = config_hash(config)
+def _run_mutual_coherence(config: ExperimentConfig):
     cfg = config.array_config()
     cache = {}
     dmu = _build_method_dictionary(config, cfg, "dmu_block_omp", cache)
@@ -566,25 +596,11 @@ def _run_mutual_coherence(config: ExperimentConfig, rows):
                 rng = rng_from(config.seed, config.experiment_id, label, trial)
                 pilots = gen_pilots(t, cfg.n_antennas, config.pilot_kind, rng)
                 values[trial] = mutual_coherence(dictionary.sense(pilots))
-            for metric, value in (
-                ("median_mutual_coherence", float(np.median(values))),
-                ("mean_mutual_coherence", float(values.mean())),
-            ):
-                rows.append(
-                    ResultRow(
-                        experiment=config.experiment_id,
-                        method=method,
-                        grid=label,
-                        metric=metric,
-                        value=value,
-                        trials=config.trials,
-                        seed=config.seed,
-                        config_hash=chash,
-                    )
-                )
+            yield method, label, "median_mutual_coherence", float(np.median(values))
+            yield method, label, "mean_mutual_coherence", float(values.mean())
 
 
-def _run_block_size_sweep(config: ExperimentConfig, rows):
+def _run_block_size_sweep(config: ExperimentConfig):
     points = [
         (config.n_measurements, snr, s, None)
         for s in config.block_size_list
@@ -594,26 +610,25 @@ def _run_block_size_sweep(config: ExperimentConfig, rows):
     def label(point):
         return f"s={point[2]},snr_db={_fmt_value(float(point[1]))}"
 
-    _nmse_rows(config, points, label, rows)
+    return _nmse_rows(config, points, label)
 
 
-def _run_nmse_vs_t(config: ExperimentConfig, rows):
+def _run_nmse_vs_t(config: ExperimentConfig):
     points = [(t, config.snr_db, None, None) for t in config.t_list]
-    _nmse_rows(config, points, lambda p: f"T={p[0]}", rows)
+    return _nmse_rows(config, points, lambda p: f"T={p[0]}")
 
 
-def _run_nmse_vs_snr(config: ExperimentConfig, rows):
+def _run_nmse_vs_snr(config: ExperimentConfig):
     points = [(config.n_measurements, snr, None, None) for snr in config.snr_db_list]
-    _nmse_rows(config, points, lambda p: f"snr_db={_fmt_value(float(p[1]))}", rows)
+    return _nmse_rows(config, points, lambda p: f"snr_db={_fmt_value(float(p[1]))}")
 
 
-def _run_nmse_vs_mu0(config: ExperimentConfig, rows):
+def _run_nmse_vs_mu0(config: ExperimentConfig):
     points = [(config.n_measurements, config.snr_db, None, b) for b in config.mu0_bins]
-    _nmse_rows(config, points, lambda p: f"mu0={_fmt_value(float(p[3]))}", rows)
+    return _nmse_rows(config, points, lambda p: f"mu0={_fmt_value(float(p[3]))}")
 
 
-def _run_rip_probe(config: ExperimentConfig, rows):
-    chash = config_hash(config)
+def _run_rip_probe(config: ExperimentConfig):
     cfg = config.array_config()
     dmu = build_dmu(cfg, config.mu)
     for t in config.t_list:
@@ -629,22 +644,8 @@ def _run_rip_probe(config: ExperimentConfig, rows):
             seed=(config.seed, config.experiment_id, label),
             target_xi=config.rip_target_xi,
         )
-        for metric, value in (
-            ("xi_hat", report.xi_hat),
-            ("violation_rate", report.violation_rate),
-        ):
-            rows.append(
-                ResultRow(
-                    experiment=config.experiment_id,
-                    method="dmu_sensing",
-                    grid=label,
-                    metric=metric,
-                    value=value,
-                    trials=config.trials,
-                    seed=config.seed,
-                    config_hash=chash,
-                )
-            )
+        yield "dmu_sensing", label, "xi_hat", report.xi_hat
+        yield "dmu_sensing", label, "violation_rate", report.violation_rate
 
 
 _RUNNERS = {
@@ -660,11 +661,17 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig):
-    """Run one experiment and return its result rows (no partial results)."""
+    """Run one experiment and return its result rows (no partial results).
+
+    Runners yield ``(method, grid, metric, value)``; every row is stamped here
+    with the experiment id, trial count, seed and config hash.
+    """
     config.validate()
-    rows = []
-    _RUNNERS[config.kind](config, rows)
-    return rows
+    chash = config_hash(config)
+    return [
+        ResultRow(config.experiment_id, method, grid, metric, value, config.trials, config.seed, chash)
+        for method, grid, metric, value in _RUNNERS[config.kind](config)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from .validation import as_complex_matrix, as_complex_vector
 
 RIDGE_SCALE = 1e-10
 _COND_LIMIT = 1e12
+PILOT_KINDS = ("gaussian", "rademacher")
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,13 @@ def noise_variance(channel: np.ndarray, n_antennas: int, snr_db: float) -> float
     """Per-measurement noise variance under the pilot-averaged SNR convention.
 
     SNR is defined as E_F |h^H f_t|^2 / sigma^2 = ||h||^2 / (N sigma^2), so
-    sigma^2 = ||h||^2 / (N * 10^(SNR/10)). Infinite SNR gives zero variance.
+    sigma^2 = ||h||^2 / (N * 10^(SNR/10)). ``None`` and +inf give zero
+    variance (a noiseless problem); -inf and nan name no noise level.
     """
-    if snr_db is None or math.isinf(snr_db):
+    if snr_db is None or snr_db == math.inf:
         return 0.0
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db!r}")
     power = float(np.linalg.norm(channel) ** 2)
     return power / (n_antennas * 10.0 ** (snr_db / 10.0))
 

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import os
+import tempfile
+from dataclasses import MISSING, fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nfcs.cli import main, parse_config_file
-from nfcs.harness import ConfigError, parse_rows
+from nfcs.cli import _COMMAND_TO_KIND, main, parse_config_file
+from nfcs.harness import CONFIG_FIELDS, ConfigError, ExperimentConfig, parse_rows
 
 
 def run_cli(args):
@@ -100,14 +106,121 @@ def test_invalid_config_combination_exits_2(tmp_path, capsys):
         ("recovery.stop_alpha = 2", "recovery.stop_alpha"),
         ("experiment.snr_db = nan", "experiment.snr_db"),
         ("experiment.delta = nan", "experiment.delta"),
+        ("experiment.t_list = 0", "experiment.t_list"),
+        ("experiment.block_size_list = 0", "experiment.block_size_list"),
+        ("recovery.block_size = 0", "recovery.block_size"),
+        ("experiment.mu0_bins = -1", "experiment.mu0_bins"),
+        ("recovery.k_max = -1", "recovery.k_max"),
+        ("dictionary.polar_rings = 0", "dictionary.polar_rings"),
+        ("recovery.pilot_kind = bogus", "recovery.pilot_kind"),
+        ("experiment.mu0_bin_tolerance = nan", "experiment.mu0_bin_tolerance"),
+        ("channel.power_split_db = nan", "channel.power_split_db"),
+        ("rip.target_xi = nan", "rip.target_xi"),
     ],
 )
 def test_out_of_range_value_exits_2(tmp_path, capsys, line, field_path):
+    # per-field checks apply whatever the experiment
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     code = run_cli(["mutual-coherence", "--seed", "1", "--trials", "1", "--config", str(cfg)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {field_path}: ")
+
+
+@pytest.mark.parametrize(
+    "command, line, field_path",
+    [
+        ("nmse-vs-snr", "channel.distance_min_m = 0.1", "channel.distance_min_m"),
+        ("nmse-vs-snr", "channel.distance_max_m = 1", "channel.distance_max_m"),
+        ("mutual-coherence", "array.spacing_m = 0.01", "array.spacing_m"),
+        ("mutual-coherence", "dictionary.polar_r_min_m = 1000", "dictionary.polar_r_min_m"),
+        ("rip-probe", "rip.k = 100", "rip.k"),
+        ("nmse-vs-mu0", "experiment.mu0_bins = 0.5", "experiment.mu0_bins"),
+        ("block-size-sweep", "experiment.block_size_list = 3", "experiment.block_size_list"),
+    ],
+)
+def test_cross_field_conflict_exits_2(tmp_path, capsys, command, line, field_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code = run_cli([command, "--seed", "1", "--trials", "1", "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field_path}: ")
+
+
+# the config keys and fields before the key table was derived from the field
+# declarations; the file format must not drift
+FROZEN_KEYS = {
+    "array.carrier_freq_hz": "carrier_freq",
+    "array.n_antennas": "n_antennas",
+    "array.spacing_m": "spacing",
+    "channel.n_paths": "n_paths",
+    "channel.power_split_db": "power_split_db",
+    "channel.distance_min_m": "distance_min",
+    "channel.distance_max_m": "distance_max",
+    "experiment.trials": "trials",
+    "experiment.seed": "seed",
+    "experiment.delta": "delta",
+    "experiment.n_list": "n_list",
+    "experiment.t_list": "t_list",
+    "experiment.snr_db_list": "snr_db_list",
+    "experiment.mu0_bins": "mu0_bins",
+    "experiment.block_size_list": "block_size_list",
+    "experiment.methods": "methods",
+    "experiment.n_measurements": "n_measurements",
+    "experiment.snr_db": "snr_db",
+    "experiment.mu0_bin_tolerance": "mu0_bin_tolerance",
+    "dictionary.mu": "mu",
+    "dictionary.polar_rings": "polar_rings",
+    "dictionary.polar_r_min_m": "polar_r_min",
+    "dictionary.polar_r_max_m": "polar_r_max",
+    "recovery.block_size": "block_size",
+    "recovery.k_max": "k_max",
+    "recovery.stop_alpha": "stop_alpha",
+    "recovery.pilot_kind": "pilot_kind",
+    "rip.block_size": "rip_block_size",
+    "rip.k": "rip_k",
+    "rip.target_xi": "rip_target_xi",
+}
+
+
+def test_config_keys_are_frozen():
+    assert {key: f.name for key, f in CONFIG_FIELDS.items()} == FROZEN_KEYS
+
+
+def test_every_setting_declares_key_parser_and_rule():
+    for f in fields(ExperimentConfig):
+        if f.name in ("kind", "preset"):
+            continue
+        meta = f.metadata
+        assert isinstance(meta.get("key"), str), f.name
+        assert callable(meta.get("parse")) and callable(meta.get("rule")), f.name
+        assert meta.get("requirement"), f.name
+        if f.default not in (None, MISSING):
+            entries = f.default if isinstance(f.default, tuple) else (f.default,)
+            assert all(meta["rule"](v) for v in entries), f.name
+
+
+_FUZZ_VALUES = ("0", "-1", "1", "2", "0.5", "nan", "inf", "-inf", "none", "bogus", "1, 0")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    command=st.sampled_from(sorted(_COMMAND_TO_KIND)),
+    key=st.sampled_from(sorted(CONFIG_FIELDS)),
+    value=st.sampled_from(_FUZZ_VALUES),
+)
+def test_one_line_config_keeps_the_exit_code_contract(command, key, value):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{key} = {value}\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--trials", "1", "--seed", "1"])
+    assert code in (0, 2, 3)
+    if code == 2:
+        known = (*CONFIG_FIELDS, "experiment.kind")
+        assert err.getvalue().startswith(tuple(f"config error: {k}: " for k in known))
 
 
 def test_infinite_mu_and_snr_are_accepted(tmp_path, capsys):

@@ -178,6 +178,16 @@ def test_b_vector_basics(cfg):
         b_vector(cfg, 0.0)
 
 
+def test_b_vector_broadcasts_over_mu(cfg):
+    mus = np.array([6.0, 20.0, math.inf, 1e4])
+    chirps = b_vector(cfg, mus)
+    assert chirps.shape == (cfg.n_antennas, mus.size)
+    for i, mu in enumerate(mus):
+        np.testing.assert_array_equal(chirps[:, i], b_vector(cfg, float(mu)))
+    with pytest.raises(ValueError):
+        b_vector(cfg, np.array([6.0, -1.0]))
+
+
 def test_b_vector_third_entry_phase():
     # hand evaluation: phase = -(2 pi / lam) * (2 d)^2 / (2 mu) at n = 3
     cfg3 = ArrayConfig(carrier_freq=2.998e8 / 0.003, n_antennas=3, spacing=0.0015)

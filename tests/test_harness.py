@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from nfcs.geometry import field_boundaries
 from nfcs.harness import (
     ConfigError,
     ExperimentConfig,
@@ -12,6 +13,7 @@ from nfcs.harness import (
     emit,
     parse_rows,
     preset_config,
+    _sample_mu0_binned,
     run,
 )
 
@@ -54,6 +56,28 @@ class TestValidation:
     def test_trials_positive(self):
         with pytest.raises(ConfigError, match="experiment.trials"):
             tiny_config(trials=0).validate()
+
+    def test_wrong_type_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="dictionary.mu"):
+            tiny_config(mu=None).validate()
+        with pytest.raises(ConfigError, match="experiment.seed"):
+            tiny_config(seed=None).validate()
+
+    def test_unreachable_mu0_bin_fails_validation(self):
+        # no effective distance lies below the minimum distance (the Fresnel
+        # distance, 2.68 m at N=256), so the bin fails before any sampling
+        with pytest.raises(ConfigError, match="experiment.mu0_bins: bin 0.5 is unreachable"):
+            ExperimentConfig(kind="nmse_vs_mu0", seed=1, mu0_bins=(6.0, 0.5)).validate()
+
+    def test_mu0_sampling_budget_is_a_config_error(self):
+        # the bin is reachable in principle (bin * tolerance just above the
+        # Fresnel distance) but no draw within the budget hits it
+        config = ExperimentConfig(kind="nmse_vs_mu0", seed=1, mu0_bins=(6.0,), trials=1)
+        cfg = config.array_config()
+        fresnel, rayleigh = field_boundaries(cfg)
+        bin_center = fresnel * (1 + 1e-13) / config.mu0_bin_tolerance
+        with pytest.raises(ConfigError, match="experiment.mu0_bins"):
+            _sample_mu0_binned(config, cfg, (fresnel, rayleigh), bin_center, (1,), 0)
 
     def test_presets_are_valid(self):
         from nfcs.harness import EXPERIMENT_KINDS

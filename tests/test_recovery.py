@@ -116,6 +116,14 @@ class TestMakeProblem:
         assert prob.noise_var == pytest.approx(expected_var, rel=1e-12)
         assert noise_variance(h, cfg.n_antennas, 5.0) == prob.noise_var
 
+    def test_noise_variance_noiseless_sentinels(self):
+        h = np.ones(4)
+        assert noise_variance(h, 4, None) == 0.0
+        assert noise_variance(h, 4, math.inf) == 0.0
+        for snr_db in (-math.inf, math.nan):
+            with pytest.raises(ValueError, match="snr_db"):
+                noise_variance(h, 4, snr_db)
+
 
 class TestBlockOMP:
     def test_single_block_noiseless(self):
