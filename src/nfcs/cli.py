@@ -27,7 +27,10 @@ from .harness import (
 
 
 def parse_config_file(path: str) -> dict:
-    """Parse a flat dotted-key config file into ExperimentConfig overrides."""
+    """Parse a flat dotted-key config file into ExperimentConfig overrides.
+
+    Each key may appear once; a repeated key is a config error.
+    """
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -42,6 +45,8 @@ def parse_config_file(path: str) -> dict:
             if key not in CONFIG_FIELDS:
                 raise ConfigError(key, "unknown config key")
             f = CONFIG_FIELDS[key]
+            if f.name in overrides:
+                raise ConfigError(key, f"given twice (again at line {lineno})")
             try:
                 overrides[f.name] = f.metadata["parse"](value)
             except (ValueError, TypeError) as exc:

@@ -425,73 +425,80 @@ def _sample_mu0_binned(config, cfg, dist_range, bin_center, data_key, trial):
     )
 
 
-def _estimation_nmse(config, cfg, method, dictionary, t, snr_db, spec, obs_rng) -> float:
-    """One estimation trial: synthesise observations, solve, score."""
-    problem = make_problem(
+def _trial_nmse(config, cfg, dist_range, point, data_key, trial, dictionaries):
+    """One estimation trial: one channel, pilot and noise draw, solved by every method.
+
+    Returns the NMSE of each of ``config.methods`` in order. The draw lives
+    only for this call, and each method's sensing matrix only for its solve.
+    """
+    t, snr_db, _, mu0_bin = point
+    if mu0_bin is None:
+        spec = sample_channel(
+            cfg,
+            config.n_paths,
+            rng_from(*data_key, "chan", trial),
+            power_split_db=config.power_split_db,
+            distance_range=dist_range,
+        )
+    else:
+        spec = _sample_mu0_binned(config, cfg, dist_range, mu0_bin, data_key, trial)
+    draw = make_problem(
         cfg,
-        dictionary,
+        dictionaries[0],
         spec,
         n_measurements=t,
         snr_db=snr_db,
         pilot_kind=config.pilot_kind,
-        seed=obs_rng,
+        seed=rng_from(*data_key, "obs", trial),
     )
-    if method == "ls":
-        h_hat = ls_estimate(problem)
-    else:
-        block_size = config.block_size if method == "dmu_block_omp" else 1
-        est = BlockOMP(
-            block_size=block_size,
-            k_max=config.k_max,
-            stop_alpha=config.stop_alpha,
-            noise_var=problem.noise_var,
-            delta=config.delta,
-        )
-        est.fit(problem.sensing_matrix, problem.observations)
-        h_hat = problem.dictionary.inverse_transform(est.coef_)
-    return nmse(problem.channel, h_hat)
+    values = []
+    for method, dictionary in zip(config.methods, dictionaries):
+        problem = replace(draw, dictionary=dictionary)
+        if method == "ls":
+            h_hat = ls_estimate(problem)
+        else:
+            block_size = config.block_size if method == "dmu_block_omp" else 1
+            est = BlockOMP(
+                block_size=block_size,
+                k_max=config.k_max,
+                stop_alpha=config.stop_alpha,
+                noise_var=problem.noise_var,
+                delta=config.delta,
+            )
+            est.fit(problem.sensing_matrix, problem.observations)
+            h_hat = dictionary.inverse_transform(est.coef_)
+        values.append(nmse(problem.channel, h_hat))
+    return values
 
 
 def _nmse_rows(config, grid_points, grid_label):
-    """Shared driver for the NMSE sweeps (grid-major, method-minor order).
+    """Shared driver for the NMSE sweeps (rows grid-major, method-minor).
 
     Channel and observation draws are seeded from the grid coordinates the
     data actually depends on (T, SNR, and the mu0 bin), so methods at one
     grid point and block sizes across the sweep face identical channels,
-    pilots and noise; differences then isolate the estimator.
+    pilots and noise; differences then isolate the estimator. Each trial is
+    drawn once and shared by all methods at its grid point.
     """
     cfg = config.array_config()
     dist_range = _distance_range(config, cfg)
     cache = {}
     for point in grid_points:
         label = grid_label(point)
-        t, snr_db, s, mu0_bin = point
+        t, snr_db, s, _ = point
+        point_config = config if s is None else replace(config, block_size=s)
+        dictionaries = [
+            _build_method_dictionary(point_config, cfg, method, cache) for method in config.methods
+        ]
         data_key = (config.seed, config.experiment_id, f"T={t}", f"snr={_fmt_value(float(snr_db))}")
-        for method in config.methods:
-            method_config = config if s is None else replace(config, block_size=s)
-            dictionary = _build_method_dictionary(method_config, cfg, method, cache)
-            values = np.empty(config.trials)
-            for trial in range(config.trials):
-                if mu0_bin is None:
-                    chan_rng = rng_from(*data_key, "chan", trial)
-                    spec = sample_channel(
-                        cfg,
-                        config.n_paths,
-                        chan_rng,
-                        power_split_db=config.power_split_db,
-                        distance_range=dist_range,
-                    )
-                else:
-                    spec = _sample_mu0_binned(
-                        config, cfg, dist_range, mu0_bin, data_key, trial
-                    )
-                obs_rng = rng_from(*data_key, "obs", trial)
-                values[trial] = _estimation_nmse(
-                    method_config, cfg, method, dictionary, t, snr_db, spec, obs_rng
-                )
-            mean = float(values.mean())
-            stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-            yield method, label, "nmse_mean", mean
+        values = np.empty((len(config.methods), config.trials))
+        for trial in range(config.trials):
+            values[:, trial] = _trial_nmse(
+                point_config, cfg, dist_range, point, data_key, trial, dictionaries
+            )
+        for method, v in zip(config.methods, values):
+            stderr = float(v.std(ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
+            yield method, label, "nmse_mean", float(v.mean())
             yield method, label, "nmse_stderr", stderr
 
 

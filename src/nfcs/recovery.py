@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import chdtri
@@ -44,16 +45,24 @@ class BlockPartition:
 
 @dataclass
 class SensingProblem:
-    """Observations y = F h + n together with the sensing matrix Psi = F D."""
+    """Observations y = F h + n for a dictionary D.
+
+    The sensing matrix Psi = F D is formed on first access, so one draw can
+    be shared across dictionaries with ``dataclasses.replace(problem,
+    dictionary=...)`` and a solver that needs no Psi never forms it.
+    """
 
     pilots: np.ndarray
     dictionary: Dictionary
-    sensing_matrix: np.ndarray
     observations: np.ndarray
     noise: np.ndarray
     noise_var: float
     channel: np.ndarray
     snr_db: float = None
+
+    @cached_property
+    def sensing_matrix(self) -> np.ndarray:
+        return self.dictionary.sense(self.pilots)
 
     @property
     def n_measurements(self) -> int:
@@ -135,13 +144,43 @@ def make_problem(
     return SensingProblem(
         pilots=pilots,
         dictionary=dictionary,
-        sensing_matrix=dictionary.sense(pilots),
         observations=y,
         noise=noise,
         noise_var=sigma2,
         channel=h,
         snr_db=snr_db,
     )
+
+
+def _least_squares(sub: np.ndarray, y: np.ndarray):
+    """LS coefficients of y on the columns of ``sub``, and tr(G^-1).
+
+    Both come from one eigendecomposition of the Gram G = sub^H sub. A Gram
+    whose condition number is not finite or exceeds ``_COND_LIMIT`` is
+    ridged by ``RIDGE_SCALE`` times its mean diagonal, which shifts every
+    eigenvalue by that amount.
+
+    The small eigenvalues carry a relative error of about eps * cond (up to
+    1e-4 below the ridge limit), so the solve is refined twice with the same
+    factors; each step multiplies the error by that factor. This keeps the
+    residual of an exact fit at rounding level (about eps * ||y||), which
+    the noiseless stopping rule relies on.
+    """
+    gram = np.conj(sub.T) @ sub
+    w, v = np.linalg.eigh(gram)
+    magnitude = np.abs(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = magnitude.max() / magnitude.min()
+    ridge = 0.0
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        ridge = RIDGE_SCALE * float(np.trace(gram).real) / gram.shape[0]
+        w = w + ridge
+    v_h = np.conj(v.T)
+    rhs = np.conj(sub.T) @ y
+    coef = v @ ((v_h @ rhs) / w)
+    for _ in range(2):
+        coef = coef + v @ ((v_h @ (rhs - gram @ coef - ridge * coef)) / w)
+    return coef, float(np.sum(1.0 / w))
 
 
 class BlockOMP(BaseEstimator):
@@ -218,7 +257,9 @@ class BlockOMP(BaseEstimator):
         if tol is None:
             tol = math.sqrt(t * sigma2)
 
-        col_energy = np.linalg.norm(X, axis=0) ** 2
+        # every pass over X below reads it in place: real/imaginary views for
+        # the column energies, r^H X for the correlations (|r^H X| = |X^H r|)
+        col_energy = np.einsum("ij,ij->j", X.real, X.real) + np.einsum("ij,ij->j", X.imag, X.imag)
         block_energy = col_energy.reshape(nb, s).mean(axis=1)
         # the significance stop guards against fitting noise; without noise the
         # greedy loop runs to exact reconstruction or the block budget
@@ -241,7 +282,7 @@ class BlockOMP(BaseEstimator):
         for _ in range(k_max):
             if rho <= max(tol * tol, 1e-30 * y_norm2):
                 break
-            corr = np.conj(X.T) @ resid
+            corr = np.conj(resid) @ X
             scores = (np.abs(corr) ** 2).reshape(nb, s).sum(axis=1)
             scores[selected] = -np.inf
             pick = int(np.argmax(scores))
@@ -253,19 +294,11 @@ class BlockOMP(BaseEstimator):
             chosen.append(pick)
             idx = np.concatenate([partition.indices(b) for b in sorted(chosen)])
             sub = X[:, idx]
-            gram = np.conj(sub.T) @ sub
-            cond = np.linalg.cond(gram)
-            if not np.isfinite(cond) or cond > _COND_LIMIT:
-                ridge = RIDGE_SCALE * float(np.trace(gram).real) / gram.shape[0]
-                gram = gram + ridge * np.eye(gram.shape[0])
-            gram_inv = np.linalg.inv(gram)
-            coef = gram_inv @ (np.conj(sub.T) @ y)
+            coef, gram_inv_trace = _least_squares(sub, y)
             resid = y - sub @ coef
             rho = float(np.linalg.norm(resid) ** 2)
             residual_path.append(math.sqrt(rho))
-            risk = self._risk_estimate(
-                rho, idx.size, t, sigma2, float(np.trace(gram_inv).real), mean_col_energy
-            )
+            risk = self._risk_estimate(rho, idx.size, t, sigma2, gram_inv_trace, mean_col_energy)
             if risk < best_risk:
                 best_risk = risk
                 best = (idx.copy(), coef.copy(), math.sqrt(rho))

@@ -282,6 +282,17 @@ def test_parse_config_rejects_malformed_line(tmp_path):
         parse_config_file(cfg)
 
 
+def test_repeated_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("experiment.trials = 3\nexperiment.trials = 1\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config_file(cfg)
+    assert info.value.field_path == "experiment.trials"
+    code = run_cli(["rip-probe", "--seed", "1", "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: experiment.trials: ")
+
+
 def test_preset_flag(capsys):
     code = run_cli(
         ["coherence-error", "--preset", "desk", "--seed", "2", "--trials", "10"]

@@ -175,6 +175,21 @@ class TestExperiments:
         ]
         assert labels == expected
 
+    def test_methods_share_draws_as_if_run_alone(self):
+        # each trial is drawn once and solved by every method; a method's
+        # rows must equal those of a config that runs it alone
+        methods = ("dmu_block_omp", "polar_omp")
+        config = tiny_config(snr_db_list=(0.0, 10.0), methods=methods, trials=3)
+        joint = [(r.grid, r.method, r.metric, r.value) for r in run(config)]
+        alone = {
+            m: [(r.grid, r.method, r.metric, r.value) for r in run(replace(config, methods=(m,)))]
+            for m in methods
+        }
+        expected = [
+            row for snr in range(2) for m in methods for row in alone[m][2 * snr : 2 * snr + 2]
+        ]
+        assert joint == expected
+
     def test_sparsity_rows(self):
         config = replace(
             preset_config("sparsity_level", "desk", seed=5), n_list=(256,), trials=40
