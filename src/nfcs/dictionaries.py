@@ -41,10 +41,11 @@ class Dictionary:
     in O(N log N) per vector. Their ``matrix`` is built on first access from
     the closed form ``b_mu[:, None] * F`` and cached. The polar baseline has
     a different quadratic term on every ring, so it keeps a dense matrix and
-    dense products.
+    dense products; a solver reads its sensing matrix through
+    ``sensing_operator``, which leaves ``pilots @ D`` unformed.
 
-    ``matrix`` is read-only; instances are immutable after construction and
-    safe to share across threads.
+    ``matrix`` and ``row_gram`` are read-only; instances are immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(self, matrix, kind: str, mu: float = None, sin_grid=None, radii=None, cfg=None):
@@ -55,6 +56,7 @@ class Dictionary:
         self.sin_grid = None if sin_grid is None else np.asarray(sin_grid, dtype=float)
         self.radii = None if radii is None else np.asarray(radii, dtype=float)
         self._cfg = cfg
+        self._row_gram = None
         if matrix is None:
             n = cfg.n_antennas
             shift = np.exp(-1j * np.pi * np.arange(n) * (n - 1) / n)
@@ -77,6 +79,15 @@ class Dictionary:
         return self._matrix
 
     @property
+    def row_gram(self) -> np.ndarray:
+        """``D D^H`` (N x N, read-only), built on first access and cached."""
+        if self._row_gram is None:
+            gram = self.matrix @ np.conj(self.matrix.T)
+            gram.setflags(write=False)
+            self._row_gram = gram
+        return self._row_gram
+
+    @property
     def n_antennas(self) -> int:
         return self.shape[0]
 
@@ -91,6 +102,20 @@ class Dictionary:
         if self._chirp is None:
             return arr @ self._matrix
         return np.fft.ifft(arr * self._chirp, axis=1, norm="ortho")
+
+    def sensing_operator(self, pilots):
+        """The sensing matrix ``pilots @ D`` in the form a solver reads it.
+
+        The chirped kinds return ``sense(pilots)``, which one FFT forms in
+        O(T N log N). A dense dictionary returns a ``SensingProduct``: the
+        T x M product would cost T N M to form, while a solver only needs its
+        correlations and a few of its columns.
+        """
+        if self._chirp is not None:
+            return self.sense(pilots)
+        arr = as_complex_matrix(pilots, "pilots")
+        _check_length(arr, self.n_antennas, "pilot rows")
+        return SensingProduct(arr, self._matrix, self.row_gram)
 
     def transform(self, X) -> np.ndarray:
         """Adjoint analysis: channel rows (or a single vector) to coefficients."""
@@ -115,6 +140,23 @@ class Dictionary:
     def __repr__(self):
         mu = "" if self.mu is None else f", mu={self.mu!r}"
         return f"Dictionary(kind={self.kind!r}, shape={self.shape}{mu})"
+
+
+@dataclass(frozen=True)
+class SensingProduct:
+    """The T x M sensing matrix ``pilots @ matrix``, held as its factors.
+
+    ``row_gram`` is ``matrix @ matrix^H``; with it the mean column energy of
+    the product, ``tr(pilots @ row_gram @ pilots^H) / M``, costs T N^2.
+    """
+
+    pilots: np.ndarray
+    matrix: np.ndarray
+    row_gram: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (self.pilots.shape[0], self.matrix.shape[1])
 
 
 def _as_rows(X):

@@ -221,13 +221,17 @@ class ExperimentConfig:
                     f"the distance range ({lo!r}, {hi!r}) is inverted",
                 )
             if self.kind == "nmse_vs_mu0":
-                # every effective distance r / cos^2(theta) is at least r >= lo
+                # the sampler gives up on a bin after _MU0_DRAWS misses; reject
+                # a bin it misses that often with probability above 1e-9
                 for b in self.mu0_bins:
-                    if b * self.mu0_bin_tolerance <= lo:
+                    p = _mu0_hit_probability(b, self.mu0_bin_tolerance, lo, hi)
+                    if (1.0 - p) ** _MU0_DRAWS > 1e-9:
                         raise ConfigError(
                             _key("mu0_bins"),
-                            f"bin {b!r} is unreachable: {b!r} * {_key('mu0_bin_tolerance')} "
-                            f"lies below the minimum distance {lo!r}",
+                            f"bin {b!r} is unreachable: a draw hits it with probability {p:.3g}, "
+                            f"too rarely for {_MU0_DRAWS} draws; widen "
+                            f"{_key('mu0_bin_tolerance')} or move the bin toward the distance "
+                            f"range ({lo!r}, {hi!r})",
                         )
         if self.kind == "mutual_coherence" or (estimation and "polar_omp" in self.methods):
             lo, hi = _polar_range(self, cfg)
@@ -391,6 +395,31 @@ def _build_method_dictionary(config: ExperimentConfig, cfg: ArrayConfig, method:
     return cache[key]
 
 
+_MU0_DRAWS = 100_000  # rejection-sampling budget per trial and mu0 bin
+
+
+def _mu0_hit_probability(bin_center, tolerance, lo, hi):
+    """Probability that one draw of ``_sample_mu0_binned`` lands in the bin.
+
+    A draw takes sin0 ~ U(-1, 1) and r0 ~ U(lo, hi) and hits when
+    mu0 = r0 / u, with u = 1 - sin0^2, lies in [c / tol, c * tol]. Given r0
+    that is u in [r0 / (c tol), r0 tol / c]; as |sin0| ~ U(0, 1), u >= x has
+    probability sqrt(1 - x) for x <= 1, whose integral over r0 is closed form.
+    """
+    a, b = bin_center / tolerance, bin_center * tolerance
+
+    def tail(r, k):  # P(u >= r / k)
+        return math.sqrt(1.0 - min(r / k, 1.0))
+
+    if hi <= lo:
+        return tail(lo, b) - tail(lo, a)
+
+    def integral(k):  # integral of tail(r, k) over r in [lo, hi]
+        return 2.0 * k / 3.0 * (tail(lo, k) ** 3 - tail(hi, k) ** 3)
+
+    return max(0.0, integral(b) - integral(a)) / (hi - lo)
+
+
 def _sample_mu0_binned(config, cfg, dist_range, bin_center, data_key, trial):
     """Channel whose LOS effective distance falls in a bin around ``bin_center``.
 
@@ -407,7 +436,7 @@ def _sample_mu0_binned(config, cfg, dist_range, bin_center, data_key, trial):
     )
     log_tol = math.log(config.mu0_bin_tolerance)
     lo, hi = dist_range
-    for attempt in range(100_000):
+    for attempt in range(_MU0_DRAWS):
         rng = rng_from(*data_key, "los", bin_center, trial, attempt)
         sin0 = rng.uniform(-1.0, 1.0)
         r0 = rng.uniform(lo, hi)
@@ -429,7 +458,8 @@ def _trial_nmse(config, cfg, dist_range, point, data_key, trial, dictionaries):
     """One estimation trial: one channel, pilot and noise draw, solved by every method.
 
     Returns the NMSE of each of ``config.methods`` in order. The draw lives
-    only for this call, and each method's sensing matrix only for its solve.
+    only for this call, and each method's sensing operator only for its
+    solve; the polar baseline's is its unformed pilots-times-matrix product.
     """
     t, snr_db, _, mu0_bin = point
     if mu0_bin is None:
@@ -453,21 +483,20 @@ def _trial_nmse(config, cfg, dist_range, point, data_key, trial, dictionaries):
     )
     values = []
     for method, dictionary in zip(config.methods, dictionaries):
-        problem = replace(draw, dictionary=dictionary)
         if method == "ls":
-            h_hat = ls_estimate(problem)
+            h_hat = ls_estimate(draw)
         else:
             block_size = config.block_size if method == "dmu_block_omp" else 1
             est = BlockOMP(
                 block_size=block_size,
                 k_max=config.k_max,
                 stop_alpha=config.stop_alpha,
-                noise_var=problem.noise_var,
+                noise_var=draw.noise_var,
                 delta=config.delta,
             )
-            est.fit(problem.sensing_matrix, problem.observations)
+            est.fit(dictionary.sensing_operator(draw.pilots), draw.observations)
             h_hat = dictionary.inverse_transform(est.coef_)
-        values.append(nmse(problem.channel, h_hat))
+        values.append(nmse(draw.channel, h_hat))
     return values
 
 

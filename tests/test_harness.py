@@ -1,6 +1,8 @@
 import math
+import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nfcs.geometry import field_boundaries
@@ -13,9 +15,11 @@ from nfcs.harness import (
     emit,
     parse_rows,
     preset_config,
+    _mu0_hit_probability,
     _sample_mu0_binned,
     run,
 )
+from nfcs.recovery import SensingProblem
 
 
 def tiny_config(**overrides):
@@ -78,6 +82,30 @@ class TestValidation:
         bin_center = fresnel * (1 + 1e-13) / config.mu0_bin_tolerance
         with pytest.raises(ConfigError, match="experiment.mu0_bins"):
             _sample_mu0_binned(config, cfg, (fresnel, rayleigh), bin_center, (1,), 0)
+
+    def test_rarely_hit_mu0_bin_fails_validation_at_once(self):
+        # the bin of test_mu0_sampling_budget_is_a_config_error: reachable in
+        # principle, hit by a draw with probability about 5e-22
+        config = ExperimentConfig(kind="nmse_vs_mu0", seed=1, mu0_bins=(6.0,), trials=1)
+        fresnel, _ = field_boundaries(config.array_config())
+        bin_center = fresnel * (1 + 1e-13) / config.mu0_bin_tolerance
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="experiment.mu0_bins: bin .* is unreachable"):
+            replace(config, mu0_bins=(bin_center,)).validate()
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "bin_center, tolerance, lo, hi",
+        [(6.0, 1.25, 2.676, 116.97), (80.0, 1.25, 2.676, 116.97), (3.0, 1.25, 2.676, 116.97),
+         (50.0, 2.0, 10.0, 20.0), (12.0, 1.1, 10.0, 10.0)],
+    )
+    def test_mu0_hit_probability_matches_the_sampler_draws(self, bin_center, tolerance, lo, hi):
+        rng = np.random.default_rng(4)
+        sin0 = rng.uniform(-1.0, 1.0, 400_000)
+        r0 = rng.uniform(lo, hi, 400_000)
+        hits = np.abs(np.log(r0 / (1.0 - sin0**2) / bin_center)) <= math.log(tolerance)
+        p = _mu0_hit_probability(bin_center, tolerance, lo, hi)
+        assert p == pytest.approx(hits.mean(), abs=4 * math.sqrt(p * (1 - p) / hits.size))
 
     def test_presets_are_valid(self):
         from nfcs.harness import EXPERIMENT_KINDS
@@ -189,6 +217,15 @@ class TestExperiments:
             row for snr in range(2) for m in methods for row in alone[m][2 * snr : 2 * snr + 2]
         ]
         assert joint == expected
+
+    def test_polar_baseline_never_forms_its_sensing_matrix(self, monkeypatch):
+        def formed(*args):
+            raise AssertionError("the polar sensing matrix was formed")
+
+        monkeypatch.setattr(SensingProblem, "sensing_matrix", property(formed))
+        monkeypatch.setattr("nfcs.dictionaries.Dictionary.sense", formed)
+        rows = run(tiny_config(methods=("polar_omp",), trials=2))
+        assert all(math.isfinite(r.value) for r in rows)
 
     def test_sparsity_rows(self):
         config = replace(

@@ -13,6 +13,7 @@ from nfcs import (
     BlockPartition,
     build_dft,
     build_dmu,
+    build_polar_baseline,
     gen_pilots,
     ls_estimate,
     make_problem,
@@ -20,7 +21,14 @@ from nfcs import (
     noise_variance,
     sample_channel,
 )
-from nfcs.recovery import _COND_LIMIT, RIDGE_SCALE, _least_squares
+from nfcs.dictionaries import SensingProduct
+from nfcs.recovery import (
+    _COND_LIMIT,
+    RIDGE_SCALE,
+    _FormedColumns,
+    _least_squares,
+    _ProductColumns,
+)
 
 
 @pytest.fixture
@@ -79,6 +87,16 @@ class TestPilots:
         a = gen_pilots(10, 32, "gaussian", seed=3)
         b = gen_pilots(10, 32, "gaussian", seed=3)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(80, 256), (100, 256), (400, 2048), (3, 5)])
+    def test_gaussian_bytes_match_the_complex_expression(self, shape):
+        # the pilots are filled in place from two real draws; they must equal
+        # scale * (a + 1j * b) of the same draws bit for bit
+        rng = np.random.default_rng([5, *shape])
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        expected = math.sqrt(1.0 / (2.0 * shape[1])) * (a + 1j * b)
+        pilots = gen_pilots(*shape, "gaussian", seed=np.random.default_rng([5, *shape]))
+        assert pilots.tobytes() == expected.tobytes()
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -200,6 +218,22 @@ class TestBlockOMP:
         est = BlockOMP(block_size=4, stop_alpha=None, k_max=2, residual_tol=0.0).fit(psi, y)
         assert np.all(np.isfinite(est.coef_))
         assert est.residual_norm_ < 1e-4 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("factored", [False, True], ids=["formed", "factored"])
+    def test_stops_once_every_block_is_selected(self, factored):
+        # noiseless with T > M: the default k_max (T // block_size = 20)
+        # exceeds the 3 blocks, and y lies outside the span of the columns
+        rng = np.random.default_rng(31)
+        pilots = rng.standard_normal((40, 8)) + 1j * rng.standard_normal((40, 8))
+        matrix = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+        y = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        if factored:
+            X = SensingProduct(pilots, matrix, matrix @ np.conj(matrix.T))
+        else:
+            X = pilots @ matrix
+        est = BlockOMP(block_size=2).fit(X, y)
+        assert est.n_iter_ == 3
+        assert sorted(est.support_) == list(range(6))
 
     def test_estimator_params_round_trip(self):
         est = BlockOMP(block_size=4, k_max=7, stop_alpha=0.1)
@@ -387,6 +421,88 @@ class TestAgainstReferenceFit:
         est = BlockOMP(block_size=s, noise_var=noise_var).fit(psi, y)
         np.testing.assert_array_equal(np.unique(est.support_ // s), blocks)
         _assert_matches_reference(est, psi, y)
+
+
+def _polar_problem(n, t, block_size, snr_db, seed):
+    """Polar dictionary, pilots and y = P A beta + noise with three nonzero blocks."""
+    cfg = ArrayConfig(carrier_freq=100e9, n_antennas=n)
+    polar = build_polar_baseline(cfg)
+    rng = np.random.default_rng(seed)
+    pilots = gen_pilots(t, n, "gaussian", rng)
+    beta = np.zeros(polar.n_atoms, dtype=np.complex128)
+    for b in rng.choice(polar.n_atoms // block_size, size=3, replace=False):
+        values = rng.standard_normal(block_size) + 1j * rng.standard_normal(block_size)
+        beta[b * block_size : (b + 1) * block_size] = values
+    clean = pilots @ (polar.matrix @ beta)
+    noise_var = 0.0
+    if snr_db is not None:
+        noise_var = float(np.linalg.norm(clean) ** 2) / (t * 10 ** (snr_db / 10))
+    noise = math.sqrt(noise_var / 2) * (rng.standard_normal(t) + 1j * rng.standard_normal(t))
+    return polar, pilots, clean + noise, noise_var
+
+
+class TestFactoredFit:
+    """Fitting P A on its factors takes the decisions of fitting the formed product."""
+
+    @pytest.mark.parametrize("t_over_n", [0.3, 1.25], ids=["T<N", "T>N"])
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0, None], ids=["0dB", "10dB", "30dB", "noiseless"])
+    @pytest.mark.parametrize("block_size", [1, 2])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_matches_the_formed_fit(self, n, block_size, snr_db, t_over_n):
+        t = int(t_over_n * n)
+        seed = (n, block_size, t, 99 if snr_db is None else int(snr_db))
+        polar, pilots, y, noise_var = _polar_problem(n, t, block_size, snr_db, seed)
+        operator = polar.sensing_operator(pilots)
+        assert isinstance(operator, SensingProduct)
+        formed = BlockOMP(block_size=block_size, noise_var=noise_var).fit(pilots @ polar.matrix, y)
+        factored = BlockOMP(block_size=block_size, noise_var=noise_var).fit(operator, y)
+        np.testing.assert_array_equal(factored.support_, formed.support_)
+        assert factored.n_iter_ == formed.n_iter_
+        # a noiseless fit that misses the support runs on to k_max = T // s;
+        # for T > N that is more columns than rank(P) = N, so its Gram is
+        # singular and ridged (condition about 1e10), and both solves are
+        # accurate only to about 1e-5 there (measured 3e-6 to 9e-6)
+        rtol = 1e-10 if formed.support_.size <= n else 1e-4
+        scale = max(np.abs(formed.coef_).max(), 1.0)
+        np.testing.assert_allclose(factored.coef_, formed.coef_, rtol=0, atol=rtol * scale)
+        np.testing.assert_allclose(
+            factored.residual_path_, formed.residual_path_, rtol=0, atol=1e-10 * formed.residual_path_[0]
+        )
+        np.testing.assert_allclose(
+            factored.predict(operator), pilots @ (polar.matrix @ factored.coef_), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("block_size", [1, 3])
+    def test_reads_what_the_formed_matrix_holds(self, block_size):
+        # correlations, column energies and sub-matrices of P A from its factors
+        rng = np.random.default_rng(17)
+        pilots = rng.standard_normal((10, 7)) + 1j * rng.standard_normal((10, 7))
+        matrix = rng.standard_normal((7, 12)) + 1j * rng.standard_normal((7, 12))
+        X = pilots @ matrix
+        partition = BlockPartition.uniform(12, block_size)
+        formed = _FormedColumns(X, partition)
+        factored = _ProductColumns(SensingProduct(pilots, matrix, matrix @ np.conj(matrix.T)), partition)
+        r = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        np.testing.assert_allclose(factored.correlate(r), formed.correlate(r), rtol=1e-12)
+        assert factored.mean_col_energy == pytest.approx(formed.mean_col_energy, rel=1e-12)
+        for b in range(partition.n_blocks):
+            assert factored.block_energy(b) == pytest.approx(formed.block_energy(b), rel=1e-12)
+        idx = np.concatenate([partition.indices(b) for b in (0, 2, 3)])
+        factored.block_energy(3)  # a block looked at first is still placed in index order
+        np.testing.assert_allclose(factored.columns(idx), formed.columns(idx), rtol=1e-12)
+
+    def test_row_gram_is_cached_and_read_only(self):
+        polar = build_polar_baseline(ArrayConfig(carrier_freq=100e9, n_antennas=64))
+        gram = polar.row_gram
+        assert polar.row_gram is gram
+        assert not gram.flags.writeable
+        with pytest.raises(ValueError):
+            gram[0, 0] = 0.0
+        np.testing.assert_allclose(gram, polar.matrix @ np.conj(polar.matrix.T), atol=1e-12)
+
+    def test_chirped_dictionaries_form_their_sensing_matrix(self, cfg, dmu):
+        pilots = gen_pilots(20, cfg.n_antennas, seed=3)
+        np.testing.assert_array_equal(dmu.sensing_operator(pilots), dmu.sense(pilots))
 
 
 class TestRecoveryOnChannel:
