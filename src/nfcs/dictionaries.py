@@ -17,6 +17,7 @@ from .validation import as_complex_matrix, as_complex_vector
 
 MAGIC = b"NFCS"
 _HEADER = struct.Struct("<4sIII")  # magic, rows, cols, reserved
+_COHERENCE_BLOCK = 128  # Gram rows per block of the mutual-coherence sweep
 
 
 def dft_grid(n_antennas: int) -> np.ndarray:
@@ -265,16 +266,31 @@ def analyze(dictionary: Dictionary, h) -> SparseRep:
 
 
 def mutual_coherence(matrix) -> float:
-    """Largest normalised inner product between distinct columns."""
+    """Largest normalised inner product between distinct columns.
+
+    The Gram is swept in row blocks of its upper triangle: block ``[lo, hi)``
+    holds columns ``lo:hi`` against columns ``lo:``, so the sweep costs about
+    half the flops of the full Gram and never holds more than
+    ``_COHERENCE_BLOCK x M`` entries.
+    """
     m = as_complex_matrix(matrix, "matrix")
-    if m.shape[1] < 2:
+    n_cols = m.shape[1]
+    if n_cols < 2:
         raise ValueError("mutual coherence needs at least two columns")
-    norms = np.linalg.norm(m, axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):  # caught just below
+        norms = np.linalg.norm(m, axis=0)
     if np.any(norms == 0):
         raise ValueError("mutual coherence is undefined for zero columns")
-    gram = np.abs(np.conj(m.T) @ m) / np.outer(norms, norms)
-    np.fill_diagonal(gram, 0.0)
-    return float(gram.max())
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("mutual coherence needs finite columns")
+    best = 0.0
+    for lo in range(0, n_cols, _COHERENCE_BLOCK):
+        hi = min(lo + _COHERENCE_BLOCK, n_cols)
+        block = np.abs(np.conj(m[:, lo:hi].T) @ m[:, lo:])
+        block /= np.outer(norms[lo:hi], norms[lo:])
+        np.fill_diagonal(block[:, : hi - lo], 0.0)
+        best = np.maximum(best, block.max())  # propagates a nan, unlike max()
+    return float(best)
 
 
 def export_dictionary(dictionary: Dictionary, path):

@@ -622,18 +622,21 @@ def _run_sparsity_level(config: ExperimentConfig):
 def _run_mutual_coherence(config: ExperimentConfig):
     cfg = config.array_config()
     cache = {}
-    dmu = _build_method_dictionary(config, cfg, "dmu_block_omp", cache)
-    polar = _build_method_dictionary(config, cfg, "polar_omp", cache)
+    dictionaries = {
+        "dmu": _build_method_dictionary(config, cfg, "dmu_block_omp", cache),
+        "polar": _build_method_dictionary(config, cfg, "polar_omp", cache),
+    }
     for t in config.t_list:
         label = f"T={t}"
-        for method, dictionary in (("dmu", dmu), ("polar", polar)):
-            values = np.empty(config.trials)
-            for trial in range(config.trials):
-                rng = rng_from(config.seed, config.experiment_id, label, trial)
-                pilots = gen_pilots(t, cfg.n_antennas, config.pilot_kind, rng)
-                values[trial] = mutual_coherence(dictionary.sense(pilots))
-            yield method, label, "median_mutual_coherence", float(np.median(values))
-            yield method, label, "mean_mutual_coherence", float(values.mean())
+        values = {method: np.empty(config.trials) for method in dictionaries}
+        for trial in range(config.trials):
+            rng = rng_from(config.seed, config.experiment_id, label, trial)
+            pilots = gen_pilots(t, cfg.n_antennas, config.pilot_kind, rng)
+            for method, dictionary in dictionaries.items():
+                values[method][trial] = mutual_coherence(dictionary.sense(pilots))
+        for method, row in values.items():
+            yield method, label, "median_mutual_coherence", float(np.median(row))
+            yield method, label, "mean_mutual_coherence", float(row.mean())
 
 
 def _run_block_size_sweep(config: ExperimentConfig):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,14 @@ def brute_force_coherence(matrix):
             val = abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
             best = max(best, val)
     return best
+
+
+def dense_coherence(matrix):
+    """The full-Gram formula: every entry of the M x M Gram at once."""
+    norms = np.linalg.norm(matrix, axis=0)
+    gram = np.abs(np.conj(matrix.T) @ matrix) / np.outer(norms, norms)
+    np.fill_diagonal(gram, 0.0)
+    return float(gram.max())
 
 
 def test_dft_grid():
@@ -173,6 +182,56 @@ def test_mutual_coherence_matches_brute_force():
 def test_mutual_coherence_rejects_single_column():
     with pytest.raises(ValueError):
         mutual_coherence(np.ones((4, 1), dtype=complex))
+
+
+def random_complex(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@pytest.mark.parametrize("n_cols", [2, 127, 128, 129, 300])
+def test_mutual_coherence_block_sweep_matches_brute_force(n_cols):
+    matrix = random_complex(np.random.default_rng(n_cols), 24, n_cols)
+    assert mutual_coherence(matrix) == pytest.approx(brute_force_coherence(matrix), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "i, j",
+    [(10, 50), (127, 128), (260, 290), (5, 295)],
+    ids=["inside-one-block", "straddling-127-128", "last-partial-block", "first-and-last-block"],
+)
+def test_mutual_coherence_finds_a_planted_duplicate(i, j):
+    matrix = random_complex(np.random.default_rng(i * 1000 + j), 64, 300)
+    assert mutual_coherence(matrix) < 0.8
+    matrix[:, j] = 2.5 * np.exp(0.7j) * matrix[:, i]
+    assert mutual_coherence(matrix) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [100, 200])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mutual_coherence_matches_dense_gram_on_polar_sensing(cfg, t, seed):
+    polar = build_polar_baseline(cfg, n_rings=6)
+    pilots = gen_pilots(t, cfg.n_antennas, "gaussian", np.random.default_rng(seed))
+    sensing = polar.sense(pilots)
+    assert mutual_coherence(sensing) == pytest.approx(dense_coherence(sensing), rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_mutual_coherence_rejects_non_finite_entries(bad):
+    matrix = random_complex(np.random.default_rng(3), 8, 5)
+    matrix[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mutual_coherence(matrix)
+
+
+def test_mutual_coherence_never_forms_the_gram():
+    matrix = random_complex(np.random.default_rng(4), 100, 1536)
+    tracemalloc.start()
+    try:
+        mutual_coherence(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6  # one 1536 x 1536 complex Gram is 37.7 MB
 
 
 def test_export_round_trip(cfg, tmp_path):

@@ -19,7 +19,7 @@ from nfcs.harness import (
     _sample_mu0_binned,
     run,
 )
-from nfcs.recovery import SensingProblem
+from nfcs.recovery import SensingProblem, gen_pilots
 
 
 def tiny_config(**overrides):
@@ -248,6 +248,29 @@ class TestExperiments:
         rows = run(config)
         medians = {r.method: r.value for r in rows if r.metric == "median_mutual_coherence"}
         assert medians["dmu"] < medians["polar"]
+
+    def test_mutual_coherence_draws_each_pilot_block_once(self, monkeypatch):
+        drawn = []
+
+        def counting(n_measurements, *args):
+            drawn.append(n_measurements)
+            return gen_pilots(n_measurements, *args)
+
+        monkeypatch.setattr("nfcs.harness.gen_pilots", counting)
+        config = replace(
+            preset_config("mutual_coherence", "desk", seed=6),
+            t_list=(32, 48),
+            trials=3,
+            n_antennas=64,
+        )
+        rows = run(config)
+        assert drawn == [32, 32, 32, 48, 48, 48]
+        assert [(r.method, r.grid, r.metric) for r in rows] == [
+            (method, grid, metric)
+            for grid in ("T=32", "T=48")
+            for method in ("dmu", "polar")
+            for metric in ("median_mutual_coherence", "mean_mutual_coherence")
+        ]
 
     def test_mu0_bins_hit_target(self):
         config = tiny_config()
