@@ -8,8 +8,6 @@ from .geometry import (
     PathParams,
     b_vector,
     effective_distance,
-    effective_rayleigh,
-    element_distance,
     far_steering,
     field_boundaries,
     near_steering,
@@ -33,7 +31,6 @@ from .coherence import (
     SparsityBoundReport,
     coherence_approx,
     coherence_exact,
-    empirical_sparsity,
     fresnel,
     params_from_geometry,
     predicted_support,

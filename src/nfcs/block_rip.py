@@ -43,9 +43,7 @@ def varrho_bound(
         ) * math.sqrt(n / (n - 1))
         return math.ceil(value)
     mu_0, mu = mu_pair
-    inv0 = 0.0 if math.isinf(mu_0) else 1.0 / mu_0
-    inv1 = 0.0 if math.isinf(mu) else 1.0 / mu
-    gap = abs(inv0 - inv1)
+    gap = abs(1.0 / mu_0 - 1.0 / mu)
     if gap == 0.0:
         k_bar = math.ceil(n / math.pi * math.acos(1.0 - 2.0 / (n**2 * delta**2)))
     else:
@@ -100,10 +98,6 @@ class RipProbeReport:
     k: int
     target_xi: float
 
-    @property
-    def empty(self) -> bool:
-        return self.trials == 0
-
 
 def empirical_rip_probe(
     psi, partition, k: int, trials: int, seed, target_xi: float = 0.5
@@ -123,16 +117,8 @@ def empirical_rip_probe(
     n_blocks = m // block_size
     if k > n_blocks:
         raise ValueError(f"k = {k} exceeds the number of blocks {n_blocks}")
-    if trials == 0:
-        return RipProbeReport(
-            xi_hat=None,
-            violation_rate=None,
-            trials=0,
-            block_size=block_size,
-            n_blocks=n_blocks,
-            k=k,
-            target_xi=target_xi,
-        )
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     deviations = np.empty(trials)
     for t in range(trials):
         rng = rng_from(seed, "rip_probe", t)

@@ -63,10 +63,8 @@ def params_from_geometry(
     source response at (theta_0, mu_0)."""
     check_positive_or_inf(mu, "mu")
     check_positive_or_inf(mu_0, "mu_0")
-    inv_mu = 0.0 if math.isinf(mu) else 1.0 / mu
-    inv_mu0 = 0.0 if math.isinf(mu_0) else 1.0 / mu_0
     a = (2 * math.pi * cfg.spacing / cfg.wavelength) * (math.sin(theta_m) - math.sin(theta_0))
-    b = (math.pi * cfg.spacing**2 / cfg.wavelength) * (inv_mu0 - inv_mu)
+    b = (math.pi * cfg.spacing**2 / cfg.wavelength) * (1.0 / mu_0 - 1.0 / mu)
     return CoherenceParams(a=a, b=b, n_antennas=cfg.n_antennas)
 
 
@@ -230,12 +228,4 @@ def sparsity_bound(cfg: ArrayConfig, delta: float, b: float) -> SparsityBoundRep
         asymptotic_k_bar=math.ceil(2.0 / (math.pi * delta)),
         sublinear_cap=(n / 1.24) * math.sqrt(2.0 / (n - 1)),
     )
-
-
-def empirical_sparsity(alpha, delta: float) -> tuple:
-    """Count and fraction of coefficients with magnitude >= delta."""
-    beta = getattr(alpha, "beta", alpha)
-    beta = np.asarray(beta)
-    count = int(np.count_nonzero(np.abs(beta) >= delta))
-    return count, count / beta.size
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayConfig, _element_delay, b_vector, field_boundaries
+from .geometry import ArrayConfig, _steering, b_vector, field_boundaries
 from .validation import as_complex_matrix, as_complex_vector
 
 MAGIC = b"NFCS"
@@ -49,12 +49,11 @@ class Dictionary:
     construction and safe to share across threads.
     """
 
-    def __init__(self, matrix, kind: str, mu: float = None, sin_grid=None, radii=None, cfg=None):
+    def __init__(self, matrix, kind: str, mu: float = None, radii=None, cfg=None):
         """Dense dictionary from ``matrix``, or with ``matrix=None`` the chirped
         dictionary ``diag(b_vector(cfg, mu)) F`` of a half-wavelength array."""
         self.kind = kind
         self.mu = mu
-        self.sin_grid = None if sin_grid is None else np.asarray(sin_grid, dtype=float)
         self.radii = None if radii is None else np.asarray(radii, dtype=float)
         self._cfg = cfg
         self._row_gram = None
@@ -193,6 +192,12 @@ def _require_half_wavelength(cfg: ArrayConfig):
 
 
 def _far_matrix(cfg: ArrayConfig) -> np.ndarray:
+    """The DFT basis F of ``D_mu = diag(b_mu) F``, also ring 0 of the polar baseline.
+
+    Its columns are the plane-wave responses on ``dft_grid``, but their phase
+    is formed from the grid product directly, not through ``_steering``: the
+    other association of the same product moves the last bits of the matrix.
+    """
     n = np.arange(cfg.n_antennas)
     grid = dft_grid(cfg.n_antennas)
     phase = (2 * np.pi / cfg.wavelength) * cfg.spacing * np.outer(n, grid)
@@ -202,13 +207,13 @@ def _far_matrix(cfg: ArrayConfig) -> np.ndarray:
 def build_dmu(cfg: ArrayConfig, mu: float) -> Dictionary:
     """Unitary chirped dictionary for one effective distance (inf gives the DFT)."""
     _require_half_wavelength(cfg)
-    return Dictionary(None, kind="dmu", mu=mu, sin_grid=dft_grid(cfg.n_antennas), cfg=cfg)
+    return Dictionary(None, kind="dmu", mu=mu, cfg=cfg)
 
 
 def build_dft(cfg: ArrayConfig) -> Dictionary:
     """Plain DFT dictionary (the chirped dictionary at infinite effective distance)."""
     _require_half_wavelength(cfg)
-    return Dictionary(None, kind="dft", mu=math.inf, sin_grid=dft_grid(cfg.n_antennas), cfg=cfg)
+    return Dictionary(None, kind="dft", mu=math.inf, cfg=cfg)
 
 
 def build_polar_baseline(
@@ -234,23 +239,14 @@ def build_polar_baseline(
         inv = np.linspace(1.0 / hi, 1.0 / lo, n_rings - 1)
         ring_radii.extend(float(1.0 / v) for v in inv)
     grid = dft_grid(cfg.n_antennas)
-    offsets = np.arange(cfg.n_antennas) * cfg.spacing
-    wavenumber = 2 * np.pi / cfg.wavelength
-    blocks, sin_meta, radius_meta = [], [], []
-    for radius in ring_radii:
-        if math.isinf(radius):
-            cols = _far_matrix(cfg)
-        else:
-            delay = _element_delay(grid, radius, offsets[:, None], "taylor")
-            cols = np.exp(-1j * wavenumber * delay) / math.sqrt(cfg.n_antennas)
-        blocks.append(cols)
-        sin_meta.append(grid)
-        radius_meta.append(np.full(cfg.n_antennas, radius))
+    blocks = [
+        _far_matrix(cfg) if math.isinf(radius) else _steering(cfg, grid, radius, "taylor")
+        for radius in ring_radii
+    ]
     return Dictionary(
         np.concatenate(blocks, axis=1),
         kind="polar",
-        sin_grid=np.concatenate(sin_meta),
-        radii=np.concatenate(radius_meta),
+        radii=np.repeat(ring_radii, cfg.n_antennas),
     )
 
 

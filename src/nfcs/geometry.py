@@ -101,21 +101,10 @@ def effective_distance(theta: float, r: float) -> float:
     return r / math.cos(theta) ** 2
 
 
-def effective_rayleigh(cfg: ArrayConfig, theta: float) -> float:
-    """Angle-corrected Rayleigh distance R * cos^2(theta)."""
-    check_angle(theta)
-    _, rayleigh = field_boundaries(cfg)
-    return rayleigh * math.cos(theta) ** 2
-
-
 def far_steering(cfg: ArrayConfig, theta: float) -> np.ndarray:
     """Plane-wave array response; entry n is exp(+j*(2pi/lam)*(n-1)*d*sin(theta))/sqrt(N)."""
     check_angle(theta)
-    # operation order mirrors the near-field branch so the r -> inf limit is
-    # reproduced bit for bit
-    offsets = np.arange(cfg.n_antennas) * cfg.spacing
-    phase = (2 * np.pi / cfg.wavelength) * (offsets * math.sin(theta))
-    return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
+    return _steering(cfg, math.sin(theta), math.inf, "taylor")
 
 
 def _element_delay(sin_t, r, offsets, mode: str):
@@ -138,17 +127,17 @@ def _element_delay(sin_t, r, offsets, mode: str):
     raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'taylor'")
 
 
-def element_distance(cfg: ArrayConfig, theta: float, r: float, n, mode: str = "exact"):
-    """Distance from antenna n (1-based) to a source at (theta, r)."""
-    check_angle(theta)
-    if not math.isinf(r):
-        check_positive(r, "r")
-    n_arr = np.asarray(n)
-    if np.any(n_arr < 1) or np.any(n_arr > cfg.n_antennas):
-        raise ValueError(f"antenna index must lie in [1, {cfg.n_antennas}]")
-    offsets = (n_arr - 1) * cfg.spacing
-    out = r + _element_delay(math.sin(theta), r, offsets, mode)
-    return float(out) if np.isscalar(n) else out
+def _steering(cfg: ArrayConfig, sin_t, r, mode: str) -> np.ndarray:
+    """Unit-norm response exp(-j*(2pi/lam)*(r^(n)-r))/sqrt(N) to a source at (sin_t, r).
+
+    The one place a path-length delay becomes an array response. An array
+    ``sin_t`` or ``r`` gives an N x len matrix with one response per column.
+    """
+    offsets = np.arange(cfg.n_antennas) * cfg.spacing
+    if np.ndim(sin_t) or np.ndim(r):
+        offsets = offsets[:, None]
+    phase = -(2 * np.pi / cfg.wavelength) * _element_delay(sin_t, r, offsets, mode)
+    return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
 
 
 def near_steering(cfg: ArrayConfig, theta: float, r: float, mode: str = "exact") -> np.ndarray:
@@ -156,10 +145,7 @@ def near_steering(cfg: ArrayConfig, theta: float, r: float, mode: str = "exact")
     check_angle(theta)
     if not (math.isinf(r) and mode == "taylor"):
         check_positive(r, "r")
-    offsets = np.arange(cfg.n_antennas) * cfg.spacing
-    delay = _element_delay(math.sin(theta), r, offsets, mode)
-    phase = -(2 * np.pi / cfg.wavelength) * delay
-    return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
+    return _steering(cfg, math.sin(theta), r, mode)
 
 
 def b_vector(cfg: ArrayConfig, mu) -> np.ndarray:

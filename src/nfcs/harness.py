@@ -25,8 +25,8 @@ from .geometry import (
     ArrayConfig,
     ChannelSpec,
     PathParams,
-    _element_delay,
     _scale_gains,
+    _steering,
     b_vector,
     field_boundaries,
     sample_channel,
@@ -381,7 +381,7 @@ def _polar_range(config: ExperimentConfig, cfg: ArrayConfig) -> tuple:
     return lo, hi
 
 
-def _build_method_dictionary(config: ExperimentConfig, cfg: ArrayConfig, method: str, cache: dict) -> Dictionary:
+def _build_method_dictionary(config, cfg, method: str, cache: dict) -> Dictionary | None:
     key = (method, cfg.n_antennas)
     if key not in cache:
         if method == "dmu_block_omp":
@@ -391,7 +391,7 @@ def _build_method_dictionary(config: ExperimentConfig, cfg: ArrayConfig, method:
         elif method == "polar_omp":
             cache[key] = build_polar_baseline(cfg, config.polar_rings, _polar_range(config, cfg))
         else:
-            cache[key] = build_dft(cfg)  # ls ignores the dictionary; keep problems uniform
+            cache[key] = None  # ls estimates the channel without a dictionary
     return cache[key]
 
 
@@ -474,7 +474,6 @@ def _trial_nmse(config, cfg, dist_range, point, data_key, trial, dictionaries):
         spec = _sample_mu0_binned(config, cfg, dist_range, mu0_bin, data_key, trial)
     draw = make_problem(
         cfg,
-        dictionaries[0],
         spec,
         n_measurements=t,
         snr_db=snr_db,
@@ -567,14 +566,6 @@ def _run_sparsity_level(config: ExperimentConfig):
         cfg = config.array_config(n)
         fresnel, rayleigh = field_boundaries(cfg)
         rng = rng_from(config.seed, config.experiment_id, f"N={n}")
-        offsets = np.arange(n) * cfg.spacing
-        wavenumber = 2 * np.pi / cfg.wavelength
-
-        def steering(sin_t, r):
-            # exact spherical-wavefront responses, one column per draw
-            delay = _element_delay(sin_t, r, offsets[:, None], "exact")
-            return np.exp(-1j * wavenumber * delay) / math.sqrt(n)
-
         # dictionary effective distances drawn as the effective distance of a
         # random in-range source
         sin_mu = rng.uniform(-1.0, 1.0, trials)
@@ -586,7 +577,7 @@ def _run_sparsity_level(config: ExperimentConfig):
         sin_0 = rng.uniform(-1.0, 1.0, trials)
         r_0 = rng.uniform(fresnel, rayleigh, trials)
         mu_0 = r_0 / (1.0 - sin_0**2)
-        los = steering(sin_0, r_0)
+        los = _steering(cfg, sin_0, r_0, "exact")  # one column per draw
         frac_los = _fast_analysis_fractions(dft, chirps, los, config.delta)
 
         # multipath channels: unit total power, fixed LOS/NLOS power split
@@ -597,7 +588,7 @@ def _run_sparsity_level(config: ExperimentConfig):
         for path in range(1, config.n_paths):
             sin_l = rng.uniform(-1.0, 1.0, trials)
             r_l = rng.uniform(fresnel, rayleigh, trials)
-            multi = multi + g[path] * steering(sin_l, r_l)
+            multi = multi + g[path] * _steering(cfg, sin_l, r_l, "exact")
         frac_multi = _fast_analysis_fractions(dft, chirps, multi, config.delta)
 
         bounds = np.array(

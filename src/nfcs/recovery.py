@@ -2,13 +2,12 @@
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import chdtri
 
 from .base import BaseEstimator
-from .dictionaries import Dictionary, SensingProduct
+from .dictionaries import SensingProduct
 from .geometry import ArrayConfig, ChannelSpec, synthesize_channel
 from .seeding import as_rng
 from .validation import as_complex_matrix, as_complex_vector
@@ -43,34 +42,20 @@ class BlockPartition:
         return np.arange(block * self.block_size, (block + 1) * self.block_size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensingProblem:
-    """Observations y = F h + n for a dictionary D.
+    """One draw: the observations y = F h + n of channel h through pilots F.
 
-    The sensing matrix Psi = F D is formed on first access, so one draw can
-    be shared across dictionaries with ``dataclasses.replace(problem,
-    dictionary=...)`` and a solver that needs no Psi never forms it.
+    A solver senses the draw through a dictionary D with
+    ``dictionary.sensing_operator(problem.pilots)``, so one draw serves
+    every dictionary.
     """
 
     pilots: np.ndarray
-    dictionary: Dictionary
     observations: np.ndarray
     noise: np.ndarray
     noise_var: float
     channel: np.ndarray
-    snr_db: float = None
-
-    @cached_property
-    def sensing_matrix(self) -> np.ndarray:
-        return self.dictionary.sense(self.pilots)
-
-    @property
-    def n_measurements(self) -> int:
-        return self.pilots.shape[0]
-
-    @property
-    def n_antennas(self) -> int:
-        return self.pilots.shape[1]
 
 
 def gen_pilots(n_measurements: int, n_antennas: int, kind: str = "gaussian", seed=None) -> np.ndarray:
@@ -119,46 +104,29 @@ def noise_variance(channel: np.ndarray, n_antennas: int, snr_db: float) -> float
 
 def make_problem(
     cfg: ArrayConfig,
-    dictionary: Dictionary,
     spec: ChannelSpec,
     n_measurements: int,
     snr_db: float = None,
     pilot_kind: str = "gaussian",
     seed=None,
-    pilots: np.ndarray = None,
 ) -> SensingProblem:
-    """Assemble a sensing problem from a channel spec.
+    """Draw pilots and noise for a channel spec and form the observations.
 
     The channel is synthesised in exact (spherical-wavefront) mode; the
-    model mismatch of the dictionary atoms then acts as extra noise.
+    model mismatch of a dictionary's atoms then acts as extra noise.
     """
     rng = as_rng(seed)
     h = synthesize_channel(cfg, spec, mode="exact")
-    if pilots is None:
-        pilots = gen_pilots(n_measurements, cfg.n_antennas, pilot_kind, rng)
-    else:
-        pilots = as_complex_matrix(pilots, "pilots")
-        if pilots.shape[1] != cfg.n_antennas:
-            raise ValueError(
-                f"pilots have {pilots.shape[1]} columns, expected {cfg.n_antennas}"
-            )
+    pilots = gen_pilots(n_measurements, cfg.n_antennas, pilot_kind, rng)
     sigma2 = noise_variance(h, cfg.n_antennas, snr_db)
-    t = pilots.shape[0]
     if sigma2 > 0:
         noise = math.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal(t) + 1j * rng.standard_normal(t)
+            rng.standard_normal(n_measurements) + 1j * rng.standard_normal(n_measurements)
         )
     else:
-        noise = np.zeros(t, dtype=np.complex128)
-    y = pilots @ h + noise
+        noise = np.zeros(n_measurements, dtype=np.complex128)
     return SensingProblem(
-        pilots=pilots,
-        dictionary=dictionary,
-        observations=y,
-        noise=noise,
-        noise_var=sigma2,
-        channel=h,
-        snr_db=snr_db,
+        pilots=pilots, observations=pilots @ h + noise, noise=noise, noise_var=sigma2, channel=h
     )
 
 

@@ -106,11 +106,11 @@ class TestRipProbe:
         report = empirical_rip_probe(psi, 8, k=2, trials=300, seed=2)
         assert report.violation_rate < 0.10
 
-    def test_empty_report(self):
+    def test_rejects_zero_trials(self):
         psi = np.eye(16, dtype=complex)
-        report = empirical_rip_probe(psi, 4, k=1, trials=0, seed=3)
-        assert report.empty
-        assert report.xi_hat is None
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trials"):
+                empirical_rip_probe(psi, 4, k=1, trials=trials, seed=3)
 
     def test_rejects_oversized_k(self):
         psi = np.eye(16, dtype=complex)

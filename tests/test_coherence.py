@@ -6,10 +6,12 @@ import pytest
 from nfcs import (
     ArrayConfig,
     CoherenceParams,
+    analyze,
+    b_vector,
+    build_dft,
     build_dmu,
     coherence_approx,
     coherence_exact,
-    empirical_sparsity,
     field_boundaries,
     fresnel,
     near_steering,
@@ -19,6 +21,7 @@ from nfcs import (
     thresholds,
 )
 from nfcs.dictionaries import dft_grid
+from nfcs.harness import _fast_analysis_fractions
 from nfcs.validation import check_positive
 
 
@@ -314,21 +317,32 @@ class TestSparsityBound:
 
 
 class TestEmpiricalSparsity:
+    """Share of D_mu coefficients at or above delta, as the sparsity runner counts it."""
+
     def test_unit_vector(self):
-        alpha = np.zeros(128, dtype=complex)
-        alpha[17] = 1.0
-        assert empirical_sparsity(alpha, 0.5) == (1, 1 / 128)
+        cfg = ArrayConfig(carrier_freq=100e9, n_antennas=128)
+        atom = build_dmu(cfg, 20.0).matrix[:, 17]
+        chirps = b_vector(cfg, np.array([20.0]))
+        frac = _fast_analysis_fractions(build_dft(cfg), chirps, atom[:, None], 0.5)
+        assert frac.tolist() == [1 / 128]
 
     def test_zero_vector(self):
-        assert empirical_sparsity(np.zeros(64, dtype=complex), 0.01) == (0, 0.0)
+        cfg = ArrayConfig(carrier_freq=100e9, n_antennas=64)
+        chirps = b_vector(cfg, np.array([20.0, math.inf]))
+        zero = np.zeros((64, 2), dtype=complex)
+        assert _fast_analysis_fractions(build_dft(cfg), chirps, zero, 0.01).tolist() == [0.0, 0.0]
 
-    def test_accepts_sparse_rep(self, cfg):
-        d = build_dmu(cfg, 20.0)
-        from nfcs import analyze
-
-        rep = analyze(d, d.matrix[:, 3])
-        count, frac = empirical_sparsity(rep, 0.01)
-        assert count == 1 and frac == pytest.approx(1 / 256)
+    def test_matches_analyze(self, cfg):
+        # one batched DFT analysis equals analysing each draw with its own D_mu
+        mus = np.array([6.0, 20.0, 80.0, math.inf])
+        channels = np.stack(
+            [near_steering(cfg, 0.3 * i - 0.4, 10.0 + 20.0 * i) for i in range(mus.size)], axis=1
+        )
+        frac = _fast_analysis_fractions(build_dft(cfg), b_vector(cfg, mus), channels, 0.01)
+        for i, mu in enumerate(mus):
+            beta = analyze(build_dmu(cfg, float(mu)), channels[:, i]).beta
+            assert frac[i] == np.count_nonzero(np.abs(beta) >= 0.01) / cfg.n_antennas
+        assert 0 < frac.min() < frac.max() < 1
 
 
 class TestFresnelIncrementBound:

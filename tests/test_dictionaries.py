@@ -149,6 +149,14 @@ def test_polar_ring_distances(cfg):
     np.testing.assert_allclose(inv, [1 / rayleigh, 1 / fresnel], rtol=1e-12)
 
 
+def test_polar_ring_columns_are_steering_vectors(cfg):
+    polar = build_polar_baseline(cfg, n_rings=3)
+    grid = dft_grid(cfg.n_antennas)
+    for col in (256, 300, 511, 512, 700, 767):
+        expected = near_steering(cfg, math.asin(grid[col % 256]), polar.radii[col], "taylor")
+        np.testing.assert_allclose(polar.matrix[:, col], expected, atol=1e-12)
+
+
 def test_polar_is_coherent():
     cfg64 = ArrayConfig(carrier_freq=100e9, n_antennas=64)
     polar = build_polar_baseline(cfg64, n_rings=3)

@@ -9,8 +9,6 @@ from nfcs import (
     PathParams,
     b_vector,
     effective_distance,
-    effective_rayleigh,
-    element_distance,
     far_steering,
     field_boundaries,
     near_steering,
@@ -18,6 +16,7 @@ from nfcs import (
     synthesize_channel,
 )
 from nfcs.dictionaries import dft_grid
+from nfcs.geometry import _element_delay, _steering
 
 
 @pytest.fixture
@@ -88,15 +87,27 @@ def test_steering_unit_norm(cfg, theta, mode):
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
+def element_distance(cfg, theta, r, n, mode):
+    """Distance r^(n) from antenna n (1-based) to a source at (theta, r)."""
+    return r + float(_element_delay(math.sin(theta), r, (n - 1) * cfg.spacing, mode))
+
+
 def test_element_distance_reference_antenna(cfg):
     for mode in ("exact", "taylor"):
-        assert element_distance(cfg, 0.7, 5.0, 1, mode) == pytest.approx(5.0, abs=1e-15)
+        assert element_distance(cfg, 0.7, 5.0, 1, mode) == 5.0
+        # so every response starts at phase zero
+        assert near_steering(cfg, 0.7, 5.0, mode)[0] == 1 / 16.0
 
 
 def test_element_distance_broadside_exact(cfg):
     n = 100
     got = element_distance(cfg, 0.0, 3.0, n, "exact")
     assert got == pytest.approx(math.hypot(3.0, (n - 1) * cfg.spacing), rel=1e-12)
+    # the exact response carries that distance as its phase
+    phase = -(2 * math.pi / cfg.wavelength) * (got - 3.0)
+    assert near_steering(cfg, 0.0, 3.0, "exact")[n - 1] * 16.0 == pytest.approx(
+        complex(math.cos(phase), math.sin(phase)), abs=1e-12
+    )
 
 
 def test_element_distance_taylor_accuracy(cfg):
@@ -109,13 +120,13 @@ def test_element_distance_taylor_accuracy(cfg):
 
 def test_element_distance_rejects_bad_inputs(cfg):
     with pytest.raises(ValueError):
-        element_distance(cfg, 0.1, -2.0, 1)
+        near_steering(cfg, 0.1, -2.0, "exact")
     with pytest.raises(ValueError):
-        element_distance(cfg, 0.1, 5.0, 0)
+        near_steering(cfg, 0.1, -2.0, "taylor")
     with pytest.raises(ValueError):
-        element_distance(cfg, 0.1, 5.0, 257)
+        near_steering(cfg, 0.1, 5.0, mode="cubic")
     with pytest.raises(ValueError):
-        element_distance(cfg, 0.1, 5.0, 3, mode="cubic")
+        _element_delay(0.1, 5.0, 3 * cfg.spacing, "cubic")
 
 
 def test_taylor_error_decreases_with_distance(cfg):
@@ -157,6 +168,15 @@ def test_near_steering_taylor_far_limit(cfg):
     np.testing.assert_array_equal(
         near_steering(cfg, theta, math.inf, "taylor"), far_steering(cfg, theta)
     )
+
+
+def test_steering_kernel_broadcasts_over_distance(cfg):
+    # an array of distances alone also gives one response per column
+    r = np.array([3.0, 40.0, math.inf])
+    responses = _steering(cfg, math.sin(0.4), r, "taylor")
+    assert responses.shape == (cfg.n_antennas, 3)
+    for j in range(3):
+        assert responses[:, j].tobytes() == near_steering(cfg, 0.4, r[j], "taylor").tobytes()
 
 
 def test_near_steering_rejects_bad_distance(cfg):
@@ -206,12 +226,6 @@ def test_effective_distance_values():
         mu = rng.uniform(1.0, 500.0)
         r = mu * math.cos(theta) ** 2
         assert effective_distance(theta, r) == pytest.approx(mu, rel=1e-12)
-
-
-def test_effective_rayleigh(cfg):
-    _, rayleigh = field_boundaries(cfg)
-    assert effective_rayleigh(cfg, 0.0) == pytest.approx(rayleigh)
-    assert effective_rayleigh(cfg, math.pi / 3) == pytest.approx(rayleigh / 4, rel=1e-12)
 
 
 def test_synthesize_single_path(cfg):

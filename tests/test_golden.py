@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfcs.geometry import ArrayConfig, _element_delay
+from nfcs.geometry import ArrayConfig, _element_delay, _steering, near_steering
 from nfcs.harness import ExperimentConfig, emit, parse_rows, run
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -69,6 +69,13 @@ def test_element_delay_batch_equals_scalar_columns(mode):
         r[-1] = math.inf
     batch = _element_delay(sin_t, r, offsets[:, None], mode)
     assert batch.shape == (cfg.n_antennas, 16)
+    # the steering kernel batched over the same sources, at the sines that
+    # near_steering takes of their angles
+    theta = [math.asin(s) for s in sin_t]
+    responses = _steering(cfg, np.array([math.sin(t) for t in theta]), r, mode)
+    assert responses.shape == (cfg.n_antennas, 16)
     for j in range(16):
         column = _element_delay(float(sin_t[j]), float(r[j]), offsets, mode)
         assert batch[:, j].tobytes() == column.tobytes()
+        single = near_steering(cfg, theta[j], float(r[j]), mode)
+        assert responses[:, j].tobytes() == single.tobytes()

@@ -19,7 +19,7 @@ from nfcs.harness import (
     _sample_mu0_binned,
     run,
 )
-from nfcs.recovery import SensingProblem, gen_pilots
+from nfcs.recovery import gen_pilots
 
 
 def tiny_config(**overrides):
@@ -222,9 +222,18 @@ class TestExperiments:
         def formed(*args):
             raise AssertionError("the polar sensing matrix was formed")
 
-        monkeypatch.setattr(SensingProblem, "sensing_matrix", property(formed))
         monkeypatch.setattr("nfcs.dictionaries.Dictionary.sense", formed)
         rows = run(tiny_config(methods=("polar_omp",), trials=2))
+        assert all(math.isfinite(r.value) for r in rows)
+
+    def test_ls_builds_no_dictionary(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a dictionary was built for ls")
+
+        for name in ("build_dmu", "build_dft", "build_polar_baseline"):
+            monkeypatch.setattr(f"nfcs.harness.{name}", built)
+        rows = run(tiny_config(methods=("ls",), n_measurements=64, trials=2))
+        assert [r.method for r in rows] == ["ls", "ls"]
         assert all(math.isfinite(r.value) for r in rows)
 
     def test_sparsity_rows(self):
