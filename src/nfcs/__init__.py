@@ -39,7 +39,6 @@ from .coherence import (
 )
 from .recovery import (
     BlockOMP,
-    BlockPartition,
     SensingProblem,
     gen_pilots,
     ls_estimate,

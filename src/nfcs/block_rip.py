@@ -6,8 +6,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .coherence import _worst_case_nonzeros
 from .seeding import rng_from
-from .validation import as_complex_matrix
+from .validation import as_complex_matrix, check_positive_or_inf
 
 
 def _require_square(n_antennas: int) -> int:
@@ -27,22 +28,20 @@ def varrho_bound(
 ) -> int:
     """Block-sparsity level over the canonical sqrt(N)-blocks-of-sqrt(N) partition.
 
-    Without ``mu_pair`` this applies the worst-case cap on the quadratic-phase
-    mismatch implied by sources beyond the Fresnel distance,
-    ceil(2 sqrt(2) / (pi delta sqrt(N)) + (sqrt(2)/1.24) sqrt(N/(N-1))).
-    With ``mu_pair = (mu_0, mu)`` the bound is ceil(K_bar / sqrt(N)) for that
-    specific mismatch, which requires ``aperture`` when the pair differs.
+    Without ``mu_pair`` the bound is ceil(K_bar / sqrt(N)) for the worst-case
+    nonzero count K_bar(N, delta) of sources beyond the Fresnel distance.
+    With ``mu_pair = (mu_0, mu)`` K_bar is the count for that specific
+    mismatch, which requires ``aperture`` when the pair differs.
     """
     root = _require_square(n_antennas)
     if delta <= 1.0 / n_antennas:
         raise ValueError(f"delta must exceed 1/N = {1.0 / n_antennas:.3e}")
     n = n_antennas
     if mu_pair is None:
-        value = 2.0 * math.sqrt(2.0) / (math.pi * delta * root) + (
-            math.sqrt(2.0) / 1.24
-        ) * math.sqrt(n / (n - 1))
-        return math.ceil(value)
+        return math.ceil(_worst_case_nonzeros(n, delta) / root)
     mu_0, mu = mu_pair
+    check_positive_or_inf(mu_0, "mu_0")
+    check_positive_or_inf(mu, "mu")
     gap = abs(1.0 / mu_0 - 1.0 / mu)
     if gap == 0.0:
         k_bar = math.ceil(n / math.pi * math.acos(1.0 - 2.0 / (n**2 * delta**2)))
@@ -100,7 +99,7 @@ class RipProbeReport:
 
 
 def empirical_rip_probe(
-    psi, partition, k: int, trials: int, seed, target_xi: float = 0.5
+    psi, block_size: int, k: int, trials: int, seed, target_xi: float = 0.5
 ) -> RipProbeReport:
     """Sample |  ||Psi c||^2 - 1 | over random unit-norm block-k-sparse vectors.
 
@@ -110,10 +109,9 @@ def empirical_rip_probe(
     order reproduces the same set.
     """
     psi = as_complex_matrix(psi, "psi")
-    block_size = int(getattr(partition, "block_size", partition))
     m = psi.shape[1]
-    if m % block_size != 0:
-        raise ValueError(f"block size {block_size} does not divide {m} columns")
+    if block_size < 1 or m % block_size != 0:
+        raise ValueError(f"block size {block_size} must be >= 1 and divide {m} columns")
     n_blocks = m // block_size
     if k > n_blocks:
         raise ValueError(f"k = {k} exceeds the number of blocks {n_blocks}")

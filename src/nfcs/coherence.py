@@ -187,6 +187,18 @@ def predicted_support(
     return np.flatnonzero((diff >= lo) & (diff <= hi))
 
 
+def _sublinear_cap(n: int) -> float:
+    """Cap (N / 1.24) sqrt(2 / (N - 1)) on the quadratic-phase mismatch term of
+    the nonzero count, for sources beyond the Fresnel distance."""
+    return (n / 1.24) * math.sqrt(2.0 / (n - 1))
+
+
+def _worst_case_nonzeros(n: int, delta: float) -> float:
+    """Worst-case nonzero count K_bar(N, delta) = 2 sqrt(2) / (pi delta) plus the
+    sublinear cap, the bound behind the 1/sqrt(N) sparsity claim."""
+    return 2.0 * math.sqrt(2.0) / (math.pi * delta) + _sublinear_cap(n)
+
+
 @dataclass(frozen=True)
 class SparsityBoundReport:
     """Predicted nonzero-count bound for one quadratic-phase mismatch."""
@@ -226,6 +238,6 @@ def sparsity_bound(cfg: ArrayConfig, delta: float, b: float) -> SparsityBoundRep
         k_bar=k_bar,
         regime=regime,
         asymptotic_k_bar=math.ceil(2.0 / (math.pi * delta)),
-        sublinear_cap=(n / 1.24) * math.sqrt(2.0 / (n - 1)),
+        sublinear_cap=_sublinear_cap(n),
     )
 

@@ -194,7 +194,6 @@ def sample_channel(
     seed,
     power_split_db: float = 13.0,
     distance_range: tuple = None,
-    normalize: bool = False,
 ) -> ChannelSpec:
     """Draw a random multipath channel.
 
@@ -202,8 +201,7 @@ def sample_channel(
     rescaled so the aggregate LOS to non-LOS power ratio equals
     ``power_split_db`` exactly. Angles are drawn with sin(theta) uniform on
     (-1, 1) and distances uniform on ``distance_range`` (default: Fresnel
-    distance to 1.2x the Rayleigh distance). With ``normalize`` the gains are
-    rescaled to unit total power.
+    distance to 1.2x the Rayleigh distance).
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -222,7 +220,7 @@ def sample_channel(
     sines = rng.uniform(-1.0, 1.0, n_paths)
     dists = rng.uniform(lo, hi, n_paths)
     gains = (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)) / math.sqrt(2)
-    _scale_gains(gains, power_split_db, normalize)
+    _scale_gains(gains, power_split_db, normalize=False)
     paths = tuple(
         PathParams(
             gain=complex(gains[i]),

@@ -74,8 +74,11 @@ def _one_of(names):
 
 
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be positive and finite")
+# power ratios in dB: no operating point lies beyond +-300 dB, and far beyond
+# it 10^(dB/10) leaves the float range
+_DECIBELS = (lambda v: -300.0 <= v <= 300.0, "must lie in [-300, 300] dB")
 # +inf is the noiseless sentinel; -inf and nan name no noise level
-_SNR = (lambda v: -math.inf < v <= math.inf, "must be finite or inf")
+_SNR = (lambda v: v == math.inf or _DECIBELS[0](v), "must lie in [-300, 300] dB or be inf")
 
 
 def _setting(key, parse, rule, default=MISSING):
@@ -101,7 +104,7 @@ class ExperimentConfig:
     spacing: float = _setting("array.spacing_m", float, _POSITIVE, None)
     # channel statistics
     n_paths: int = _setting("channel.n_paths", int, _integer(1), 3)
-    power_split_db: float = _setting("channel.power_split_db", float, (math.isfinite, "must be finite"), 13.0)
+    power_split_db: float = _setting("channel.power_split_db", float, _DECIBELS, 13.0)
     distance_min: float = _setting("channel.distance_min_m", float, _POSITIVE, None)
     distance_max: float = _setting("channel.distance_max_m", float, _POSITIVE, None)
     # grids
@@ -129,7 +132,8 @@ class ExperimentConfig:
     polar_r_min: float = _setting("dictionary.polar_r_min_m", float, _POSITIVE, None)
     polar_r_max: float = _setting("dictionary.polar_r_max_m", float, _POSITIVE, None)
     # analytics
-    delta: float = _setting("experiment.delta", float, _POSITIVE, 0.01)
+    # a threshold on coefficient magnitudes of unit-norm channels
+    delta: float = _setting("experiment.delta", float, (lambda v: 0 < v <= 1, "must lie in (0, 1]"), 0.01)
     mu0_bin_tolerance: float = _setting(
         "experiment.mu0_bin_tolerance",
         float,
@@ -182,6 +186,21 @@ class ExperimentConfig:
         }[self.kind]
         if not getattr(self, grid_field):
             raise ConfigError(_key(grid_field), "grid must be non-empty")
+        # each array field can be admissible on its own while the wavelength
+        # or the field boundaries derived from them overflow or underflow
+        for n in self.n_list if grid_field == "n_list" else (self.n_antennas,):
+            sized = self.array_config(n)
+            try:
+                fresnel, rayleigh = field_boundaries(sized)
+            except OverflowError:
+                fresnel = rayleigh = math.inf
+            if not (math.isfinite(sized.wavelength) and 0 < fresnel <= rayleigh < math.inf):
+                raise ConfigError(
+                    _key("spacing" if self.spacing is not None else "carrier_freq"),
+                    f"at N = {n} the wavelength is {sized.wavelength!r} and the Fresnel and "
+                    f"Rayleigh distances are {fresnel!r} and {rayleigh!r}; they must be finite "
+                    "with 0 < Fresnel <= Rayleigh",
+                )
         cfg = self.array_config()
         if self.kind != "coherence_error" and not cfg.is_half_wavelength:
             raise ConfigError(
@@ -220,6 +239,9 @@ class ExperimentConfig:
                     _key("distance_max" if self.distance_max is not None else "distance_min"),
                     f"the distance range ({lo!r}, {hi!r}) is inverted",
                 )
+            if not math.isfinite(hi * hi):
+                # the exact spherical-wavefront delay squares the distance
+                raise ConfigError(_key("distance_max"), f"{hi!r} m is too large to square")
             if self.kind == "nmse_vs_mu0":
                 # the sampler gives up on a bin after _MU0_DRAWS misses; reject
                 # a bin it misses that often with probability above 1e-9
@@ -381,18 +403,14 @@ def _polar_range(config: ExperimentConfig, cfg: ArrayConfig) -> tuple:
     return lo, hi
 
 
-def _build_method_dictionary(config, cfg, method: str, cache: dict) -> Dictionary | None:
-    key = (method, cfg.n_antennas)
-    if key not in cache:
-        if method == "dmu_block_omp":
-            cache[key] = build_dmu(cfg, config.mu)
-        elif method == "dft_omp":
-            cache[key] = build_dft(cfg)
-        elif method == "polar_omp":
-            cache[key] = build_polar_baseline(cfg, config.polar_rings, _polar_range(config, cfg))
-        else:
-            cache[key] = None  # ls estimates the channel without a dictionary
-    return cache[key]
+def _build_method_dictionary(config, cfg, method: str) -> Dictionary | None:
+    if method == "dmu_block_omp":
+        return build_dmu(cfg, config.mu)
+    if method == "dft_omp":
+        return build_dft(cfg)
+    if method == "polar_omp":
+        return build_polar_baseline(cfg, config.polar_rings, _polar_range(config, cfg))
+    return None  # ls estimates the channel without a dictionary
 
 
 _MU0_DRAWS = 100_000  # rejection-sampling budget per trial and mu0 bin
@@ -506,18 +524,16 @@ def _nmse_rows(config, grid_points, grid_label):
     data actually depends on (T, SNR, and the mu0 bin), so methods at one
     grid point and block sizes across the sweep face identical channels,
     pilots and noise; differences then isolate the estimator. Each trial is
-    drawn once and shared by all methods at its grid point.
+    drawn once and shared by all methods at its grid point. The dictionaries
+    do not depend on the grid point, so each is built once per run.
     """
     cfg = config.array_config()
     dist_range = _distance_range(config, cfg)
-    cache = {}
+    dictionaries = [_build_method_dictionary(config, cfg, method) for method in config.methods]
     for point in grid_points:
         label = grid_label(point)
         t, snr_db, s, _ = point
         point_config = config if s is None else replace(config, block_size=s)
-        dictionaries = [
-            _build_method_dictionary(point_config, cfg, method, cache) for method in config.methods
-        ]
         data_key = (config.seed, config.experiment_id, f"T={t}", f"snr={_fmt_value(float(snr_db))}")
         values = np.empty((len(config.methods), config.trials))
         for trial in range(config.trials):
@@ -612,10 +628,9 @@ def _run_sparsity_level(config: ExperimentConfig):
 
 def _run_mutual_coherence(config: ExperimentConfig):
     cfg = config.array_config()
-    cache = {}
     dictionaries = {
-        "dmu": _build_method_dictionary(config, cfg, "dmu_block_omp", cache),
-        "polar": _build_method_dictionary(config, cfg, "polar_omp", cache),
+        "dmu": build_dmu(cfg, config.mu),
+        "polar": build_polar_baseline(cfg, config.polar_rings, _polar_range(config, cfg)),
     }
     for t in config.t_list:
         label = f"T={t}"

@@ -7,6 +7,7 @@ import numpy as np
 from scipy.special import chdtri
 
 from .base import BaseEstimator
+from .coherence import _worst_case_nonzeros
 from .dictionaries import SensingProduct
 from .geometry import ArrayConfig, ChannelSpec, synthesize_channel
 from .seeding import as_rng
@@ -15,31 +16,6 @@ from .validation import as_complex_matrix, as_complex_vector
 RIDGE_SCALE = 1e-10
 _COND_LIMIT = 1e12
 PILOT_KINDS = ("gaussian", "rademacher")
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Uniform contiguous partition of M coefficients into blocks of size s."""
-
-    block_size: int
-    n_blocks: int
-
-    @classmethod
-    def uniform(cls, n_coefficients: int, block_size: int) -> "BlockPartition":
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
-        if n_coefficients % block_size != 0:
-            raise ValueError(
-                f"block size {block_size} does not divide {n_coefficients} coefficients"
-            )
-        return cls(block_size=block_size, n_blocks=n_coefficients // block_size)
-
-    @property
-    def n_coefficients(self) -> int:
-        return self.block_size * self.n_blocks
-
-    def indices(self, block: int) -> np.ndarray:
-        return np.arange(block * self.block_size, (block + 1) * self.block_size)
 
 
 @dataclass(frozen=True)
@@ -169,9 +145,9 @@ def _column_energy(X: np.ndarray) -> np.ndarray:
 class _FormedColumns:
     """What the greedy loop reads of a formed T x M matrix, read in place."""
 
-    def __init__(self, X: np.ndarray, partition: BlockPartition):
+    def __init__(self, X: np.ndarray, block_size: int):
         self._X = X
-        self._block_energy = _column_energy(X).reshape(partition.n_blocks, -1).mean(axis=1)
+        self._block_energy = _column_energy(X).reshape(-1, block_size).mean(axis=1)
         self.mean_col_energy = float(self._block_energy.mean())
 
     def correlate(self, resid: np.ndarray) -> np.ndarray:
@@ -193,20 +169,20 @@ class _ProductColumns:
     block are formed as ``P A_block`` the first time the loop looks at it.
     """
 
-    def __init__(self, product: SensingProduct, partition: BlockPartition):
+    def __init__(self, product: SensingProduct, block_size: int):
         self._pilots = product.pilots
         self._matrix = product.matrix
-        self._partition = partition
+        self._block_size = block_size
         self._blocks = {}
         trace = np.vdot(product.pilots, product.pilots @ product.row_gram).real
-        self.mean_col_energy = float(trace) / partition.n_coefficients
+        self.mean_col_energy = float(trace) / product.shape[1]
 
     def correlate(self, resid: np.ndarray) -> np.ndarray:
         return (np.conj(resid) @ self._pilots) @ self._matrix
 
     def _block(self, block: int) -> np.ndarray:
         if block not in self._blocks:
-            s = self._partition.block_size
+            s = self._block_size
             self._blocks[block] = self._pilots @ self._matrix[:, block * s : (block + 1) * s]
         return self._blocks[block]
 
@@ -215,7 +191,7 @@ class _ProductColumns:
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         # idx runs over whole blocks in ascending order
-        s = self._partition.block_size
+        s = self._block_size
         return np.concatenate([self._block(b) for b in idx[::s] // s], axis=1)
 
 
@@ -230,12 +206,11 @@ class BlockOMP(BaseEstimator):
     lowest block index), refits least squares on all selected columns, and
     updates the residual. Three stopping controls compose:
 
-    * ``k_max`` caps the number of selected blocks (default: the coefficient
-      budget 1.5 * rho * sqrt(M) from the worst-case block-sparsity bound,
-      converted to blocks and capped at T // block_size for LS solvability);
-      the loop also ends once every block is selected;
-    * ``residual_tol`` stops once ||r||_2 falls below it (default
-      sqrt(T * noise_var));
+    * ``k_max`` caps the number of selected blocks (default: 1.5 times the
+      worst-case nonzero count K_bar(M, delta), converted to blocks and
+      capped at T // block_size for LS solvability); the loop also ends once
+      every block is selected;
+    * the residual stop ends the loop once ||r||_2 falls to sqrt(T * noise_var);
     * ``stop_alpha`` stops when the best block's correlation statistic is no
       longer distinguishable from noise at family-wise level alpha (a
       chi-squared test on 2*block_size degrees of freedom).
@@ -246,6 +221,8 @@ class BlockOMP(BaseEstimator):
     noise at low SNR. With ``noise_var = 0`` the full greedy path is kept, so
     noiseless behaviour is plain block OMP.
 
+    ``block_size`` must divide the M columns of X into contiguous blocks.
+
     Attributes after ``fit``: ``coef_``, ``support_``, ``n_iter_``,
     ``residual_norm_``, ``residual_path_``.
     """
@@ -254,14 +231,12 @@ class BlockOMP(BaseEstimator):
         self,
         block_size: int = 1,
         k_max: int = None,
-        residual_tol: float = None,
         stop_alpha: float = 0.05,
         noise_var: float = 0.0,
         delta: float = 0.01,
     ):
         self.block_size = block_size
         self.k_max = k_max
-        self.residual_tol = residual_tol
         self.stop_alpha = stop_alpha
         self.noise_var = noise_var
         self.delta = delta
@@ -273,11 +248,7 @@ class BlockOMP(BaseEstimator):
         cap = max(1, n_measurements // self.block_size)
         if sigma2 <= 0:
             return cap
-        m = n_coefficients
-        k_bar = 2.0 * math.sqrt(2.0) / (math.pi * self.delta) + (m / 1.24) * math.sqrt(
-            2.0 / (m - 1)
-        )
-        budget = math.ceil(1.5 * k_bar / self.block_size)
+        budget = math.ceil(1.5 * _worst_case_nonzeros(n_coefficients, self.delta) / self.block_size)
         return max(1, min(budget, cap))
 
     def fit(self, X, y):
@@ -288,18 +259,17 @@ class BlockOMP(BaseEstimator):
         t, m = X.shape
         if y.shape[0] != t:
             raise ValueError(f"X has {t} rows but y has length {y.shape[0]}")
-        partition = BlockPartition.uniform(m, self.block_size)
-        s = partition.block_size
-        nb = partition.n_blocks
+        s = self.block_size
+        if s < 1 or m % s != 0:
+            raise ValueError(f"block size {s} must be >= 1 and divide {m} coefficients")
+        nb = m // s
         sigma2 = float(self.noise_var)
         k_max = self.k_max if self.k_max is not None else self._default_k_max(t, m, sigma2)
         if k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {k_max}")
-        tol = self.residual_tol
-        if tol is None:
-            tol = math.sqrt(t * sigma2)
+        tol = math.sqrt(t * sigma2)
 
-        psi = (_ProductColumns if factored else _FormedColumns)(X, partition)
+        psi = (_ProductColumns if factored else _FormedColumns)(X, s)
         # the significance stop guards against fitting noise; without noise the
         # greedy loop runs to exact reconstruction or the block budget
         use_score_stop = self.stop_alpha is not None and sigma2 > 0
@@ -331,7 +301,7 @@ class BlockOMP(BaseEstimator):
                     break
             selected[pick] = True
             chosen.append(pick)
-            idx = np.concatenate([partition.indices(b) for b in sorted(chosen)])
+            idx = (np.sort(chosen)[:, None] * s + np.arange(s)).ravel()
             sub = psi.columns(idx)
             coef, gram_inv_trace = _least_squares(sub, y)
             resid = y - sub @ coef

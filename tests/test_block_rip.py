@@ -37,6 +37,22 @@ class TestVarrhoBound:
         rho = varrho_bound(256, 0.01, aperture=cfg.aperture, mu_pair=(6.0, 20.0))
         assert rho == math.ceil(96 / 16)  # k_bar = 96 at this mismatch
 
+    @pytest.mark.parametrize("mu_pair", [(-5.0, 10.0), (0.0, 10.0), (math.nan, 10.0), (10.0, -1.0)])
+    def test_rejects_bad_distances(self, mu_pair):
+        with pytest.raises(ValueError, match="must be positive"):
+            varrho_bound(256, 0.01, aperture=0.38, mu_pair=mu_pair)
+
+    def test_worst_case_matches_the_closed_form(self):
+        # ceil(K_bar / sqrt(N)) equals the per-block form
+        # ceil(2 sqrt(2) / (pi delta sqrt(N)) + (sqrt(2) / 1.24) sqrt(N / (N - 1)))
+        for root in (2, 3, 16, 45, 512):
+            n = root * root
+            for delta in np.geomspace(1.0001 / n, 0.99, 60):
+                closed = 2.0 * math.sqrt(2.0) / (math.pi * delta * root) + (
+                    math.sqrt(2.0) / 1.24
+                ) * math.sqrt(n / (n - 1))
+                assert varrho_bound(n, float(delta)) == math.ceil(closed), (n, delta)
+
     def test_at_least_one(self):
         assert varrho_bound(65536, 0.5, mu_pair=(5.0, 5.0)) >= 1
 
@@ -111,6 +127,13 @@ class TestRipProbe:
         for trials in (0, -1):
             with pytest.raises(ValueError, match="trials"):
                 empirical_rip_probe(psi, 4, k=1, trials=trials, seed=3)
+
+    def test_rejects_bad_block_size(self):
+        # the block size must be positive and divide the 16 columns
+        psi = np.eye(16, dtype=complex)
+        for block_size in (3, 0, -4):
+            with pytest.raises(ValueError, match="block size"):
+                empirical_rip_probe(psi, block_size, k=1, trials=10, seed=3)
 
     def test_rejects_oversized_k(self):
         psi = np.eye(16, dtype=complex)

@@ -137,6 +137,17 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, line, field_path):
         ("rip-probe", "rip.k = 100", "rip.k"),
         ("nmse-vs-mu0", "experiment.mu0_bins = 0.5", "experiment.mu0_bins"),
         ("block-size-sweep", "experiment.block_size_list = 3", "experiment.block_size_list"),
+        # fields admissible on their own whose wavelength or field boundaries
+        # overflow or underflow
+        ("sparsity-level", "array.carrier_freq_hz = 1e300", "array.carrier_freq_hz"),
+        ("nmse-vs-snr", "array.carrier_freq_hz = 1e300", "array.carrier_freq_hz"),
+        ("mutual-coherence", "array.carrier_freq_hz = 1e300", "array.carrier_freq_hz"),
+        ("coherence-error", "array.carrier_freq_hz = 1e300", "array.carrier_freq_hz"),
+        ("rip-probe", "array.carrier_freq_hz = 1e300", "array.carrier_freq_hz"),
+        ("coherence-error", "array.carrier_freq_hz = 1e-300", "array.carrier_freq_hz"),
+        ("nmse-vs-snr", "array.carrier_freq_hz = 1e-300", "array.carrier_freq_hz"),
+        ("coherence-error", "array.spacing_m = 1e150", "array.spacing_m"),
+        ("coherence-error", "array.spacing_m = 1e-300", "array.spacing_m"),
     ],
 )
 def test_cross_field_conflict_exits_2(tmp_path, capsys, command, line, field_path):
@@ -200,7 +211,24 @@ def test_every_setting_declares_key_parser_and_rule():
             assert all(meta["rule"](v) for v in entries), f.name
 
 
-_FUZZ_VALUES = ("0", "-1", "1", "2", "0.5", "nan", "inf", "-inf", "none", "bogus", "1, 0")
+_FUZZ_VALUES = (
+    "0", "-1", "1", "2", "0.5", "nan", "inf", "-inf", "none", "bogus", "1, 0",
+    "1e300", "1e-300", "1e150",
+)
+
+
+def _run_fuzzed(command, lines, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} = {value}\n" for key, value in lines)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, *argv])
+    assert code in (0, 2, 3)
+    if code == 2:
+        known = (*CONFIG_FIELDS, "experiment.kind")
+        assert err.getvalue().startswith(tuple(f"config error: {k}: " for k in known))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -210,17 +238,25 @@ _FUZZ_VALUES = ("0", "-1", "1", "2", "0.5", "nan", "inf", "-inf", "none", "bogus
     value=st.sampled_from(_FUZZ_VALUES),
 )
 def test_one_line_config_keeps_the_exit_code_contract(command, key, value):
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "fuzz.cfg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{key} = {value}\n")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--config", path, "--trials", "1", "--seed", "1"])
-    assert code in (0, 2, 3)
-    if code == 2:
-        known = (*CONFIG_FIELDS, "experiment.kind")
-        assert err.getvalue().startswith(tuple(f"config error: {k}: " for k in known))
+    _run_fuzzed(command, [(key, value)], ["--trials", "1", "--seed", "1"])
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(
+    command=st.sampled_from(sorted(_COMMAND_TO_KIND)),
+    lines=st.lists(
+        st.tuples(st.sampled_from(sorted(CONFIG_FIELDS)), st.sampled_from(_FUZZ_VALUES)),
+        min_size=2,
+        max_size=3,
+        unique_by=lambda line: line[0],
+    ),
+    # --trials is always given, and small, so that no draw runs a preset's trial count
+    trials=st.sampled_from(("1", "2", "0", "-1")),
+    seed=st.sampled_from((None, "0", "-7", "18446744073709551616")),
+)
+def test_multi_line_config_and_flags_keep_the_exit_code_contract(command, lines, trials, seed):
+    argv = ["--trials", trials] + ([] if seed is None else ["--seed", seed])
+    _run_fuzzed(command, lines, argv)
 
 
 def test_infinite_mu_and_snr_are_accepted(tmp_path, capsys):

@@ -16,7 +16,7 @@ from nfcs import (
     synthesize_channel,
 )
 from nfcs.dictionaries import dft_grid
-from nfcs.geometry import _element_delay, _steering
+from nfcs.geometry import _element_delay, _scale_gains, _steering
 
 
 @pytest.fixture
@@ -179,6 +179,35 @@ def test_steering_kernel_broadcasts_over_distance(cfg):
         assert responses[:, j].tobytes() == near_steering(cfg, 0.4, r[j], "taylor").tobytes()
 
 
+_LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+
+
+@pytest.mark.skipif(not _LONG_DOUBLE_IS_WIDER, reason="np.longdouble is no wider than float64")
+@pytest.mark.parametrize("n", [256, 2048, 8192])
+def test_exact_steering_phase_against_long_double(n):
+    # the cancellation-free form r delta / (sqrt(1 + delta) + 1), evaluated in
+    # long double from the same float64 inputs, is the reference; the float64
+    # phases stay within 16 eps of the largest phase, from the Fresnel distance
+    # to far beyond the Rayleigh distance and up to endfire
+    cfg = ArrayConfig(carrier_freq=100e9, n_antennas=n)
+    fresnel, rayleigh = field_boundaries(cfg)
+    eps = np.finfo(np.float64).eps
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    offsets = (np.arange(n) * cfg.spacing).astype(np.longdouble)
+    wavenumber = two_pi / np.longdouble(cfg.wavelength)
+    for r in np.geomspace(fresnel, 1e4 * rayleigh, 9):
+        for sin_t in (-0.999, -0.5, 0.0, 0.1, 0.7, 0.9999):
+            v = near_steering(cfg, math.asin(sin_t), float(r), "exact")
+            r_ld, sin_ld = np.longdouble(r), np.longdouble(math.sin(math.asin(sin_t)))
+            delta = offsets * (offsets - 2 * r_ld * sin_ld) / r_ld**2
+            phase = -wavenumber * r_ld * delta / (np.sqrt(1 + delta) + 1)
+            error = np.angle(v).astype(np.longdouble) - phase
+            error -= two_pi * np.round(error / two_pi)
+            bound = 16 * eps * float(np.max(np.abs(phase)))
+            assert float(np.max(np.abs(error))) <= bound, (r, sin_t)
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-15, (r, sin_t)
+
+
 def test_near_steering_rejects_bad_distance(cfg):
     with pytest.raises(ValueError):
         near_steering(cfg, 0.2, -1.0, "exact")
@@ -298,10 +327,13 @@ def test_sample_channel_structure_and_ranges(cfg):
         assert abs(p.theta) < math.pi / 2
 
 
-def test_sample_channel_normalization(cfg):
-    spec = sample_channel(cfg, 3, seed=9, normalize=True)
-    assert np.sum(np.abs(spec.gains) ** 2) == pytest.approx(1.0, rel=1e-12)
-    ratio = abs(spec.gains[0]) ** 2 / np.sum(np.abs(spec.gains[1:]) ** 2)
+def test_sample_channel_normalization():
+    # the sparsity runner's path: split the power 13 dB, then scale to unit power
+    rng = np.random.default_rng(9)
+    gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / math.sqrt(2)
+    _scale_gains(gains, 13.0, normalize=True)
+    assert np.sum(np.abs(gains) ** 2) == pytest.approx(1.0, rel=1e-12)
+    ratio = abs(gains[0]) ** 2 / np.sum(np.abs(gains[1:]) ** 2)
     assert ratio == pytest.approx(10**1.3, abs=1e-9)
 
 

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +315,18 @@ class TestCoherenceErrorExperiment:
         means = {r.grid: r.value for r in rows if r.metric == "mean_abs_error"}
         assert means["N=256"] < 1e-2
         assert means["N=1024"] < means["N=256"]
+
+
+def test_every_benchmark_trace_target_resolves():
+    # the benchmark traces the library by module and qualified name; a target
+    # that no longer resolves silently reads zero there
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{name}: {module}.{qualname}"
+        for name, (module, qualname) in tracing.TARGETS.items()
+        if tracing._resolve(module, qualname) is None
+    ]
+    assert not missing, f"unresolved trace targets: {missing}"

@@ -12,7 +12,6 @@ import nfcs
 from nfcs import (
     ArrayConfig,
     BlockOMP,
-    BlockPartition,
     build_dft,
     build_dmu,
     build_polar_baseline,
@@ -58,20 +57,6 @@ def random_block_sparse_problem(seed, t=80, m=256, s=4, k=2, snr_db=None):
         sigma2 = float(np.linalg.norm(y) ** 2) / (t * 10 ** (snr_db / 10))
         y = y + math.sqrt(sigma2 / 2) * (rng.standard_normal(t) + 1j * rng.standard_normal(t))
     return psi, beta, y, np.sort(blocks)
-
-
-class TestPartition:
-    def test_uniform(self):
-        p = BlockPartition.uniform(256, 4)
-        assert p.n_blocks == 64
-        assert p.n_coefficients == 256
-        np.testing.assert_array_equal(p.indices(2), [8, 9, 10, 11])
-
-    def test_rejects_non_divisible(self):
-        with pytest.raises(ValueError):
-            BlockPartition.uniform(256, 5)
-        with pytest.raises(ValueError):
-            BlockPartition.uniform(256, 0)
 
 
 class TestPilots:
@@ -185,6 +170,10 @@ class TestBlockOMP:
         assert np.unique(est.support_).size == est.support_.size
         blocks = np.unique(est.support_ // 4)
         assert blocks.size == est.support_.size // 4
+        # each block contributes its four indices, in ascending block order
+        np.testing.assert_array_equal(
+            est.support_, np.concatenate([np.arange(4 * b, 4 * b + 4) for b in blocks])
+        )
 
     def test_never_selects_block_twice(self):
         psi, beta, y, _ = random_block_sparse_problem(seed=6, k=2)
@@ -200,9 +189,11 @@ class TestBlockOMP:
         np.testing.assert_array_equal(scaled.support_, base.support_)
 
     def test_rejects_bad_partition(self):
+        # the block size must be positive and divide the 256 columns
         psi, beta, y, _ = random_block_sparse_problem(seed=8)
-        with pytest.raises(ValueError):
-            BlockOMP(block_size=5).fit(psi, y)
+        for block_size in (5, 0):
+            with pytest.raises(ValueError, match="block size"):
+                BlockOMP(block_size=block_size).fit(psi, y)
 
     def test_rank_deficient_ls_is_stabilised(self):
         # duplicated columns make the Gram matrix singular; the ridge keeps
@@ -211,7 +202,7 @@ class TestBlockOMP:
         base = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
         psi = np.concatenate([base, base], axis=1)
         y = base @ (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        est = BlockOMP(block_size=4, stop_alpha=None, k_max=2, residual_tol=0.0).fit(psi, y)
+        est = BlockOMP(block_size=4, stop_alpha=None, k_max=2).fit(psi, y)
         assert np.all(np.isfinite(est.coef_))
         assert est.residual_norm_ < 1e-4 * np.linalg.norm(y)
 
@@ -271,11 +262,11 @@ def _reference_fit(est, X, y):
     ``BlockOMP``. Returns ``(coef, support, n_iter, residual_path)``.
     """
     t, m = X.shape
-    partition = BlockPartition.uniform(m, est.block_size)
-    s, nb = partition.block_size, partition.n_blocks
+    s = est.block_size
+    nb = m // s
     sigma2 = float(est.noise_var)
     k_max = est.k_max if est.k_max is not None else est._default_k_max(t, m, sigma2)
-    tol = est.residual_tol if est.residual_tol is not None else math.sqrt(t * sigma2)
+    tol = math.sqrt(t * sigma2)
     block_energy = (np.linalg.norm(X, axis=0) ** 2).reshape(nb, s).mean(axis=1)
     use_score_stop = est.stop_alpha is not None and sigma2 > 0
     if use_score_stop:
@@ -302,7 +293,7 @@ def _reference_fit(est, X, y):
                 break
         selected[pick] = True
         chosen.append(pick)
-        idx = np.concatenate([partition.indices(b) for b in sorted(chosen)])
+        idx = np.concatenate([np.arange(b * s, (b + 1) * s) for b in sorted(chosen)])
         sub = X[:, idx]
         gram = np.conj(sub.T) @ sub
         cond = np.linalg.cond(gram)
@@ -404,7 +395,7 @@ class TestAgainstReferenceFit:
         base = rng.standard_normal((20, 7)) + 1j * rng.standard_normal((20, 7))
         X = np.concatenate([base[:, :3], base[:, :1], base[:, 3:]], axis=1)
         y = base[:, :3] @ (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        est = BlockOMP(block_size=4, stop_alpha=None, k_max=k_max, residual_tol=0.0).fit(X, y)
+        est = BlockOMP(block_size=4, stop_alpha=None, k_max=k_max).fit(X, y)
         _assert_matches_reference(est, X, y, rtol=1e-5)
         assert abs(est.coef_[0] - est.coef_[3]) < 1e-9 * abs(est.coef_[0])
         assert est.residual_norm_ < 1e-8 * np.linalg.norm(y)
@@ -475,15 +466,14 @@ class TestFactoredFit:
         pilots = rng.standard_normal((10, 7)) + 1j * rng.standard_normal((10, 7))
         matrix = rng.standard_normal((7, 12)) + 1j * rng.standard_normal((7, 12))
         X = pilots @ matrix
-        partition = BlockPartition.uniform(12, block_size)
-        formed = _FormedColumns(X, partition)
-        factored = _ProductColumns(SensingProduct(pilots, matrix, matrix @ np.conj(matrix.T)), partition)
+        formed = _FormedColumns(X, block_size)
+        factored = _ProductColumns(SensingProduct(pilots, matrix, matrix @ np.conj(matrix.T)), block_size)
         r = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         np.testing.assert_allclose(factored.correlate(r), formed.correlate(r), rtol=1e-12)
         assert factored.mean_col_energy == pytest.approx(formed.mean_col_energy, rel=1e-12)
-        for b in range(partition.n_blocks):
+        for b in range(12 // block_size):
             assert factored.block_energy(b) == pytest.approx(formed.block_energy(b), rel=1e-12)
-        idx = np.concatenate([partition.indices(b) for b in (0, 2, 3)])
+        idx = np.concatenate([np.arange(b * block_size, (b + 1) * block_size) for b in (0, 2, 3)])
         factored.block_energy(3)  # a block looked at first is still placed in index order
         np.testing.assert_allclose(factored.columns(idx), formed.columns(idx), rtol=1e-12)
 
