@@ -261,30 +261,99 @@ def analyze(dictionary: Dictionary, h) -> SparseRep:
     return SparseRep(beta=dictionary.transform(vec), dictionary=dictionary)
 
 
+def _screen_margin(n_rows: int) -> float:
+    """Bound on the error of one screened entry of ``mutual_coherence``.
+
+    For unit-norm columns x_i, x_j of length T, with u = 2^-24 the unit
+    roundoff of complex64 and gamma(n) = n u / (1 - n u) (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, sections 3.1 and 3.6):
+
+    - the cast to complex64 moves each entry by at most u relative, so
+      x_i^H x_j moves by at most (2u + u^2) |x_i|^T |x_j| <= 2u + u^2;
+    - the real and imaginary parts of x_i^H x_j are each a sum of 2T real
+      products; summed in any order, with or without fused multiply-adds,
+      each errs by at most gamma(2T) |x_i|^T |x_j|, so the complex value errs
+      by at most sqrt(2) gamma(2T) (1 + u)^2 for the cast columns;
+    - underflow, gradual or flushed to zero, adds at most the smallest
+      normal 2^-126 per real product or sum (4T per part) and per input
+      entry flushed by the cast; 16T of them bound both;
+    - ``abs`` rounds once more, by at most 2u of its result.
+
+    The 1% slack covers the float64 normalisation and the float64 recompute,
+    whose errors are of order T 2^-52.
+    """
+    u = 2.0**-24
+    n = 2 * n_rows
+    gamma = n * u / (1 - n * u) if n * u < 1 else math.inf
+    inner = 2 * u + u * u + math.sqrt(2) * gamma * (1 + u) ** 2 + 16 * n_rows * 2.0**-126
+    return 1.01 * (inner + 2 * u * (1 + inner))
+
+
 def mutual_coherence(matrix) -> float:
     """Largest normalised inner product between distinct columns.
 
-    The Gram is swept in row blocks of its upper triangle: block ``[lo, hi)``
-    holds columns ``lo:hi`` against columns ``lo:``, so the sweep costs about
-    half the flops of the full Gram and never holds more than
-    ``_COHERENCE_BLOCK x M`` entries.
+    Two passes over the upper triangle of the Gram, each in row blocks of at
+    most ``_COHERENCE_BLOCK`` rows against the columns from the block's
+    first row on, so neither holds more than ``_COHERENCE_BLOCK x M``
+    entries:
+
+    1. Screen: the columns are normalised in float64 and cast once to
+       complex64; the blocks of their Gram are reduced to per-row and
+       per-column maxima at once. Every screened entry is within
+       ``_screen_margin(T)`` of its exact value, so every pair that attains
+       the exact maximum screens at least the screened maximum minus twice
+       that margin.
+    2. Exact: the rows holding such candidate pairs are recomputed in
+       float64 from the original columns, ``|x_i^H x_j| / (n_i n_j)`` for
+       i != j, against the columns up to the last candidate column.
+
+    The screen costs T M^2 / 2 complex64 multiply-adds. On a matrix with a
+    few near-maximal pairs the exact pass is a few rows; when every pair is
+    a candidate (a unitary or low-coherence matrix, where the threshold is
+    below zero) it is the full float64 sweep.
     """
     m = as_complex_matrix(matrix, "matrix")
-    n_cols = m.shape[1]
+    n_rows, n_cols = m.shape
     if n_cols < 2:
         raise ValueError("mutual coherence needs at least two columns")
     with np.errstate(invalid="ignore", over="ignore"):  # caught just below
-        norms = np.linalg.norm(m, axis=0)
+        # by column blocks: the norm of all of m would square all of it at once
+        norms = np.concatenate(
+            [
+                np.linalg.norm(m[:, lo : lo + _COHERENCE_BLOCK], axis=0)
+                for lo in range(0, n_cols, _COHERENCE_BLOCK)
+            ]
+        )
     if np.any(norms == 0):
         raise ValueError("mutual coherence is undefined for zero columns")
     if not np.all(np.isfinite(norms)):
         raise ValueError("mutual coherence needs finite columns")
-    best = 0.0
+
+    screen = np.empty(m.shape, dtype=np.complex64)
+    np.divide(m, norms, out=screen, casting="same_kind")
+    row_max = np.zeros(n_cols)  # over j > i
+    col_max = np.zeros(n_cols)  # over i < j
+    lower = np.tri(_COHERENCE_BLOCK, dtype=bool)  # the diagonal and below
     for lo in range(0, n_cols, _COHERENCE_BLOCK):
         hi = min(lo + _COHERENCE_BLOCK, n_cols)
-        block = np.abs(np.conj(m[:, lo:hi].T) @ m[:, lo:])
-        block /= np.outer(norms[lo:hi], norms[lo:])
-        np.fill_diagonal(block[:, : hi - lo], 0.0)
+        block = np.abs(np.conj(screen[:, lo:hi].T) @ screen[:, lo:])
+        block[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
+        row_max[lo:hi] = block.max(axis=1)
+        np.maximum(col_max[lo:], block.max(axis=0), out=col_max[lo:])
+    del screen, block
+
+    threshold = row_max.max() - 2 * _screen_margin(n_rows)
+    rows = np.flatnonzero(row_max >= threshold)
+    stop = np.flatnonzero(col_max >= threshold)[-1] + 1
+    best = 0.0
+    for k in range(0, rows.size, _COHERENCE_BLOCK):
+        chunk = rows[k : k + _COHERENCE_BLOCK]
+        lo = chunk[0]
+        left = m[:, chunk].T  # a copy, conjugated in place
+        np.conjugate(left, out=left)
+        block = np.abs(left @ m[:, lo:stop])
+        block /= np.outer(norms[chunk], norms[lo:stop])
+        block[np.arange(chunk.size), chunk - lo] = 0.0  # i == j
         best = np.maximum(best, block.max())  # propagates a nan, unlike max()
     return float(best)
 

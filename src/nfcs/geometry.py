@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import as_rng
-from .validation import check_angle, check_positive
+from .validation import check_angle, check_decibels, check_positive
 
 SPEED_OF_LIGHT = 2.998e8
 """Propagation speed used to derive wavelengths, in m/s."""
@@ -205,6 +205,7 @@ def sample_channel(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    check_decibels(power_split_db, "power_split_db")
     fresnel, rayleigh = field_boundaries(cfg)
     if distance_range is None:
         distance_range = (fresnel, 1.2 * rayleigh)

@@ -33,6 +33,7 @@ from .geometry import (
 )
 from .recovery import PILOT_KINDS, BlockOMP, gen_pilots, ls_estimate, make_problem, nmse
 from .seeding import rng_from
+from .validation import DECIBEL_LIMIT
 
 EXPERIMENT_KINDS = (
     "coherence_error",
@@ -74,9 +75,7 @@ def _one_of(names):
 
 
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be positive and finite")
-# power ratios in dB: no operating point lies beyond +-300 dB, and far beyond
-# it 10^(dB/10) leaves the float range
-_DECIBELS = (lambda v: -300.0 <= v <= 300.0, "must lie in [-300, 300] dB")
+_DECIBELS = (lambda v: -DECIBEL_LIMIT <= v <= DECIBEL_LIMIT, "must lie in [-300, 300] dB")
 # +inf is the noiseless sentinel; -inf and nan name no noise level
 _SNR = (lambda v: v == math.inf or _DECIBELS[0](v), "must lie in [-300, 300] dB or be inf")
 
@@ -212,6 +211,9 @@ class ExperimentConfig:
         if estimation:
             if not self.methods:
                 raise ConfigError(_key("methods"), "must be non-empty")
+            repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+            if repeated:
+                raise ConfigError(_key("methods"), f"names a method more than once: {repeated}")
             t_values = self.t_list if self.kind == "nmse_vs_T" else (self.n_measurements,)
             if "ls" in self.methods:
                 bad = [t for t in t_values if t < self.n_antennas]

@@ -11,7 +11,7 @@ from .coherence import _worst_case_nonzeros
 from .dictionaries import SensingProduct
 from .geometry import ArrayConfig, ChannelSpec, synthesize_channel
 from .seeding import as_rng
-from .validation import as_complex_matrix, as_complex_vector
+from .validation import as_complex_matrix, as_complex_vector, check_decibels
 
 RIDGE_SCALE = 1e-10
 _COND_LIMIT = 1e12
@@ -68,12 +68,12 @@ def noise_variance(channel: np.ndarray, n_antennas: int, snr_db: float) -> float
 
     SNR is defined as E_F |h^H f_t|^2 / sigma^2 = ||h||^2 / (N sigma^2), so
     sigma^2 = ||h||^2 / (N * 10^(SNR/10)). ``None`` and +inf give zero
-    variance (a noiseless problem); -inf and nan name no noise level.
+    variance (a noiseless problem); -inf and nan name no noise level, and
+    beyond +-300 dB the power ratio leaves the float range.
     """
     if snr_db is None or snr_db == math.inf:
         return 0.0
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db!r}")
+    check_decibels(snr_db, "snr_db")
     power = float(np.linalg.norm(channel) ** 2)
     return power / (n_antennas * 10.0 ** (snr_db / 10.0))
 

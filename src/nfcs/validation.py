@@ -19,6 +19,18 @@ def check_positive_or_inf(value, name: str):
     return check_positive(value, name)
 
 
+# power ratios in dB: no operating point lies beyond +-300 dB, and far beyond
+# it 10^(dB/10) leaves the float range
+DECIBEL_LIMIT = 300.0
+
+
+def check_decibels(value, name: str):
+    """Require a power ratio in [-300, 300] dB."""
+    if not -DECIBEL_LIMIT <= value <= DECIBEL_LIMIT:
+        raise ValueError(f"{name} must lie in [-300, 300] dB, got {value!r}")
+    return value
+
+
 def check_angle(theta: float, name: str = "theta"):
     """Require an angle strictly inside (-pi/2, pi/2)."""
     if not (-math.pi / 2 < theta < math.pi / 2):

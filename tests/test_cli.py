@@ -137,6 +137,7 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, line, field_path):
         ("rip-probe", "rip.k = 100", "rip.k"),
         ("nmse-vs-mu0", "experiment.mu0_bins = 0.5", "experiment.mu0_bins"),
         ("block-size-sweep", "experiment.block_size_list = 3", "experiment.block_size_list"),
+        ("nmse-vs-snr", "experiment.methods = dmu_block_omp, dmu_block_omp", "experiment.methods"),
         # fields admissible on their own whose wavelength or field boundaries
         # overflow or underflow
         ("sparsity-level", "array.carrier_freq_hz = 1e300", "array.carrier_freq_hz"),

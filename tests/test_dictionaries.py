@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfcs import (
     ArrayConfig,
@@ -20,6 +22,7 @@ from nfcs import (
     sample_channel,
     synthesize_channel,
 )
+from nfcs.dictionaries import _screen_margin
 
 
 @pytest.fixture
@@ -240,6 +243,101 @@ def test_mutual_coherence_never_forms_the_gram():
     finally:
         tracemalloc.stop()
     assert peak < 12e6  # one 1536 x 1536 complex Gram is 37.7 MB
+
+
+def unitary(rng, n):
+    """A random n x n unitary: the Q factor of a complex Gaussian matrix."""
+    q, _ = np.linalg.qr(random_complex(rng, n, n))
+    return q
+
+
+@pytest.mark.parametrize("n_rows", [1, 4, 40, 200])
+def test_screen_margin_bounds_the_complex64_gram(n_rows):
+    # the premise of the screen: |x_i^H x_j| of unit columns cast to
+    # complex64 lies within _screen_margin(T) of its float64 value
+    matrix = random_complex(np.random.default_rng(n_rows), n_rows, 300)
+    unit = matrix / np.linalg.norm(matrix, axis=0)
+    exact = np.abs(np.conj(unit.T) @ unit)
+    cast = unit.astype(np.complex64)
+    screened = np.abs(np.conj(cast.T) @ cast)
+    assert np.abs(screened - exact).max() <= _screen_margin(n_rows)
+
+
+@pytest.mark.parametrize("larger", [0, 1])
+def test_mutual_coherence_resolves_a_planted_near_tie(larger):
+    # two pairs 1e-9 apart, far below complex64 resolution, in different blocks
+    rng = np.random.default_rng(77)
+    matrix = random_complex(rng, 64, 300)
+    q = unitary(rng, 64)[:, :4]
+    top = 0.95
+    for k, (i, j) in enumerate([(3, 140), (200, 299)]):
+        c = top if k == larger else top - 1e-9
+        matrix[:, i] = q[:, 2 * k]
+        matrix[:, j] = 0.3j * (c * q[:, 2 * k] + math.sqrt(1 - c * c) * q[:, 2 * k + 1])
+    got = mutual_coherence(matrix)
+    assert got == pytest.approx(brute_force_coherence(matrix), rel=1e-12)
+    assert got == pytest.approx(top, rel=1e-12)
+
+
+def test_mutual_coherence_when_every_pair_ties():
+    # x_j = a q_0 + b q_j: every pair has coherence a^2, so every pair is a candidate
+    q = unitary(np.random.default_rng(8), 301)
+    matrix = math.sqrt(0.3) * q[:, :1] + math.sqrt(0.7) * q[:, 1:]
+    got = mutual_coherence(matrix)
+    assert got == pytest.approx(brute_force_coherence(matrix), rel=1e-12)
+    assert got == pytest.approx(0.3, rel=1e-12)
+
+
+def test_mutual_coherence_all_candidate_worst_case():
+    # a 1536 x 1536 unitary screens below twice the margin: the threshold is
+    # negative and the exact pass sweeps the whole upper triangle in float64
+    matrix = unitary(np.random.default_rng(9), 1536)
+    tracemalloc.start()
+    try:
+        got = mutual_coherence(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got < 2 * _screen_margin(1536)
+    assert got < 1e-10
+    # rounding noise of the order of 1e-15: compared in absolute terms
+    assert got == pytest.approx(dense_coherence(matrix), rel=0.0, abs=1e-14)
+    # the complex64 copy of the normalised columns (18.9 MB here) is the one
+    # allocation that scales with the input; beyond it the bound of
+    # test_mutual_coherence_never_forms_the_gram holds
+    assert peak < 12e6 + matrix.size * np.dtype(np.complex64).itemsize
+
+
+def test_mutual_coherence_of_columns_beyond_the_complex64_range():
+    # a plain complex64 cast would overflow the 1e150 columns and flush the
+    # 1e-150 ones to zero; the most coherent pair, 9 and 250, spans that range
+    rng = np.random.default_rng(150)
+    base = random_complex(rng, 24, 300)
+    base[:, 250] = 0.8 * base[:, 9] + 0.2 * base[:, 250]
+    matrix = base * np.tile([1e150, 1e-150, 1.0], 100)
+    with np.errstate(over="ignore"):
+        assert np.isinf(matrix[:, 9].astype(np.complex64)).any()
+    assert not matrix[:, 250].astype(np.complex64).any()
+    got = mutual_coherence(matrix)
+    assert got == pytest.approx(brute_force_coherence(matrix), rel=1e-12)
+    assert got == pytest.approx(mutual_coherence(base), rel=1e-12)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(
+    n_rows=st.integers(1, 40),
+    n_cols=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+    duplicate=st.booleans(),
+)
+def test_mutual_coherence_matches_brute_force_property(n_rows, n_cols, seed, duplicate):
+    rng = np.random.default_rng(seed)
+    matrix = random_complex(rng, n_rows, n_cols)
+    if duplicate:
+        i, j = rng.choice(n_cols, 2, replace=False)
+        matrix[:, j] = matrix[:, i] * np.exp(1j * rng.uniform(0.0, 7.0))
+    matrix *= 10.0 ** rng.uniform(-150.0, 150.0, n_cols)
+    assert mutual_coherence(matrix) == pytest.approx(brute_force_coherence(matrix), rel=1e-12)
 
 
 def test_export_round_trip(cfg, tmp_path):

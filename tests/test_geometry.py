@@ -318,6 +318,12 @@ def test_sample_channel_power_split(cfg):
         assert ratio == pytest.approx(10**1.3, abs=1e-9)
 
 
+@pytest.mark.parametrize("power_split_db", [1e300, -1e300, 300.5, math.inf, math.nan])
+def test_sample_channel_rejects_power_split_beyond_300_db(cfg, power_split_db):
+    with pytest.raises(ValueError, match=r"power_split_db must lie in \[-300, 300\] dB"):
+        sample_channel(cfg, 3, seed=1, power_split_db=power_split_db)
+
+
 def test_sample_channel_structure_and_ranges(cfg):
     fresnel, rayleigh = field_boundaries(cfg)
     spec = sample_channel(cfg, 4, seed=5)

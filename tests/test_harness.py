@@ -44,6 +44,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="experiment.methods"):
             tiny_config(methods=("gradient_descent",)).validate()
 
+    def test_repeated_method(self):
+        with pytest.raises(ConfigError, match="experiment.methods: names a method more than once"):
+            tiny_config(methods=("dmu_block_omp", "polar_omp", "dmu_block_omp")).validate()
+
     def test_ls_needs_enough_measurements(self):
         with pytest.raises(ConfigError, match="ls"):
             tiny_config(methods=("ls",), n_measurements=32).validate()

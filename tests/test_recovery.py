@@ -132,6 +132,14 @@ class TestMakeProblem:
             with pytest.raises(ValueError, match="snr_db"):
                 noise_variance(h, 4, snr_db)
 
+    def test_noise_variance_rejects_decibels_beyond_300(self):
+        h = np.ones(4)
+        for snr_db in (1e300, -1e300, 300.5, -300.5):
+            with pytest.raises(ValueError, match=r"snr_db must lie in \[-300, 300\] dB"):
+                noise_variance(h, 4, snr_db)
+        assert noise_variance(h, 4, 300.0) == 4.0 / (4 * 10.0**30)
+        assert noise_variance(h, 4, -300.0) == 4.0 / (4 * 10.0**-30)
+
 
 class TestBlockOMP:
     def test_single_block_noiseless(self):
