@@ -19,6 +19,7 @@ from dataclasses import replace
 from .harness import (
     CONFIG_FIELDS,
     EXPERIMENT_KINDS,
+    PRESETS,
     ConfigError,
     emit,
     preset_config,
@@ -31,26 +32,30 @@ def parse_config_file(path: str) -> dict:
 
     Each key may appear once; a repeated key is a config error.
     """
-    overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}", f"expected 'key = value', got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in CONFIG_FIELDS:
-                raise ConfigError(key, "unknown config key")
-            f = CONFIG_FIELDS[key]
-            if f.name in overrides:
-                raise ConfigError(key, f"given twice (again at line {lineno})")
-            try:
-                overrides[f.name] = f.metadata["parse"](value)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(key, f"bad value {value!r}: {exc}") from exc
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(path, f"not UTF-8 text: {exc}") from exc
+    overrides = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}", f"expected 'key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in CONFIG_FIELDS:
+            raise ConfigError(key, "unknown config key")
+        f = CONFIG_FIELDS[key]
+        if f.name in overrides:
+            raise ConfigError(key, f"given twice (again at line {lineno})")
+        try:
+            overrides[f.name] = f.metadata["parse"](value)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(key, f"bad value {value!r}: {exc}") from exc
     return overrides
 
 
@@ -77,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument(
             "--preset",
-            choices=("paper", "desk"),
+            choices=tuple(PRESETS),
             default="desk",
             help="experiment scale: full-size grids or quick desk-scale runs",
         )
@@ -101,7 +106,6 @@ def main(argv=None) -> int:
             config = replace(config, trials=args.trials)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        config.validate()
         rows = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

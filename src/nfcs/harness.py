@@ -14,7 +14,9 @@ import json
 import math
 import numbers
 import os
-from dataclasses import MISSING, dataclass, field, fields, replace
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,18 +37,28 @@ from .recovery import PILOT_KINDS, BlockOMP, gen_pilots, ls_estimate, make_probl
 from .seeding import rng_from
 from .validation import DECIBEL_LIMIT
 
-EXPERIMENT_KINDS = (
-    "coherence_error",
-    "sparsity_level",
-    "mutual_coherence",
-    "block_size_sweep",
-    "nmse_vs_T",
-    "nmse_vs_snr",
-    "nmse_vs_mu0",
-    "rip_probe",
-)
 
-METHOD_NAMES = ("dmu_block_omp", "polar_omp", "dft_omp", "ls")
+class _Method(NamedTuple):
+    build: Callable | None  # (config, cfg) -> Dictionary; None for least squares, which needs none
+    blocked: bool  # BlockOMP takes recovery.block_size; otherwise single columns
+
+
+def _dmu(config, cfg) -> Dictionary:
+    return build_dmu(cfg, config.mu)
+
+
+def _polar(config, cfg) -> Dictionary:
+    return build_polar_baseline(cfg, config.polar_rings, _polar_range(config, cfg))
+
+
+_METHODS = {
+    "dmu_block_omp": _Method(_dmu, blocked=True),
+    "polar_omp": _Method(_polar, blocked=False),
+    "dft_omp": _Method(lambda config, cfg: build_dft(cfg), blocked=False),
+    "ls": _Method(None, blocked=False),
+}
+
+METHOD_NAMES = tuple(_METHODS)
 
 
 class ConfigError(ValueError):
@@ -158,6 +170,7 @@ class ExperimentConfig:
     def validate(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError("experiment.kind", f"unknown kind {self.kind!r}")
+        kind = _KINDS[self.kind]
         for f in fields(self):
             if not f.metadata:
                 continue
@@ -173,21 +186,11 @@ class ExperimentConfig:
                     raise ConfigError(f.metadata["key"], f"{f.metadata['requirement']}, got {v!r}")
 
         # checks spanning several fields
-        grid_field = {
-            "coherence_error": "n_list",
-            "sparsity_level": "n_list",
-            "mutual_coherence": "t_list",
-            "block_size_sweep": "block_size_list",
-            "nmse_vs_T": "t_list",
-            "nmse_vs_snr": "snr_db_list",
-            "nmse_vs_mu0": "mu0_bins",
-            "rip_probe": "t_list",
-        }[self.kind]
-        if not getattr(self, grid_field):
-            raise ConfigError(_key(grid_field), "grid must be non-empty")
+        if not getattr(self, kind.grid):
+            raise ConfigError(_key(kind.grid), "grid must be non-empty")
         # each array field can be admissible on its own while the wavelength
         # or the field boundaries derived from them overflow or underflow
-        for n in self.n_list if grid_field == "n_list" else (self.n_antennas,):
+        for n in self.n_list if kind.grid == "n_list" else (self.n_antennas,):
             sized = self.array_config(n)
             try:
                 fresnel, rayleigh = field_boundaries(sized)
@@ -201,86 +204,14 @@ class ExperimentConfig:
                     "with 0 < Fresnel <= Rayleigh",
                 )
         cfg = self.array_config()
-        if self.kind != "coherence_error" and not cfg.is_half_wavelength:
+        if kind.dictionaries and not cfg.is_half_wavelength:
             raise ConfigError(
                 _key("spacing"),
                 f"the dictionaries need half-wavelength spacing {cfg.wavelength / 2!r}, "
                 f"got {self.spacing!r}",
             )
-        estimation = self.kind in ("block_size_sweep", "nmse_vs_T", "nmse_vs_snr", "nmse_vs_mu0")
-        if estimation:
-            if not self.methods:
-                raise ConfigError(_key("methods"), "must be non-empty")
-            repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
-            if repeated:
-                raise ConfigError(_key("methods"), f"names a method more than once: {repeated}")
-            t_values = self.t_list if self.kind == "nmse_vs_T" else (self.n_measurements,)
-            if "ls" in self.methods:
-                bad = [t for t in t_values if t < self.n_antennas]
-                if bad:
-                    raise ConfigError(
-                        _key("methods"),
-                        f"method 'ls' needs n_measurements >= n_antennas; offending T values: {bad}",
-                    )
-            sweep = self.kind == "block_size_sweep"
-            for s in self.block_size_list if sweep else (self.block_size,):
-                if self.n_antennas % s != 0:
-                    raise ConfigError(
-                        _key("block_size_list" if sweep else "block_size"),
-                        f"block size {s} does not divide n_antennas {self.n_antennas}",
-                    )
-            fresnel, _ = field_boundaries(cfg)
-            lo, hi = _distance_range(self, cfg)
-            if lo < fresnel * (1 - 1e-9):
-                raise ConfigError(
-                    _key("distance_min"),
-                    f"must be at or beyond the Fresnel distance {fresnel!r}, got {lo!r}",
-                )
-            if lo > hi:
-                raise ConfigError(
-                    _key("distance_max" if self.distance_max is not None else "distance_min"),
-                    f"the distance range ({lo!r}, {hi!r}) is inverted",
-                )
-            if not math.isfinite(hi * hi):
-                # the exact spherical-wavefront delay squares the distance
-                raise ConfigError(_key("distance_max"), f"{hi!r} m is too large to square")
-            if self.kind == "nmse_vs_mu0":
-                # the sampler gives up on a bin after _MU0_DRAWS misses; reject
-                # a bin it misses that often with probability above 1e-9
-                for b in self.mu0_bins:
-                    p = _mu0_hit_probability(b, self.mu0_bin_tolerance, lo, hi)
-                    if (1.0 - p) ** _MU0_DRAWS > 1e-9:
-                        raise ConfigError(
-                            _key("mu0_bins"),
-                            f"bin {b!r} is unreachable: a draw hits it with probability {p:.3g}, "
-                            f"too rarely for {_MU0_DRAWS} draws; widen "
-                            f"{_key('mu0_bin_tolerance')} or move the bin toward the distance "
-                            f"range ({lo!r}, {hi!r})",
-                        )
-        if self.kind == "mutual_coherence" or (estimation and "polar_omp" in self.methods):
-            lo, hi = _polar_range(self, cfg)
-            if lo > hi:
-                raise ConfigError(
-                    _key("polar_r_max" if self.polar_r_max is not None else "polar_r_min"),
-                    f"the polar distance range ({lo!r}, {hi!r}) is inverted",
-                )
-        if self.kind == "rip_probe":
-            if self.n_antennas % self.rip_block_size != 0:
-                raise ConfigError(
-                    _key("rip_block_size"),
-                    f"{self.rip_block_size} does not divide n_antennas {self.n_antennas}",
-                )
-            n_blocks = self.n_antennas // self.rip_block_size
-            if self.rip_k > n_blocks:
-                raise ConfigError(_key("rip_k"), f"{self.rip_k} exceeds the number of blocks {n_blocks}")
-        if self.kind == "sparsity_level":
-            floor = max(1.0 / n for n in self.n_list)
-            if self.delta <= floor:
-                raise ConfigError(
-                    _key("delta"),
-                    f"must exceed the validity floor 1/N = {floor:.3e} "
-                    f"for the smallest antenna count in {_key('n_list')}",
-                )
+        if kind.check is not None:
+            kind.check(self, cfg)
 
 
 # dotted config-file key -> ExperimentConfig field, derived from the declarations above
@@ -290,6 +221,91 @@ CONFIG_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig) if f.met
 def _key(name: str) -> str:
     """Config-file key of the ExperimentConfig field ``name``."""
     return next(key for key, f in CONFIG_FIELDS.items() if f.name == name)
+
+
+# cross-field checks; each runs for the experiment kinds that name it in _KINDS
+
+
+def _check_polar_range(config: ExperimentConfig, cfg: ArrayConfig):
+    lo, hi = _polar_range(config, cfg)
+    if lo > hi:
+        raise ConfigError(
+            _key("polar_r_max" if config.polar_r_max is not None else "polar_r_min"),
+            f"the polar distance range ({lo!r}, {hi!r}) is inverted",
+        )
+
+
+def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
+    if not config.methods:
+        raise ConfigError(_key("methods"), "must be non-empty")
+    repeated = sorted({m for m in config.methods if config.methods.count(m) > 1})
+    if repeated:
+        raise ConfigError(_key("methods"), f"names a method more than once: {repeated}")
+    points = [point for _, point in _KINDS[config.kind].points(config)]
+    least_squares = [m for m in config.methods if _METHODS[m].build is None]
+    bad = [t for t in dict.fromkeys(t for t, _, _ in points) if t < config.n_antennas]
+    if least_squares and bad:
+        raise ConfigError(
+            _key("methods"),
+            f"method {least_squares[0]!r} needs n_measurements >= n_antennas; offending T values: {bad}",
+        )
+    sweep, block_sizes = _block_sizes(config)
+    for s in block_sizes:
+        if config.n_antennas % s != 0:
+            raise ConfigError(
+                _key("block_size_list" if sweep else "block_size"),
+                f"block size {s} does not divide n_antennas {config.n_antennas}",
+            )
+    fresnel, _ = field_boundaries(cfg)
+    lo, hi = _distance_range(config, cfg)
+    if lo < fresnel * (1 - 1e-9):
+        raise ConfigError(
+            _key("distance_min"),
+            f"must be at or beyond the Fresnel distance {fresnel!r}, got {lo!r}",
+        )
+    if lo > hi:
+        raise ConfigError(
+            _key("distance_max" if config.distance_max is not None else "distance_min"),
+            f"the distance range ({lo!r}, {hi!r}) is inverted",
+        )
+    if not math.isfinite(hi * hi):
+        # the exact spherical-wavefront delay squares the distance
+        raise ConfigError(_key("distance_max"), f"{hi!r} m is too large to square")
+    # the sampler gives up on a bin after _MU0_DRAWS misses; reject a bin it
+    # misses that often with probability above 1e-9
+    for b in (b for _, _, b in points if b is not None):
+        p = _mu0_hit_probability(b, config.mu0_bin_tolerance, lo, hi)
+        if (1.0 - p) ** _MU0_DRAWS > 1e-9:
+            raise ConfigError(
+                _key("mu0_bins"),
+                f"bin {b!r} is unreachable: a draw hits it with probability {p:.3g}, "
+                f"too rarely for {_MU0_DRAWS} draws; widen "
+                f"{_key('mu0_bin_tolerance')} or move the bin toward the distance "
+                f"range ({lo!r}, {hi!r})",
+            )
+    if any(_METHODS[m].build is _polar for m in config.methods):
+        _check_polar_range(config, cfg)
+
+
+def _check_rip_blocks(config: ExperimentConfig, cfg: ArrayConfig):
+    if config.n_antennas % config.rip_block_size != 0:
+        raise ConfigError(
+            _key("rip_block_size"),
+            f"{config.rip_block_size} does not divide n_antennas {config.n_antennas}",
+        )
+    n_blocks = config.n_antennas // config.rip_block_size
+    if config.rip_k > n_blocks:
+        raise ConfigError(_key("rip_k"), f"{config.rip_k} exceeds the number of blocks {n_blocks}")
+
+
+def _check_delta_floor(config: ExperimentConfig, cfg: ArrayConfig):
+    floor = max(1.0 / n for n in config.n_list)
+    if config.delta <= floor:
+        raise ConfigError(
+            _key("delta"),
+            f"must exceed the validity floor 1/N = {floor:.3e} "
+            f"for the smallest antenna count in {_key('n_list')}",
+        )
 
 
 @dataclass(frozen=True)
@@ -359,32 +375,16 @@ def emit(rows, fmt: str, path: str) -> str:
 
 def parse_rows(text: str, fmt: str = "csv"):
     """Parse emitted output back into ResultRow objects (round-trip helper)."""
-    rows = []
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         if tuple(header) != ROW_FIELDS:
             raise ValueError(f"unexpected header {header!r}")
-        for rec in reader:
-            data = dict(zip(ROW_FIELDS, rec))
-            rows.append(
-                ResultRow(
-                    experiment=data["experiment"],
-                    method=data["method"],
-                    grid=data["grid"],
-                    metric=data["metric"],
-                    value=float(data["value"]),
-                    trials=int(data["trials"]),
-                    seed=int(data["seed"]),
-                    config_hash=data["config_hash"],
-                )
-            )
-    elif fmt == "json":
-        for data in json.loads(text):
-            rows.append(ResultRow(**data))
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
-    return rows
+        # each field's declared type (str, float or int) parses its text
+        return [ResultRow(*(f.type(v) for f, v in zip(fields(ResultRow), rec))) for rec in reader]
+    if fmt == "json":
+        return [ResultRow(**data) for data in json.loads(text)]
+    raise ValueError(f"unknown output format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +405,11 @@ def _polar_range(config: ExperimentConfig, cfg: ArrayConfig) -> tuple:
     return lo, hi
 
 
-def _build_method_dictionary(config, cfg, method: str) -> Dictionary | None:
-    if method == "dmu_block_omp":
-        return build_dmu(cfg, config.mu)
-    if method == "dft_omp":
-        return build_dft(cfg)
-    if method == "polar_omp":
-        return build_polar_baseline(cfg, config.polar_rings, _polar_range(config, cfg))
-    return None  # ls estimates the channel without a dictionary
-
-
 _MU0_DRAWS = 100_000  # rejection-sampling budget per trial and mu0 bin
 
 
 def _mu0_hit_probability(bin_center, tolerance, lo, hi):
-    """Probability that one draw of ``_sample_mu0_binned`` lands in the bin.
+    """Probability that one draw of ``_sample_trial_channel`` lands in the bin.
 
     A draw takes sin0 ~ U(-1, 1) and r0 ~ U(lo, hi) and hits when
     mu0 = r0 / u, with u = 1 - sin0^2, lies in [c / tol, c * tol]. Given r0
@@ -440,8 +430,9 @@ def _mu0_hit_probability(bin_center, tolerance, lo, hi):
     return max(0.0, integral(b) - integral(a)) / (hi - lo)
 
 
-def _sample_mu0_binned(config, cfg, dist_range, bin_center, data_key, trial):
-    """Channel whose LOS effective distance falls in a bin around ``bin_center``.
+def _sample_trial_channel(config, cfg, dist_range, bin_center, data_key, trial):
+    """One trial's channel; given a ``bin_center``, one whose LOS effective
+    distance falls in a bin around it.
 
     Only the LOS angle/distance pair is rejection-sampled per bin; gains and
     the non-LOS paths come from a bin-independent stream so they are shared
@@ -454,6 +445,8 @@ def _sample_mu0_binned(config, cfg, dist_range, bin_center, data_key, trial):
         power_split_db=config.power_split_db,
         distance_range=dist_range,
     )
+    if bin_center is None:
+        return base
     log_tol = math.log(config.mu0_bin_tolerance)
     lo, hi = dist_range
     for attempt in range(_MU0_DRAWS):
@@ -474,78 +467,93 @@ def _sample_mu0_binned(config, cfg, dist_range, bin_center, data_key, trial):
     )
 
 
-def _trial_nmse(config, cfg, dist_range, point, data_key, trial, dictionaries):
-    """One estimation trial: one channel, pilot and noise draw, solved by every method.
+def _draw(config, cfg, dist_range, point, trial):
+    """One trial's channel, pilot and noise draw at the grid point (T, SNR, mu0 bin).
 
-    Returns the NMSE of each of ``config.methods`` in order. The draw lives
-    only for this call, and each method's sensing operator only for its
-    solve; the polar baseline's is its unformed pilots-times-matrix product.
+    The draw is seeded from these coordinates and the trial index only, so
+    every method and block size at the point faces the same data.
     """
-    t, snr_db, _, mu0_bin = point
-    if mu0_bin is None:
-        spec = sample_channel(
-            cfg,
-            config.n_paths,
-            rng_from(*data_key, "chan", trial),
-            power_split_db=config.power_split_db,
-            distance_range=dist_range,
-        )
-    else:
-        spec = _sample_mu0_binned(config, cfg, dist_range, mu0_bin, data_key, trial)
-    draw = make_problem(
+    t, snr_db, mu0_bin = point
+    data_key = (config.seed, config.experiment_id, f"T={t}", f"snr={_fmt_value(float(snr_db))}")
+    return make_problem(
         cfg,
-        spec,
+        _sample_trial_channel(config, cfg, dist_range, mu0_bin, data_key, trial),
         n_measurements=t,
         snr_db=snr_db,
         pilot_kind=config.pilot_kind,
         seed=rng_from(*data_key, "obs", trial),
     )
-    values = []
-    for method, dictionary in zip(config.methods, dictionaries):
-        if method == "ls":
-            h_hat = ls_estimate(draw)
-        else:
-            block_size = config.block_size if method == "dmu_block_omp" else 1
+
+
+def _trial_nmse(config, draw, methods, dictionaries, block_sizes):
+    """NMSE of one draw solved by every method at every block size.
+
+    Returns a (block size, method) array. Each method senses the draw once,
+    through its unformed operator for the polar baseline; a method that is
+    not blocked, and ls, is solved once and its value spans every block size.
+    """
+    values = np.empty((len(block_sizes), len(methods)))
+    for i, (method, dictionary) in enumerate(zip(methods, dictionaries)):
+        if dictionary is None:
+            values[:, i] = nmse(draw.channel, ls_estimate(draw))
+            continue
+        operator = dictionary.sensing_operator(draw.pilots)
+        fits = []
+        for s in block_sizes if method.blocked else (1,):
             est = BlockOMP(
-                block_size=block_size,
-                k_max=config.k_max,
-                stop_alpha=config.stop_alpha,
-                noise_var=draw.noise_var,
-                delta=config.delta,
+                s, k_max=config.k_max, stop_alpha=config.stop_alpha, noise_var=draw.noise_var, delta=config.delta
             )
-            est.fit(dictionary.sensing_operator(draw.pilots), draw.observations)
-            h_hat = dictionary.inverse_transform(est.coef_)
-        values.append(nmse(draw.channel, h_hat))
+            est.fit(operator, draw.observations)
+            fits.append(nmse(draw.channel, dictionary.inverse_transform(est.coef_)))
+        values[:, i] = fits
     return values
 
 
-def _nmse_rows(config, grid_points, grid_label):
-    """Shared driver for the NMSE sweeps (rows grid-major, method-minor).
+def _block_sizes(config):
+    """Whether the run sweeps the block size, and the block sizes it solves at."""
+    sweep = _KINDS[config.kind].grid == "block_size_list"
+    return sweep, config.block_size_list if sweep else (config.block_size,)
 
-    Channel and observation draws are seeded from the grid coordinates the
-    data actually depends on (T, SNR, and the mu0 bin), so methods at one
-    grid point and block sizes across the sweep face identical channels,
-    pilots and noise; differences then isolate the estimator. Each trial is
-    drawn once and shared by all methods at its grid point. The dictionaries
-    do not depend on the grid point, so each is built once per run.
+
+def _nmse_rows(config):
+    """Runner of every NMSE sweep (rows block-size-major, then grid
+    point, then method).
+
+    The kind's ``points`` lists the grid as (label, (T, SNR, mu0 bin)). Each
+    trial is drawn once and shared by all methods and block sizes at its grid
+    point, so differences isolate the estimator. The dictionaries do not
+    depend on the grid point, so each is built once per run.
     """
     cfg = config.array_config()
     dist_range = _distance_range(config, cfg)
-    dictionaries = [_build_method_dictionary(config, cfg, method) for method in config.methods]
-    for point in grid_points:
-        label = grid_label(point)
-        t, snr_db, s, _ = point
-        point_config = config if s is None else replace(config, block_size=s)
-        data_key = (config.seed, config.experiment_id, f"T={t}", f"snr={_fmt_value(float(snr_db))}")
-        values = np.empty((len(config.methods), config.trials))
+    methods = [_METHODS[m] for m in config.methods]
+    dictionaries = [None if m.build is None else m.build(config, cfg) for m in methods]
+    points = _KINDS[config.kind].points(config)
+    sweep, block_sizes = _block_sizes(config)
+    values = np.empty((len(block_sizes), len(points), len(methods), config.trials))
+    for p, (_, point) in enumerate(points):
         for trial in range(config.trials):
-            values[:, trial] = _trial_nmse(
-                point_config, cfg, dist_range, point, data_key, trial, dictionaries
-            )
-        for method, v in zip(config.methods, values):
-            stderr = float(v.std(ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
-            yield method, label, "nmse_mean", float(v.mean())
-            yield method, label, "nmse_stderr", stderr
+            draw = _draw(config, cfg, dist_range, point, trial)
+            values[:, p, :, trial] = _trial_nmse(config, draw, methods, dictionaries, block_sizes)
+    for s, by_point in zip(block_sizes, values):
+        for (label, _), by_method in zip(points, by_point):
+            label = f"s={s},{label}" if sweep else label
+            for method, v in zip(config.methods, by_method):
+                stderr = float(v.std(ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
+                yield method, label, "nmse_mean", float(v.mean())
+                yield method, label, "nmse_stderr", stderr
+
+
+def _snr_points(config):
+    # the block-size sweep holds experiment.snr_db when it is given no SNR list
+    return [
+        (f"snr_db={_fmt_value(float(snr))}", (config.n_measurements, snr, None))
+        for snr in config.snr_db_list or (config.snr_db,)
+    ]
+
+
+def _mu0_points(config):
+    return [(f"mu0={_fmt_value(float(b))}", (config.n_measurements, config.snr_db, b)) for b in config.mu0_bins]
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +638,7 @@ def _run_sparsity_level(config: ExperimentConfig):
 
 def _run_mutual_coherence(config: ExperimentConfig):
     cfg = config.array_config()
-    dictionaries = {
-        "dmu": build_dmu(cfg, config.mu),
-        "polar": build_polar_baseline(cfg, config.polar_rings, _polar_range(config, cfg)),
-    }
+    dictionaries = {"dmu": _dmu(config, cfg), "polar": _polar(config, cfg)}
     for t in config.t_list:
         label = f"T={t}"
         values = {method: np.empty(config.trials) for method in dictionaries}
@@ -647,37 +652,9 @@ def _run_mutual_coherence(config: ExperimentConfig):
             yield method, label, "mean_mutual_coherence", float(row.mean())
 
 
-def _run_block_size_sweep(config: ExperimentConfig):
-    points = [
-        (config.n_measurements, snr, s, None)
-        for s in config.block_size_list
-        for snr in (config.snr_db_list or (config.snr_db,))
-    ]
-
-    def label(point):
-        return f"s={point[2]},snr_db={_fmt_value(float(point[1]))}"
-
-    return _nmse_rows(config, points, label)
-
-
-def _run_nmse_vs_t(config: ExperimentConfig):
-    points = [(t, config.snr_db, None, None) for t in config.t_list]
-    return _nmse_rows(config, points, lambda p: f"T={p[0]}")
-
-
-def _run_nmse_vs_snr(config: ExperimentConfig):
-    points = [(config.n_measurements, snr, None, None) for snr in config.snr_db_list]
-    return _nmse_rows(config, points, lambda p: f"snr_db={_fmt_value(float(p[1]))}")
-
-
-def _run_nmse_vs_mu0(config: ExperimentConfig):
-    points = [(config.n_measurements, config.snr_db, None, b) for b in config.mu0_bins]
-    return _nmse_rows(config, points, lambda p: f"mu0={_fmt_value(float(p[3]))}")
-
-
 def _run_rip_probe(config: ExperimentConfig):
     cfg = config.array_config()
-    dmu = build_dmu(cfg, config.mu)
+    dmu = _dmu(config, cfg)
     for t in config.t_list:
         label = f"T={t}"
         pilots = gen_pilots(
@@ -695,16 +672,28 @@ def _run_rip_probe(config: ExperimentConfig):
         yield "dmu_sensing", label, "violation_rate", report.violation_rate
 
 
-_RUNNERS = {
-    "coherence_error": _run_coherence_error,
-    "sparsity_level": _run_sparsity_level,
-    "mutual_coherence": _run_mutual_coherence,
-    "block_size_sweep": _run_block_size_sweep,
-    "nmse_vs_T": _run_nmse_vs_t,
-    "nmse_vs_snr": _run_nmse_vs_snr,
-    "nmse_vs_mu0": _run_nmse_vs_mu0,
-    "rip_probe": _run_rip_probe,
+class _Kind(NamedTuple):
+    run: Callable  # config -> (method, grid, metric, value) tuples
+    grid: str  # the ExperimentConfig field it sweeps; must be non-empty
+    check: Callable = None  # (config, array config) -> None; raises ConfigError
+    points: Callable = None  # NMSE sweeps: config -> [(label, (T, SNR, mu0 bin))]
+    dictionaries: bool = True  # builds dictionaries, which need half-wavelength spacing
+
+
+_KINDS = {
+    "coherence_error": _Kind(_run_coherence_error, "n_list", dictionaries=False),
+    "sparsity_level": _Kind(_run_sparsity_level, "n_list", _check_delta_floor),
+    "mutual_coherence": _Kind(_run_mutual_coherence, "t_list", _check_polar_range),
+    "block_size_sweep": _Kind(_nmse_rows, "block_size_list", _check_estimation, _snr_points),
+    "nmse_vs_T": _Kind(
+        _nmse_rows, "t_list", _check_estimation, lambda c: [(f"T={t}", (t, c.snr_db, None)) for t in c.t_list]
+    ),
+    "nmse_vs_snr": _Kind(_nmse_rows, "snr_db_list", _check_estimation, _snr_points),
+    "nmse_vs_mu0": _Kind(_nmse_rows, "mu0_bins", _check_estimation, _mu0_points),
+    "rip_probe": _Kind(_run_rip_probe, "t_list", _check_rip_blocks),
 }
+
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run(config: ExperimentConfig):
@@ -717,7 +706,7 @@ def run(config: ExperimentConfig):
     chash = config_hash(config)
     return [
         ResultRow(config.experiment_id, method, grid, metric, value, config.trials, config.seed, chash)
-        for method, grid, metric, value in _RUNNERS[config.kind](config)
+        for method, grid, metric, value in _KINDS[config.kind].run(config)
     ]
 
 
@@ -766,12 +755,15 @@ _PAPER_GRIDS = {
                       trials=10_000),
 }
 
+# preset name -> per-kind grids
+PRESETS = {"desk": _DESK_GRIDS, "paper": _PAPER_GRIDS}
+
 
 def preset_config(kind: str, preset: str, seed: int) -> ExperimentConfig:
     """Default configuration for an experiment kind under a preset scale."""
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError("experiment.kind", f"unknown kind {kind!r}")
-    table = {"desk": _DESK_GRIDS, "paper": _PAPER_GRIDS}.get(preset)
+    table = PRESETS.get(preset)
     if table is None:
         raise ConfigError("experiment.preset", f"unknown preset {preset!r}")
     return ExperimentConfig(kind=kind, seed=seed, preset=preset, **table[kind])

@@ -1,13 +1,17 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nfcs
 from nfcs.cli import _COMMAND_TO_KIND, main, parse_config_file
 from nfcs.harness import CONFIG_FIELDS, ConfigError, ExperimentConfig, parse_rows
 
@@ -293,6 +297,23 @@ def test_unwritable_output_exits_3(capsys):
 def test_missing_config_file_exits_3(capsys):
     code = run_cli(["nmse-vs-snr", "--seed", "1", "--config", "/no/such/file.cfg"])
     assert code == 3
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe")
+    src = str(Path(nfcs.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "nfcs.cli", "nmse-vs-snr", "--config", str(bad)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"config error: {bad}: not UTF-8 text")
+    assert "Traceback" not in result.stderr
+    with pytest.raises(ConfigError, match="not UTF-8 text"):
+        parse_config_file(str(bad))
 
 
 def test_parse_config_file_values(tmp_path):

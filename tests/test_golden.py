@@ -17,6 +17,13 @@ the trial count, the seed and the config hash exactly, the value within
 was emitted while ``mutual_coherence`` still swept the whole Gram in float64;
 the complex64 screen and the float64 recompute of its candidate rows move its
 values by a few ulps (at most 6e-16 relative when it was pinned).
+
+``block_size_sweep``, ``nmse_vs_T`` and ``nmse_vs_mu0`` were emitted before
+the NMSE sweeps drew each trial once for all block sizes. The first and the
+last match byte for byte. ``nmse_vs_T`` runs least squares, whose LAPACK
+solve moves the last bits with the BLAS thread count (2e-16 relative on its
+``ls`` rows between one and two threads), so it is compared within
+``VALUE_RTOL``.
 """
 
 import math
@@ -30,7 +37,7 @@ from nfcs.geometry import ArrayConfig, _element_delay, _steering, near_steering
 from nfcs.harness import ExperimentConfig, emit, parse_rows, run
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-BYTE_EXACT = ("sparsity_level",)
+BYTE_EXACT = ("sparsity_level", "block_size_sweep", "nmse_vs_mu0")
 VALUE_RTOL = 1e-9
 
 GOLDEN = {
@@ -43,6 +50,27 @@ GOLDEN = {
         snr_db_list=(0.0, 10.0),
         n_measurements=80,
         methods=("dmu_block_omp", "polar_omp"),
+        trials=3,
+    ),
+    "block_size_sweep": dict(
+        kind="block_size_sweep",
+        seed=3,
+        block_size_list=(4, 8),
+        snr_db_list=(0.0, 10.0),
+        n_measurements=80,
+        methods=("dmu_block_omp", "polar_omp"),
+        trials=3,
+    ),
+    "nmse_vs_T": dict(
+        kind="nmse_vs_T", seed=3, n_antennas=64, t_list=(64, 96), methods=("dft_omp", "ls"), trials=3
+    ),
+    "nmse_vs_mu0": dict(
+        kind="nmse_vs_mu0",
+        seed=3,
+        mu0_bins=(6.0, 50.0),
+        n_measurements=100,
+        snr_db=12.0,
+        mu0_bin_tolerance=1.1,
         trials=3,
     ),
 }

@@ -18,10 +18,10 @@ from nfcs.harness import (
     parse_rows,
     preset_config,
     _mu0_hit_probability,
-    _sample_mu0_binned,
+    _sample_trial_channel,
     run,
 )
-from nfcs.recovery import gen_pilots
+from nfcs.recovery import gen_pilots, make_problem
 
 
 def tiny_config(**overrides):
@@ -87,7 +87,7 @@ class TestValidation:
         fresnel, rayleigh = field_boundaries(cfg)
         bin_center = fresnel * (1 + 1e-13) / config.mu0_bin_tolerance
         with pytest.raises(ConfigError, match="experiment.mu0_bins"):
-            _sample_mu0_binned(config, cfg, (fresnel, rayleigh), bin_center, (1,), 0)
+            _sample_trial_channel(config, cfg, (fresnel, rayleigh), bin_center, (1,), 0)
 
     def test_rarely_hit_mu0_bin_fails_validation_at_once(self):
         # the bin of test_mu0_sampling_budget_is_a_config_error: reachable in
@@ -223,6 +223,41 @@ class TestExperiments:
             row for snr in range(2) for m in methods for row in alone[m][2 * snr : 2 * snr + 2]
         ]
         assert joint == expected
+
+    def test_block_size_sweep_draws_once_per_snr_and_trial(self, monkeypatch):
+        drawn = []
+
+        def counting(*args, **kwargs):
+            drawn.append(kwargs["snr_db"])
+            return make_problem(*args, **kwargs)
+
+        monkeypatch.setattr("nfcs.harness.make_problem", counting)
+        config = tiny_config(
+            kind="block_size_sweep", block_size_list=(2, 4, 8), snr_db_list=(0.0, 10.0), trials=3
+        )
+        rows = run(config)
+        assert drawn == [0.0, 0.0, 0.0, 10.0, 10.0, 10.0]
+        assert list(dict.fromkeys(r.grid for r in rows)) == [
+            f"s={s},snr_db={snr!r}" for s in (2, 4, 8) for snr in (0.0, 10.0)
+        ]
+
+    def test_block_sizes_share_draws_as_if_run_alone(self):
+        # each trial is drawn once and solved at every block size; a block
+        # size's rows must equal those of a sweep over it alone
+        config = tiny_config(
+            kind="block_size_sweep",
+            block_size_list=(2, 8),
+            snr_db_list=(0.0, 10.0),
+            methods=("dmu_block_omp", "polar_omp"),
+            trials=3,
+        )
+        joint = [(r.grid, r.method, r.metric, r.value) for r in run(config)]
+        alone = [
+            (r.grid, r.method, r.metric, r.value)
+            for s in config.block_size_list
+            for r in run(replace(config, block_size_list=(s,)))
+        ]
+        assert joint == alone
 
     def test_polar_baseline_never_forms_its_sensing_matrix(self, monkeypatch):
         def formed(*args):
