@@ -8,7 +8,6 @@ from .geometry import (
     PathParams,
     b_vector,
     effective_distance,
-    far_steering,
     field_boundaries,
     near_steering,
     sample_channel,
@@ -28,7 +27,6 @@ from .dictionaries import (
 )
 from .coherence import (
     CoherenceParams,
-    SparsityBoundReport,
     coherence_approx,
     coherence_exact,
     fresnel,

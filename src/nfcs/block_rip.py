@@ -2,11 +2,11 @@
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .coherence import _worst_case_nonzeros
+from .coherence import _phase_pair, _worst_case_nonzeros, sparsity_bound
+from .geometry import ArrayConfig
 from .seeding import rng_from
 from .validation import as_complex_matrix, check_positive_or_inf
 
@@ -20,51 +20,37 @@ def _require_square(n_antennas: int) -> int:
     return root
 
 
-def varrho_bound(
-    n_antennas: int,
-    delta: float,
-    aperture: float = None,
-    mu_pair: tuple = None,
-) -> int:
-    """Block-sparsity level over the canonical sqrt(N)-blocks-of-sqrt(N) partition.
+def varrho_bound(cfg: ArrayConfig, delta: float, mu_pair: tuple = None) -> int:
+    """Block-sparsity level ceil(K_bar / sqrt(N)) over the canonical
+    sqrt(N)-blocks-of-sqrt(N) partition.
 
-    Without ``mu_pair`` the bound is ceil(K_bar / sqrt(N)) for the worst-case
-    nonzero count K_bar(N, delta) of sources beyond the Fresnel distance.
-    With ``mu_pair = (mu_0, mu)`` K_bar is the count for that specific
-    mismatch, which requires ``aperture`` when the pair differs.
+    Without ``mu_pair`` K_bar is the worst-case nonzero count K_bar(N, delta)
+    of sources beyond the Fresnel distance. With ``mu_pair = (mu_0, mu)`` it
+    is ``sparsity_bound`` at the quadratic phase of that effective-distance
+    pair.
     """
-    root = _require_square(n_antennas)
-    if delta <= 1.0 / n_antennas:
-        raise ValueError(f"delta must exceed 1/N = {1.0 / n_antennas:.3e}")
-    n = n_antennas
+    n = cfg.n_antennas
+    root = _require_square(n)
+    if delta <= 1.0 / n:
+        raise ValueError(f"delta must exceed 1/N = {1.0 / n:.3e}")
     if mu_pair is None:
-        return math.ceil(_worst_case_nonzeros(n, delta) / root)
-    mu_0, mu = mu_pair
-    check_positive_or_inf(mu_0, "mu_0")
-    check_positive_or_inf(mu, "mu")
-    gap = abs(1.0 / mu_0 - 1.0 / mu)
-    if gap == 0.0:
-        k_bar = math.ceil(n / math.pi * math.acos(1.0 - 2.0 / (n**2 * delta**2)))
+        k_bar = _worst_case_nonzeros(n, delta)
     else:
-        if aperture is None:
-            raise ValueError("aperture is required for a nonzero effective-distance gap")
-        k_bar = math.ceil(2.0 * math.sqrt(2.0) / (math.pi * delta) + n * aperture / 2.0 * gap)
+        mu_0, mu = mu_pair
+        check_positive_or_inf(mu_0, "mu_0")
+        check_positive_or_inf(mu, "mu")
+        _, b = _phase_pair(cfg, 0.0, 0.0, mu, mu_0)
+        k_bar = sparsity_bound(cfg, delta, b)
     return max(1, math.ceil(k_bar / root))
 
 
-class SampleComplexity(NamedTuple):
-    t_min: int
-    binomial_bound: float
-
-
-def sample_complexity(n_antennas: int, varrho: int, xi: float, kappa: float) -> SampleComplexity:
-    """Measurement count guaranteeing the block restricted isometry with
+def sample_complexity(n_antennas: int, varrho: int, xi: float, kappa: float) -> int:
+    """Measurement count t_min guaranteeing the block restricted isometry with
     constant xi and probability at least 1 - exp(-kappa).
 
     T >= (36 / (7 xi)) (rho ln(e sqrt(N)/rho) + rho sqrt(N) ln(12/xi) + ln 2 + kappa),
-    rounded up. Also reports the Stirling bound (e sqrt(N)/rho)^rho used for
-    the block-count binomial. The bound is loose at desk scale; it typically
-    exceeds N itself.
+    rounded up. The bound is loose at desk scale; it typically exceeds N
+    itself.
     """
     if not (0.0 < xi < 1.0):
         raise ValueError(f"xi must lie in (0, 1), got {xi!r}")
@@ -79,10 +65,7 @@ def sample_complexity(n_antennas: int, varrho: int, xi: float, kappa: float) -> 
         + math.log(2.0)
         + kappa
     )
-    return SampleComplexity(
-        t_min=math.ceil(value),
-        binomial_bound=(math.e * root / varrho) ** varrho,
-    )
+    return math.ceil(value)
 
 
 @dataclass(frozen=True)
@@ -91,11 +74,6 @@ class RipProbeReport:
 
     xi_hat: float
     violation_rate: float
-    trials: int
-    block_size: int
-    n_blocks: int
-    k: int
-    target_xi: float
 
 
 def empirical_rip_probe(
@@ -130,10 +108,4 @@ def empirical_rip_probe(
     return RipProbeReport(
         xi_hat=float(deviations.max()),
         violation_rate=float(np.mean(deviations > target_xi)),
-        trials=trials,
-        block_size=block_size,
-        n_blocks=n_blocks,
-        k=k,
-        target_xi=target_xi,
     )
-

@@ -51,9 +51,13 @@ class CoherenceParams:
         if self.n_antennas < 2:
             raise ValueError("n_antennas must be >= 2")
 
-    @property
-    def a_tilde(self) -> float:
-        return float(reduce_angle(self.a))
+
+def _phase_pair(cfg: ArrayConfig, sin_m, sin_0, mu, mu_0) -> tuple:
+    """Phase slope a and quadratic phase b of a grid response at (sin_m, mu)
+    against a source response at (sin_0, mu_0); broadcasts over all four."""
+    a = (2 * np.pi * cfg.spacing / cfg.wavelength) * (sin_m - sin_0)
+    b = (np.pi * cfg.spacing**2 / cfg.wavelength) * (1.0 / mu_0 - 1.0 / mu)
+    return a, b
 
 
 def params_from_geometry(
@@ -63,8 +67,7 @@ def params_from_geometry(
     source response at (theta_0, mu_0)."""
     check_positive_or_inf(mu, "mu")
     check_positive_or_inf(mu_0, "mu_0")
-    a = (2 * math.pi * cfg.spacing / cfg.wavelength) * (math.sin(theta_m) - math.sin(theta_0))
-    b = (math.pi * cfg.spacing**2 / cfg.wavelength) * (1.0 / mu_0 - 1.0 / mu)
+    a, b = _phase_pair(cfg, math.sin(theta_m), math.sin(theta_0), mu, mu_0)
     return CoherenceParams(a=a, b=b, n_antennas=cfg.n_antennas)
 
 
@@ -135,11 +138,12 @@ def coherence_approx(params: CoherenceParams) -> float:
     return float(_approx_magnitudes(params.a, params.b, params.n_antennas)[0])
 
 
-def thresholds(n_antennas: int, delta: float, b_abs: float = 0.0) -> tuple:
+def thresholds(n_antennas: int, delta: float, b_abs=0.0) -> tuple:
     """Support-interval half-widths (eta0, eta1, eta2) in sin-angle units.
 
     eta0 bounds the b = 0 case two-sidedly; eta1/eta2 bound the b != 0 case
-    asymmetrically, with eta2 = eta1 + 2 (N-1) |b| / pi.
+    asymmetrically, with eta2 = eta1 + 2 (N-1) |b| / pi. eta2 broadcasts
+    over ``b_abs``.
     """
     n = n_antennas
     failed = []
@@ -153,7 +157,7 @@ def thresholds(n_antennas: int, delta: float, b_abs: float = 0.0) -> tuple:
         raise ValueError(
             f"delta = {delta!r} is below the validity floor(s): " + "; ".join(failed)
         )
-    if b_abs < 0:
+    if np.any(np.less(b_abs, 0)):
         raise ValueError("b_abs must be nonnegative")
     eta0 = math.acos(1.0 - 2.0 / (n**2 * delta**2)) / math.pi
     eta1 = 2.0 * math.sqrt(2.0) / (n * math.pi * delta)
@@ -199,45 +203,17 @@ def _worst_case_nonzeros(n: int, delta: float) -> float:
     return 2.0 * math.sqrt(2.0) / (math.pi * delta) + _sublinear_cap(n)
 
 
-@dataclass(frozen=True)
-class SparsityBoundReport:
-    """Predicted nonzero-count bound for one quadratic-phase mismatch."""
+def sparsity_bound(cfg: ArrayConfig, delta: float, b):
+    """Nonzero count K_bar: a bound on the grid coefficients of magnitude >= delta.
 
-    eta0: float
-    eta1: float
-    eta2: float
-    interval_width: float
-    k_bar: int
-    regime: str
-    asymptotic_k_bar: int
-    sublinear_cap: float
-
-
-def sparsity_bound(cfg: ArrayConfig, delta: float, b: float) -> SparsityBoundReport:
-    """Bound on the number of grid coefficients with magnitude >= delta.
-
-    Ceil of the support-interval width divided by the 2/N grid resolution;
-    also reports the large-N constant ceil(2/(pi delta)) and the cap on the
-    mismatch term implied by sources beyond the Fresnel distance.
+    Ceil of the support-interval width divided by the 2/N grid resolution:
+    ceil(N eta0) when |b| < B_ZERO_TOL, else ceil(N (eta1 + eta2) / 2).
+    An int for a scalar ``b``, an int array for an array ``b``.
     """
     n = cfg.n_antennas
-    eta0, eta1, eta2 = thresholds(n, delta, abs(b))
-    if abs(b) < B_ZERO_TOL:
-        width = 2.0 * eta0
-        k_bar = math.ceil(n * eta0)
-        regime = "b_zero"
-    else:
-        width = eta1 + eta2
-        k_bar = math.ceil(n * width / 2.0)
-        regime = "b_nonzero"
-    return SparsityBoundReport(
-        eta0=eta0,
-        eta1=eta1,
-        eta2=eta2,
-        interval_width=width,
-        k_bar=k_bar,
-        regime=regime,
-        asymptotic_k_bar=math.ceil(2.0 / (math.pi * delta)),
-        sublinear_cap=_sublinear_cap(n),
-    )
-
+    b_abs = np.abs(b)
+    if not np.all(np.isfinite(b_abs)):
+        raise ValueError("the quadratic phase b must be finite")
+    eta0, eta1, eta2 = thresholds(n, delta, b_abs)
+    k_bar = np.where(b_abs < B_ZERO_TOL, np.ceil(n * eta0), np.ceil(n * (eta1 + eta2) / 2.0))
+    return int(k_bar) if np.ndim(b) == 0 else k_bar.astype(int)

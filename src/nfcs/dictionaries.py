@@ -289,6 +289,23 @@ def _screen_margin(n_rows: int) -> float:
     return 1.01 * (inner + 2 * u * (1 + inner))
 
 
+# column norms inside which neither the squares of the norms nor the Gram
+# products of two columns over- or underflow
+_NORM_RANGE = (2.0**-400, 2.0**400)
+
+
+def _column_norms(m) -> np.ndarray:
+    """Column 2-norms, by blocks of columns: the norm of all of m would square
+    all of it at once."""
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):  # checked by the caller
+        return np.concatenate(
+            [
+                np.linalg.norm(m[:, lo : lo + _COHERENCE_BLOCK], axis=0)
+                for lo in range(0, m.shape[1], _COHERENCE_BLOCK)
+            ]
+        )
+
+
 def mutual_coherence(matrix) -> float:
     """Largest normalised inner product between distinct columns.
 
@@ -311,19 +328,27 @@ def mutual_coherence(matrix) -> float:
     few near-maximal pairs the exact pass is a few rows; when every pair is
     a candidate (a unitary or low-coherence matrix, where the threshold is
     below zero) it is the full float64 sweep.
+
+    A matrix with a column norm outside ``_NORM_RANGE`` is first scaled
+    column by column by powers of two; in range it is used as it is.
     """
     m = as_complex_matrix(matrix, "matrix")
     n_rows, n_cols = m.shape
     if n_cols < 2:
         raise ValueError("mutual coherence needs at least two columns")
-    with np.errstate(invalid="ignore", over="ignore"):  # caught just below
-        # by column blocks: the norm of all of m would square all of it at once
-        norms = np.concatenate(
-            [
-                np.linalg.norm(m[:, lo : lo + _COHERENCE_BLOCK], axis=0)
-                for lo in range(0, n_cols, _COHERENCE_BLOCK)
-            ]
-        )
+    norms = _column_norms(m)
+    if not np.all((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1])):
+        # the squares in the norms or the products in the Gram leave the
+        # normal range; coherence is scale-invariant, so scale each column by
+        # the power of two that brings its largest entry into [0.5, 1), which
+        # moves no rounded result
+        largest = np.maximum(np.abs(m.real).max(axis=0), np.abs(m.imag).max(axis=0))
+        shift = -np.frexp(largest)[1]
+        scaled = np.empty_like(m)
+        scaled.real = np.ldexp(m.real, shift)
+        scaled.imag = np.ldexp(m.imag, shift)
+        m = scaled
+        norms = _column_norms(m)
     if np.any(norms == 0):
         raise ValueError("mutual coherence is undefined for zero columns")
     if not np.all(np.isfinite(norms)):

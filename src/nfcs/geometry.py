@@ -94,17 +94,10 @@ def field_boundaries(cfg: ArrayConfig) -> tuple:
     return fresnel, rayleigh
 
 
-def effective_distance(theta: float, r: float) -> float:
-    """Effective distance r / cos^2(theta) governing the quadratic phase term."""
-    check_angle(theta)
-    check_positive(r, "r")
-    return r / math.cos(theta) ** 2
-
-
-def far_steering(cfg: ArrayConfig, theta: float) -> np.ndarray:
-    """Plane-wave array response; entry n is exp(+j*(2pi/lam)*(n-1)*d*sin(theta))/sqrt(N)."""
-    check_angle(theta)
-    return _steering(cfg, math.sin(theta), math.inf, "taylor")
+def effective_distance(sin_t, r):
+    """Effective distance r / cos^2(theta) = r / (1 - sin^2(theta)) governing the
+    quadratic phase term; broadcasts over ``sin_t = sin(theta)`` and ``r``."""
+    return r / (1.0 - sin_t**2)
 
 
 def _element_delay(sin_t, r, offsets, mode: str):
@@ -165,11 +158,11 @@ def b_vector(cfg: ArrayConfig, mu) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def synthesize_channel(cfg: ArrayConfig, spec: ChannelSpec, mode: str = "exact") -> np.ndarray:
-    """Multipath channel h = sum_l g_l * a(theta_l, r_l)."""
+def synthesize_channel(cfg: ArrayConfig, spec: ChannelSpec) -> np.ndarray:
+    """Multipath channel h = sum_l g_l * a(theta_l, r_l) of exact spherical-wavefront responses."""
     h = np.zeros(cfg.n_antennas, dtype=np.complex128)
     for p in spec.paths:
-        h += p.gain * near_steering(cfg, p.theta, p.distance, mode)
+        h += p.gain * near_steering(cfg, p.theta, p.distance)
     return h
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import block_rip as rip_mod
-from .coherence import _approx_magnitudes, _exact_magnitudes, sparsity_bound
+from .coherence import _approx_magnitudes, _exact_magnitudes, _phase_pair, sparsity_bound
 from .dictionaries import Dictionary, build_dft, build_dmu, build_polar_baseline, mutual_coherence
 from .geometry import (
     ArrayConfig,
@@ -30,6 +30,7 @@ from .geometry import (
     _scale_gains,
     _steering,
     b_vector,
+    effective_distance,
     field_boundaries,
     sample_channel,
 )
@@ -453,7 +454,7 @@ def _sample_trial_channel(config, cfg, dist_range, bin_center, data_key, trial):
         rng = rng_from(*data_key, "los", bin_center, trial, attempt)
         sin0 = rng.uniform(-1.0, 1.0)
         r0 = rng.uniform(lo, hi)
-        mu0 = r0 / (1.0 - sin0**2)
+        mu0 = effective_distance(sin0, r0)
         if abs(math.log(mu0 / bin_center)) <= log_tol:
             los = base.paths[0]
             paths = (
@@ -567,9 +568,8 @@ def _run_coherence_error(config: ExperimentConfig):
         rng = rng_from(config.seed, config.experiment_id, f"N={n}")
         sines = rng.uniform(-1.0, 1.0, (config.trials, 2))
         dists = rng.uniform(fresnel, rayleigh, (config.trials, 2))
-        mus = dists / (1.0 - sines**2)
-        a = (2 * np.pi * cfg.spacing / cfg.wavelength) * (sines[:, 0] - sines[:, 1])
-        b = (np.pi * cfg.spacing**2 / cfg.wavelength) * (1.0 / mus[:, 1] - 1.0 / mus[:, 0])
+        mus = effective_distance(sines, dists)
+        a, b = _phase_pair(cfg, sines[:, 0], sines[:, 1], mus[:, 0], mus[:, 1])
         err = np.abs(_approx_magnitudes(a, b, n) - _exact_magnitudes(a, b, n))
         yield "coherence_approx", f"N={n}", "mean_abs_error", float(err.mean())
         yield "coherence_approx", f"N={n}", "max_abs_error", float(err.max())
@@ -596,13 +596,13 @@ def _run_sparsity_level(config: ExperimentConfig):
         # random in-range source
         sin_mu = rng.uniform(-1.0, 1.0, trials)
         r_mu = rng.uniform(fresnel, rayleigh, trials)
-        mu = r_mu / (1.0 - sin_mu**2)
+        mu = effective_distance(sin_mu, r_mu)
         chirps = b_vector(cfg, mu)
 
         dft = build_dft(cfg)
         sin_0 = rng.uniform(-1.0, 1.0, trials)
         r_0 = rng.uniform(fresnel, rayleigh, trials)
-        mu_0 = r_0 / (1.0 - sin_0**2)
+        mu_0 = effective_distance(sin_0, r_0)
         los = _steering(cfg, sin_0, r_0, "exact")  # one column per draw
         frac_los = _fast_analysis_fractions(dft, chirps, los, config.delta)
 
@@ -617,17 +617,8 @@ def _run_sparsity_level(config: ExperimentConfig):
             multi = multi + g[path] * _steering(cfg, sin_l, r_l, "exact")
         frac_multi = _fast_analysis_fractions(dft, chirps, multi, config.delta)
 
-        bounds = np.array(
-            [
-                sparsity_bound(
-                    cfg,
-                    config.delta,
-                    (math.pi * cfg.spacing**2 / cfg.wavelength) * (1.0 / mu_0[i] - 1.0 / mu[i]),
-                ).k_bar
-                / n
-                for i in range(trials)
-            ]
-        )
+        _, b = _phase_pair(cfg, 0.0, 0.0, mu, mu_0)
+        bounds = sparsity_bound(cfg, config.delta, b) / n
         label = f"N={n}"
         yield "los", label, "mean_fraction", float(frac_los.mean())
         yield "multipath", label, "mean_fraction", float(frac_multi.mean())

@@ -92,7 +92,7 @@ def make_problem(
     model mismatch of a dictionary's atoms then acts as extra noise.
     """
     rng = as_rng(seed)
-    h = synthesize_channel(cfg, spec, mode="exact")
+    h = synthesize_channel(cfg, spec)
     pilots = gen_pilots(n_measurements, cfg.n_antennas, pilot_kind, rng)
     sigma2 = noise_variance(h, cfg.n_antennas, snr_db)
     if sigma2 > 0:

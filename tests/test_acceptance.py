@@ -18,7 +18,6 @@ from nfcs import (
     b_vector,
     build_dmu,
     effective_distance,
-    far_steering,
     field_boundaries,
     fresnel,
     near_steering,
@@ -245,7 +244,7 @@ def test_criterion_8a_unitarity_and_norms():
         r = float(rng.uniform(3.0, 100.0))
         for mode in ("exact", "taylor"):
             norm_errs.append(abs(np.linalg.norm(near_steering(CFG, theta, r, mode)) - 1))
-        norm_errs.append(abs(np.linalg.norm(far_steering(CFG, theta)) - 1))
+        norm_errs.append(abs(np.linalg.norm(near_steering(CFG, theta, math.inf, "taylor")) - 1))
     ok = gram_err < 1e-10 and max(norm_errs) < 1e-12
     report(
         "8a unitarity and norms",
@@ -263,7 +262,7 @@ def test_criterion_8b_chirp_factorization():
         theta = float(rng.uniform(-1.5, 1.5))
         r = float(rng.uniform(3.0, 100.0))
         lhs = near_steering(CFG, theta, r, "taylor")
-        rhs = far_steering(CFG, theta) * b_vector(CFG, effective_distance(theta, r))
+        rhs = near_steering(CFG, theta, math.inf, "taylor") * b_vector(CFG, effective_distance(math.sin(theta), r))
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     ok = worst < 1e-12
     report("8b chirp factorization", ok, f"worst entry deviation {worst:.2e} (< 1e-12)")
@@ -412,11 +411,11 @@ def test_criterion_8h_byte_identical_reruns(tmp_path):
 
 
 def test_criterion_9_sample_complexity_formulas():
-    rho = varrho_bound(256, 0.01)
-    t_min = sample_complexity(256, rho, 0.5, 1.0).t_min
-    mono_kappa = sample_complexity(256, 7, 0.5, 2.0).t_min > sample_complexity(256, 7, 0.5, 1.0).t_min
-    mono_rho = sample_complexity(256, 8, 0.5, 1.0).t_min > sample_complexity(256, 7, 0.5, 1.0).t_min
-    xi_vals = [sample_complexity(256, 7, xi, 1.0).t_min for xi in (0.1, 0.5, 0.9)]
+    rho = varrho_bound(CFG, 0.01)
+    t_min = sample_complexity(256, rho, 0.5, 1.0)
+    mono_kappa = sample_complexity(256, 7, 0.5, 2.0) > sample_complexity(256, 7, 0.5, 1.0)
+    mono_rho = sample_complexity(256, 8, 0.5, 1.0) > sample_complexity(256, 7, 0.5, 1.0)
+    xi_vals = [sample_complexity(256, 7, xi, 1.0) for xi in (0.1, 0.5, 0.9)]
     mono_xi = xi_vals[0] > xi_vals[1] > xi_vals[2]
     ok = rho <= 7 and t_min > 256 and mono_kappa and mono_rho and mono_xi
     report(

@@ -13,86 +13,89 @@ from nfcs import (
 from nfcs.coherence import sparsity_bound
 
 
+CFG = ArrayConfig(100e9, 256)
+
+
 class TestVarrhoBound:
     def test_reference_worst_case(self):
         # headline worst-case block sparsity at the working point
-        assert varrho_bound(256, 0.01) == 7
-        assert varrho_bound(1024, 0.01) <= 7
+        assert varrho_bound(CFG, 0.01) == 7
+        assert varrho_bound(ArrayConfig(100e9, 1024), 0.01) <= 7
 
     def test_matched_pair_shrinks_with_n(self):
         # equal effective distances: the bound approaches ceil(const/sqrt(N))
-        assert varrho_bound(65536, 0.01, mu_pair=(20.0, 20.0)) == 1
-        assert varrho_bound(256, 0.01, mu_pair=(20.0, 20.0)) >= 1
+        assert varrho_bound(ArrayConfig(100e9, 65536), 0.01, mu_pair=(20.0, 20.0)) == 1
+        assert varrho_bound(CFG, 0.01, mu_pair=(20.0, 20.0)) >= 1
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
-            varrho_bound(200, 0.01)
+            varrho_bound(ArrayConfig(100e9, 200), 0.01)
 
-    def test_requires_aperture_for_mismatch(self):
-        with pytest.raises(ValueError):
-            varrho_bound(256, 0.01, mu_pair=(6.0, 20.0))
+    def test_mismatch_reads_the_array_spacing(self):
+        # the quadratic phase of a mismatched pair grows with d^2 / lambda, so
+        # doubling the spacing raises the bound; a matched pair does not move
+        wide = ArrayConfig(100e9, 256, spacing=2 * CFG.spacing)
+        assert varrho_bound(wide, 0.01, mu_pair=(6.0, 20.0)) > varrho_bound(CFG, 0.01, mu_pair=(6.0, 20.0))
+        assert varrho_bound(wide, 0.01, mu_pair=(6.0, 6.0)) == varrho_bound(CFG, 0.01, mu_pair=(6.0, 6.0))
 
     def test_mismatched_pair(self):
-        cfg = ArrayConfig(100e9, 256)
-        rho = varrho_bound(256, 0.01, aperture=cfg.aperture, mu_pair=(6.0, 20.0))
+        rho = varrho_bound(CFG, 0.01, mu_pair=(6.0, 20.0))
         assert rho == math.ceil(96 / 16)  # k_bar = 96 at this mismatch
 
     @pytest.mark.parametrize("mu_pair", [(-5.0, 10.0), (0.0, 10.0), (math.nan, 10.0), (10.0, -1.0)])
     def test_rejects_bad_distances(self, mu_pair):
         with pytest.raises(ValueError, match="must be positive"):
-            varrho_bound(256, 0.01, aperture=0.38, mu_pair=mu_pair)
+            varrho_bound(CFG, 0.01, mu_pair=mu_pair)
 
     def test_worst_case_matches_the_closed_form(self):
         # ceil(K_bar / sqrt(N)) equals the per-block form
         # ceil(2 sqrt(2) / (pi delta sqrt(N)) + (sqrt(2) / 1.24) sqrt(N / (N - 1)))
         for root in (2, 3, 16, 45, 512):
             n = root * root
+            cfg = ArrayConfig(100e9, n)
             for delta in np.geomspace(1.0001 / n, 0.99, 60):
                 closed = 2.0 * math.sqrt(2.0) / (math.pi * delta * root) + (
                     math.sqrt(2.0) / 1.24
                 ) * math.sqrt(n / (n - 1))
-                assert varrho_bound(n, float(delta)) == math.ceil(closed), (n, delta)
+                assert varrho_bound(cfg, float(delta)) == math.ceil(closed), (n, delta)
 
     def test_at_least_one(self):
-        assert varrho_bound(65536, 0.5, mu_pair=(5.0, 5.0)) >= 1
+        assert varrho_bound(ArrayConfig(100e9, 65536), 0.5, mu_pair=(5.0, 5.0)) >= 1
 
     def test_consistency_with_coefficient_bound(self):
         # rho * sqrt(N) dominates the coefficient-level bound k_bar across a
-        # grid of thresholds and effective-distance pairs
-        cfg = ArrayConfig(100e9, 256)
+        # grid of thresholds and effective-distance pairs, at half-wavelength
+        # and at full-wavelength spacing
         mus = np.linspace(3.0, 95.0, 10)
         deltas = np.linspace(0.006, 0.05, 10)
-        for delta in deltas:
-            for mu0 in mus:
-                for mu in (6.0, 20.0, 80.0):
-                    p_b = (math.pi * cfg.spacing**2 / cfg.wavelength) * (1 / mu0 - 1 / mu)
-                    k_bar = sparsity_bound(cfg, float(delta), p_b).k_bar
-                    rho = varrho_bound(
-                        256, float(delta), aperture=cfg.aperture, mu_pair=(float(mu0), float(mu))
-                    )
-                    assert rho * 16 >= k_bar
+        for cfg in (CFG, ArrayConfig(100e9, 256, spacing=2 * CFG.spacing)):
+            for delta in deltas:
+                for mu0 in mus:
+                    for mu in (6.0, 20.0, 80.0):
+                        p_b = (math.pi * cfg.spacing**2 / cfg.wavelength) * (1 / mu0 - 1 / mu)
+                        k_bar = sparsity_bound(cfg, float(delta), p_b)
+                        rho = varrho_bound(cfg, float(delta), mu_pair=(float(mu0), float(mu)))
+                        assert rho * 16 >= k_bar, (cfg.spacing, delta, mu0, mu)
 
 
 class TestSampleComplexity:
     def test_reference_value(self):
         # frozen from direct evaluation of the bound at N=256, rho=7,
         # xi=0.5, kappa=1
-        result = sample_complexity(256, 7, 0.5, 1.0)
-        assert result.t_min == 3811
-        assert result.binomial_bound == pytest.approx((math.e * 16 / 7) ** 7, rel=1e-12)
+        assert sample_complexity(256, 7, 0.5, 1.0) == 3811
 
     def test_exceeds_desk_scale_dimension(self):
         # the guarantee is not attainable as a recovery bound at N=256: it
         # asks for more measurements than unknowns
-        assert sample_complexity(256, 7, 0.5, 1.0).t_min > 256
+        assert sample_complexity(256, 7, 0.5, 1.0) > 256
 
     def test_monotone_in_kappa_and_rho(self):
-        base = sample_complexity(256, 7, 0.5, 1.0).t_min
-        assert sample_complexity(256, 7, 0.5, 2.0).t_min > base
-        assert sample_complexity(256, 8, 0.5, 1.0).t_min > base
+        base = sample_complexity(256, 7, 0.5, 1.0)
+        assert sample_complexity(256, 7, 0.5, 2.0) > base
+        assert sample_complexity(256, 8, 0.5, 1.0) > base
 
     def test_decreasing_in_xi(self):
-        values = [sample_complexity(256, 7, xi, 1.0).t_min for xi in (0.1, 0.3, 0.5, 0.9)]
+        values = [sample_complexity(256, 7, xi, 1.0) for xi in (0.1, 0.3, 0.5, 0.9)]
         assert values == sorted(values, reverse=True)
 
     def test_rejects_bad_arguments(self):

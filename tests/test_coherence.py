@@ -20,6 +20,7 @@ from nfcs import (
     sparsity_bound,
     thresholds,
 )
+from nfcs.coherence import B_ZERO_TOL, _phase_pair, _sublinear_cap, reduce_angle
 from nfcs.dictionaries import dft_grid
 from nfcs.harness import _fast_analysis_fractions
 from nfcs.validation import check_positive
@@ -86,7 +87,7 @@ class TestFresnel:
 class TestParams:
     def test_zero_cases(self, cfg):
         p = params_from_geometry(cfg, 0.4, 0.4, 20.0, 20.0)
-        assert p.a == 0.0 and p.b == 0.0 and p.a_tilde == 0.0
+        assert p.a == 0.0 and p.b == 0.0 and reduce_angle(p.a) == 0.0
         p2 = params_from_geometry(cfg, 0.9, -0.2, 50.0, 50.0)
         assert p2.b == 0.0 and p2.a != 0.0
 
@@ -100,8 +101,8 @@ class TestParams:
     def test_a_tilde_range(self, cfg):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            p = CoherenceParams(a=float(rng.uniform(-7, 7)), b=0.0, n_antennas=16)
-            assert -math.pi <= p.a_tilde <= math.pi
+            a_tilde = reduce_angle(float(rng.uniform(-7, 7)))
+            assert -math.pi <= a_tilde <= math.pi
 
     def test_admissible_quadratic_phase_is_bounded(self, cfg):
         # sources at or beyond the Fresnel distance keep |b| under the
@@ -282,24 +283,20 @@ class TestPredictedSupport:
 
 class TestSparsityBound:
     def test_matched_regime(self, cfg):
-        report = sparsity_bound(cfg, 0.01, 0.0)
-        assert report.regime == "b_zero"
-        assert report.k_bar == 66  # ceil(N/pi * acos(1 - 2/(N delta)^2))
-        assert report.asymptotic_k_bar == 64  # ceil(2/(pi delta))
-        assert report.interval_width == pytest.approx(2 * report.eta0)
+        k_bar = sparsity_bound(cfg, 0.01, 0.0)
+        assert k_bar == 66  # ceil(N/pi * acos(1 - 2/(N delta)^2))
+        eta0, _, _ = thresholds(256, 0.01)
+        assert k_bar == math.ceil(256 * eta0)
 
     def test_mismatched_regime(self, cfg):
         p = params_from_geometry(cfg, 0.0, 0.0, 20.0, 6.0)
-        report = sparsity_bound(cfg, 0.01, p.b)
-        assert report.regime == "b_nonzero"
-        assert report.k_bar == 96  # ceil(90.03 + 5.71)
-        assert report.interval_width == pytest.approx(report.eta1 + report.eta2)
+        k_bar = sparsity_bound(cfg, 0.01, p.b)
+        assert k_bar == 96  # ceil(90.03 + 5.71)
+        _, eta1, eta2 = thresholds(256, 0.01, abs(p.b))
+        assert k_bar == math.ceil(256 * (eta1 + eta2) / 2)
 
     def test_sublinear_cap(self, cfg):
-        report = sparsity_bound(cfg, 0.01, 1e-4)
-        assert report.sublinear_cap == pytest.approx(
-            (256 / 1.24) * math.sqrt(2.0 / 255.0), rel=1e-12
-        )
+        assert _sublinear_cap(256) == pytest.approx((256 / 1.24) * math.sqrt(2.0 / 255.0), rel=1e-12)
 
     def test_mismatch_term_capped_for_admissible_sources(self, cfg):
         # the b-dependent part of k_bar never exceeds the sublinear cap
@@ -311,9 +308,44 @@ class TestSparsityBound:
             p = params_from_geometry(
                 cfg, math.asin(s1), math.asin(s2), r1 / (1 - s1**2), r2 / (1 - s2**2)
             )
-            report = sparsity_bound(cfg, 0.01, p.b)
             mismatch_term = 256 * 255 * abs(p.b) / math.pi
-            assert mismatch_term <= report.sublinear_cap * (1 + 1e-12)
+            assert mismatch_term <= _sublinear_cap(256) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("spacing_factor", [1.0, 2.0])
+    def test_batch_equals_scalar(self, spacing_factor):
+        # one vectorised call gives, bit for bit, what one call per draw gives,
+        # across the b = 0 and the |b| < B_ZERO_TOL branch
+        cfg = ArrayConfig(100e9, 256, spacing=spacing_factor * 2.998e-3 / 2)
+        rng = np.random.default_rng(14)
+        sin_m, sin_0 = rng.uniform(-1, 1, (2, 64))
+        mu, mu_0 = rng.uniform(3.0, 100.0, (2, 64))
+        mu[:3] = mu_0[:3]  # b = 0
+        mu[3] = math.inf
+        mu_0[3] = math.inf
+        a, b = _phase_pair(cfg, sin_m, sin_0, mu, mu_0)
+        b[4] = 0.5 * B_ZERO_TOL
+        b[5] = -0.5 * B_ZERO_TOL
+        b[6] = -b[7]
+        k_bar = sparsity_bound(cfg, 0.01, b)
+        assert k_bar.dtype.kind == "i" and k_bar.shape == b.shape
+        assert k_bar.min() < k_bar.max()
+        for i in range(b.size):
+            ai, bi = _phase_pair(cfg, float(sin_m[i]), float(sin_0[i]), float(mu[i]), float(mu_0[i]))
+            assert ai == a[i]
+            if i not in (4, 5, 6):
+                assert bi == b[i]
+            scalar = sparsity_bound(cfg, 0.01, float(b[i]))
+            assert type(scalar) is int and scalar == k_bar[i]
+        theta_m, theta_0 = math.asin(sin_m[8]), math.asin(sin_0[8])
+        p = params_from_geometry(cfg, theta_m, theta_0, float(mu[8]), float(mu_0[8]))
+        assert (p.a, p.b) == _phase_pair(cfg, math.sin(theta_m), math.sin(theta_0), mu[8], mu_0[8])
+
+    @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_b(self, cfg, b):
+        with pytest.raises(ValueError, match="finite"):
+            sparsity_bound(cfg, 0.01, b)
+        with pytest.raises(ValueError, match="finite"):
+            sparsity_bound(cfg, 0.01, np.array([0.0, b]))
 
 
 class TestEmpiricalSparsity:

@@ -323,6 +323,38 @@ def test_mutual_coherence_of_columns_beyond_the_complex64_range():
     assert got == pytest.approx(mutual_coherence(base), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "scale",
+    [1e160, 1e-170, 1e-160, 1e300, 1e-300, 2.0**600, 2.0**-600],
+    ids=["1e160", "1e-170", "1e-160", "1e300", "1e-300", "2^600", "2^-600"],
+)
+def test_mutual_coherence_is_scale_invariant_beyond_the_squared_range(scale):
+    # the squares of these entries overflow or fall below the normal range;
+    # a power-of-two scale leaves every rounded result unchanged
+    matrix = random_complex(np.random.default_rng(0), 8, 5)
+    unscaled = mutual_coherence(matrix)
+    got = mutual_coherence(matrix * scale)
+    if math.frexp(scale)[0] == 0.5:
+        assert got == unscaled
+    else:
+        assert got == pytest.approx(unscaled, rel=1e-14)
+    mixed = matrix.copy()
+    mixed[:, 1] *= scale
+    assert mutual_coherence(mixed) == pytest.approx(unscaled, rel=1e-14)
+
+
+def test_mutual_coherence_of_zero_and_subnormal_columns():
+    # a zero column stays an error after rescaling; a column of the smallest
+    # subnormal is a scaled copy of a column of ones
+    matrix = random_complex(np.random.default_rng(0), 8, 5)
+    matrix[:, 2] = 0.0
+    with pytest.raises(ValueError, match="zero columns"):
+        mutual_coherence(matrix)
+    matrix[:, 2] = 5e-324
+    matrix[:, 3] = 1.0
+    assert mutual_coherence(matrix) == pytest.approx(1.0, rel=1e-15)
+
+
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(
     n_rows=st.integers(1, 40),

@@ -9,7 +9,6 @@ from nfcs import (
     PathParams,
     b_vector,
     effective_distance,
-    far_steering,
     field_boundaries,
     near_steering,
     sample_channel,
@@ -59,13 +58,13 @@ def test_field_boundaries_two_antennas():
 
 
 def test_far_steering_broadside(cfg):
-    v = far_steering(cfg, 0.0)
+    v = near_steering(cfg, 0.0, math.inf, "taylor")
     np.testing.assert_allclose(v, np.full(256, 1 / 16.0), atol=1e-15)
 
 
 def test_far_steering_quarter_phase():
     cfg4 = ArrayConfig(carrier_freq=100e9, n_antennas=4)
-    v = far_steering(cfg4, math.asin(0.5))
+    v = near_steering(cfg4, math.asin(0.5), math.inf, "taylor")
     phases = np.angle(v * np.sqrt(4))
     expected = np.array([0.0, math.pi / 2, math.pi, -math.pi / 2])
     np.testing.assert_allclose(
@@ -75,8 +74,8 @@ def test_far_steering_quarter_phase():
 
 def test_far_steering_grid_orthogonality(cfg):
     grid = dft_grid(cfg.n_antennas)
-    v1 = far_steering(cfg, math.asin(grid[10]))
-    v2 = far_steering(cfg, math.asin(grid[200]))
+    v1 = near_steering(cfg, math.asin(grid[10]), math.inf, "taylor")
+    v2 = near_steering(cfg, math.asin(grid[200]), math.inf, "taylor")
     assert abs(np.vdot(v1, v2)) < 1e-10
 
 
@@ -148,7 +147,8 @@ def test_near_steering_hadamard_factorization(cfg):
     # the second-order response factors into plane-wave times chirp
     theta, r = 0.35, 8.0
     v = near_steering(cfg, theta, r, "taylor")
-    factored = far_steering(cfg, theta) * b_vector(cfg, effective_distance(theta, r))
+    plane = near_steering(cfg, theta, math.inf, "taylor")
+    factored = plane * b_vector(cfg, effective_distance(math.sin(theta), r))
     np.testing.assert_allclose(v, factored, atol=1e-12)
 
 
@@ -165,9 +165,10 @@ def test_near_steering_exact_vs_taylor(cfg):
 def test_near_steering_taylor_far_limit(cfg):
     grid = dft_grid(cfg.n_antennas)
     theta = math.asin(grid[77])
-    np.testing.assert_array_equal(
-        near_steering(cfg, theta, math.inf, "taylor"), far_steering(cfg, theta)
-    )
+    # the plane-wave response exp(+j*(2pi/lam)*(n-1)*d*sin(theta))/sqrt(N)
+    n = np.arange(cfg.n_antennas)
+    plane = np.exp(1j * (2 * math.pi / cfg.wavelength) * n * cfg.spacing * math.sin(theta)) / 16.0
+    np.testing.assert_allclose(near_steering(cfg, theta, math.inf, "taylor"), plane, rtol=0, atol=1e-12)
 
 
 def test_steering_kernel_broadcasts_over_distance(cfg):
@@ -248,13 +249,15 @@ def test_b_vector_third_entry_phase():
 
 def test_effective_distance_values():
     assert effective_distance(0.0, 4.2) == pytest.approx(4.2)
-    assert effective_distance(math.pi / 3, 5.0) == pytest.approx(20.0, rel=1e-12)
+    assert effective_distance(math.sin(math.pi / 3), 5.0) == pytest.approx(20.0, rel=1e-12)
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        theta = rng.uniform(-1.5, 1.5)
-        mu = rng.uniform(1.0, 500.0)
-        r = mu * math.cos(theta) ** 2
-        assert effective_distance(theta, r) == pytest.approx(mu, rel=1e-12)
+    thetas = rng.uniform(-1.5, 1.5, 20)
+    mus = rng.uniform(1.0, 500.0, 20)
+    r = mus * np.cos(thetas) ** 2
+    batch = effective_distance(np.sin(thetas), r)
+    np.testing.assert_allclose(batch, mus, rtol=1e-12)
+    for i in range(20):
+        assert effective_distance(math.sin(thetas[i]), float(r[i])) == batch[i]
 
 
 def test_synthesize_single_path(cfg):

@@ -1,5 +1,7 @@
+import ast
 import importlib.util
 import math
+import re
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -369,3 +371,38 @@ def test_every_benchmark_trace_target_resolves():
         if tracing._resolve(module, qualname) is None
     ]
     assert not missing, f"unresolved trace targets: {missing}"
+
+
+def _uses_outside_definition(tree, name):
+    """Whether ``tree`` reads ``name`` anywhere but inside its own def or class."""
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return False
+        if isinstance(node, ast.Name) and node.id == name:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        return any(visit(child) for child in ast.iter_child_nodes(node))
+
+    return visit(tree)
+
+
+def test_every_export_is_used_or_documented():
+    # library surface that only the tests read is removed unless the README
+    # documents it: each name the package exports is read by the package
+    # itself (outside its own definition), by the benchmark, or named in README
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "nfcs"
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = [a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    trees = [ast.parse(p.read_text()) for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    texts = [p.read_text() for p in sorted((root / "perfbench").glob("*.py"))]
+    texts.append((root / "README.md").read_text())
+    unused = [
+        name
+        for name in exported
+        if not any(_uses_outside_definition(tree, name) for tree in trees)
+        and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
+    ]
+    assert not unused, f"exported but used nowhere outside the tests: {unused}"
