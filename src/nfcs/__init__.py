@@ -5,7 +5,6 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayConfig,
     ChannelSpec,
-    PathParams,
     b_vector,
     effective_distance,
     field_boundaries,
@@ -15,7 +14,6 @@ from .geometry import (
 )
 from .dictionaries import (
     Dictionary,
-    SparseRep,
     analyze,
     build_dft,
     build_dmu,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import write_atomic
 from .geometry import ArrayConfig, _steering, b_vector, field_boundaries
 from .validation import as_complex_matrix, as_complex_vector
 
@@ -172,17 +173,6 @@ def _check_length(rows, length: int, what: str):
         raise ValueError(f"expected {what} of length {length}, got {rows.shape[1]}")
 
 
-@dataclass(frozen=True)
-class SparseRep:
-    """Coefficient vector together with the dictionary it refers to."""
-
-    beta: np.ndarray
-    dictionary: Dictionary
-
-    def synthesize(self) -> np.ndarray:
-        return self.dictionary.inverse_transform(self.beta)
-
-
 def _require_half_wavelength(cfg: ArrayConfig):
     if not cfg.is_half_wavelength:
         raise ValueError(
@@ -250,15 +240,9 @@ def build_polar_baseline(
     )
 
 
-def analyze(dictionary: Dictionary, h) -> SparseRep:
-    """Coefficients beta = D^H h; exact representation for unitary dictionaries."""
-    vec = as_complex_vector(h, "h")
-    if vec.shape[0] != dictionary.n_antennas:
-        raise ValueError(
-            f"dimension mismatch: dictionary has {dictionary.n_antennas} rows, "
-            f"channel has {vec.shape[0]}"
-        )
-    return SparseRep(beta=dictionary.transform(vec), dictionary=dictionary)
+def analyze(dictionary: Dictionary, h) -> np.ndarray:
+    """Coefficients beta = D^H h of one channel; exact for unitary dictionaries."""
+    return dictionary.transform(as_complex_vector(h, "h"))
 
 
 def _screen_margin(n_rows: int) -> float:
@@ -384,24 +368,29 @@ def mutual_coherence(matrix) -> float:
 
 
 def export_dictionary(dictionary: Dictionary, path):
-    """Write the matrix as little-endian complex64 pairs with a 16-byte header."""
-    matrix = np.ascontiguousarray(dictionary.matrix.astype(np.complex64))
+    """Write the matrix as little-endian complex64 pairs with a 16-byte header.
+
+    The file is written atomically: readers see the old file or the new one.
+    """
     header = _HEADER.pack(MAGIC, dictionary.n_antennas, dictionary.n_atoms, 0)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(matrix.astype("<c8").tobytes(order="C"))
+    write_atomic(path, header + dictionary.matrix.astype("<c8").tobytes(order="C"))
 
 
 def load_dictionary_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`export_dictionary`."""
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        magic, rows, cols, _ = _HEADER.unpack(raw)
-        if magic != MAGIC:
-            raise ValueError(f"not a dictionary file: bad magic {magic!r}")
-        data = np.frombuffer(fh.read(), dtype="<c8")
-    if data.size != rows * cols:
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
         raise ValueError(
-            f"truncated dictionary file: expected {rows * cols} entries, got {data.size}"
+            f"not a dictionary file: expected a {_HEADER.size}-byte header, got {len(raw)} bytes"
         )
-    return data.reshape(rows, cols).astype(np.complex128)
+    magic, rows, cols, _ = _HEADER.unpack_from(raw)
+    if magic != MAGIC:
+        raise ValueError(f"not a dictionary file: bad magic {magic!r}")
+    expected = rows * cols * 8
+    if len(raw) - _HEADER.size != expected:
+        raise ValueError(
+            f"dictionary file of {rows} x {cols} complex64 entries needs a "
+            f"{expected}-byte payload, got {len(raw) - _HEADER.size} bytes"
+        )
+    return np.frombuffer(raw, dtype="<c8", offset=_HEADER.size).reshape(rows, cols).astype(np.complex128)

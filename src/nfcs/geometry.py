@@ -4,6 +4,7 @@ Distances are measured from the first antenna (the reference element), angles
 from broadside, and all steering vectors are normalised to unit l2 norm.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -52,37 +53,32 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class PathParams:
-    """One propagation path: complex gain, departure angle, reference distance."""
-
-    gain: complex
-    theta: float
-    distance: float
-    is_los: bool = False
-
-    def __post_init__(self):
-        check_angle(self.theta)
-        check_positive(self.distance, "distance")
-
-
-@dataclass(frozen=True)
 class ChannelSpec:
-    """Ordered multipath description; index 0 holds the line-of-sight path."""
+    """Multipath description: path gains, departure angles and reference
+    distances, one entry per path in three equal-length tuples; index 0 is
+    the line-of-sight path."""
 
-    paths: tuple
+    gains: tuple
+    thetas: tuple
+    distances: tuple
 
     def __post_init__(self):
-        if len(self.paths) < 1:
+        for name in ("gains", "thetas", "distances"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not self.gains:
             raise ValueError("a channel needs at least one path")
-        object.__setattr__(self, "paths", tuple(self.paths))
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.paths)
-
-    @property
-    def gains(self) -> np.ndarray:
-        return np.array([p.gain for p in self.paths], dtype=np.complex128)
+        if not len(self.gains) == len(self.thetas) == len(self.distances):
+            raise ValueError(
+                f"gains, thetas and distances need one entry per path, got "
+                f"{len(self.gains)}, {len(self.thetas)} and {len(self.distances)}"
+            )
+        for g in self.gains:
+            if not cmath.isfinite(g):
+                raise ValueError(f"path gains must be finite, got {g!r}")
+        for theta in self.thetas:
+            check_angle(theta)
+        for r in self.distances:
+            check_positive(r, "distance")
 
 
 def field_boundaries(cfg: ArrayConfig) -> tuple:
@@ -161,8 +157,8 @@ def b_vector(cfg: ArrayConfig, mu) -> np.ndarray:
 def synthesize_channel(cfg: ArrayConfig, spec: ChannelSpec) -> np.ndarray:
     """Multipath channel h = sum_l g_l * a(theta_l, r_l) of exact spherical-wavefront responses."""
     h = np.zeros(cfg.n_antennas, dtype=np.complex128)
-    for p in spec.paths:
-        h += p.gain * near_steering(cfg, p.theta, p.distance)
+    for g, theta, r in zip(spec.gains, spec.thetas, spec.distances):
+        h += g * near_steering(cfg, theta, r)
     return h
 
 
@@ -215,13 +211,8 @@ def sample_channel(
     dists = rng.uniform(lo, hi, n_paths)
     gains = (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)) / math.sqrt(2)
     _scale_gains(gains, power_split_db, normalize=False)
-    paths = tuple(
-        PathParams(
-            gain=complex(gains[i]),
-            theta=math.asin(sines[i]),
-            distance=float(dists[i]),
-            is_los=(i == 0),
-        )
-        for i in range(n_paths)
+    return ChannelSpec(
+        gains=tuple(complex(g) for g in gains),
+        thetas=tuple(math.asin(s) for s in sines),
+        distances=tuple(float(r) for r in dists),
     )
-    return ChannelSpec(paths=paths)

@@ -6,27 +6,24 @@ grid point and the trial index, so grid points can run in any order (or in
 parallel) and still produce byte-identical output files.
 """
 
-import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
 import numbers
-import os
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import block_rip as rip_mod
+from ._files import write_atomic
 from .coherence import _approx_magnitudes, _exact_magnitudes, _phase_pair, sparsity_bound
 from .dictionaries import Dictionary, build_dft, build_dmu, build_polar_baseline, mutual_coherence
 from .geometry import (
     ArrayConfig,
-    ChannelSpec,
-    PathParams,
     _scale_gains,
     _steering,
     b_vector,
@@ -360,17 +357,7 @@ def emit(rows, fmt: str, path: str) -> str:
         raise ValueError(f"unknown output format {fmt!r}")
     if path == "-":
         return text
-    # write a sibling file and rename it over the target, so readers see
-    # either the old file or the complete new one
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, text.encode("utf-8"))
     return text
 
 
@@ -456,11 +443,11 @@ def _sample_trial_channel(config, cfg, dist_range, bin_center, data_key, trial):
         r0 = rng.uniform(lo, hi)
         mu0 = effective_distance(sin0, r0)
         if abs(math.log(mu0 / bin_center)) <= log_tol:
-            los = base.paths[0]
-            paths = (
-                PathParams(los.gain, math.asin(sin0), r0, is_los=True),
-            ) + base.paths[1:]
-            return ChannelSpec(paths=paths)
+            return replace(
+                base,
+                thetas=(math.asin(sin0),) + base.thetas[1:],
+                distances=(r0,) + base.distances[1:],
+            )
     raise ConfigError(
         _key("mu0_bins"),
         f"could not hit the bin {bin_center!r} within the sampling budget; "

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtri
 
-from .base import BaseEstimator
 from .coherence import _worst_case_nonzeros
 from .dictionaries import SensingProduct
 from .geometry import ArrayConfig, ChannelSpec, synthesize_channel
@@ -195,7 +194,7 @@ class _ProductColumns:
         return np.concatenate([self._block(b) for b in idx[::s] // s], axis=1)
 
 
-class BlockOMP(BaseEstimator):
+class BlockOMP:
     """Greedy block-sparse solver for y = X beta with X = (T x M).
 
     X is a formed matrix or a ``SensingProduct`` (see
@@ -343,22 +342,16 @@ class BlockOMP(BaseEstimator):
         tail = max(0.0, rho - spare * sigma2) * t / (max(mean_col_energy, 1e-300) * spare)
         return fit_cost + tail
 
-    def predict(self, X) -> np.ndarray:
-        if isinstance(X, SensingProduct):
-            return X.pilots @ (X.matrix @ self.coef_)
-        X = as_complex_matrix(X, "X")
-        return X @ self.coef_
-
 
 def ls_estimate(problem: SensingProblem) -> np.ndarray:
-    """Least-squares channel estimate; requires at least N measurements."""
+    """Least-squares channel estimate on BlockOMP's refit kernel; requires at
+    least N measurements."""
     t, n = problem.pilots.shape
     if t < n:
         raise ValueError(
             f"least squares needs n_measurements >= n_antennas ({t} < {n})"
         )
-    h_hat, *_ = np.linalg.lstsq(problem.pilots, problem.observations, rcond=None)
-    return h_hat
+    return _least_squares(problem.pilots, problem.observations)[0]
 
 
 def nmse(h, h_hat) -> float:

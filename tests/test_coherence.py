@@ -372,7 +372,7 @@ class TestEmpiricalSparsity:
         )
         frac = _fast_analysis_fractions(build_dft(cfg), b_vector(cfg, mus), channels, 0.01)
         for i, mu in enumerate(mus):
-            beta = analyze(build_dmu(cfg, float(mu)), channels[:, i]).beta
+            beta = analyze(build_dmu(cfg, float(mu)), channels[:, i])
             assert frac[i] == np.count_nonzero(np.abs(beta) >= 0.01) / cfg.n_antennas
         assert 0 < frac.min() < frac.max() < 1
 

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -99,18 +100,17 @@ def test_analyze_round_trip(cfg):
     rng = np.random.default_rng(0)
     for _ in range(100):
         h = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        rep = analyze(d, h)
-        assert np.linalg.norm(rep.beta) == pytest.approx(np.linalg.norm(h), rel=1e-12)
-        assert np.linalg.norm(rep.synthesize() - h) < 1e-10
+        beta = analyze(d, h)
+        assert np.linalg.norm(beta) == pytest.approx(np.linalg.norm(h), rel=1e-12)
+        assert np.linalg.norm(d.inverse_transform(beta) - h) < 1e-10
 
 
 def test_analyze_unit_coordinate(cfg):
     d = build_dmu(cfg, 20.0)
     k = 37
-    rep = analyze(d, d.matrix[:, k])
     expected = np.zeros(256)
     expected[k] = 1.0
-    np.testing.assert_allclose(rep.beta, expected, atol=1e-12)
+    np.testing.assert_allclose(analyze(d, d.matrix[:, k]), expected, atol=1e-12)
 
 
 def test_analyze_dimension_mismatch(cfg):
@@ -393,13 +393,49 @@ def test_load_rejects_bad_magic(tmp_path):
         load_dictionary_matrix(path)
 
 
+def _exported(tmp_path):
+    d = build_dmu(ArrayConfig(carrier_freq=100e9, n_antennas=4), 20.0)
+    path = tmp_path / "dict.bin"
+    export_dictionary(d, path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("size", [0, 3, 15])
+def test_load_rejects_a_file_shorter_than_the_header(tmp_path, size):
+    path = tmp_path / "short.bin"
+    path.write_bytes((b"NFCS" + b"\x00" * 12)[:size])
+    with pytest.raises(ValueError, match=f"expected a 16-byte header, got {size} bytes"):
+        load_dictionary_matrix(path)
+
+
+@pytest.mark.parametrize("change", [-128, -1, 1, 17])
+def test_load_rejects_a_payload_of_the_wrong_size(tmp_path, change):
+    path, raw = _exported(tmp_path)
+    raw = raw[:change] if change < 0 else raw + b"\x00" * change
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"needs a 128-byte payload, got {128 + change} bytes"):
+        load_dictionary_matrix(path)
+
+
+def test_failed_export_keeps_the_old_file(cfg, tmp_path, monkeypatch):
+    path, raw = _exported(tmp_path)
+
+    def fail(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="simulated"):
+        export_dictionary(build_dft(cfg), path)
+    assert path.read_bytes() == raw
+    assert [p.name for p in tmp_path.iterdir()] == ["dict.bin"]
+
+
 def test_parseval_on_sampled_channels(cfg):
     d = build_dmu(cfg, 20.0)
     for seed in range(10):
         spec = sample_channel(cfg, 3, seed=seed)
         h = synthesize_channel(cfg, spec)
-        rep = analyze(d, h)
-        assert np.linalg.norm(rep.beta) == pytest.approx(np.linalg.norm(h), rel=1e-12)
+        assert np.linalg.norm(analyze(d, h)) == pytest.approx(np.linalg.norm(h), rel=1e-12)
 
 
 def test_dictionary_matrix_immutable(cfg):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from nfcs import (
     ArrayConfig,
     ChannelSpec,
-    PathParams,
     b_vector,
     effective_distance,
     field_boundaries,
@@ -261,7 +261,7 @@ def test_effective_distance_values():
 
 
 def test_synthesize_single_path(cfg):
-    spec = ChannelSpec(paths=(PathParams(gain=1.0, theta=0.3, distance=12.0, is_los=True),))
+    spec = ChannelSpec(gains=(1.0,), thetas=(0.3,), distances=(12.0,))
     h = synthesize_channel(cfg, spec)
     np.testing.assert_allclose(h, near_steering(cfg, 0.3, 12.0, "exact"), atol=1e-15)
     assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
@@ -270,33 +270,63 @@ def test_synthesize_single_path(cfg):
 def test_synthesize_linear_in_gains(cfg):
     rng = np.random.default_rng(11)
     for _ in range(5):
-        paths = tuple(
-            PathParams(
-                gain=complex(rng.standard_normal(), rng.standard_normal()),
-                theta=float(rng.uniform(-1.2, 1.2)),
-                distance=float(rng.uniform(3.0, 90.0)),
-                is_los=(i == 0),
-            )
-            for i in range(3)
+        spec = ChannelSpec(
+            gains=tuple(complex(g) for g in rng.standard_normal(3) + 1j * rng.standard_normal(3)),
+            thetas=tuple(float(t) for t in rng.uniform(-1.2, 1.2, 3)),
+            distances=tuple(float(r) for r in rng.uniform(3.0, 90.0, 3)),
         )
-        spec = ChannelSpec(paths=paths)
         scale = 2.5 - 1.25j
-        scaled = ChannelSpec(
-            paths=tuple(
-                PathParams(p.gain * scale, p.theta, p.distance, p.is_los) for p in paths
-            )
-        )
+        scaled = replace(spec, gains=tuple(g * scale for g in spec.gains))
         np.testing.assert_allclose(
             synthesize_channel(cfg, scaled), scale * synthesize_channel(cfg, spec), atol=1e-12
         )
         # superposition across path subsets
-        one = ChannelSpec(paths=paths[:1])
-        rest = ChannelSpec(paths=paths[1:])
+        one = ChannelSpec(spec.gains[:1], spec.thetas[:1], spec.distances[:1])
+        rest = ChannelSpec(spec.gains[1:], spec.thetas[1:], spec.distances[1:])
         np.testing.assert_allclose(
             synthesize_channel(cfg, spec),
             synthesize_channel(cfg, one) + synthesize_channel(cfg, rest),
             atol=1e-12,
         )
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        dict(gains=(), thetas=(), distances=()),
+        dict(gains=(1.0, 0.5), thetas=(0.1,), distances=(10.0,)),
+        dict(gains=(1.0,), thetas=(0.1, 0.2), distances=(10.0,)),
+        dict(gains=(1.0,), thetas=(0.1,), distances=(10.0, 20.0)),
+        dict(gains=(complex("nan"),), thetas=(0.1,), distances=(10.0,)),
+        dict(gains=(1.0, math.inf), thetas=(0.1, 0.2), distances=(10.0, 20.0)),
+        dict(gains=(1.0,), thetas=(math.pi / 2,), distances=(10.0,)),
+        dict(gains=(1.0,), thetas=(-math.pi / 2,), distances=(10.0,)),
+        dict(gains=(1.0,), thetas=(2.0,), distances=(10.0,)),
+        dict(gains=(1.0,), thetas=(0.1,), distances=(0.0,)),
+        dict(gains=(1.0,), thetas=(0.1,), distances=(-3.0,)),
+        dict(gains=(1.0,), thetas=(0.1,), distances=(math.inf,)),
+    ],
+    ids=[
+        "empty", "fewer-thetas", "more-thetas", "more-distances", "gain-nan", "gain-inf", "theta-pi/2",
+        "theta--pi/2", "theta-2", "distance-0", "distance-negative", "distance-inf",
+    ],
+)
+def test_channel_spec_rejects_malformed_records(record):
+    with pytest.raises(ValueError):
+        ChannelSpec(**record)
+
+
+def test_channel_spec_replace_revalidates(cfg):
+    spec = sample_channel(cfg, 3, seed=4)
+    with pytest.raises(ValueError):
+        replace(spec, thetas=spec.thetas[:2])
+    with pytest.raises(ValueError):
+        replace(spec, thetas=(math.pi / 2,) + spec.thetas[1:])
+    with pytest.raises(ValueError):
+        replace(spec, distances=(math.inf,) + spec.distances[1:])
+    moved = replace(spec, distances=(5.0,) + spec.distances[1:])
+    assert moved.distances[0] == 5.0
+    assert moved != spec
 
 
 def test_sample_channel_determinism(cfg):
@@ -309,14 +339,13 @@ def test_sample_channel_determinism(cfg):
 
 def test_sample_channel_single_path(cfg):
     spec = sample_channel(cfg, 1, seed=7)
-    assert spec.n_paths == 1
-    assert spec.paths[0].is_los
+    assert len(spec.gains) == len(spec.thetas) == len(spec.distances) == 1
 
 
 def test_sample_channel_power_split(cfg):
     for seed in range(5):
         spec = sample_channel(cfg, 3, seed=seed, power_split_db=13.0)
-        gains = spec.gains
+        gains = np.array(spec.gains)
         ratio = abs(gains[0]) ** 2 / np.sum(np.abs(gains[1:]) ** 2)
         assert ratio == pytest.approx(10**1.3, abs=1e-9)
 
@@ -330,10 +359,11 @@ def test_sample_channel_rejects_power_split_beyond_300_db(cfg, power_split_db):
 def test_sample_channel_structure_and_ranges(cfg):
     fresnel, rayleigh = field_boundaries(cfg)
     spec = sample_channel(cfg, 4, seed=5)
-    assert [p.is_los for p in spec.paths] == [True, False, False, False]
-    for p in spec.paths:
-        assert fresnel <= p.distance <= 1.2 * rayleigh
-        assert abs(p.theta) < math.pi / 2
+    assert len(spec.gains) == len(spec.thetas) == len(spec.distances) == 4
+    assert all(isinstance(g, complex) for g in spec.gains)
+    for theta, r in zip(spec.thetas, spec.distances):
+        assert fresnel <= r <= 1.2 * rayleigh
+        assert abs(theta) < math.pi / 2
 
 
 def test_sample_channel_normalization():

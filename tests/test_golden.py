@@ -20,10 +20,11 @@ values by a few ulps (at most 6e-16 relative when it was pinned).
 
 ``block_size_sweep``, ``nmse_vs_T`` and ``nmse_vs_mu0`` were emitted before
 the NMSE sweeps drew each trial once for all block sizes. The first and the
-last match byte for byte. ``nmse_vs_T`` runs least squares, whose LAPACK
-solve moves the last bits with the BLAS thread count (2e-16 relative on its
-``ls`` rows between one and two threads), so it is compared within
-``VALUE_RTOL``.
+last match byte for byte. ``nmse_vs_T`` was emitted while least squares
+still went through LAPACK's ``lstsq``; it now shares BlockOMP's eigh kernel,
+which moved its ``ls`` rows by at most 1.7e-12 relative, so it is compared
+within ``VALUE_RTOL``. At this shape the kernel gives the same bytes with one
+or two BLAS threads.
 
 ``coherence_error`` and ``rip_probe`` were emitted before the effective
 distance, the (a, b) phase pair and the nonzero count were each written once
@@ -31,12 +32,16 @@ for the analytics; both match byte for byte.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nfcs
 from nfcs.geometry import ArrayConfig, _element_delay, _steering, near_steering
 from nfcs.harness import ExperimentConfig, emit, parse_rows, run
 
@@ -98,6 +103,21 @@ def test_emit_matches_golden(name, tmp_path):
     for row, ref in zip(got, expected):
         assert replace(row, value=ref.value) == ref
         assert row.value == pytest.approx(ref.value, rel=VALUE_RTOL, abs=0.0)
+
+
+def test_least_squares_rows_do_not_depend_on_the_blas_thread_count():
+    code = (
+        "import sys; from nfcs.harness import ExperimentConfig, emit, run; "
+        f"sys.stdout.write(emit(run(ExperimentConfig(**{GOLDEN['nmse_vs_T']!r})), 'csv', '-'))"
+    )
+    src = str(Path(nfcs.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+        outputs.append(proc.stdout)
+    assert b",ls," in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("mode", ["exact", "taylor"])

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfcs.geometry import field_boundaries
+from nfcs.geometry import effective_distance, field_boundaries
 from nfcs.harness import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +19,7 @@ from nfcs.harness import (
     emit,
     parse_rows,
     preset_config,
+    _distance_range,
     _mu0_hit_probability,
     _sample_trial_channel,
     run,
@@ -101,6 +102,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match="experiment.mu0_bins: bin .* is unreachable"):
             replace(config, mu0_bins=(bin_center,)).validate()
         assert time.perf_counter() - start < 0.1
+
+    def test_binned_draw_moves_only_the_los_path(self):
+        # common random numbers: every bin keeps the unbinned draw's gains
+        # and its paths 1.., and redraws only the LOS angle and distance
+        config = preset_config("nmse_vs_mu0", "desk", seed=5)
+        cfg = config.array_config()
+        dist_range = _distance_range(config, cfg)
+        for trial in range(4):
+            base = _sample_trial_channel(config, cfg, dist_range, None, (5, "key"), trial)
+            assert len(base.gains) == config.n_paths > 1
+            for bin_center in config.mu0_bins:
+                binned = _sample_trial_channel(config, cfg, dist_range, bin_center, (5, "key"), trial)
+                assert binned.gains == base.gains
+                assert binned.thetas[1:] == base.thetas[1:]
+                assert binned.distances[1:] == base.distances[1:]
+                assert binned.thetas[0] != base.thetas[0]
+                assert binned.distances[0] != base.distances[0]
+                mu0 = effective_distance(math.sin(binned.thetas[0]), binned.distances[0])
+                assert abs(math.log(mu0 / bin_center)) <= math.log(config.mu0_bin_tolerance) + 1e-12
 
     @pytest.mark.parametrize(
         "bin_center, tolerance, lo, hi",

@@ -230,21 +230,6 @@ class TestBlockOMP:
         assert est.n_iter_ == 3
         assert sorted(est.support_) == list(range(6))
 
-    def test_estimator_params_round_trip(self):
-        est = BlockOMP(block_size=4, k_max=7, stop_alpha=0.1)
-        params = est.get_params()
-        clone = BlockOMP(**params)
-        assert clone.get_params() == params
-        clone.set_params(block_size=8)
-        assert clone.block_size == 8
-        with pytest.raises(ValueError):
-            clone.set_params(bogus=1)
-
-    def test_predict(self):
-        psi, beta, y, _ = random_block_sparse_problem(seed=10, k=1)
-        est = BlockOMP(block_size=4).fit(psi, y)
-        np.testing.assert_allclose(est.predict(psi), y, atol=1e-8)
-
 
 class TestOmpEquivalence:
     def test_one_sparse_exact(self):
@@ -462,9 +447,6 @@ class TestFactoredFit:
         np.testing.assert_allclose(factored.coef_, formed.coef_, rtol=0, atol=rtol * scale)
         np.testing.assert_allclose(
             factored.residual_path_, formed.residual_path_, rtol=0, atol=1e-10 * formed.residual_path_[0]
-        )
-        np.testing.assert_allclose(
-            factored.predict(operator), pilots @ (polar.matrix @ factored.coef_), rtol=1e-12
         )
 
     @pytest.mark.parametrize("block_size", [1, 3])
