@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fresnel as _fresnel_normalized
 
 from .geometry import ArrayConfig
 from .dictionaries import dft_grid
@@ -28,9 +27,12 @@ def fresnel(x):
     """Unnormalised Fresnel integrals C(x) = int_0^x cos(t^2) dt and S likewise.
 
     Odd in x, vectorised, and accurate to well below 1e-8 absolute error via
-    rescaling of the standard normalised integrals.
+    rescaling of the standard normalised integrals. SciPy is imported on the
+    first call, so that ``import nfcs`` loads none of it.
     """
-    s_std, c_std = _fresnel_normalized(np.asarray(x, dtype=float) * _FRESNEL_ARG)
+    from scipy.special import fresnel as fresnel_normalized
+
+    s_std, c_std = fresnel_normalized(np.asarray(x, dtype=float) * _FRESNEL_ARG)
     return _FRESNEL_SCALE * c_std, _FRESNEL_SCALE * s_std
 
 

@@ -102,7 +102,9 @@ class Dictionary:
         _check_length(arr, self.n_antennas, "pilot rows")
         if self._chirp is None:
             return arr @ self._matrix
-        return np.fft.ifft(arr * self._chirp, axis=1, norm="ortho")
+        # the product is transformed in place: one T x N array, not two
+        buf = arr * self._chirp
+        return np.fft.ifft(buf, axis=1, norm="ortho", out=buf)
 
     def sensing_operator(self, pilots):
         """The sensing matrix ``pilots @ D`` in the form a solver reads it.

@@ -76,6 +76,17 @@ class TestFresnel:
         assert abs(c - limit) < 1.1 / (2 * 50.0)
         assert abs(s - limit) < 1.1 / (2 * 50.0)
 
+    def test_is_the_rescaled_scipy_integral(self):
+        # the lazy import changes nothing: the values are SciPy's normalised
+        # integrals at x sqrt(2/pi), scaled by sqrt(pi/2), bit for bit
+        from scipy.special import fresnel as fresnel_normalized
+
+        xs = np.linspace(-40.0, 40.0, 4001)
+        s_std, c_std = fresnel_normalized(xs * math.sqrt(2.0 / math.pi))
+        c, s = fresnel(xs)
+        assert c.tobytes() == (math.sqrt(math.pi / 2.0) * c_std).tobytes()
+        assert s.tobytes() == (math.sqrt(math.pi / 2.0) * s_std).tobytes()
+
     def test_global_caps(self):
         # numerically verified envelope constants used by the support analysis
         xs = np.linspace(1e-6, 200.0, 200_001)

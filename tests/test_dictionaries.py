@@ -465,3 +465,18 @@ def test_fft_products_match_dense_matrix(kind, n):
     np.testing.assert_allclose(d.inverse_transform(rows), rows @ dense.T, rtol=0, atol=1e-12)
     np.testing.assert_allclose(d.transform(rows[2]), np.conj(dense.T) @ rows[2], rtol=0, atol=1e-12)
     np.testing.assert_allclose(d.inverse_transform(rows[2]), dense @ rows[2], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 255, 2048])
+@pytest.mark.parametrize("kind", ["dmu", "dft"])
+def test_sense_leaves_the_pilots_and_matches_the_out_of_place_fft(kind, n):
+    # sense transforms its chirped copy of the pilots in place; the caller's
+    # array is untouched and the bytes are those of a separate output array
+    cfg_n = ArrayConfig(carrier_freq=100e9, n_antennas=n)
+    d = build_dmu(cfg_n, 20.0) if kind == "dmu" else build_dft(cfg_n)
+    pilots = gen_pilots(40, n, seed=n)
+    before = pilots.copy()
+    sensed = d.sense(pilots)
+    assert pilots.tobytes() == before.tobytes()
+    expected = np.fft.ifft(pilots * d._chirp, axis=1, norm="ortho")
+    assert sensed.tobytes() == expected.tobytes()

@@ -26,6 +26,7 @@ from nfcs.dictionaries import SensingProduct
 from nfcs.recovery import (
     _COND_LIMIT,
     RIDGE_SCALE,
+    _chi2_isf,
     _FormedColumns,
     _least_squares,
     _ProductColumns,
@@ -75,15 +76,18 @@ class TestPilots:
         b = gen_pilots(10, 32, "gaussian", seed=3)
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("shape", [(80, 256), (100, 256), (400, 2048), (3, 5)])
+    @pytest.mark.parametrize("shape", [(80, 256), (100, 256), (400, 2048), (3, 5), (7, 3), (1, 5)])
     def test_gaussian_bytes_match_the_complex_expression(self, shape):
-        # the pilots are filled in place from two real draws; they must equal
-        # scale * (a + 1j * b) of the same draws bit for bit
+        # the pilots are drawn in chunks of rows, whose count need not divide
+        # T; they must equal scale * (a + 1j * b) of two full-size draws bit
+        # for bit and leave the generator where those draws leave it
         rng = np.random.default_rng([5, *shape])
         a, b = rng.standard_normal(shape), rng.standard_normal(shape)
         expected = math.sqrt(1.0 / (2.0 * shape[1])) * (a + 1j * b)
-        pilots = gen_pilots(*shape, "gaussian", seed=np.random.default_rng([5, *shape]))
+        chunked = np.random.default_rng([5, *shape])
+        pilots = gen_pilots(*shape, "gaussian", seed=chunked)
         assert pilots.tobytes() == expected.tobytes()
+        assert chunked.standard_normal(3).tobytes() == rng.standard_normal(3).tobytes()
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -216,8 +220,8 @@ class TestBlockOMP:
 
     @pytest.mark.parametrize("factored", [False, True], ids=["formed", "factored"])
     def test_stops_once_every_block_is_selected(self, factored):
-        # noiseless with T > M: the default k_max (T // block_size = 20)
-        # exceeds the 3 blocks, and y lies outside the span of the columns
+        # noiseless with T > M and y outside the span of the columns; the
+        # factored default k_max (N // block_size = 4) exceeds the 3 blocks
         rng = np.random.default_rng(31)
         pilots = rng.standard_normal((40, 8)) + 1j * rng.standard_normal((40, 8))
         matrix = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
@@ -258,7 +262,7 @@ def _reference_fit(est, X, y):
     s = est.block_size
     nb = m // s
     sigma2 = float(est.noise_var)
-    k_max = est.k_max if est.k_max is not None else est._default_k_max(t, m, sigma2)
+    k_max = est.k_max if est.k_max is not None else est._default_k_max(min(t, m), m, sigma2)
     tol = math.sqrt(t * sigma2)
     block_energy = (np.linalg.norm(X, axis=0) ** 2).reshape(nb, s).mean(axis=1)
     use_score_stop = est.stop_alpha is not None and sigma2 > 0
@@ -434,20 +438,35 @@ class TestFactoredFit:
         polar, pilots, y, noise_var = _polar_problem(n, t, block_size, snr_db, seed)
         operator = polar.sensing_operator(pilots)
         assert isinstance(operator, SensingProduct)
-        formed = BlockOMP(block_size=block_size, noise_var=noise_var).fit(pilots @ polar.matrix, y)
-        factored = BlockOMP(block_size=block_size, noise_var=noise_var).fit(operator, y)
+        est = BlockOMP(block_size=block_size, noise_var=noise_var)
+        factored = est.fit(operator, y)
+        # the formed product does not show that its rank is at most N, so it
+        # gets the factored fit's default budget, min(T, N) // s blocks
+        k_max = est._default_k_max(min(t, n), polar.n_atoms, noise_var)
+        formed = BlockOMP(block_size=block_size, noise_var=noise_var, k_max=k_max).fit(
+            pilots @ polar.matrix, y
+        )
         np.testing.assert_array_equal(factored.support_, formed.support_)
         assert factored.n_iter_ == formed.n_iter_
-        # a noiseless fit that misses the support runs on to k_max = T // s;
-        # for T > N that is more columns than rank(P) = N, so its Gram is
-        # singular and ridged (condition about 1e10), and both solves are
-        # accurate only to about 1e-5 there (measured 3e-6 to 9e-6)
-        rtol = 1e-10 if formed.support_.size <= n else 1e-4
+        # a noiseless fit that misses the support runs on to that budget; N
+        # columns of the rank-N product can have an ill-conditioned Gram
+        # (condition 6e8 at [64-2-noiseless-T>N], ridged at 256-2), where
+        # the two solves agree only to 1.9e-9 and 8.8e-7 of the scale
+        rtol = 1e-10 if formed.support_.size < n else 1e-4
         scale = max(np.abs(formed.coef_).max(), 1.0)
         np.testing.assert_allclose(factored.coef_, formed.coef_, rtol=0, atol=rtol * scale)
         np.testing.assert_allclose(
             factored.residual_path_, formed.residual_path_, rtol=0, atol=1e-10 * formed.residual_path_[0]
         )
+
+    def test_noiseless_budget_stops_at_the_rank_of_the_pilots(self):
+        # the [64-1-noiseless-T>N] draw misses the support; it used to run on
+        # to T // s = 80 columns of a rank-64 operator, into ridged Grams
+        n, t = 64, 80
+        polar, pilots, y, _ = _polar_problem(n, t, 1, None, (n, 1, t, 99))
+        est = BlockOMP(block_size=1).fit(polar.sensing_operator(pilots), y)
+        assert est.n_iter_ == n
+        assert est.support_.size <= n
 
     @pytest.mark.parametrize("block_size", [1, 3])
     def test_reads_what_the_formed_matrix_holds(self, block_size):
@@ -545,10 +564,59 @@ class TestNmse:
             nmse(np.zeros(4, dtype=complex), np.ones(4, dtype=complex))
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats and scipy.linalg add import time and resident memory to
-    # every run; the package needs only scipy.special and numpy.linalg
-    code = "import nfcs, sys; print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))"
+def _chi2_isf_reference(dof: int, p: float) -> float:
+    """The quantile solved to 60 digits with mpmath's regularised upper gamma."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        log_p = mpmath.log(p)
+        u = mpmath.findroot(
+            lambda v: mpmath.log(mpmath.gammainc(dof // 2, v, mpmath.inf, regularized=True)) - log_p,
+            mpmath.mpf(chdtri(dof, p)) / 2,
+            tol=mpmath.mpf(10) ** -50,
+        )
+        return float(2 * u)
+
+
+def _stop_levels():
+    """(dof, p) of the significance stop: s in 1..64, n_blocks = M / s for M
+    in 64..8192 and alpha from 1e-3 to 1, plus p = 1e-300."""
+    levels = set()
+    for s in (1, 2, 4, 8, 16, 32, 64):
+        levels.add((2 * s, 1e-300))
+        for m in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
+            for alpha in (1e-3, 0.01, 0.05, 0.1, 0.5, 1.0):
+                levels.add((2 * s, min(alpha / (m // s), 1.0)))
+    return sorted(levels)
+
+
+class TestChi2Isf:
+    def test_matches_mpmath_and_chdtri(self):
+        # chdtri itself is up to 8 ulp from the mpmath value on this grid
+        # (dof 128, p = 6.25e-4), so it is allowed 4 ulp more than that
+        for dof, p in _stop_levels():
+            got = _chi2_isf(dof, p)
+            if p >= 1.0:
+                assert got == 0.0 == chdtri(dof, p)
+                continue
+            exact = _chi2_isf_reference(dof, p)
+            ulp = np.spacing(exact)
+            assert abs(got - exact) <= 4 * ulp, (dof, p, got, exact)
+            assert abs(got - chdtri(dof, p)) <= 12 * ulp, (dof, p, got, chdtri(dof, p))
+
+    def test_edges(self):
+        assert _chi2_isf(2, 0.0) == math.inf
+        # two degrees of freedom: the survival function is exp(-x / 2)
+        assert _chi2_isf(2, 0.25) == pytest.approx(-2.0 * math.log(0.25), rel=1e-15)
+        # past u = 700 the sum is scaled by powers of two (s = 2048 overflows
+        # an unscaled sum); the quantile still solves log Q = log p
+        x = _chi2_isf(4096, 1e-3)
+        assert x == pytest.approx(_chi2_isf_reference(4096, 1e-3), rel=1e-13)
+
+
+def test_import_loads_no_scipy():
+    # SciPy is read only by nfcs.fresnel, which imports it on first call;
+    # importing the package and its command line must not load it
+    code = "import nfcs, nfcs.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     # the child imports the same nfcs as this test, installed or not
     env = {**os.environ, "PYTHONPATH": str(Path(nfcs.__file__).resolve().parents[1])}
     proc = subprocess.run(
