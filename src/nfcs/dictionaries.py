@@ -32,10 +32,10 @@ class Dictionary:
 
     ``sense`` forms the sensing matrix ``pilots @ D``, ``transform`` maps
     channel vectors to coefficients via the adjoint, and ``inverse_transform``
-    synthesises channels from coefficients. For the unitary kinds ("dmu",
-    "dft") the two are exact inverses.
+    synthesises channels from coefficients. For the unitary chirped
+    dictionaries (``build_dmu``, ``build_dft``) the two are exact inverses.
 
-    The chirped kinds ("dmu", "dft") are not stored densely. With
+    The chirped dictionaries are not stored densely. With
     half-wavelength spacing ``D_mu = diag(b_mu) F`` and ``F = diag(s) W``,
     where ``W`` is the unitary inverse DFT and ``s_n = exp(-j*pi*n*(N-1)/N)``
     carries the centring of the angular grid, so all three products apply
@@ -50,12 +50,10 @@ class Dictionary:
     construction and safe to share across threads.
     """
 
-    def __init__(self, matrix, kind: str, mu: float = None, radii=None, cfg=None):
+    def __init__(self, matrix, mu: float = None, cfg=None):
         """Dense dictionary from ``matrix``, or with ``matrix=None`` the chirped
         dictionary ``diag(b_vector(cfg, mu)) F`` of a half-wavelength array."""
-        self.kind = kind
         self.mu = mu
-        self.radii = None if radii is None else np.asarray(radii, dtype=float)
         self._cfg = cfg
         self._row_gram = None
         if matrix is None:
@@ -142,7 +140,7 @@ class Dictionary:
 
     def __repr__(self):
         mu = "" if self.mu is None else f", mu={self.mu!r}"
-        return f"Dictionary(kind={self.kind!r}, shape={self.shape}{mu})"
+        return f"Dictionary(shape={self.shape}{mu})"
 
 
 @dataclass(frozen=True)
@@ -199,13 +197,13 @@ def _far_matrix(cfg: ArrayConfig) -> np.ndarray:
 def build_dmu(cfg: ArrayConfig, mu: float) -> Dictionary:
     """Unitary chirped dictionary for one effective distance (inf gives the DFT)."""
     _require_half_wavelength(cfg)
-    return Dictionary(None, kind="dmu", mu=mu, cfg=cfg)
+    return Dictionary(None, mu=mu, cfg=cfg)
 
 
 def build_dft(cfg: ArrayConfig) -> Dictionary:
     """Plain DFT dictionary (the chirped dictionary at infinite effective distance)."""
     _require_half_wavelength(cfg)
-    return Dictionary(None, kind="dft", mu=math.inf, cfg=cfg)
+    return Dictionary(None, mu=math.inf, cfg=cfg)
 
 
 def build_polar_baseline(
@@ -235,11 +233,7 @@ def build_polar_baseline(
         _far_matrix(cfg) if math.isinf(radius) else _steering(cfg, grid, radius, "taylor")
         for radius in ring_radii
     ]
-    return Dictionary(
-        np.concatenate(blocks, axis=1),
-        kind="polar",
-        radii=np.repeat(ring_radii, cfg.n_antennas),
-    )
+    return Dictionary(np.concatenate(blocks, axis=1))
 
 
 def analyze(dictionary: Dictionary, h) -> np.ndarray:

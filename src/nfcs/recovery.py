@@ -1,6 +1,5 @@
 """Pilot generation, noisy observation synthesis, and greedy block-sparse solvers."""
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -147,15 +146,15 @@ def _column_energy(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", X.real, X.real) + np.einsum("ij,ij->j", X.imag, X.imag)
 
 
-def _log_poisson_tail(s: int, u: float) -> tuple:
-    """log Q(u) and its derivative -u^(s-1) / ((s-1)! S(u)) for the Poisson
-    tail Q(u) = exp(-u) S(u), S(u) = sum_{k<s} u^k / k!.
+def _log_poisson_tail(s: int, u: float) -> float:
+    """log Q(u) of the Poisson tail Q(u) = exp(-u) sum_{k<s} u^k / k!, the
+    survival function of the chi-squared law on 2s degrees of freedom at 2u.
 
     The terms are summed from exp(-u) itself rather than as log S - u, which
-    rounds log Q to an ulp of u (2 ulp of the quantile on the test grid
-    instead of 1). Past u = 700, where exp(-u) leaves the normal range, the
-    sum starts from exp(-700) and the rest of the factor is taken in log
-    space; the sum is rescaled by powers of two before it can overflow.
+    rounds log Q to an ulp of u. Past u = 700, where exp(-u) leaves the
+    normal range, the sum starts from exp(-700) and the rest of the factor is
+    taken in log space; the sum is rescaled by powers of two before it can
+    overflow.
     """
     shift = max(0.0, u - 700.0)
     term = total = math.exp(shift - u)
@@ -166,44 +165,7 @@ def _log_poisson_tail(s: int, u: float) -> tuple:
         if total > 2.0**960:
             term, total = math.ldexp(term, -960), math.ldexp(total, -960)
             halvings += 960
-    return math.log(total) + halvings * math.log(2.0) - shift, -term / total
-
-
-@functools.lru_cache
-def _chi2_isf(dof: int, p: float) -> float:
-    """Inverse survival function of the chi-squared law with an even ``dof``.
-
-    With s = dof / 2, the survival function at x = 2u is the Poisson tail
-    Q(u) above, so x solves log Q(u) = log p. log Q is concave and
-    decreasing in u, and a Newton iteration in log space, kept inside the
-    bracket of the iterates seen so far, converges in a few steps. For
-    dof <= 128 and 1e-300 <= p <= 0.5 it agrees with a 60-digit mpmath
-    solution to 1 ulp; ``scipy.special.chdtri`` is up to 8 ulp off there.
-    Returns 0.0 for p >= 1 and inf for p <= 0, as chdtri does.
-    """
-    if p >= 1.0:
-        return 0.0
-    if p <= 0.0:
-        return math.inf
-    s = dof // 2
-    target = math.log(p)
-    lo, hi = 0.0, math.inf
-    u = s - target
-    for _ in range(100):
-        log_q, slope = _log_poisson_tail(s, u)
-        f = log_q - target
-        if f > 0.0:
-            lo = u
-        else:
-            hi = u
-        step = u - f / slope
-        if abs(step - u) <= 2.0 * math.ulp(u):
-            u = step
-            break
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * u
-        u = step
-    return 2.0 * u
+    return math.log(total) + halvings * math.log(2.0) - shift
 
 
 class _FormedColumns:
@@ -276,9 +238,10 @@ class BlockOMP:
       for P A and min(T, M) for a formed matrix); the loop also ends once
       every block is selected;
     * the residual stop ends the loop once ||r||_2 falls to sqrt(T * noise_var);
-    * ``stop_alpha`` stops when the best block's correlation statistic is no
-      longer distinguishable from noise at family-wise level alpha (a
-      chi-squared test on 2*block_size degrees of freedom).
+    * ``stop_alpha`` (in (0, 1], or None for no such stop) stops when the
+      best block's correlation statistic is no longer distinguishable from
+      noise at family-wise level alpha (a chi-squared test on 2*block_size
+      degrees of freedom).
 
     When ``noise_var`` is positive, the returned model is the prefix of the
     greedy path minimising an unbiased risk estimate (estimated coefficient
@@ -329,6 +292,9 @@ class BlockOMP:
         if s < 1 or m % s != 0:
             raise ValueError(f"block size {s} must be >= 1 and divide {m} coefficients")
         nb = m // s
+        alpha = self.stop_alpha
+        if alpha is not None and not 0.0 < alpha <= 1.0:
+            raise ValueError(f"stop_alpha must be in (0, 1] or None, got {alpha}")
         sigma2 = float(self.noise_var)
         if self.k_max is None:
             rank_bound = min(t, X.pilots.shape[1] if factored else m)
@@ -341,10 +307,12 @@ class BlockOMP:
 
         psi = (_ProductColumns if factored else _FormedColumns)(X, s)
         # the significance stop guards against fitting noise; without noise the
-        # greedy loop runs to exact reconstruction or the block budget
-        use_score_stop = self.stop_alpha is not None and sigma2 > 0
+        # greedy loop runs to exact reconstruction or the block budget. A level
+        # alpha / nb >= 1 never stops a fit; the two logs are taken apart so a
+        # tiny alpha / nb cannot round to log(0)
+        use_score_stop = alpha is not None and sigma2 > 0 and alpha < nb
         if use_score_stop:
-            score_threshold = _chi2_isf(2 * s, min(self.stop_alpha / nb, 1.0))
+            log_level = math.log(alpha) - math.log(nb)
 
         y_norm2 = float(np.linalg.norm(y) ** 2)
         resid = y.copy()
@@ -352,7 +320,7 @@ class BlockOMP:
         chosen = []
         residual_path = [math.sqrt(y_norm2)]
         mean_col_energy = psi.mean_col_energy
-        best_risk = self._risk_estimate(y_norm2, 0, t, sigma2, None, mean_col_energy)
+        best_risk = self._risk_estimate(y_norm2, 0, t, sigma2, 0.0, mean_col_energy)
         best = (np.array([], dtype=int), np.zeros(0, dtype=np.complex128), math.sqrt(y_norm2))
         idx = np.array([], dtype=int)
         coef = np.zeros(0, dtype=np.complex128)
@@ -366,8 +334,10 @@ class BlockOMP:
             scores[selected] = -np.inf
             pick = int(np.argmax(scores))
             if use_score_stop and rho > 0:
-                stat = 2.0 * t * scores[pick] / (rho * psi.block_energy(pick))
-                if stat < score_threshold:
+                # u is half the chi-squared statistic on 2s degrees of freedom;
+                # the fit goes on only while its tail is at most the level
+                u = float(t * scores[pick] / (rho * psi.block_energy(pick)))
+                if _log_poisson_tail(s, u) > log_level:
                     break
             selected[pick] = True
             chosen.append(pick)
@@ -380,7 +350,7 @@ class BlockOMP:
             risk = self._risk_estimate(rho, idx.size, t, sigma2, gram_inv_trace, mean_col_energy)
             if risk < best_risk:
                 best_risk = risk
-                best = (idx.copy(), coef.copy(), math.sqrt(rho))
+                best = (idx, coef, math.sqrt(rho))
 
         if sigma2 > 0:
             idx, coef, res_norm = best
@@ -406,9 +376,7 @@ class BlockOMP:
         residual through the average column energy, corrected for the
         fraction of signal already absorbed by the selected subspace.
         """
-        if sigma2 <= 0:
-            return rho
-        fit_cost = sigma2 * gram_inv_trace if gram_inv_trace is not None else 0.0
+        fit_cost = sigma2 * gram_inv_trace
         spare = max(t - p, 1)
         tail = max(0.0, rho - spare * sigma2) * t / (max(mean_col_energy, 1e-300) * spare)
         return fit_cost + tail

@@ -192,9 +192,9 @@ def test_criterion_6_nmse_absolute(nmse_at_5db):
 
 def test_criterion_6_ordering_vs_polar(nmse_at_5db):
     # Known-red comparison: with equally tuned adaptive solvers the polar
-    # baseline matches or beats the proposed method at this operating point
-    # (see the project decision log for the full analysis). The assertion
-    # states the criterion faithfully rather than weakening it.
+    # baseline beats the proposed method at this operating point (README,
+    # "Tests and acceptance suite", gives the numbers and the known cause).
+    # The assertion states the criterion faithfully rather than weakening it.
     rows, _ = nmse_at_5db
     v = {(r.method, r.metric): r.value for r in rows}
     dmu = v[("dmu_block_omp", "nmse_mean")]

@@ -75,7 +75,7 @@ def test_dmu_infinite_mu_is_dft(cfg):
     via_inf = build_dmu(cfg, math.inf)
     dft = build_dft(cfg)
     np.testing.assert_array_equal(via_inf.matrix, dft.matrix)
-    assert dft.kind == "dft"
+    assert dft.mu == math.inf
 
 
 def test_dmu_columns_are_steering_vectors(cfg):
@@ -140,23 +140,32 @@ def test_polar_shape_and_norms(cfg):
     polar = build_polar_baseline(cfg, n_rings=6)
     assert polar.matrix.shape == (256, 6 * 256)
     np.testing.assert_allclose(np.linalg.norm(polar.matrix, axis=0), 1.0, atol=1e-12)
-    assert polar.radii is not None and polar.radii.size == 6 * 256
-    assert math.isinf(polar.radii[0])
+    # ring 0 sits at infinity: the plane-wave atoms of the DFT
+    np.testing.assert_array_equal(polar.matrix[:, :256], build_dft(cfg).matrix)
 
 
 def test_polar_ring_distances(cfg):
     fresnel, rayleigh = field_boundaries(cfg)
-    polar = build_polar_baseline(cfg, n_rings=3, distance_range=(fresnel, rayleigh))
-    radii = np.unique(polar.radii[np.isfinite(polar.radii)])
-    inv = np.sort(1.0 / radii)
-    np.testing.assert_allclose(inv, [1 / rayleigh, 1 / fresnel], rtol=1e-12)
+    lo, hi = 2.0 * fresnel, 0.5 * rayleigh
+    polar = build_polar_baseline(cfg, n_rings=4, distance_range=(lo, hi))
+    # rings 1..3 at 1/r = 1/hi, the midpoint of 1/hi and 1/lo, and 1/lo
+    radii = [hi, 2.0 / (1.0 / hi + 1.0 / lo), lo]
+    grid = dft_grid(cfg.n_antennas)
+    for ring, radius in enumerate(radii, start=1):
+        col = ring * 256 + 37
+        expected = near_steering(cfg, math.asin(grid[37]), radius, "taylor")
+        np.testing.assert_allclose(polar.matrix[:, col], expected, atol=1e-12)
 
 
 def test_polar_ring_columns_are_steering_vectors(cfg):
+    # the default range runs from the Fresnel to the Rayleigh distance, so
+    # ring 1 sits at the Rayleigh distance and ring 2 at the Fresnel distance
     polar = build_polar_baseline(cfg, n_rings=3)
+    fresnel, rayleigh = field_boundaries(cfg)
+    radii = [math.inf, rayleigh, fresnel]
     grid = dft_grid(cfg.n_antennas)
     for col in (256, 300, 511, 512, 700, 767):
-        expected = near_steering(cfg, math.asin(grid[col % 256]), polar.radii[col], "taylor")
+        expected = near_steering(cfg, math.asin(grid[col % 256]), radii[col // 256], "taylor")
         np.testing.assert_allclose(polar.matrix[:, col], expected, atol=1e-12)
 
 

@@ -26,9 +26,9 @@ from nfcs.dictionaries import SensingProduct
 from nfcs.recovery import (
     _COND_LIMIT,
     RIDGE_SCALE,
-    _chi2_isf,
     _FormedColumns,
     _least_squares,
+    _log_poisson_tail,
     _ProductColumns,
 )
 
@@ -274,7 +274,7 @@ def _reference_fit(est, X, y):
     chosen = []
     residual_path = [math.sqrt(y_norm2)]
     mean_col_energy = float(block_energy.mean())
-    best_risk = BlockOMP._risk_estimate(y_norm2, 0, t, sigma2, None, mean_col_energy)
+    best_risk = BlockOMP._risk_estimate(y_norm2, 0, t, sigma2, 0.0, mean_col_energy)
     best = (np.array([], dtype=int), np.zeros(0, dtype=np.complex128))
     idx = np.array([], dtype=int)
     coef = np.zeros(0, dtype=np.complex128)
@@ -564,53 +564,76 @@ class TestNmse:
             nmse(np.zeros(4, dtype=complex), np.ones(4, dtype=complex))
 
 
-def _chi2_isf_reference(dof: int, p: float) -> float:
-    """The quantile solved to 60 digits with mpmath's regularised upper gamma."""
+def _quantile_reference(s: int, alpha: float, n_blocks: int):
+    """The u solving Q(u) = alpha / n_blocks for the Poisson tail Q of
+    ``_log_poisson_tail``, to 60 digits with mpmath's regularised upper gamma."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
-        log_p = mpmath.log(p)
-        u = mpmath.findroot(
-            lambda v: mpmath.log(mpmath.gammainc(dof // 2, v, mpmath.inf, regularized=True)) - log_p,
-            mpmath.mpf(chdtri(dof, p)) / 2,
+        log_level = mpmath.log(mpmath.mpf(alpha) / n_blocks)
+        return mpmath.findroot(
+            lambda v: mpmath.log(mpmath.gammainc(s, v, mpmath.inf, regularized=True)) - log_level,
+            mpmath.mpf(chdtri(2 * s, alpha / n_blocks)) / 2,
             tol=mpmath.mpf(10) ** -50,
         )
-        return float(2 * u)
 
 
 def _stop_levels():
-    """(dof, p) of the significance stop: s in 1..64, n_blocks = M / s for M
-    in 64..8192 and alpha from 1e-3 to 1, plus p = 1e-300."""
+    """(block size, alpha, n_blocks) of the significance stop: block sizes
+    1..64, n_blocks = M / s for M in 64..8192 and alpha from 1e-3 to 1, plus
+    a level of 1e-300."""
     levels = set()
     for s in (1, 2, 4, 8, 16, 32, 64):
-        levels.add((2 * s, 1e-300))
+        levels.add((s, 1e-300, 1))
         for m in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
             for alpha in (1e-3, 0.01, 0.05, 0.1, 0.5, 1.0):
-                levels.add((2 * s, min(alpha / (m // s), 1.0)))
+                levels.add((s, alpha, m // s))
     return sorted(levels)
 
 
-class TestChi2Isf:
-    def test_matches_mpmath_and_chdtri(self):
-        # chdtri itself is up to 8 ulp from the mpmath value on this grid
-        # (dof 128, p = 6.25e-4), so it is allowed 4 ulp more than that
-        for dof, p in _stop_levels():
-            got = _chi2_isf(dof, p)
-            if p >= 1.0:
-                assert got == 0.0 == chdtri(dof, p)
-                continue
-            exact = _chi2_isf_reference(dof, p)
-            ulp = np.spacing(exact)
-            assert abs(got - exact) <= 4 * ulp, (dof, p, got, exact)
-            assert abs(got - chdtri(dof, p)) <= 12 * ulp, (dof, p, got, chdtri(dof, p))
+class TestSignificanceStop:
+    def test_forward_rule_matches_the_exact_decision(self):
+        # the fit stops while Q(u) > alpha / n_blocks, which holds exactly for
+        # u below the quantile; every u 4 to 40 ulp either side of it must be
+        # judged so (only a u within 2 ulp of the quantile is misjudged)
+        for s, alpha, n_blocks in [*_stop_levels(), (2048, 1e-3, 1)]:
+            if alpha >= n_blocks:
+                continue  # the fit skips the test
+            log_level = math.log(alpha) - math.log(n_blocks)
+            nearest = float(_quantile_reference(s, alpha, n_blocks))
+            for toward, stops in ((0.0, True), (math.inf, False)):
+                u = nearest
+                for k in range(1, 41):
+                    u = math.nextafter(u, toward)
+                    if k >= 4:
+                        assert (_log_poisson_tail(s, u) > log_level) == stops, (s, alpha, n_blocks, k)
 
-    def test_edges(self):
-        assert _chi2_isf(2, 0.0) == math.inf
-        # two degrees of freedom: the survival function is exp(-x / 2)
-        assert _chi2_isf(2, 0.25) == pytest.approx(-2.0 * math.log(0.25), rel=1e-15)
-        # past u = 700 the sum is scaled by powers of two (s = 2048 overflows
-        # an unscaled sum); the quantile still solves log Q = log p
-        x = _chi2_isf(4096, 1e-3)
-        assert x == pytest.approx(_chi2_isf_reference(4096, 1e-3), rel=1e-13)
+    @pytest.mark.parametrize("s, u", [(2048, 8388608.0), (16, 6400.0)])
+    def test_tail_past_the_exponent_range(self, s, u):
+        # Cauchy-Schwarz bounds u by T s (here T = 4096 and T = 400), so a
+        # strong block takes the sum past u = 700, where it starts from
+        # exp(-700), and at s = 2048 through its 2^-960 rescaling
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            exact = float(mpmath.log(mpmath.gammainc(s, u, mpmath.inf, regularized=True)))
+        got = _log_poisson_tail(s, u)
+        assert math.isfinite(got)
+        assert got == pytest.approx(exact, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("alpha, n_iter", [(1.0, 1), (0.999, 0)])
+    def test_a_level_of_one_never_stops(self, alpha, n_iter):
+        # one block (block_size = M) and y orthogonal to its columns: the
+        # statistic is at rounding level, so every level below 1 stops the
+        # fit before its first pick, while alpha / n_blocks = 1 never does
+        rng = np.random.default_rng(41)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
+        est = BlockOMP(block_size=3, stop_alpha=alpha, noise_var=0.01).fit(q[:, :3], q[:, 3])
+        assert est.n_iter_ == n_iter
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, math.nan])
+    def test_rejects_a_level_outside_0_1(self, alpha):
+        psi, beta, y, _ = random_block_sparse_problem(seed=8, snr_db=10.0)
+        with pytest.raises(ValueError, match="stop_alpha"):
+            BlockOMP(block_size=4, stop_alpha=alpha, noise_var=1e-3).fit(psi, y)
 
 
 def test_import_loads_no_scipy():
