@@ -46,8 +46,8 @@ class Dictionary:
     dense products; a solver reads its sensing matrix through
     ``sensing_operator``, which leaves ``pilots @ D`` unformed.
 
-    ``matrix`` and ``row_gram`` are read-only; instances are immutable after
-    construction and safe to share across threads.
+    ``matrix``, ``row_gram`` and ``row_gram_range`` are read-only; instances
+    are immutable after construction and safe to share across threads.
     """
 
     def __init__(self, matrix, mu: float = None, cfg=None):
@@ -56,6 +56,7 @@ class Dictionary:
         self.mu = mu
         self._cfg = cfg
         self._row_gram = None
+        self._row_gram_range = None
         if matrix is None:
             n = cfg.n_antennas
             shift = np.exp(-1j * np.pi * np.arange(n) * (n - 1) / n)
@@ -87,6 +88,15 @@ class Dictionary:
         return self._row_gram
 
     @property
+    def row_gram_range(self) -> tuple:
+        """The extreme eigenvalues ``(lambda_min, lambda_max)`` of ``row_gram``,
+        from one N^3 ``eigvalsh`` on first access, cached."""
+        if self._row_gram_range is None:
+            eigs = np.linalg.eigvalsh(self.row_gram)
+            self._row_gram_range = (float(eigs[0]), float(eigs[-1]))
+        return self._row_gram_range
+
+    @property
     def n_antennas(self) -> int:
         return self.shape[0]
 
@@ -110,13 +120,14 @@ class Dictionary:
         The chirped kinds return ``sense(pilots)``, which one FFT forms in
         O(T N log N). A dense dictionary returns a ``SensingProduct``: the
         T x M product would cost T N M to form, while a solver only needs its
-        correlations and a few of its columns.
+        correlations and a few of its columns. The first such call builds
+        ``row_gram`` and ``row_gram_range``, which every later one shares.
         """
         if self._chirp is not None:
             return self.sense(pilots)
         arr = as_complex_matrix(pilots, "pilots")
         _check_length(arr, self.n_antennas, "pilot rows")
-        return SensingProduct(arr, self._matrix, self.row_gram)
+        return SensingProduct(arr, self._matrix, self.row_gram, self.row_gram_range)
 
     def transform(self, X) -> np.ndarray:
         """Adjoint analysis: channel rows (or a single vector) to coefficients."""
@@ -147,13 +158,19 @@ class Dictionary:
 class SensingProduct:
     """The T x M sensing matrix ``pilots @ matrix``, held as its factors.
 
-    ``row_gram`` is ``matrix @ matrix^H``; with it the mean column energy of
-    the product, ``tr(pilots @ row_gram @ pilots^H) / M``, costs T N^2.
+    ``row_gram`` is ``matrix @ matrix^H`` and ``row_gram_range`` its extreme
+    eigenvalues. The mean column energy of the product,
+    ``tr(pilots @ row_gram @ pilots^H) / M``, costs T N^2. Since that trace
+    is the sum of ``p^H row_gram p`` over the pilot rows p, it lies between
+    ``lambda_min ||pilots||_F^2 / M`` and ``lambda_max ||pilots||_F^2 / M``,
+    which cost T N; a solver that only needs to know on which side of a
+    threshold the energy falls reads that bracket first.
     """
 
     pilots: np.ndarray
     matrix: np.ndarray
     row_gram: np.ndarray
+    row_gram_range: tuple
 
     @property
     def shape(self) -> tuple:

@@ -1,6 +1,7 @@
 """Pilot generation, noisy observation synthesis, and greedy block-sparse solvers."""
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ _COND_LIMIT = 1e12
 PILOT_KINDS = ("gaussian", "rademacher")
 _DRAW_CHUNK = 12288
 """Real draws per chunk of ``gen_pilots``'s Gaussian buffer (96 KB)."""
+_BRACKET_PAD = 1e-6
+"""Widening of the mean-column-energy bracket, relative to lambda_max of A A^H."""
 
 
 @dataclass(frozen=True)
@@ -176,6 +179,10 @@ class _FormedColumns:
         self._block_energy = _column_energy(X).reshape(-1, block_size).mean(axis=1)
         self.mean_col_energy = float(self._block_energy.mean())
 
+    def energy_bracket(self) -> tuple:
+        # the energy is exact here: a bracket of zero width
+        return self.mean_col_energy, self.mean_col_energy
+
     def correlate(self, resid: np.ndarray) -> np.ndarray:
         # r^H X without conjugating X (|r^H X| = |X^H r|)
         return np.conj(resid) @ self._X
@@ -190,18 +197,38 @@ class _FormedColumns:
 class _ProductColumns:
     """What the greedy loop reads of P A, without forming the T x M product.
 
-    Correlations are ``(r^H P) A`` (T N + N M per iteration), the mean column
-    energy is ``tr(P A A^H P^H) / M`` (T N^2 once), and the columns of a
-    block are formed as ``P A_block`` the first time the loop looks at it.
+    Correlations are ``(r^H P) A`` (T N + N M per iteration), and the
+    columns of a block are formed as ``P A_block`` the first time the loop
+    looks at it. The mean column energy E = ``tr(P A A^H P^H) / M`` costs
+    T N^2 and is computed on first read; ``energy_bracket`` bounds it in T N
+    from the extreme eigenvalues of ``A A^H`` (see ``SensingProduct``), and
+    the prefix choice of a noisy fit reads E only when that bracket cannot
+    decide it (see ``_best_prefix``).
     """
 
     def __init__(self, product: SensingProduct, block_size: int):
+        self._product = product
         self._pilots = product.pilots
         self._matrix = product.matrix
         self._block_size = block_size
         self._blocks = {}
-        trace = np.vdot(product.pilots, product.pilots @ product.row_gram).real
-        self.mean_col_energy = float(trace) / product.shape[1]
+        self._mean_col_energy = None
+
+    @property
+    def mean_col_energy(self) -> float:
+        if self._mean_col_energy is None:
+            pilots, gram = self._pilots, self._product.row_gram
+            trace = np.vdot(pilots, pilots @ gram).real
+            self._mean_col_energy = float(trace) / self._product.shape[1]
+        return self._mean_col_energy
+
+    def energy_bracket(self) -> tuple:
+        # lambda_min ||P||_F^2 / M <= E <= lambda_max ||P||_F^2 / M, each end
+        # moved out by _BRACKET_PAD of lambda_max for rounding
+        lo, hi = self._product.row_gram_range
+        pad = _BRACKET_PAD * hi
+        scale = float(np.vdot(self._pilots, self._pilots).real) / self._product.shape[1]
+        return max(lo - pad, 0.0) * scale, (hi + pad) * scale
 
     def correlate(self, resid: np.ndarray) -> np.ndarray:
         return (np.conj(resid) @ self._pilots) @ self._matrix
@@ -219,6 +246,71 @@ class _ProductColumns:
         # idx runs over whole blocks in ascending order
         s = self._block_size
         return np.concatenate([self._block(b) for b in idx[::s] // s], axis=1)
+
+
+def _risk_estimate(rho, p, t, sigma2, gram_inv_trace, mean_col_energy):
+    """Estimated coefficient-error energy plus unexplained-signal energy.
+
+    The fit term sigma^2 tr(G^-1) is the exact noise cost of the LS
+    coefficients; the tail term back-projects the above-noise part of the
+    residual through the average column energy, corrected for the
+    fraction of signal already absorbed by the selected subspace.
+    """
+    fit_cost = sigma2 * gram_inv_trace
+    spare = max(t - p, 1)
+    tail = max(0.0, rho - spare * sigma2) * t / (max(mean_col_energy, 1e-300) * spare)
+    return fit_cost + tail
+
+
+def _risks(path: list, t: int, sigma2: float, mean_col_energy: float) -> list:
+    return [_risk_estimate(rho, p, t, sigma2, trace, mean_col_energy) for rho, p, trace in path]
+
+
+def _first_min(values: list) -> int:
+    """Index of the first strict minimum, the one a running ``v < best`` keeps."""
+    return min(range(len(values)), key=values.__getitem__)
+
+
+def _best_prefix(path: list, t: int, sigma2: float, psi) -> int:
+    """Index of the prefix of the greedy path with the least risk estimate.
+
+    ``path`` holds ``(rho, p, tr G^-1)`` of every prefix, the empty one
+    first; the first strict minimum wins. The risks are first evaluated at
+    both ends of ``psi.energy_bracket()`` (T N for P A); the mean column
+    energy E (T N^2) is read only when they cannot decide.
+
+    Why the ends can decide: the risk of a prefix is
+    sigma^2 tr G^-1 + max(0, rho - (T - p) sigma^2) T / ((T - p) E), affine
+    in 1/E with a slope of zero or more (the clamp of E at 1e-300 keeps it
+    monotone), so the difference of two prefixes' risks is affine in 1/E
+    too. A prefix that leads every other by more than a margin at both ends
+    of the bracket leads it by that margin at every E in between. Each
+    computed risk is off its exact value by a few ulps of the largest risk
+    at most, so a lead of more than 64 ulps of the largest risk at both ends
+    carries over to the computed risks at the computed E, if the bracket
+    holds it. It does: tr(P R P^H) = sum over the pilot rows p of
+    p^H R p, which lies between lambda_min ||p||^2 and lambda_max ||p||^2
+    of R = A A^H, and the ends are moved out by 1e-6 of lambda_max. That
+    covers the error of ``eigvalsh`` (of order N eps lambda_max) and of the
+    computed trace and ||P||_F^2: summed in any order, they err by at most
+    (gamma(N) + gamma(2 T N)) sqrt(N) lambda_max ||P||_F^2, with
+    gamma(n) = n eps / 2 / (1 - n eps / 2), which is 7e-11 of
+    lambda_max ||P||_F^2 at N = 256, T = 80 and 1.3e-8 at N = 2048, T = 640.
+
+    Otherwise, and for a bracket of zero width (an exact E), the prefix is
+    chosen from the risks at E, as without the bracket.
+    """
+    lo, hi = psi.energy_bracket()
+    if lo < hi:
+        ends = [_risks(path, t, sigma2, lo), _risks(path, t, sigma2, hi)]
+        winner = _first_min(ends[0])
+        if _first_min(ends[1]) == winner:
+            # a nan or inf risk makes the margin or a lead nan or inf: no decision
+            margin = 64 * math.ulp(max(max(ends[0]), max(ends[1])))
+            leads = (r - risks[winner] for risks in ends for j, r in enumerate(risks) if j != winner)
+            if all(lead > margin for lead in leads):
+                return winner
+    return _first_min(_risks(path, t, sigma2, psi.mean_col_energy))
 
 
 class BlockOMP:
@@ -246,13 +338,24 @@ class BlockOMP:
     When ``noise_var`` is positive, the returned model is the prefix of the
     greedy path minimising an unbiased risk estimate (estimated coefficient
     error plus estimated unexplained signal), which guards against fitting
-    noise at low SNR. With ``noise_var = 0`` the full greedy path is kept, so
-    noiseless behaviour is plain block OMP.
+    noise at low SNR. No stopping rule reads the risk, so the prefix is
+    chosen once the loop has ended. The risk reads the mean column energy
+    E of X; for a ``SensingProduct`` the choice is first tried at both ends
+    of a bracket on E that costs T N, and E itself (T N^2) is computed only
+    when the ends disagree (see ``_best_prefix``). Either way the chosen
+    prefix is the one the exact E picks. With ``noise_var = 0`` the full
+    greedy path is kept, so noiseless behaviour is plain block OMP.
 
     ``block_size`` must divide the M columns of X into contiguous blocks.
+    ``noise_var`` must be finite and >= 0, ``delta`` in (0, 1], ``k_max`` an
+    integer >= 0 or None, and y finite; ``fit`` raises ``ValueError``
+    otherwise.
 
     Attributes after ``fit``: ``coef_``, ``support_``, ``n_iter_``,
-    ``residual_norm_``, ``residual_path_``.
+    ``residual_norm_``, ``residual_path_`` and ``stop_reason_``, the rule
+    that ended the greedy loop: "residual" (the residual stop, checked first),
+    "exhausted" (every block selected), "budget" (``k_max`` blocks selected)
+    or "significance" (the ``stop_alpha`` test).
     """
 
     def __init__(
@@ -288,6 +391,10 @@ class BlockOMP:
         t, m = X.shape
         if y.shape[0] != t:
             raise ValueError(f"X has {t} rows but y has length {y.shape[0]}")
+        # a non-finite y has a non-finite norm; only then are its entries read
+        y_norm2 = float(np.linalg.norm(y) ** 2)
+        if not math.isfinite(y_norm2) and not np.isfinite(y).all():
+            raise ValueError("y must be finite")
         s = self.block_size
         if s < 1 or m % s != 0:
             raise ValueError(f"block size {s} must be >= 1 and divide {m} coefficients")
@@ -296,14 +403,22 @@ class BlockOMP:
         if alpha is not None and not 0.0 < alpha <= 1.0:
             raise ValueError(f"stop_alpha must be in (0, 1] or None, got {alpha}")
         sigma2 = float(self.noise_var)
+        if not (math.isfinite(sigma2) and sigma2 >= 0.0):
+            raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         if self.k_max is None:
             rank_bound = min(t, X.pilots.shape[1] if factored else m)
             k_max = self._default_k_max(rank_bound, m, sigma2)
         else:
-            k_max = self.k_max
-        if k_max < 0:
-            raise ValueError(f"k_max must be >= 0, got {k_max}")
+            try:
+                k_max = operator.index(self.k_max)
+            except TypeError:
+                raise ValueError(f"k_max must be an integer >= 0, got {self.k_max!r}") from None
+            if k_max < 0:
+                raise ValueError(f"k_max must be an integer >= 0, got {k_max}")
         tol = math.sqrt(t * sigma2)
+        floor = max(tol * tol, 1e-30 * y_norm2)
 
         psi = (_ProductColumns if factored else _FormedColumns)(X, s)
         # the significance stop guards against fitting noise; without noise the
@@ -314,20 +429,26 @@ class BlockOMP:
         if use_score_stop:
             log_level = math.log(alpha) - math.log(nb)
 
-        y_norm2 = float(np.linalg.norm(y) ** 2)
         resid = y.copy()
         selected = np.zeros(nb, dtype=bool)
         chosen = []
         residual_path = [math.sqrt(y_norm2)]
-        mean_col_energy = psi.mean_col_energy
-        best_risk = self._risk_estimate(y_norm2, 0, t, sigma2, 0.0, mean_col_energy)
-        best = (np.array([], dtype=int), np.zeros(0, dtype=np.complex128), math.sqrt(y_norm2))
         idx = np.array([], dtype=int)
         coef = np.zeros(0, dtype=np.complex128)
         rho = y_norm2
+        # (rho, p, tr G^-1) and (support, coefficients) of every prefix
+        path = [(rho, 0, 0.0)]
+        prefixes = [(idx, coef)]
 
-        for _ in range(min(k_max, nb)):
-            if rho <= max(tol * tol, 1e-30 * y_norm2):
+        while True:
+            if rho <= floor:
+                stop_reason = "residual"
+                break
+            if len(chosen) == nb:
+                stop_reason = "exhausted"
+                break
+            if len(chosen) >= k_max:
+                stop_reason = "budget"
                 break
             corr = psi.correlate(resid)
             scores = (np.abs(corr) ** 2).reshape(nb, s).sum(axis=1)
@@ -338,6 +459,7 @@ class BlockOMP:
                 # the fit goes on only while its tail is at most the level
                 u = float(t * scores[pick] / (rho * psi.block_energy(pick)))
                 if _log_poisson_tail(s, u) > log_level:
+                    stop_reason = "significance"
                     break
             selected[pick] = True
             chosen.append(pick)
@@ -347,15 +469,14 @@ class BlockOMP:
             resid = y - sub @ coef
             rho = float(np.linalg.norm(resid) ** 2)
             residual_path.append(math.sqrt(rho))
-            risk = self._risk_estimate(rho, idx.size, t, sigma2, gram_inv_trace, mean_col_energy)
-            if risk < best_risk:
-                best_risk = risk
-                best = (idx, coef, math.sqrt(rho))
+            path.append((rho, idx.size, gram_inv_trace))
+            prefixes.append((idx, coef))
 
+        res_norm = residual_path[-1]
         if sigma2 > 0:
-            idx, coef, res_norm = best
-        else:
-            res_norm = residual_path[-1]
+            best = _best_prefix(path, t, sigma2, psi)
+            idx, coef = prefixes[best]
+            res_norm = residual_path[best]
 
         beta = np.zeros(m, dtype=np.complex128)
         if idx.size:
@@ -365,21 +486,8 @@ class BlockOMP:
         self.n_iter_ = len(chosen)
         self.residual_norm_ = res_norm
         self.residual_path_ = np.asarray(residual_path)
+        self.stop_reason_ = stop_reason
         return self
-
-    @staticmethod
-    def _risk_estimate(rho, p, t, sigma2, gram_inv_trace, mean_col_energy):
-        """Estimated coefficient-error energy plus unexplained-signal energy.
-
-        The fit term sigma^2 tr(G^-1) is the exact noise cost of the LS
-        coefficients; the tail term back-projects the above-noise part of the
-        residual through the average column energy, corrected for the
-        fraction of signal already absorbed by the selected subspace.
-        """
-        fit_cost = sigma2 * gram_inv_trace
-        spare = max(t - p, 1)
-        tail = max(0.0, rho - spare * sigma2) * t / (max(mean_col_energy, 1e-300) * spare)
-        return fit_cost + tail
 
 
 def ls_estimate(problem: SensingProblem) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -22,14 +23,17 @@ from nfcs import (
     noise_variance,
     sample_channel,
 )
-from nfcs.dictionaries import SensingProduct
+from nfcs.dictionaries import Dictionary, SensingProduct
+from nfcs.harness import preset_config, run
 from nfcs.recovery import (
     _COND_LIMIT,
     RIDGE_SCALE,
+    _best_prefix,
     _FormedColumns,
     _least_squares,
     _log_poisson_tail,
     _ProductColumns,
+    _risk_estimate,
 )
 
 
@@ -227,12 +231,64 @@ class TestBlockOMP:
         matrix = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
         y = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         if factored:
-            X = SensingProduct(pilots, matrix, matrix @ np.conj(matrix.T))
+            X = Dictionary(matrix).sensing_operator(pilots)
         else:
             X = pilots @ matrix
         est = BlockOMP(block_size=2).fit(X, y)
         assert est.n_iter_ == 3
         assert sorted(est.support_) == list(range(6))
+        assert est.stop_reason_ == "exhausted"
+
+    def test_stop_reason_budget(self):
+        psi, beta, y, _ = random_block_sparse_problem(seed=3, k=2)
+        est = BlockOMP(block_size=4, k_max=1).fit(psi, y)
+        assert est.n_iter_ == 1
+        assert est.stop_reason_ == "budget"
+
+    def test_stop_reason_residual(self):
+        # one block explains the noiseless y exactly, two more are allowed
+        psi, beta, y, _ = random_block_sparse_problem(seed=0, t=16, m=64, s=4, k=1)
+        est = BlockOMP(block_size=4, k_max=3).fit(psi, y)
+        assert est.n_iter_ == 1
+        assert est.stop_reason_ == "residual"
+
+    def test_stop_reason_significance(self):
+        # y is orthogonal to every column: the best block's statistic is at
+        # rounding level, far below any threshold
+        rng = np.random.default_rng(41)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5)))
+        est = BlockOMP(block_size=2, noise_var=0.01).fit(q[:, :4], q[:, 4])
+        assert est.n_iter_ == 0
+        assert est.stop_reason_ == "significance"
+
+    @pytest.mark.parametrize(
+        "setting, value, match",
+        [
+            ("noise_var", math.nan, "noise_var must be finite and >= 0"),
+            ("noise_var", math.inf, "noise_var must be finite and >= 0"),
+            ("noise_var", -1.0, "noise_var must be finite and >= 0"),
+            ("delta", 0.0, r"delta must lie in \(0, 1\]"),
+            ("delta", math.nan, r"delta must lie in \(0, 1\]"),
+            ("delta", 1.5, r"delta must lie in \(0, 1\]"),
+            ("k_max", 2.5, "k_max must be an integer >= 0"),
+            ("k_max", -1, "k_max must be an integer >= 0"),
+        ],
+    )
+    def test_rejects_a_bad_setting(self, setting, value, match):
+        rng = np.random.default_rng(20)
+        X = rng.standard_normal((20, 16)) + 1j * rng.standard_normal((20, 16))
+        y = X[:, 3] + 0.1 * rng.standard_normal(20)
+        with pytest.raises(ValueError, match=match):
+            BlockOMP(**{"noise_var": 1e-2, setting: value}).fit(X, y)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_a_non_finite_y(self, bad):
+        rng = np.random.default_rng(20)
+        X = rng.standard_normal((20, 16)) + 1j * rng.standard_normal((20, 16))
+        y = X[:, 3].copy()
+        y[7] = bad
+        with pytest.raises(ValueError, match="y must be finite"):
+            BlockOMP(noise_var=1e-2).fit(X, y)
 
 
 class TestOmpEquivalence:
@@ -274,7 +330,7 @@ def _reference_fit(est, X, y):
     chosen = []
     residual_path = [math.sqrt(y_norm2)]
     mean_col_energy = float(block_energy.mean())
-    best_risk = BlockOMP._risk_estimate(y_norm2, 0, t, sigma2, 0.0, mean_col_energy)
+    best_risk = _risk_estimate(y_norm2, 0, t, sigma2, 0.0, mean_col_energy)
     best = (np.array([], dtype=int), np.zeros(0, dtype=np.complex128))
     idx = np.array([], dtype=int)
     coef = np.zeros(0, dtype=np.complex128)
@@ -302,7 +358,7 @@ def _reference_fit(est, X, y):
         resid = y - sub @ coef
         rho = float(np.linalg.norm(resid) ** 2)
         residual_path.append(math.sqrt(rho))
-        risk = BlockOMP._risk_estimate(
+        risk = _risk_estimate(
             rho, idx.size, t, sigma2, float(np.trace(gram_inv).real), mean_col_energy
         )
         if risk < best_risk:
@@ -476,7 +532,7 @@ class TestFactoredFit:
         matrix = rng.standard_normal((7, 12)) + 1j * rng.standard_normal((7, 12))
         X = pilots @ matrix
         formed = _FormedColumns(X, block_size)
-        factored = _ProductColumns(SensingProduct(pilots, matrix, matrix @ np.conj(matrix.T)), block_size)
+        factored = _ProductColumns(Dictionary(matrix).sensing_operator(pilots), block_size)
         r = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         np.testing.assert_allclose(factored.correlate(r), formed.correlate(r), rtol=1e-12)
         assert factored.mean_col_energy == pytest.approx(formed.mean_col_energy, rel=1e-12)
@@ -498,6 +554,123 @@ class TestFactoredFit:
     def test_chirped_dictionaries_form_their_sensing_matrix(self, cfg, dmu):
         pilots = gen_pilots(20, cfg.n_antennas, seed=3)
         np.testing.assert_array_equal(dmu.sensing_operator(pilots), dmu.sense(pilots))
+
+
+class _Path:
+    """A stand-in for the operator ``_best_prefix`` reads: a bracket, and an
+    exact mean column energy whose reads are counted."""
+
+    def __init__(self, bracket, energy):
+        self._bracket = bracket
+        self._energy = energy
+        self.reads = 0
+
+    def energy_bracket(self):
+        return self._bracket
+
+    @property
+    def mean_col_energy(self):
+        self.reads += 1
+        return self._energy
+
+
+def _exact_choice(path, t, sigma2, energy):
+    risks = [_risk_estimate(rho, p, t, sigma2, trace, energy) for rho, p, trace in path]
+    return risks.index(min(risks))
+
+
+class TestPrefixBracket:
+    """The prefix chosen from the energy bracket is the one the exact energy picks."""
+
+    @pytest.mark.parametrize("t_over_n", [0.3, 1.25], ids=["T<N", "T>N"])
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0], ids=["0dB", "10dB", "30dB"])
+    @pytest.mark.parametrize("block_size", [1, 2])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_matches_the_exact_energy_choice(self, n, block_size, snr_db, t_over_n, monkeypatch):
+        t = int(t_over_n * n)
+        seed = (n, block_size, t, int(snr_db))
+        polar, pilots, y, noise_var = _polar_problem(n, t, block_size, snr_db, seed)
+        operator = polar.sensing_operator(pilots)
+        bracketed = BlockOMP(block_size=block_size, noise_var=noise_var).fit(operator, y)
+        # a bracket of zero width at the exact energy: the choice reads E
+        monkeypatch.setattr(_ProductColumns, "energy_bracket", lambda self: (self.mean_col_energy,) * 2)
+        exact = BlockOMP(block_size=block_size, noise_var=noise_var).fit(operator, y)
+        assert bracketed.coef_.tobytes() == exact.coef_.tobytes()
+        np.testing.assert_array_equal(bracketed.support_, exact.support_)
+        assert bracketed.residual_norm_ == exact.residual_norm_
+
+    @pytest.mark.parametrize("energy", [1.5, 1.8])
+    def test_crossing_inside_the_bracket_reads_the_exact_energy(self, energy):
+        # risks at T = 10, sigma^2 = 1: the empty prefix's is 10 / E, the
+        # one-column prefix's (a residual at the noise level) is tr G^-1 = 6;
+        # the two lines cross at E = 10 / 6, inside the bracket [1, 2]
+        path = [(20.0, 0, 0.0), (9.0, 1, 6.0)]
+        psi = _Path((1.0, 2.0), energy)
+        best = _best_prefix(path, 10, 1.0, psi)
+        assert psi.reads == 1
+        assert best == _exact_choice(path, 10, 1.0, energy) == (1 if energy < 10 / 6 else 0)
+
+    def test_a_lead_at_both_ends_decides_without_the_energy(self):
+        # the empty prefix's risk is 20 / E: the one-column prefix leads it
+        # and the two-column one (7.5) at E = 1 and at E = 2, so at every E
+        # in between
+        path = [(30.0, 0, 0.0), (9.0, 1, 6.0), (8.0, 2, 7.5)]
+        psi = _Path((1.0, 2.0), 1.5)
+        assert _best_prefix(path, 10, 1.0, psi) == 1 == _exact_choice(path, 10, 1.0, 1.5)
+        assert psi.reads == 0
+
+    def test_a_tie_takes_the_first_prefix(self):
+        # equal risks at every E: the first strict minimum, as without the bracket
+        path = [(1.0, 0, 2.0), (0.5, 1, 2.0)]
+        psi = _Path((1.0, 2.0), 1.5)
+        assert _best_prefix(path, 10, 1.0, psi) == 0
+        assert psi.reads == 1
+
+    @pytest.mark.parametrize("shape", [(80, 256, 6), (40, 8, 2), (10, 7, 12)])
+    def test_the_bracket_holds_the_computed_energy(self, shape):
+        # polar at N = 256; an N x M matrix of rank M < N (lambda_min = 0);
+        # a random 7 x 12 matrix
+        t, n, rings = shape
+        rng = np.random.default_rng(list(shape))
+        if n == 256:
+            dictionary = build_polar_baseline(ArrayConfig(carrier_freq=100e9, n_antennas=n), rings)
+        else:
+            dictionary = Dictionary(rng.standard_normal((n, rings)) + 1j * rng.standard_normal((n, rings)))
+        for _ in range(20):
+            pilots = rng.standard_normal((t, n)) + 1j * rng.standard_normal((t, n))
+            psi = _ProductColumns(dictionary.sensing_operator(pilots), 1)
+            lo, hi = psi.energy_bracket()
+            assert 0.0 <= lo <= psi.mean_col_energy <= hi
+
+    def test_polar_build_leaves_the_row_gram_unbuilt(self):
+        polar = build_polar_baseline(ArrayConfig(carrier_freq=100e9, n_antennas=64))
+        assert polar._row_gram is None and polar._row_gram_range is None
+        operator = polar.sensing_operator(gen_pilots(20, 64, seed=4))
+        assert operator.row_gram is polar.row_gram
+        eigs = np.linalg.eigvalsh(polar.row_gram)
+        assert operator.row_gram_range == polar.row_gram_range == (eigs[0], eigs[-1])
+
+    def test_desk_snr_sweep_rarely_computes_the_trace(self, monkeypatch):
+        # the nmse_vs_snr desk grid for polar_omp alone (N = 256, T = 80,
+        # 0/5/10 dB, 200 trials): the bracket decides all but a few of the
+        # 600 noisy fits, and each undecided one computes the trace once
+        counts = {"fits": 0, "traces": 0}
+        init, energy = _ProductColumns.__init__, _ProductColumns.mean_col_energy.fget
+
+        def counted_init(self, *args):
+            counts["fits"] += 1
+            init(self, *args)
+
+        def counted_energy(self):
+            counts["traces"] += self._mean_col_energy is None
+            return energy(self)
+
+        monkeypatch.setattr(_ProductColumns, "__init__", counted_init)
+        monkeypatch.setattr(_ProductColumns, "mean_col_energy", property(counted_energy))
+        config = preset_config("nmse_vs_snr", "desk", 1)
+        list(run(dataclasses.replace(config, methods=("polar_omp",))))
+        assert counts["fits"] == 600
+        assert counts["traces"] <= 0.01 * counts["fits"]
 
 
 class TestRecoveryOnChannel:
