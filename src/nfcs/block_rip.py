@@ -8,7 +8,7 @@ import numpy as np
 from .coherence import _phase_pair, _worst_case_nonzeros, sparsity_bound
 from .geometry import ArrayConfig
 from .seeding import rng_from
-from .validation import as_complex_matrix, check_positive_or_inf
+from .validation import as_complex_matrix, check_integer, check_positive_or_inf
 
 
 def _require_square(n_antennas: int) -> int:
@@ -91,6 +91,7 @@ def empirical_rip_probe(
     if block_size < 1 or m % block_size != 0:
         raise ValueError(f"block size {block_size} must be >= 1 and divide {m} columns")
     n_blocks = m // block_size
+    check_integer(k, "k", 1)
     if k > n_blocks:
         raise ValueError(f"k = {k} exceeds the number of blocks {n_blocks}")
     if trials < 1:

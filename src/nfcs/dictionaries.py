@@ -8,7 +8,6 @@ baseline jointly grids angle and distance and is overcomplete.
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +18,8 @@ from .validation import as_complex_matrix, as_complex_vector
 MAGIC = b"NFCS"
 _HEADER = struct.Struct("<4sIII")  # magic, rows, cols, reserved
 _COHERENCE_BLOCK = 128  # Gram rows per block of the mutual-coherence sweep
+_BRACKET_PAD = 1e-6
+"""Widening of the mean-column-energy bracket, relative to lambda_max of A A^H."""
 
 
 def dft_grid(n_antennas: int) -> np.ndarray:
@@ -46,8 +47,10 @@ class Dictionary:
     dense products; a solver reads its sensing matrix through
     ``sensing_operator``, which leaves ``pilots @ D`` unformed.
 
-    ``matrix``, ``row_gram`` and ``row_gram_range`` are read-only; instances
-    are immutable after construction and safe to share across threads.
+    ``matrix``, ``row_gram`` and ``row_gram_range`` are read-only caches,
+    each built on its first read and never changed after; an instance is
+    otherwise immutable. Two threads that read a cache for the first time at
+    once may each build it, with equal results, and either one is kept.
     """
 
     def __init__(self, matrix, mu: float = None, cfg=None):
@@ -120,14 +123,13 @@ class Dictionary:
         The chirped kinds return ``sense(pilots)``, which one FFT forms in
         O(T N log N). A dense dictionary returns a ``SensingProduct``: the
         T x M product would cost T N M to form, while a solver only needs its
-        correlations and a few of its columns. The first such call builds
-        ``row_gram`` and ``row_gram_range``, which every later one shares.
+        correlations and a few of its columns.
         """
         if self._chirp is not None:
             return self.sense(pilots)
         arr = as_complex_matrix(pilots, "pilots")
         _check_length(arr, self.n_antennas, "pilot rows")
-        return SensingProduct(arr, self._matrix, self.row_gram, self.row_gram_range)
+        return SensingProduct(arr, self)
 
     def transform(self, X) -> np.ndarray:
         """Adjoint analysis: channel rows (or a single vector) to coefficients."""
@@ -154,27 +156,62 @@ class Dictionary:
         return f"Dictionary(shape={self.shape}{mu})"
 
 
-@dataclass(frozen=True)
 class SensingProduct:
-    """The T x M sensing matrix ``pilots @ matrix``, held as its factors.
+    """The T x M sensing matrix ``P A`` of pilots P and a dense dictionary A,
+    read through the factors without forming it, which would cost T N M.
 
-    ``row_gram`` is ``matrix @ matrix^H`` and ``row_gram_range`` its extreme
-    eigenvalues. The mean column energy of the product,
-    ``tr(pilots @ row_gram @ pilots^H) / M``, costs T N^2. Since that trace
-    is the sum of ``p^H row_gram p`` over the pilot rows p, it lies between
-    ``lambda_min ||pilots||_F^2 / M`` and ``lambda_max ||pilots||_F^2 / M``,
-    which cost T N; a solver that only needs to know on which side of a
-    threshold the energy falls reads that bracket first.
+    ``correlate(r)`` is ``(r^H P) A`` (T N + N M). ``columns`` and
+    ``block_energy`` form a block's columns ``P A_block`` on first read and
+    keep them, so P must not change while the product is in use. The mean
+    column energy E = ``tr(P A A^H P^H) / M`` (T N^2) is computed on first
+    read; ``energy_bracket`` bounds it in T N from ``A A^H``'s extreme
+    eigenvalues (see ``recovery._best_prefix``). The dictionary builds
+    ``row_gram`` and ``row_gram_range`` once, when a draw first needs them.
+    ``rank_bound`` is min(T, N).
     """
 
-    pilots: np.ndarray
-    matrix: np.ndarray
-    row_gram: np.ndarray
-    row_gram_range: tuple
+    def __init__(self, pilots: np.ndarray, dictionary: Dictionary):
+        self.pilots = pilots
+        self.dictionary = dictionary
+        self.shape = (pilots.shape[0], dictionary.n_atoms)
+        self.rank_bound = min(pilots.shape)
+        self._blocks = {}
+        self._mean_col_energy = None
 
     @property
-    def shape(self) -> tuple:
-        return (self.pilots.shape[0], self.matrix.shape[1])
+    def mean_col_energy(self) -> float:
+        if self._mean_col_energy is None:
+            trace = np.vdot(self.pilots, self.pilots @ self.dictionary.row_gram).real
+            self._mean_col_energy = float(trace) / self.shape[1]
+        return self._mean_col_energy
+
+    def energy_bracket(self) -> tuple:
+        # lambda_min ||P||_F^2 / M <= E <= lambda_max ||P||_F^2 / M, padded for rounding
+        lo, hi = self.dictionary.row_gram_range
+        pad = _BRACKET_PAD * hi
+        scale = float(np.vdot(self.pilots, self.pilots).real) / self.shape[1]
+        return max(lo - pad, 0.0) * scale, (hi + pad) * scale
+
+    def correlate(self, resid: np.ndarray) -> np.ndarray:
+        return (np.conj(resid) @ self.pilots) @ self.dictionary.matrix
+
+    def _block(self, block: int, s: int) -> np.ndarray:
+        key = (block, s)
+        if key not in self._blocks:
+            self._blocks[key] = self.pilots @ self.dictionary.matrix[:, block * s : (block + 1) * s]
+        return self._blocks[key]
+
+    def block_energy(self, block: int, s: int) -> float:
+        return _column_energy(self._block(block, s)).mean()
+
+    def columns(self, idx: np.ndarray, s: int) -> np.ndarray:
+        # idx runs over whole blocks in ascending order
+        return np.concatenate([self._block(b, s) for b in idx[::s] // s], axis=1)
+
+
+def _column_energy(X: np.ndarray) -> np.ndarray:
+    """Squared column norms, read through the real and imaginary views of X."""
+    return np.einsum("ij,ij->j", X.real, X.real) + np.einsum("ij,ij->j", X.imag, X.imag)
 
 
 def _as_rows(X):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import as_rng
-from .validation import check_angle, check_decibels, check_positive
+from .validation import check_angle, check_decibels, check_integer, check_positive
 
 SPEED_OF_LIGHT = 2.998e8
 """Propagation speed used to derive wavelengths, in m/s."""
@@ -31,8 +31,7 @@ class ArrayConfig:
 
     def __post_init__(self):
         check_positive(self.carrier_freq, "carrier_freq")
-        if self.n_antennas < 2:
-            raise ValueError(f"n_antennas must be >= 2, got {self.n_antennas}")
+        check_integer(self.n_antennas, "n_antennas", 2)
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2)
         else:

@@ -362,16 +362,27 @@ def emit(rows, fmt: str, path: str) -> str:
 
 
 def parse_rows(text: str, fmt: str = "csv"):
-    """Parse emitted output back into ResultRow objects (round-trip helper)."""
+    """Parse emitted output back into ResultRow objects (round-trip helper).
+
+    A record whose fields are not exactly ``ROW_FIELDS`` raises ``ValueError``.
+    """
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         if tuple(header) != ROW_FIELDS:
             raise ValueError(f"unexpected header {header!r}")
+        records = list(reader)
+        for rec in records:
+            if len(rec) != len(ROW_FIELDS):
+                raise ValueError(f"record {rec!r} has {len(rec)} fields, expected {len(ROW_FIELDS)}")
         # each field's declared type (str, float or int) parses its text
-        return [ResultRow(*(f.type(v) for f, v in zip(fields(ResultRow), rec))) for rec in reader]
+        return [ResultRow(*(f.type(v) for f, v in zip(fields(ResultRow), rec))) for rec in records]
     if fmt == "json":
-        return [ResultRow(**data) for data in json.loads(text)]
+        records = json.loads(text)
+        for data in records:
+            if not isinstance(data, dict) or data.keys() != set(ROW_FIELDS):
+                raise ValueError(f"record {data!r} does not hold exactly the fields {ROW_FIELDS}")
+        return [ResultRow(**data) for data in records]
     raise ValueError(f"unknown output format {fmt!r}")
 
 

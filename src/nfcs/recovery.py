@@ -1,24 +1,21 @@
 """Pilot generation, noisy observation synthesis, and greedy block-sparse solvers."""
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import _worst_case_nonzeros
-from .dictionaries import SensingProduct
+from .dictionaries import SensingProduct, _column_energy
 from .geometry import ArrayConfig, ChannelSpec, synthesize_channel
 from .seeding import as_rng
-from .validation import as_complex_matrix, as_complex_vector, check_decibels
+from .validation import as_complex_matrix, as_complex_vector, check_decibels, check_integer
 
 RIDGE_SCALE = 1e-10
 _COND_LIMIT = 1e12
 PILOT_KINDS = ("gaussian", "rademacher")
 _DRAW_CHUNK = 12288
 """Real draws per chunk of ``gen_pilots``'s Gaussian buffer (96 KB)."""
-_BRACKET_PAD = 1e-6
-"""Widening of the mean-column-energy bracket, relative to lambda_max of A A^H."""
 
 
 @dataclass(frozen=True)
@@ -144,11 +141,6 @@ def _least_squares(sub: np.ndarray, y: np.ndarray):
     return coef, float(np.sum(1.0 / w))
 
 
-def _column_energy(X: np.ndarray) -> np.ndarray:
-    """Squared column norms, read through the real and imaginary views of X."""
-    return np.einsum("ij,ij->j", X.real, X.real) + np.einsum("ij,ij->j", X.imag, X.imag)
-
-
 def _log_poisson_tail(s: int, u: float) -> float:
     """log Q(u) of the Poisson tail Q(u) = exp(-u) sum_{k<s} u^k / k!, the
     survival function of the chi-squared law on 2s degrees of freedom at 2u.
@@ -172,10 +164,12 @@ def _log_poisson_tail(s: int, u: float) -> float:
 
 
 class _FormedColumns:
-    """What the greedy loop reads of a formed T x M matrix, read in place."""
+    """A formed T x M matrix, read in place through a ``SensingProduct``'s members."""
 
     def __init__(self, X: np.ndarray, block_size: int):
         self._X = X
+        self.shape = X.shape
+        self.rank_bound = min(X.shape)
         self._block_energy = _column_energy(X).reshape(-1, block_size).mean(axis=1)
         self.mean_col_energy = float(self._block_energy.mean())
 
@@ -187,65 +181,11 @@ class _FormedColumns:
         # r^H X without conjugating X (|r^H X| = |X^H r|)
         return np.conj(resid) @ self._X
 
-    def block_energy(self, block: int) -> float:
+    def block_energy(self, block: int, s: int) -> float:
         return self._block_energy[block]
 
-    def columns(self, idx: np.ndarray) -> np.ndarray:
+    def columns(self, idx: np.ndarray, s: int) -> np.ndarray:
         return self._X[:, idx]
-
-
-class _ProductColumns:
-    """What the greedy loop reads of P A, without forming the T x M product.
-
-    Correlations are ``(r^H P) A`` (T N + N M per iteration), and the
-    columns of a block are formed as ``P A_block`` the first time the loop
-    looks at it. The mean column energy E = ``tr(P A A^H P^H) / M`` costs
-    T N^2 and is computed on first read; ``energy_bracket`` bounds it in T N
-    from the extreme eigenvalues of ``A A^H`` (see ``SensingProduct``), and
-    the prefix choice of a noisy fit reads E only when that bracket cannot
-    decide it (see ``_best_prefix``).
-    """
-
-    def __init__(self, product: SensingProduct, block_size: int):
-        self._product = product
-        self._pilots = product.pilots
-        self._matrix = product.matrix
-        self._block_size = block_size
-        self._blocks = {}
-        self._mean_col_energy = None
-
-    @property
-    def mean_col_energy(self) -> float:
-        if self._mean_col_energy is None:
-            pilots, gram = self._pilots, self._product.row_gram
-            trace = np.vdot(pilots, pilots @ gram).real
-            self._mean_col_energy = float(trace) / self._product.shape[1]
-        return self._mean_col_energy
-
-    def energy_bracket(self) -> tuple:
-        # lambda_min ||P||_F^2 / M <= E <= lambda_max ||P||_F^2 / M, each end
-        # moved out by _BRACKET_PAD of lambda_max for rounding
-        lo, hi = self._product.row_gram_range
-        pad = _BRACKET_PAD * hi
-        scale = float(np.vdot(self._pilots, self._pilots).real) / self._product.shape[1]
-        return max(lo - pad, 0.0) * scale, (hi + pad) * scale
-
-    def correlate(self, resid: np.ndarray) -> np.ndarray:
-        return (np.conj(resid) @ self._pilots) @ self._matrix
-
-    def _block(self, block: int) -> np.ndarray:
-        if block not in self._blocks:
-            s = self._block_size
-            self._blocks[block] = self._pilots @ self._matrix[:, block * s : (block + 1) * s]
-        return self._blocks[block]
-
-    def block_energy(self, block: int) -> float:
-        return _column_energy(self._block(block)).mean()
-
-    def columns(self, idx: np.ndarray) -> np.ndarray:
-        # idx runs over whole blocks in ascending order
-        s = self._block_size
-        return np.concatenate([self._block(b) for b in idx[::s] // s], axis=1)
 
 
 def _risk_estimate(rho, p, t, sigma2, gram_inv_trace, mean_col_energy):
@@ -263,7 +203,7 @@ def _risk_estimate(rho, p, t, sigma2, gram_inv_trace, mean_col_energy):
 
 
 def _risks(path: list, t: int, sigma2: float, mean_col_energy: float) -> list:
-    return [_risk_estimate(rho, p, t, sigma2, trace, mean_col_energy) for rho, p, trace in path]
+    return [_risk_estimate(rho, p, t, sigma2, trace, mean_col_energy) for rho, p, trace, *_ in path]
 
 
 def _first_min(values: list) -> int:
@@ -274,10 +214,10 @@ def _first_min(values: list) -> int:
 def _best_prefix(path: list, t: int, sigma2: float, psi) -> int:
     """Index of the prefix of the greedy path with the least risk estimate.
 
-    ``path`` holds ``(rho, p, tr G^-1)`` of every prefix, the empty one
-    first; the first strict minimum wins. The risks are first evaluated at
-    both ends of ``psi.energy_bracket()`` (T N for P A); the mean column
-    energy E (T N^2) is read only when they cannot decide.
+    ``path`` holds ``(rho, p, tr G^-1, ...)`` of every prefix, the empty
+    one first; the first strict minimum wins. The risks are first evaluated
+    at both ends of ``psi.energy_bracket()`` (T N for a ``SensingProduct``);
+    the mean column energy E (T N^2) is read only when they cannot decide.
 
     Why the ends can decide: the risk of a prefix is
     sigma^2 tr G^-1 + max(0, rho - (T - p) sigma^2) T / ((T - p) E), affine
@@ -339,14 +279,13 @@ class BlockOMP:
     greedy path minimising an unbiased risk estimate (estimated coefficient
     error plus estimated unexplained signal), which guards against fitting
     noise at low SNR. No stopping rule reads the risk, so the prefix is
-    chosen once the loop has ended. The risk reads the mean column energy
-    E of X; for a ``SensingProduct`` the choice is first tried at both ends
-    of a bracket on E that costs T N, and E itself (T N^2) is computed only
-    when the ends disagree (see ``_best_prefix``). Either way the chosen
-    prefix is the one the exact E picks. With ``noise_var = 0`` the full
-    greedy path is kept, so noiseless behaviour is plain block OMP.
+    chosen once the loop has ended, from a bracket on the mean column energy
+    E where that decides it and from E otherwise; the chosen prefix is the
+    one the exact E picks (see ``_best_prefix``). With ``noise_var = 0`` the
+    full greedy path is kept, so noiseless behaviour is plain block OMP.
 
-    ``block_size`` must divide the M columns of X into contiguous blocks.
+    ``block_size`` must be an integer >= 1 that divides the M columns of X
+    into contiguous blocks.
     ``noise_var`` must be finite and >= 0, ``delta`` in (0, 1], ``k_max`` an
     integer >= 0 or None, and y finite; ``fit`` raises ``ValueError``
     otherwise.
@@ -384,8 +323,8 @@ class BlockOMP:
         return max(1, min(budget, cap))
 
     def fit(self, X, y):
-        factored = isinstance(X, SensingProduct)
-        if not factored:
+        s = check_integer(self.block_size, "block_size")
+        if not isinstance(X, SensingProduct):
             X = as_complex_matrix(X, "X")
         y = as_complex_vector(y, "y")
         t, m = X.shape
@@ -395,7 +334,6 @@ class BlockOMP:
         y_norm2 = float(np.linalg.norm(y) ** 2)
         if not math.isfinite(y_norm2) and not np.isfinite(y).all():
             raise ValueError("y must be finite")
-        s = self.block_size
         if s < 1 or m % s != 0:
             raise ValueError(f"block size {s} must be >= 1 and divide {m} coefficients")
         nb = m // s
@@ -407,20 +345,14 @@ class BlockOMP:
             raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+        psi = X if isinstance(X, SensingProduct) else _FormedColumns(X, s)
         if self.k_max is None:
-            rank_bound = min(t, X.pilots.shape[1] if factored else m)
-            k_max = self._default_k_max(rank_bound, m, sigma2)
+            k_max = self._default_k_max(psi.rank_bound, m, sigma2)
         else:
-            try:
-                k_max = operator.index(self.k_max)
-            except TypeError:
-                raise ValueError(f"k_max must be an integer >= 0, got {self.k_max!r}") from None
-            if k_max < 0:
-                raise ValueError(f"k_max must be an integer >= 0, got {k_max}")
+            k_max = check_integer(self.k_max, "k_max", 0)
         tol = math.sqrt(t * sigma2)
         floor = max(tol * tol, 1e-30 * y_norm2)
 
-        psi = (_ProductColumns if factored else _FormedColumns)(X, s)
         # the significance stop guards against fitting noise; without noise the
         # greedy loop runs to exact reconstruction or the block budget. A level
         # alpha / nb >= 1 never stops a fit; the two logs are taken apart so a
@@ -432,13 +364,9 @@ class BlockOMP:
         resid = y.copy()
         selected = np.zeros(nb, dtype=bool)
         chosen = []
-        residual_path = [math.sqrt(y_norm2)]
-        idx = np.array([], dtype=int)
-        coef = np.zeros(0, dtype=np.complex128)
         rho = y_norm2
-        # (rho, p, tr G^-1) and (support, coefficients) of every prefix
-        path = [(rho, 0, 0.0)]
-        prefixes = [(idx, coef)]
+        # (rho, p, tr G^-1, support, coefficients) of every prefix
+        path = [(rho, 0, 0.0, np.array([], dtype=int), np.zeros(0, dtype=np.complex128))]
 
         while True:
             if rho <= floor:
@@ -457,26 +385,22 @@ class BlockOMP:
             if use_score_stop and rho > 0:
                 # u is half the chi-squared statistic on 2s degrees of freedom;
                 # the fit goes on only while its tail is at most the level
-                u = float(t * scores[pick] / (rho * psi.block_energy(pick)))
+                u = float(t * scores[pick] / (rho * psi.block_energy(pick, s)))
                 if _log_poisson_tail(s, u) > log_level:
                     stop_reason = "significance"
                     break
             selected[pick] = True
             chosen.append(pick)
             idx = (np.sort(chosen)[:, None] * s + np.arange(s)).ravel()
-            sub = psi.columns(idx)
+            sub = psi.columns(idx, s)
             coef, gram_inv_trace = _least_squares(sub, y)
             resid = y - sub @ coef
             rho = float(np.linalg.norm(resid) ** 2)
-            residual_path.append(math.sqrt(rho))
-            path.append((rho, idx.size, gram_inv_trace))
-            prefixes.append((idx, coef))
+            path.append((rho, idx.size, gram_inv_trace, idx, coef))
 
-        res_norm = residual_path[-1]
-        if sigma2 > 0:
-            best = _best_prefix(path, t, sigma2, psi)
-            idx, coef = prefixes[best]
-            res_norm = residual_path[best]
+        residual_path = np.sqrt([prefix[0] for prefix in path])
+        best = _best_prefix(path, t, sigma2, psi) if sigma2 > 0 else len(path) - 1
+        idx, coef = path[best][3:]
 
         beta = np.zeros(m, dtype=np.complex128)
         if idx.size:
@@ -484,8 +408,8 @@ class BlockOMP:
         self.coef_ = beta
         self.support_ = idx
         self.n_iter_ = len(chosen)
-        self.residual_norm_ = res_norm
-        self.residual_path_ = np.asarray(residual_path)
+        self.residual_norm_ = float(residual_path[best])
+        self.residual_path_ = residual_path
         self.stop_reason_ = stop_reason
         return self
 
@@ -505,6 +429,8 @@ def nmse(h, h_hat) -> float:
     """Single-sample normalised squared error ||h - h_hat||^2 / ||h||^2."""
     h = as_complex_vector(h, "h")
     h_hat = as_complex_vector(h_hat, "h_hat")
+    if h_hat.shape != h.shape:
+        raise ValueError(f"h has length {h.size} but h_hat has length {h_hat.size}")
     power = float(np.linalg.norm(h) ** 2)
     if power == 0:
         raise ValueError("nmse is undefined for a zero reference channel")

@@ -1,6 +1,7 @@
 """Input validation helpers shared across the package."""
 
 import math
+import operator
 
 import numpy as np
 
@@ -10,6 +11,18 @@ def check_positive(value, name: str):
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
+
+
+def check_integer(value, name: str, minimum: int = None) -> int:
+    """Require an integer (not a bool) of at least ``minimum``, if given."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or (minimum is not None and number < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+    return number
 
 
 def check_positive_or_inf(value, name: str):

@@ -138,6 +138,11 @@ class TestRipProbe:
             with pytest.raises(ValueError, match="block size"):
                 empirical_rip_probe(psi, block_size, k=1, trials=10, seed=3)
 
+    @pytest.mark.parametrize("k", [0, -1, 1.5])
+    def test_rejects_a_k_below_one_or_not_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            empirical_rip_probe(np.eye(16, dtype=complex), 4, k=k, trials=10, seed=4)
+
     def test_rejects_oversized_k(self):
         psi = np.eye(16, dtype=complex)
         with pytest.raises(ValueError):

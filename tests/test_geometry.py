@@ -37,6 +37,9 @@ def test_config_rejects_bad_values():
         ArrayConfig(carrier_freq=1e9, n_antennas=1)
     with pytest.raises(ValueError):
         ArrayConfig(carrier_freq=1e9, n_antennas=4, spacing=0.0)
+    for n_antennas in (2.5, 4.0, True, "4"):
+        with pytest.raises(ValueError, match="n_antennas must be an integer >= 2"):
+            ArrayConfig(carrier_freq=1e9, n_antennas=n_antennas)
 
 
 def test_field_boundaries_reference_setup(cfg):

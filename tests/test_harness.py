@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import json
 import math
 import re
 import time
@@ -205,6 +206,24 @@ class TestEmit:
         rows = [ResultRow("e", "m", "g", "x", 1.0, 1, 1, "h")]
         with pytest.raises(ValueError):
             emit(rows, "yaml", "-")
+
+    @pytest.mark.parametrize("record", [",9", ""], ids=["extra-field", "short"])
+    def test_csv_rejects_a_record_of_the_wrong_length(self, record):
+        text = emit([ResultRow("e", "m", "g", "x", 1.0, 1, 1, "h")], "csv", "-")
+        lines = text.splitlines()
+        bad = lines[1] + record if record else lines[1].rsplit(",", 1)[0]
+        with pytest.raises(ValueError, match="record .* has (9|7) fields, expected 8"):
+            parse_rows("\n".join([lines[0], bad]) + "\n", "csv")
+
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_json_rejects_a_record_with_other_keys(self, change):
+        row = {f: v for f, v in zip(ROW_FIELDS, ("e", "m", "g", "x", 1.0, 1, 1, "h"))}
+        if change == "extra":
+            row["unit"] = "dB"
+        else:
+            del row["seed"]
+        with pytest.raises(ValueError, match="record .* does not hold exactly the fields"):
+            parse_rows(json.dumps([row]), "json")
 
 
 class TestExperiments:

@@ -32,7 +32,6 @@ from nfcs.recovery import (
     _FormedColumns,
     _least_squares,
     _log_poisson_tail,
-    _ProductColumns,
     _risk_estimate,
 )
 
@@ -272,6 +271,9 @@ class TestBlockOMP:
             ("delta", 1.5, r"delta must lie in \(0, 1\]"),
             ("k_max", 2.5, "k_max must be an integer >= 0"),
             ("k_max", -1, "k_max must be an integer >= 0"),
+            ("k_max", True, "k_max must be an integer >= 0"),
+            ("block_size", 2.0, "block_size must be an integer"),
+            ("block_size", True, "block_size must be an integer"),
         ],
     )
     def test_rejects_a_bad_setting(self, setting, value, match):
@@ -531,16 +533,34 @@ class TestFactoredFit:
         pilots = rng.standard_normal((10, 7)) + 1j * rng.standard_normal((10, 7))
         matrix = rng.standard_normal((7, 12)) + 1j * rng.standard_normal((7, 12))
         X = pilots @ matrix
-        formed = _FormedColumns(X, block_size)
-        factored = _ProductColumns(Dictionary(matrix).sensing_operator(pilots), block_size)
+        s = block_size
+        formed = _FormedColumns(X, s)
+        factored = Dictionary(matrix).sensing_operator(pilots)
+        assert factored.shape == formed.shape == (10, 12)
+        assert factored.rank_bound == 7 and formed.rank_bound == 10
         r = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         np.testing.assert_allclose(factored.correlate(r), formed.correlate(r), rtol=1e-12)
         assert factored.mean_col_energy == pytest.approx(formed.mean_col_energy, rel=1e-12)
-        for b in range(12 // block_size):
-            assert factored.block_energy(b) == pytest.approx(formed.block_energy(b), rel=1e-12)
-        idx = np.concatenate([np.arange(b * block_size, (b + 1) * block_size) for b in (0, 2, 3)])
-        factored.block_energy(3)  # a block looked at first is still placed in index order
-        np.testing.assert_allclose(factored.columns(idx), formed.columns(idx), rtol=1e-12)
+        for b in range(12 // s):
+            assert factored.block_energy(b, s) == pytest.approx(formed.block_energy(b, s), rel=1e-12)
+        idx = np.concatenate([np.arange(b * s, (b + 1) * s) for b in (0, 2, 3)])
+        factored.block_energy(3, s)  # a block looked at first is still placed in index order
+        np.testing.assert_allclose(factored.columns(idx, s), formed.columns(idx, s), rtol=1e-12)
+
+    def test_a_draw_serves_fits_at_several_block_sizes(self):
+        # the product keeps its blocks per draw, keyed by block size: fits at
+        # block size 1, then 2, then 1 again on one product equal fits on
+        # fresh products
+        polar, pilots, y, noise_var = _polar_problem(64, 40, 2, 10.0, (64, 2, 40, 10))
+        shared = polar.sensing_operator(pilots)
+        for s in (1, 2, 1):
+            est = BlockOMP(block_size=s, noise_var=noise_var)
+            reused = est.fit(shared, y)
+            fresh = BlockOMP(block_size=s, noise_var=noise_var).fit(polar.sensing_operator(pilots), y)
+            assert reused.coef_.tobytes() == fresh.coef_.tobytes()
+            np.testing.assert_array_equal(reused.support_, fresh.support_)
+            assert reused.residual_path_.tobytes() == fresh.residual_path_.tobytes()
+        assert {key[1] for key in shared._blocks} == {1, 2}
 
     def test_row_gram_is_cached_and_read_only(self):
         polar = build_polar_baseline(ArrayConfig(carrier_freq=100e9, n_antennas=64))
@@ -593,7 +613,7 @@ class TestPrefixBracket:
         operator = polar.sensing_operator(pilots)
         bracketed = BlockOMP(block_size=block_size, noise_var=noise_var).fit(operator, y)
         # a bracket of zero width at the exact energy: the choice reads E
-        monkeypatch.setattr(_ProductColumns, "energy_bracket", lambda self: (self.mean_col_energy,) * 2)
+        monkeypatch.setattr(SensingProduct, "energy_bracket", lambda self: (self.mean_col_energy,) * 2)
         exact = BlockOMP(block_size=block_size, noise_var=noise_var).fit(operator, y)
         assert bracketed.coef_.tobytes() == exact.coef_.tobytes()
         np.testing.assert_array_equal(bracketed.support_, exact.support_)
@@ -638,35 +658,40 @@ class TestPrefixBracket:
             dictionary = Dictionary(rng.standard_normal((n, rings)) + 1j * rng.standard_normal((n, rings)))
         for _ in range(20):
             pilots = rng.standard_normal((t, n)) + 1j * rng.standard_normal((t, n))
-            psi = _ProductColumns(dictionary.sensing_operator(pilots), 1)
+            psi = dictionary.sensing_operator(pilots)
             lo, hi = psi.energy_bracket()
             assert 0.0 <= lo <= psi.mean_col_energy <= hi
 
     def test_polar_build_leaves_the_row_gram_unbuilt(self):
-        polar = build_polar_baseline(ArrayConfig(carrier_freq=100e9, n_antennas=64))
+        # neither the build, nor sensing a draw, nor a noiseless fit builds
+        # the row Gram or its eigenvalue range; the first noisy fit reads the
+        # range for its bracket
+        polar, pilots, y, noise_var = _polar_problem(64, 20, 1, 10.0, (64, 1, 20, 10))
         assert polar._row_gram is None and polar._row_gram_range is None
-        operator = polar.sensing_operator(gen_pilots(20, 64, seed=4))
-        assert operator.row_gram is polar.row_gram
+        operator = polar.sensing_operator(pilots)
+        BlockOMP().fit(operator, y)
+        assert polar._row_gram is None and polar._row_gram_range is None
+        BlockOMP(noise_var=noise_var).fit(operator, y)
         eigs = np.linalg.eigvalsh(polar.row_gram)
-        assert operator.row_gram_range == polar.row_gram_range == (eigs[0], eigs[-1])
+        assert polar.row_gram_range == (eigs[0], eigs[-1])
 
     def test_desk_snr_sweep_rarely_computes_the_trace(self, monkeypatch):
         # the nmse_vs_snr desk grid for polar_omp alone (N = 256, T = 80,
         # 0/5/10 dB, 200 trials): the bracket decides all but a few of the
         # 600 noisy fits, and each undecided one computes the trace once
         counts = {"fits": 0, "traces": 0}
-        init, energy = _ProductColumns.__init__, _ProductColumns.mean_col_energy.fget
+        fit, energy = BlockOMP.fit, SensingProduct.mean_col_energy.fget
 
-        def counted_init(self, *args):
-            counts["fits"] += 1
-            init(self, *args)
+        def counted_fit(self, X, y):
+            counts["fits"] += isinstance(X, SensingProduct)
+            return fit(self, X, y)
 
         def counted_energy(self):
             counts["traces"] += self._mean_col_energy is None
             return energy(self)
 
-        monkeypatch.setattr(_ProductColumns, "__init__", counted_init)
-        monkeypatch.setattr(_ProductColumns, "mean_col_energy", property(counted_energy))
+        monkeypatch.setattr(BlockOMP, "fit", counted_fit)
+        monkeypatch.setattr(SensingProduct, "mean_col_energy", property(counted_energy))
         config = preset_config("nmse_vs_snr", "desk", 1)
         list(run(dataclasses.replace(config, methods=("polar_omp",))))
         assert counts["fits"] == 600
@@ -735,6 +760,13 @@ class TestNmse:
     def test_rejects_zero_reference(self):
         with pytest.raises(ValueError):
             nmse(np.zeros(4, dtype=complex), np.ones(4, dtype=complex))
+
+    @pytest.mark.parametrize("estimate_length", [1, 3])
+    def test_rejects_an_estimate_of_another_length(self, estimate_length):
+        # a length-1 estimate would broadcast and read 0; length 3 would
+        # fail inside NumPy
+        with pytest.raises(ValueError, match=f"h has length 4 but h_hat has length {estimate_length}"):
+            nmse(np.ones(4), np.ones(estimate_length))
 
 
 def _quantile_reference(s: int, alpha: float, n_blocks: int):
