@@ -8,7 +8,8 @@ import numpy as np
 from .coherence import _phase_pair, _worst_case_nonzeros, sparsity_bound
 from .geometry import ArrayConfig
 from .seeding import rng_from
-from .validation import as_complex_matrix, check_integer, check_positive_or_inf
+from .validation import FRACTION, OPEN_FRACTION, POSITIVE, POSITIVE_OR_INF, block_count, check, check_integer
+from .validation import as_complex_matrix
 
 
 def _require_square(n_antennas: int) -> int:
@@ -31,14 +32,14 @@ def varrho_bound(cfg: ArrayConfig, delta: float, mu_pair: tuple = None) -> int:
     """
     n = cfg.n_antennas
     root = _require_square(n)
-    if delta <= 1.0 / n:
+    if check(delta, "delta", FRACTION) <= 1.0 / n:
         raise ValueError(f"delta must exceed 1/N = {1.0 / n:.3e}")
     if mu_pair is None:
         k_bar = _worst_case_nonzeros(n, delta)
     else:
         mu_0, mu = mu_pair
-        check_positive_or_inf(mu_0, "mu_0")
-        check_positive_or_inf(mu, "mu")
+        check(mu_0, "mu_0", POSITIVE_OR_INF)
+        check(mu, "mu", POSITIVE_OR_INF)
         _, b = _phase_pair(cfg, 0.0, 0.0, mu, mu_0)
         k_bar = sparsity_bound(cfg, delta, b)
     return max(1, math.ceil(k_bar / root))
@@ -52,12 +53,10 @@ def sample_complexity(n_antennas: int, varrho: int, xi: float, kappa: float) -> 
     rounded up. The bound is loose at desk scale; it typically exceeds N
     itself.
     """
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi!r}")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa!r}")
-    if varrho < 1:
-        raise ValueError(f"varrho must be >= 1, got {varrho!r}")
+    check_integer(n_antennas, "n_antennas", 2)
+    check_integer(varrho, "varrho", 1)
+    check(xi, "xi", OPEN_FRACTION)
+    check(kappa, "kappa", POSITIVE)
     root = math.sqrt(n_antennas)
     value = (36.0 / (7.0 * xi)) * (
         varrho * math.log(math.e * root / varrho)
@@ -88,14 +87,12 @@ def empirical_rip_probe(
     """
     psi = as_complex_matrix(psi, "psi")
     m = psi.shape[1]
-    if block_size < 1 or m % block_size != 0:
-        raise ValueError(f"block size {block_size} must be >= 1 and divide {m} columns")
-    n_blocks = m // block_size
-    check_integer(k, "k", 1)
+    n_blocks = block_count(block_size, m)
+    k = check_integer(k, "k", 1)
     if k > n_blocks:
         raise ValueError(f"k = {k} exceeds the number of blocks {n_blocks}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = check_integer(trials, "trials", 1)
+    check(target_xi, "target_xi", OPEN_FRACTION)
     deviations = np.empty(trials)
     for t in range(trials):
         rng = rng_from(seed, "rip_probe", t)

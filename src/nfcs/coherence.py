@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import ArrayConfig
 from .dictionaries import dft_grid
-from .validation import check_positive_or_inf
+from .validation import FRACTION, POSITIVE_OR_INF, check, check_integer
 
 B_ZERO_TOL = 1e-15
 """|b| below this is treated as the pure-phase-slope (b = 0) regime."""
@@ -50,8 +50,7 @@ class CoherenceParams:
     n_antennas: int
 
     def __post_init__(self):
-        if self.n_antennas < 2:
-            raise ValueError("n_antennas must be >= 2")
+        check_integer(self.n_antennas, "n_antennas", 2)
 
 
 def _phase_pair(cfg: ArrayConfig, sin_m, sin_0, mu, mu_0) -> tuple:
@@ -67,8 +66,8 @@ def params_from_geometry(
 ) -> CoherenceParams:
     """Coherence parameters for a grid response at (theta_m, mu) against a
     source response at (theta_0, mu_0)."""
-    check_positive_or_inf(mu, "mu")
-    check_positive_or_inf(mu_0, "mu_0")
+    check(mu, "mu", POSITIVE_OR_INF)
+    check(mu_0, "mu_0", POSITIVE_OR_INF)
     a, b = _phase_pair(cfg, math.sin(theta_m), math.sin(theta_0), mu, mu_0)
     return CoherenceParams(a=a, b=b, n_antennas=cfg.n_antennas)
 
@@ -147,7 +146,8 @@ def thresholds(n_antennas: int, delta: float, b_abs=0.0) -> tuple:
     asymmetrically, with eta2 = eta1 + 2 (N-1) |b| / pi. eta2 broadcasts
     over ``b_abs``.
     """
-    n = n_antennas
+    n = check_integer(n_antennas, "n_antennas", 2)
+    check(delta, "delta", FRACTION)
     failed = []
     floor_geo = 1.0 / n
     if delta <= floor_geo:

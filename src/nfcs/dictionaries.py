@@ -13,7 +13,7 @@ import numpy as np
 
 from ._files import write_atomic
 from .geometry import ArrayConfig, _steering, b_vector, field_boundaries
-from .validation import as_complex_matrix, as_complex_vector
+from .validation import as_complex_matrix, as_complex_vector, check_integer
 
 MAGIC = b"NFCS"
 _HEADER = struct.Struct("<4sIII")  # magic, rows, cols, reserved
@@ -271,8 +271,7 @@ def build_polar_baseline(
     grouped ring-major so ``n_rings = 1`` reduces exactly to the DFT.
     """
     _require_half_wavelength(cfg)
-    if n_rings < 1:
-        raise ValueError(f"n_rings must be >= 1, got {n_rings}")
+    n_rings = check_integer(n_rings, "n_rings", 1)
     if distance_range is None:
         distance_range = field_boundaries(cfg)
     lo, hi = distance_range

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import as_rng
-from .validation import check_angle, check_decibels, check_integer, check_positive
+from .validation import ANGLE, DECIBELS, POSITIVE, POSITIVE_OR_INF, check, check_integer
 
 SPEED_OF_LIGHT = 2.998e8
 """Propagation speed used to derive wavelengths, in m/s."""
@@ -30,12 +30,12 @@ class ArrayConfig:
     spacing: float = field(default=None)
 
     def __post_init__(self):
-        check_positive(self.carrier_freq, "carrier_freq")
+        check(self.carrier_freq, "carrier_freq", POSITIVE)
         check_integer(self.n_antennas, "n_antennas", 2)
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2)
         else:
-            check_positive(self.spacing, "spacing")
+            check(self.spacing, "spacing", POSITIVE)
 
     @property
     def wavelength(self) -> float:
@@ -75,9 +75,9 @@ class ChannelSpec:
             if not cmath.isfinite(g):
                 raise ValueError(f"path gains must be finite, got {g!r}")
         for theta in self.thetas:
-            check_angle(theta)
+            check(theta, "theta", ANGLE)
         for r in self.distances:
-            check_positive(r, "distance")
+            check(r, "distance", POSITIVE)
 
 
 def field_boundaries(cfg: ArrayConfig) -> tuple:
@@ -130,9 +130,9 @@ def _steering(cfg: ArrayConfig, sin_t, r, mode: str) -> np.ndarray:
 
 def near_steering(cfg: ArrayConfig, theta: float, r: float, mode: str = "exact") -> np.ndarray:
     """Spherical-wavefront array response; entry n is exp(-j*(2pi/lam)*(r^(n)-r))/sqrt(N)."""
-    check_angle(theta)
+    check(theta, "theta", ANGLE)
     if not (math.isinf(r) and mode == "taylor"):
-        check_positive(r, "r")
+        check(r, "r", POSITIVE)
     return _steering(cfg, math.sin(theta), r, mode)
 
 
@@ -145,7 +145,7 @@ def b_vector(cfg: ArrayConfig, mu) -> np.ndarray:
     """
     mu = np.asarray(mu, dtype=float)
     if not np.all(mu > 0):
-        raise ValueError(f"mu must be positive or inf, got {mu.tolist()!r}")
+        raise ValueError(f"mu {POSITIVE_OR_INF.requirement}, got {mu.tolist()!r}")
     offsets = np.arange(cfg.n_antennas) * cfg.spacing
     if mu.ndim:
         offsets = offsets[:, None]
@@ -191,9 +191,8 @@ def sample_channel(
     (-1, 1) and distances uniform on ``distance_range`` (default: Fresnel
     distance to 1.2x the Rayleigh distance).
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    check_decibels(power_split_db, "power_split_db")
+    n_paths = check_integer(n_paths, "n_paths", 1)
+    check(power_split_db, "power_split_db", DECIBELS)
     fresnel, rayleigh = field_boundaries(cfg)
     if distance_range is None:
         distance_range = (fresnel, 1.2 * rayleigh)

@@ -11,7 +11,6 @@ import hashlib
 import io
 import json
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import NamedTuple
@@ -33,7 +32,8 @@ from .geometry import (
 )
 from .recovery import PILOT_KINDS, BlockOMP, gen_pilots, ls_estimate, make_problem, nmse
 from .seeding import rng_from
-from .validation import DECIBEL_LIMIT
+from .validation import DECIBELS, DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, OPEN_FRACTION, POSITIVE
+from .validation import POSITIVE_OR_INF, divisor_of, integer
 
 
 class _Method(NamedTuple):
@@ -75,19 +75,19 @@ def _optional_float(text: str):
     return None if text.strip().lower() == "none" else float(text)
 
 
-# admissible values: (predicate, requirement)
-def _integer(lo):
-    return lambda v: isinstance(v, numbers.Integral) and v >= lo, f"must be an integer >= {lo}"
-
-
+# config-only rules; every other field reads the shared rule from validation
 def _one_of(names):
     return names.__contains__, f"must be one of {', '.join(names)}"
 
 
-_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be positive and finite")
-_DECIBELS = (lambda v: -DECIBEL_LIMIT <= v <= DECIBEL_LIMIT, "must lie in [-300, 300] dB")
-# +inf is the noiseless sentinel; -inf and nan name no noise level
-_SNR = (lambda v: v == math.inf or _DECIBELS[0](v), "must lie in [-300, 300] dB or be inf")
+_TOLERANCE = (lambda v: POSITIVE.predicate(v) and v > 1, "must be finite and exceed 1.0")
+
+
+def _require(key: str, value, rule):
+    """``validation.check`` for a config value: a ConfigError naming ``key``."""
+    predicate, requirement = rule
+    if not predicate(value):
+        raise ConfigError(key, f"{requirement}, got {value!r}")
 
 
 def _setting(key, parse, rule, default=MISSING):
@@ -104,55 +104,45 @@ def _setting(key, parse, rule, default=MISSING):
 @dataclass
 class ExperimentConfig:
     kind: str
-    seed: int = _setting("experiment.seed", int, (lambda v: isinstance(v, numbers.Integral), "must be an integer"))
-    trials: int = _setting("experiment.trials", int, _integer(1), 200)
+    seed: int = _setting("experiment.seed", int, integer())
+    trials: int = _setting("experiment.trials", int, integer(1), 200)
     preset: str = "desk"
     # array
-    carrier_freq: float = _setting("array.carrier_freq_hz", float, _POSITIVE, 100e9)
-    n_antennas: int = _setting("array.n_antennas", int, _integer(2), 256)
-    spacing: float = _setting("array.spacing_m", float, _POSITIVE, None)
+    carrier_freq: float = _setting("array.carrier_freq_hz", float, POSITIVE, 100e9)
+    n_antennas: int = _setting("array.n_antennas", int, integer(2), 256)
+    spacing: float = _setting("array.spacing_m", float, POSITIVE, None)
     # channel statistics
-    n_paths: int = _setting("channel.n_paths", int, _integer(1), 3)
-    power_split_db: float = _setting("channel.power_split_db", float, _DECIBELS, 13.0)
-    distance_min: float = _setting("channel.distance_min_m", float, _POSITIVE, None)
-    distance_max: float = _setting("channel.distance_max_m", float, _POSITIVE, None)
+    n_paths: int = _setting("channel.n_paths", int, integer(1), 3)
+    power_split_db: float = _setting("channel.power_split_db", float, DECIBELS, 13.0)
+    distance_min: float = _setting("channel.distance_min_m", float, POSITIVE, None)
+    distance_max: float = _setting("channel.distance_max_m", float, POSITIVE, None)
     # grids
-    n_list: tuple = _setting("experiment.n_list", _list_of(int), _integer(2), ())
-    t_list: tuple = _setting("experiment.t_list", _list_of(int), _integer(1), ())
-    snr_db_list: tuple = _setting("experiment.snr_db_list", _list_of(float), _SNR, ())
-    mu0_bins: tuple = _setting("experiment.mu0_bins", _list_of(float), _POSITIVE, ())
-    block_size_list: tuple = _setting("experiment.block_size_list", _list_of(int), _integer(1), ())
+    n_list: tuple = _setting("experiment.n_list", _list_of(int), integer(2), ())
+    t_list: tuple = _setting("experiment.t_list", _list_of(int), integer(1), ())
+    snr_db_list: tuple = _setting("experiment.snr_db_list", _list_of(float), DECIBELS_OR_INF, ())
+    mu0_bins: tuple = _setting("experiment.mu0_bins", _list_of(float), POSITIVE, ())
+    block_size_list: tuple = _setting("experiment.block_size_list", _list_of(int), integer(1), ())
     methods: tuple = _setting("experiment.methods", _list_of(str), _one_of(METHOD_NAMES), ("dmu_block_omp",))
     # fixed operating point for single-axis sweeps
-    n_measurements: int = _setting("experiment.n_measurements", int, _integer(1), 100)
-    snr_db: float = _setting("experiment.snr_db", float, _SNR, 5.0)
+    n_measurements: int = _setting("experiment.n_measurements", int, integer(1), 100)
+    snr_db: float = _setting("experiment.snr_db", float, DECIBELS_OR_INF, 5.0)
     # dictionaries and solver; mu = +inf is the plane-wave (DFT) dictionary
-    mu: float = _setting("dictionary.mu", float, (lambda v: v > 0, "must be positive or inf"), 20.0)
-    block_size: int = _setting("recovery.block_size", int, _integer(1), 4)
-    k_max: int = _setting("recovery.k_max", int, _integer(0), None)
-    stop_alpha: float = _setting(
-        "recovery.stop_alpha",
-        _optional_float,
-        (lambda v: v is None or 0 < v <= 1, "must lie in (0, 1] or be none"),
-        0.05,
-    )
+    mu: float = _setting("dictionary.mu", float, POSITIVE_OR_INF, 20.0)
+    block_size: int = _setting("recovery.block_size", int, integer(1), 4)
+    k_max: int = _setting("recovery.k_max", int, integer(0), None)
+    stop_alpha: float = _setting("recovery.stop_alpha", _optional_float, FRACTION_OR_NONE, 0.05)
     pilot_kind: str = _setting("recovery.pilot_kind", str, _one_of(PILOT_KINDS), "gaussian")
-    polar_rings: int = _setting("dictionary.polar_rings", int, _integer(1), 6)
-    polar_r_min: float = _setting("dictionary.polar_r_min_m", float, _POSITIVE, None)
-    polar_r_max: float = _setting("dictionary.polar_r_max_m", float, _POSITIVE, None)
+    polar_rings: int = _setting("dictionary.polar_rings", int, integer(1), 6)
+    polar_r_min: float = _setting("dictionary.polar_r_min_m", float, POSITIVE, None)
+    polar_r_max: float = _setting("dictionary.polar_r_max_m", float, POSITIVE, None)
     # analytics
     # a threshold on coefficient magnitudes of unit-norm channels
-    delta: float = _setting("experiment.delta", float, (lambda v: 0 < v <= 1, "must lie in (0, 1]"), 0.01)
-    mu0_bin_tolerance: float = _setting(
-        "experiment.mu0_bin_tolerance",
-        float,
-        (lambda v: math.isfinite(v) and v > 1, "must be finite and exceed 1.0"),
-        1.25,
-    )
+    delta: float = _setting("experiment.delta", float, FRACTION, 0.01)
+    mu0_bin_tolerance: float = _setting("experiment.mu0_bin_tolerance", float, _TOLERANCE, 1.25)
     # restricted-isometry probe
-    rip_block_size: int = _setting("rip.block_size", int, _integer(1), 16)
-    rip_k: int = _setting("rip.k", int, _integer(1), 2)
-    rip_target_xi: float = _setting("rip.target_xi", float, (lambda v: 0 < v < 1, "must lie in (0, 1)"), 0.5)
+    rip_block_size: int = _setting("rip.block_size", int, integer(1), 16)
+    rip_k: int = _setting("rip.k", int, integer(1), 2)
+    rip_target_xi: float = _setting("rip.target_xi", float, OPEN_FRACTION, 0.5)
 
     def array_config(self, n_antennas: int = None) -> ArrayConfig:
         return ArrayConfig(
@@ -175,13 +165,13 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if value is None and f.default is None:
                 continue
-            for v in value if isinstance(f.default, tuple) else (value,):
-                try:
-                    ok = f.metadata["rule"](v)
-                except TypeError:  # a value of the wrong type from a library caller
-                    ok = False
-                if not ok:
-                    raise ConfigError(f.metadata["key"], f"{f.metadata['requirement']}, got {v!r}")
+            key = f.metadata["key"]
+            if not isinstance(f.default, tuple):
+                value = (value,)
+            elif not isinstance(value, (tuple, list)):  # a scalar from a library caller
+                raise ConfigError(key, f"must be a list, got {value!r}")
+            for v in value:
+                _require(key, v, (f.metadata["rule"], f.metadata["requirement"]))
 
         # checks spanning several fields
         if not getattr(self, kind.grid):
@@ -248,12 +238,9 @@ def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
             f"method {least_squares[0]!r} needs n_measurements >= n_antennas; offending T values: {bad}",
         )
     sweep, block_sizes = _block_sizes(config)
+    divides_the_array = divisor_of(config.n_antennas, "antennas")
     for s in block_sizes:
-        if config.n_antennas % s != 0:
-            raise ConfigError(
-                _key("block_size_list" if sweep else "block_size"),
-                f"block size {s} does not divide n_antennas {config.n_antennas}",
-            )
+        _require(_key("block_size_list" if sweep else "block_size"), s, divides_the_array)
     fresnel, _ = field_boundaries(cfg)
     lo, hi = _distance_range(config, cfg)
     if lo < fresnel * (1 - 1e-9):
@@ -286,11 +273,7 @@ def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
 
 
 def _check_rip_blocks(config: ExperimentConfig, cfg: ArrayConfig):
-    if config.n_antennas % config.rip_block_size != 0:
-        raise ConfigError(
-            _key("rip_block_size"),
-            f"{config.rip_block_size} does not divide n_antennas {config.n_antennas}",
-        )
+    _require(_key("rip_block_size"), config.rip_block_size, divisor_of(config.n_antennas, "antennas"))
     n_blocks = config.n_antennas // config.rip_block_size
     if config.rip_k > n_blocks:
         raise ConfigError(_key("rip_k"), f"{config.rip_k} exceeds the number of blocks {n_blocks}")
@@ -693,8 +676,9 @@ def run(config: ExperimentConfig):
     """
     config.validate()
     chash = config_hash(config)
+    # plain ints in the rows: json cannot write a NumPy integer
     return [
-        ResultRow(config.experiment_id, method, grid, metric, value, config.trials, config.seed, chash)
+        ResultRow(config.experiment_id, method, grid, metric, value, int(config.trials), int(config.seed), chash)
         for method, grid, metric, value in _KINDS[config.kind].run(config)
     ]
 

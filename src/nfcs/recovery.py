@@ -9,7 +9,8 @@ from .coherence import _worst_case_nonzeros
 from .dictionaries import SensingProduct, _column_energy
 from .geometry import ArrayConfig, ChannelSpec, synthesize_channel
 from .seeding import as_rng
-from .validation import as_complex_matrix, as_complex_vector, check_decibels, check_integer
+from .validation import DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, NONNEGATIVE, block_count, check
+from .validation import as_complex_matrix, as_complex_vector, check_integer
 
 RIDGE_SCALE = 1e-10
 _COND_LIMIT = 1e12
@@ -40,8 +41,8 @@ def gen_pilots(n_measurements: int, n_antennas: int, kind: str = "gaussian", see
     "gaussian" draws CN(0, 1/N); "rademacher" draws +-1/sqrt(N) with equal
     probability (real valued, stored complex).
     """
-    if n_measurements < 1:
-        raise ValueError(f"n_measurements must be >= 1, got {n_measurements}")
+    n_measurements = check_integer(n_measurements, "n_measurements", 1)
+    n_antennas = check_integer(n_antennas, "n_antennas", 2)
     rng = as_rng(seed)
     shape = (n_measurements, n_antennas)
     if kind == "gaussian":
@@ -75,9 +76,9 @@ def noise_variance(channel: np.ndarray, n_antennas: int, snr_db: float) -> float
     variance (a noiseless problem); -inf and nan name no noise level, and
     beyond +-300 dB the power ratio leaves the float range.
     """
-    if snr_db is None or snr_db == math.inf:
+    check_integer(n_antennas, "n_antennas", 2)
+    if snr_db is None or check(snr_db, "snr_db", DECIBELS_OR_INF) == math.inf:
         return 0.0
-    check_decibels(snr_db, "snr_db")
     power = float(np.linalg.norm(channel) ** 2)
     return power / (n_antennas * 10.0 ** (snr_db / 10.0))
 
@@ -323,7 +324,6 @@ class BlockOMP:
         return max(1, min(budget, cap))
 
     def fit(self, X, y):
-        s = check_integer(self.block_size, "block_size")
         if not isinstance(X, SensingProduct):
             X = as_complex_matrix(X, "X")
         y = as_complex_vector(y, "y")
@@ -334,17 +334,11 @@ class BlockOMP:
         y_norm2 = float(np.linalg.norm(y) ** 2)
         if not math.isfinite(y_norm2) and not np.isfinite(y).all():
             raise ValueError("y must be finite")
-        if s < 1 or m % s != 0:
-            raise ValueError(f"block size {s} must be >= 1 and divide {m} coefficients")
-        nb = m // s
-        alpha = self.stop_alpha
-        if alpha is not None and not 0.0 < alpha <= 1.0:
-            raise ValueError(f"stop_alpha must be in (0, 1] or None, got {alpha}")
-        sigma2 = float(self.noise_var)
-        if not (math.isfinite(sigma2) and sigma2 >= 0.0):
-            raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+        nb = block_count(self.block_size, m)
+        s = m // nb
+        alpha = check(self.stop_alpha, "stop_alpha", FRACTION_OR_NONE)
+        sigma2 = float(check(self.noise_var, "noise_var", NONNEGATIVE))
+        check(self.delta, "delta", FRACTION)
         psi = X if isinstance(X, SensingProduct) else _FormedColumns(X, s)
         if self.k_max is None:
             k_max = self._default_k_max(psi.rank_bound, m, sigma2)

@@ -1,54 +1,80 @@
-"""Input validation helpers shared across the package."""
+"""Argument rules shared by the library and the experiment config.
 
+A rule pairs a predicate, true for exactly the admissible values, with a
+requirement that names them after the argument's name. ``check`` applies it
+to a library argument and ``harness.ExperimentConfig`` to its fields. A bool
+is neither an integer nor a real; NumPy integers and floats are both.
+"""
+
+import functools
 import math
+import numbers
 import operator
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 
-def check_positive(value, name: str):
-    """Require a finite value > 0."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+class Rule(NamedTuple):
+    predicate: Callable
+    requirement: str
+
+
+def check(value, name: str, rule: Rule):
+    """Return ``value`` if ``rule`` admits it, else raise
+    ``ValueError("<name> <requirement>, got <value>")``."""
+    if not rule.predicate(value):
+        raise ValueError(f"{name} {rule.requirement}, got {value!r}")
     return value
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+@functools.cache
+def integer(minimum: int = None) -> Rule:
+    """The rule of integers of at least ``minimum``, if given; one object per minimum."""
+    lo = -math.inf if minimum is None else minimum
+    return Rule(
+        lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= lo,
+        "must be an integer" + ("" if minimum is None else f" >= {minimum}"),
+    )
+
+
 def check_integer(value, name: str, minimum: int = None) -> int:
-    """Require an integer (not a bool) of at least ``minimum``, if given."""
-    try:
-        number = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or (minimum is not None and number < minimum):
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
-    return number
+    """``check`` against ``integer(minimum)``, returning ``operator.index(value)``."""
+    return operator.index(check(value, name, integer(minimum)))
 
 
-def check_positive_or_inf(value, name: str):
-    """Require value > 0, allowing the far-field sentinel +inf."""
-    if math.isinf(value) and value > 0:
-        return value
-    return check_positive(value, name)
-
+POSITIVE = Rule(lambda v: _real(v) and math.isfinite(v) and v > 0, "must be positive and finite")
+# +inf is the far-field (plane-wave) sentinel of a distance
+POSITIVE_OR_INF = Rule(lambda v: _real(v) and v > 0, "must be positive or inf")
+NONNEGATIVE = Rule(lambda v: _real(v) and math.isfinite(v) and v >= 0, "must be finite and >= 0")
+FRACTION = Rule(lambda v: _real(v) and 0 < v <= 1, "must lie in (0, 1]")
+FRACTION_OR_NONE = Rule(lambda v: v is None or FRACTION.predicate(v), FRACTION.requirement + " or be none")
+OPEN_FRACTION = Rule(lambda v: _real(v) and 0 < v < 1, "must lie in (0, 1)")
+ANGLE = Rule(lambda v: _real(v) and -math.pi / 2 < v < math.pi / 2, "must lie in (-pi/2, pi/2)")
 
 # power ratios in dB: no operating point lies beyond +-300 dB, and far beyond
 # it 10^(dB/10) leaves the float range
 DECIBEL_LIMIT = 300.0
+DECIBELS = Rule(lambda v: _real(v) and -DECIBEL_LIMIT <= v <= DECIBEL_LIMIT, "must lie in [-300, 300] dB")
+# +inf is the noiseless sentinel of an SNR; -inf and nan name no noise level
+DECIBELS_OR_INF = Rule(lambda v: v == math.inf or DECIBELS.predicate(v), DECIBELS.requirement + " or be inf")
 
 
-def check_decibels(value, name: str):
-    """Require a power ratio in [-300, 300] dB."""
-    if not -DECIBEL_LIMIT <= value <= DECIBEL_LIMIT:
-        raise ValueError(f"{name} must lie in [-300, 300] dB, got {value!r}")
-    return value
+@functools.cache
+def divisor_of(total: int, what: str) -> Rule:
+    """The rule of block sizes that split ``total`` ``what`` into equal contiguous blocks."""
+    return Rule(lambda s: s >= 1 and total % s == 0, f"must be >= 1 and divide the {total} {what}")
 
 
-def check_angle(theta: float, name: str = "theta"):
-    """Require an angle strictly inside (-pi/2, pi/2)."""
-    if not (-math.pi / 2 < theta < math.pi / 2):
-        raise ValueError(f"{name} must lie in (-pi/2, pi/2), got {theta!r}")
-    return theta
+def block_count(block_size, n_columns: int) -> int:
+    """Number of contiguous blocks of ``block_size`` among ``n_columns`` columns."""
+    s = check_integer(block_size, "block_size")
+    return n_columns // check(s, "block size", divisor_of(n_columns, "columns"))
 
 
 def as_complex_vector(x, name: str = "x") -> np.ndarray:
@@ -64,4 +90,3 @@ def as_complex_matrix(x, name: str = "x") -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
-

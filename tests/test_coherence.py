@@ -23,13 +23,13 @@ from nfcs import (
 from nfcs.coherence import B_ZERO_TOL, _phase_pair, _sublinear_cap, reduce_angle
 from nfcs.dictionaries import dft_grid
 from nfcs.harness import _fast_analysis_fractions
-from nfcs.validation import check_positive
+from nfcs.validation import POSITIVE, check
 
 
 def fresnel_increment_bound_check(x: float, delta_x: float) -> bool:
     """Check |C(x+dx) - C(x)| < 1/x and the same for S."""
-    check_positive(x, "x")
-    check_positive(delta_x, "delta_x")
+    check(x, "x", POSITIVE)
+    check(delta_x, "delta_x", POSITIVE)
     c_hi, s_hi = fresnel(x + delta_x)
     c_lo, s_lo = fresnel(x)
     bound = 1.0 / x

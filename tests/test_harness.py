@@ -77,6 +77,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="experiment.seed"):
             tiny_config(seed=None).validate()
 
+    @pytest.mark.parametrize(
+        "name", ["n_list", "t_list", "snr_db_list", "mu0_bins", "block_size_list", "methods"]
+    )
+    def test_a_scalar_in_a_list_field_is_a_config_error(self, name):
+        key = ExperimentConfig.__dataclass_fields__[name].metadata["key"]
+        value = "dmu_block_omp" if name == "methods" else 5.0
+        with pytest.raises(ConfigError, match=f"^{key}: must be a list, got"):
+            tiny_config(**{name: value}).validate()
+
     def test_unreachable_mu0_bin_fails_validation(self):
         # no effective distance lies below the minimum distance (the Fresnel
         # distance, 2.68 m at N=256), so the bin fails before any sampling
@@ -201,6 +210,16 @@ class TestEmit:
         rows = run(tiny_config())
         text = emit(rows, "json", "-")
         assert parse_rows(text, "json") == rows
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_numpy_integer_seed_round_trips(self, fmt):
+        rows = run(tiny_config(seed=np.int64(3), trials=np.int64(2)))
+        assert rows[0].seed == 3
+        assert parse_rows(emit(rows, fmt, "-"), fmt) == rows
+
+    def test_a_bool_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="experiment.seed: must be an integer, got True"):
+            run(tiny_config(seed=True))
 
     def test_rejects_unknown_format(self):
         rows = [ResultRow("e", "m", "g", "x", 1.0, 1, 1, "h")]

@@ -1,0 +1,199 @@
+"""Argument rules: one definition in ``nfcs.validation``, read by the library
+entry points and by the experiment config alike."""
+
+import math
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+
+from nfcs import (
+    ArrayConfig,
+    BlockOMP,
+    ChannelSpec,
+    CoherenceParams,
+    b_vector,
+    build_polar_baseline,
+    empirical_rip_probe,
+    gen_pilots,
+    near_steering,
+    noise_variance,
+    params_from_geometry,
+    sample_channel,
+    sample_complexity,
+    thresholds,
+    varrho_bound,
+)
+from nfcs.harness import ConfigError, ExperimentConfig, preset_config
+from nfcs.validation import (
+    DECIBELS,
+    DECIBELS_OR_INF,
+    FRACTION,
+    FRACTION_OR_NONE,
+    OPEN_FRACTION,
+    POSITIVE,
+    POSITIVE_OR_INF,
+    integer,
+)
+
+CFG = ArrayConfig(carrier_freq=100e9, n_antennas=16)
+
+
+def _fit(**settings):
+    rng = np.random.default_rng(20)
+    X = rng.standard_normal((20, 16)) + 1j * rng.standard_normal((20, 16))
+    return BlockOMP(**{"block_size": 4, "noise_var": 1e-2, **settings}).fit(X, X[:, 3])
+
+
+# the bad values of each kind of rule
+BAD = {
+    "integer": (2.5, True),
+    "finite": (True, math.nan, math.inf),  # a real that must be finite
+    "real": (True, math.nan),  # a real that may be inf, or lies in (0, 1] or (0, 1)
+    # the chirp takes an array of distances, where True reads as the distance 1.0
+    "array": (math.nan,),
+}
+
+_EYE = np.eye(16, dtype=complex)
+
+# entry point -> (argument name, kind of rule, call with that argument set to a value)
+LIBRARY = {
+    "ArrayConfig.n_antennas": ("n_antennas", "integer", lambda v: ArrayConfig(100e9, v)),
+    "ArrayConfig.carrier_freq": ("carrier_freq", "finite", lambda v: ArrayConfig(v, 4)),
+    "ArrayConfig.spacing": ("spacing", "finite", lambda v: ArrayConfig(100e9, 4, v)),
+    "ChannelSpec.distances": ("distance", "finite", lambda v: ChannelSpec((1.0,), (0.0,), (v,))),
+    "ChannelSpec.thetas": ("theta", "real", lambda v: ChannelSpec((1.0,), (v,), (10.0,))),
+    "near_steering.r": ("r", "finite", lambda v: near_steering(CFG, 0.0, v)),
+    "b_vector.mu": ("mu", "array", lambda v: b_vector(CFG, v)),
+    "sample_channel.n_paths": ("n_paths", "integer", lambda v: sample_channel(CFG, v, 1)),
+    "sample_channel.power_split_db": (
+        "power_split_db",
+        "finite",
+        lambda v: sample_channel(CFG, 2, 1, power_split_db=v),
+    ),
+    "build_polar_baseline.n_rings": ("n_rings", "integer", lambda v: build_polar_baseline(CFG, n_rings=v)),
+    "gen_pilots.n_measurements": ("n_measurements", "integer", lambda v: gen_pilots(v, 16, seed=1)),
+    "gen_pilots.n_antennas": ("n_antennas", "integer", lambda v: gen_pilots(4, v, seed=1)),
+    "noise_variance.n_antennas": ("n_antennas", "integer", lambda v: noise_variance(np.ones(4), v, 5.0)),
+    "noise_variance.snr_db": ("snr_db", "real", lambda v: noise_variance(np.ones(4), 4, v)),
+    "BlockOMP.block_size": ("block_size", "integer", lambda v: _fit(block_size=v)),
+    "BlockOMP.k_max": ("k_max", "integer", lambda v: _fit(k_max=v)),
+    "BlockOMP.stop_alpha": ("stop_alpha", "real", lambda v: _fit(stop_alpha=v)),
+    "BlockOMP.noise_var": ("noise_var", "finite", lambda v: _fit(noise_var=v)),
+    "BlockOMP.delta": ("delta", "real", lambda v: _fit(delta=v)),
+    "CoherenceParams.n_antennas": ("n_antennas", "integer", lambda v: CoherenceParams(0.1, 0.0, v)),
+    "params_from_geometry.mu": ("mu", "real", lambda v: params_from_geometry(CFG, 0.0, 0.0, v, 20.0)),
+    "thresholds.n_antennas": ("n_antennas", "integer", lambda v: thresholds(v, 0.5)),
+    "thresholds.delta": ("delta", "real", lambda v: thresholds(16, v)),
+    "varrho_bound.delta": ("delta", "real", lambda v: varrho_bound(CFG, v)),
+    "varrho_bound.mu_0": ("mu_0", "real", lambda v: varrho_bound(CFG, 0.5, mu_pair=(v, 20.0))),
+    "sample_complexity.n_antennas": ("n_antennas", "integer", lambda v: sample_complexity(v, 7, 0.5, 1.0)),
+    "sample_complexity.varrho": ("varrho", "integer", lambda v: sample_complexity(256, v, 0.5, 1.0)),
+    "sample_complexity.xi": ("xi", "real", lambda v: sample_complexity(256, 7, v, 1.0)),
+    "sample_complexity.kappa": ("kappa", "finite", lambda v: sample_complexity(256, 7, 0.5, v)),
+    "empirical_rip_probe.block_size": ("block_size", "integer", lambda v: empirical_rip_probe(_EYE, v, 1, 10, 3)),
+    "empirical_rip_probe.k": ("k", "integer", lambda v: empirical_rip_probe(_EYE, 4, v, 10, 3)),
+    "empirical_rip_probe.trials": ("trials", "integer", lambda v: empirical_rip_probe(_EYE, 4, 1, v, 3)),
+    "empirical_rip_probe.target_xi": (
+        "target_xi",
+        "real",
+        lambda v: empirical_rip_probe(_EYE, 4, 1, 10, 3, target_xi=v),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value", [(entry, v) for entry, (_, kind, _) in LIBRARY.items() for v in BAD[kind]]
+)
+def test_library_rejects_a_bad_argument_by_name(entry, value):
+    name, _, call = LIBRARY[entry]
+    with pytest.raises(ValueError) as excinfo:
+        call(value)
+    assert str(excinfo.value).startswith(f"{name} "), str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        ("gen_pilots.n_measurements", np.int64(4)),  # integer >= 1
+        ("ArrayConfig.n_antennas", np.int32(4)),  # integer >= 2
+        ("BlockOMP.k_max", np.int64(1)),  # integer >= 0
+        ("BlockOMP.block_size", np.int16(4)),  # block partition
+        ("empirical_rip_probe.block_size", np.int64(4)),
+    ],
+)
+def test_library_admits_numpy_integers(entry, value):
+    LIBRARY[entry][2](value)
+
+
+def _small_config(**overrides):
+    small = dict(snr_db_list=(5.0,), trials=2, n_antennas=64, n_measurements=32)
+    return replace(preset_config("nmse_vs_snr", "desk", seed=11), **{**small, **overrides})
+
+
+# the shared rule each numeric config field reads
+SHARED = {
+    "seed": integer(),
+    "trials": integer(1),
+    "carrier_freq": POSITIVE,
+    "n_antennas": integer(2),
+    "spacing": POSITIVE,
+    "n_paths": integer(1),
+    "power_split_db": DECIBELS,
+    "distance_min": POSITIVE,
+    "distance_max": POSITIVE,
+    "n_list": integer(2),
+    "t_list": integer(1),
+    "snr_db_list": DECIBELS_OR_INF,
+    "mu0_bins": POSITIVE,
+    "block_size_list": integer(1),
+    "n_measurements": integer(1),
+    "snr_db": DECIBELS_OR_INF,
+    "mu": POSITIVE_OR_INF,
+    "block_size": integer(1),
+    "k_max": integer(0),
+    "stop_alpha": FRACTION_OR_NONE,
+    "polar_rings": integer(1),
+    "polar_r_min": POSITIVE,
+    "polar_r_max": POSITIVE,
+    "delta": FRACTION,
+    "rip_block_size": integer(1),
+    "rip_k": integer(1),
+    "rip_target_xi": OPEN_FRACTION,
+}
+# fields whose rule only the config has
+CONFIG_ONLY = {"methods", "pilot_kind", "mu0_bin_tolerance"}
+
+
+def test_every_numeric_config_field_reads_its_shared_rule():
+    settable = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
+    assert set(settable) == set(SHARED) | CONFIG_ONLY
+    for name, rule in SHARED.items():
+        metadata = settable[name].metadata
+        assert metadata["rule"] is rule.predicate, name
+        assert metadata["requirement"] == rule.requirement, name
+
+
+def _config_cases():
+    cases = []
+    for name, rule in SHARED.items():
+        bad = [2.5, True] if rule.requirement.startswith("must be an integer") else [True, math.nan]
+        if rule in (POSITIVE, DECIBELS):
+            bad.append(math.inf)
+        is_list = isinstance(ExperimentConfig.__dataclass_fields__[name].default, tuple)
+        cases += [(name, (v,) if is_list else v) for v in bad]
+    return cases
+
+
+@pytest.mark.parametrize("name, value", _config_cases())
+def test_config_rejects_a_bad_value_by_key(name, value):
+    key = ExperimentConfig.__dataclass_fields__[name].metadata["key"]
+    with pytest.raises(ConfigError, match=f"^{key}: ") as excinfo:
+        _small_config(**{name: value}).validate()
+    assert excinfo.value.field_path == key
+
+
+def test_config_admits_numpy_integers():
+    _small_config(
+        seed=np.int64(3), trials=np.int64(2), n_antennas=np.int64(64), block_size=np.int32(4), k_max=np.int64(3)
+    ).validate()
