@@ -5,10 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _phase_pair, _worst_case_nonzeros, sparsity_bound
+from .coherence import _phase_pair, _worst_case_nonzeros, delta_floor, sparsity_bound
 from .geometry import ArrayConfig
 from .seeding import rng_from
-from .validation import FRACTION, OPEN_FRACTION, POSITIVE, POSITIVE_OR_INF, block_count, check, check_integer
+from .validation import FRACTION, OPEN_FRACTION, POSITIVE, POSITIVE_OR_INF, Rule, block_count, check, check_integer
 from .validation import as_complex_matrix
 
 
@@ -32,8 +32,8 @@ def varrho_bound(cfg: ArrayConfig, delta: float, mu_pair: tuple = None) -> int:
     """
     n = cfg.n_antennas
     root = _require_square(n)
-    if check(delta, "delta", FRACTION) <= 1.0 / n:
-        raise ValueError(f"delta must exceed 1/N = {1.0 / n:.3e}")
+    check(delta, "delta", FRACTION)
+    check(delta, "delta", delta_floor(n))
     if mu_pair is None:
         k_bar = _worst_case_nonzeros(n, delta)
     else:
@@ -67,6 +67,11 @@ def sample_complexity(n_antennas: int, varrho: int, xi: float, kappa: float) -> 
     return math.ceil(value)
 
 
+def within_blocks(n_blocks: int) -> Rule:
+    """The rule of block counts k that a partition into ``n_blocks`` blocks holds."""
+    return Rule(lambda k: k <= n_blocks, f"must be at most the {n_blocks} blocks")
+
+
 @dataclass(frozen=True)
 class RipProbeReport:
     """Sampled block-isometry deviations; a probe, never a certificate."""
@@ -89,8 +94,7 @@ def empirical_rip_probe(
     m = psi.shape[1]
     n_blocks = block_count(block_size, m)
     k = check_integer(k, "k", 1)
-    if k > n_blocks:
-        raise ValueError(f"k = {k} exceeds the number of blocks {n_blocks}")
+    check(k, "k", within_blocks(n_blocks))
     trials = check_integer(trials, "trials", 1)
     check(target_xi, "target_xi", OPEN_FRACTION)
     deviations = np.empty(trials)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import ArrayConfig
 from .dictionaries import dft_grid
-from .validation import FRACTION, POSITIVE_OR_INF, check, check_integer
+from .validation import FRACTION, POSITIVE_OR_INF, Rule, check, check_integer
 
 B_ZERO_TOL = 1e-15
 """|b| below this is treated as the pure-phase-slope (b = 0) regime."""
@@ -139,6 +139,12 @@ def coherence_approx(params: CoherenceParams) -> float:
     return float(_approx_magnitudes(params.a, params.b, params.n_antennas)[0])
 
 
+def delta_floor(n_antennas: int) -> Rule:
+    """The rule of thresholds delta above 1/N, below which no support bound holds."""
+    floor = 1.0 / n_antennas
+    return Rule(lambda d: d > floor, f"must exceed the geometric-sum floor 1/N = {floor:.3e}")
+
+
 def thresholds(n_antennas: int, delta: float, b_abs=0.0) -> tuple:
     """Support-interval half-widths (eta0, eta1, eta2) in sin-angle units.
 
@@ -148,17 +154,12 @@ def thresholds(n_antennas: int, delta: float, b_abs=0.0) -> tuple:
     """
     n = check_integer(n_antennas, "n_antennas", 2)
     check(delta, "delta", FRACTION)
-    failed = []
-    floor_geo = 1.0 / n
-    if delta <= floor_geo:
-        failed.append(f"geometric-sum floor 1/N = {floor_geo:.3e}")
-    floor_fresnel = 2.0 * math.sqrt(2.0) / (n * math.pi)
-    if delta <= floor_fresnel:
-        failed.append(f"Fresnel-bound floor 2*sqrt(2)/(N*pi) = {floor_fresnel:.3e}")
-    if failed:
-        raise ValueError(
-            f"delta = {delta!r} is below the validity floor(s): " + "; ".join(failed)
-        )
+    floor = delta_floor(n)
+    fresnel_floor = 2.0 * math.sqrt(2.0) / (n * math.pi)  # below 1/N; named too when delta is under both
+    if delta <= fresnel_floor:
+        also = f" and the Fresnel-bound floor 2*sqrt(2)/(N*pi) = {fresnel_floor:.3e}"
+        floor = Rule(floor.predicate, floor.requirement + also)
+    check(delta, "delta", floor)
     if np.any(np.less(b_abs, 0)):
         raise ValueError("b_abs must be nonnegative")
     eta0 = math.acos(1.0 - 2.0 / (n**2 * delta**2)) / math.pi

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._files import write_atomic
 from .geometry import ArrayConfig, _steering, b_vector, field_boundaries
-from .validation import as_complex_matrix, as_complex_vector, check_integer
+from .validation import POSITIVE, RANGE, Rule, as_complex_matrix, as_complex_vector, check, check_integer
 
 MAGIC = b"NFCS"
 _HEADER = struct.Struct("<4sIII")  # magic, rows, cols, reserved
@@ -227,12 +227,19 @@ def _check_length(rows, length: int, what: str):
         raise ValueError(f"expected {what} of length {length}, got {rows.shape[1]}")
 
 
-def _require_half_wavelength(cfg: ArrayConfig):
-    if not cfg.is_half_wavelength:
-        raise ValueError(
-            "dictionary grids assume half-wavelength antenna spacing; "
-            f"got spacing {cfg.spacing!r} for wavelength {cfg.wavelength!r}"
-        )
+def half_wavelength(wavelength: float) -> Rule:
+    """The rule of spacings of half a ``wavelength``, which the dictionary grids assume."""
+    return Rule(
+        lambda d: abs(d - wavelength / 2) <= 1e-12 * wavelength,
+        f"must be half the wavelength, {wavelength / 2!r} m, for the dictionary grids",
+    )
+
+
+def polar_range(cfg: ArrayConfig, r_min: float = None, r_max: float = None) -> tuple:
+    """Distance range of the polar rings; an end not given defaults to the
+    Fresnel and the Rayleigh distance."""
+    fresnel, rayleigh = field_boundaries(cfg)
+    return fresnel if r_min is None else r_min, rayleigh if r_max is None else r_max
 
 
 def _far_matrix(cfg: ArrayConfig) -> np.ndarray:
@@ -250,13 +257,13 @@ def _far_matrix(cfg: ArrayConfig) -> np.ndarray:
 
 def build_dmu(cfg: ArrayConfig, mu: float) -> Dictionary:
     """Unitary chirped dictionary for one effective distance (inf gives the DFT)."""
-    _require_half_wavelength(cfg)
+    check(cfg.spacing, "spacing", half_wavelength(cfg.wavelength))
     return Dictionary(None, mu=mu, cfg=cfg)
 
 
 def build_dft(cfg: ArrayConfig) -> Dictionary:
     """Plain DFT dictionary (the chirped dictionary at infinite effective distance)."""
-    _require_half_wavelength(cfg)
+    check(cfg.spacing, "spacing", half_wavelength(cfg.wavelength))
     return Dictionary(None, mu=math.inf, cfg=cfg)
 
 
@@ -267,16 +274,15 @@ def build_polar_baseline(
 
     Ring 0 sits at infinity (plane-wave atoms, identical to the DFT columns);
     the remaining ``n_rings - 1`` rings sample 1/r uniformly over the given
-    distance range (default: Fresnel to Rayleigh distance). Columns are
-    grouped ring-major so ``n_rings = 1`` reduces exactly to the DFT.
+    distance range (default: ``polar_range(cfg)``). Columns are grouped
+    ring-major so ``n_rings = 1`` reduces exactly to the DFT.
     """
-    _require_half_wavelength(cfg)
+    check(cfg.spacing, "spacing", half_wavelength(cfg.wavelength))
     n_rings = check_integer(n_rings, "n_rings", 1)
-    if distance_range is None:
-        distance_range = field_boundaries(cfg)
-    lo, hi = distance_range
-    if not (0 < lo <= hi):
-        raise ValueError(f"invalid distance range {distance_range!r}")
+    lo, hi = polar_range(cfg) if distance_range is None else distance_range
+    check(lo, "distance_range[0]", POSITIVE)
+    check(hi, "distance_range[1]", POSITIVE)
+    check((lo, hi), "distance_range", RANGE)
     ring_radii = [math.inf]
     if n_rings > 1:
         inv = np.linspace(1.0 / hi, 1.0 / lo, n_rings - 1)

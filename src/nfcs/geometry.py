@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import as_rng
-from .validation import ANGLE, DECIBELS, POSITIVE, POSITIVE_OR_INF, check, check_integer
+from .validation import ANGLE, DECIBELS, POSITIVE, POSITIVE_OR_INF, RANGE, Rule, check, check_integer
 
 SPEED_OF_LIGHT = 2.998e8
 """Propagation speed used to derive wavelengths, in m/s."""
@@ -22,7 +22,8 @@ class ArrayConfig:
     """Physical description of a uniform linear array.
 
     ``spacing`` defaults to half a wavelength, the spacing assumed by the
-    sparsifying dictionaries in this package.
+    sparsifying dictionaries in this package. The geometry must pass
+    ``field_regions``.
     """
 
     carrier_freq: float
@@ -32,10 +33,11 @@ class ArrayConfig:
     def __post_init__(self):
         check(self.carrier_freq, "carrier_freq", POSITIVE)
         check_integer(self.n_antennas, "n_antennas", 2)
+        if self.spacing is not None:
+            check(self.spacing, "spacing", POSITIVE)
+        check(*field_regions(self.carrier_freq, self.n_antennas, self.spacing))
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2)
-        else:
-            check(self.spacing, "spacing", POSITIVE)
 
     @property
     def wavelength(self) -> float:
@@ -45,10 +47,6 @@ class ArrayConfig:
     def aperture(self) -> float:
         """Array aperture (N - 1) * d in meters."""
         return (self.n_antennas - 1) * self.spacing
-
-    @property
-    def is_half_wavelength(self) -> bool:
-        return abs(self.spacing - self.wavelength / 2) <= 1e-12 * self.wavelength
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,50 @@ class ChannelSpec:
             check(r, "distance", POSITIVE)
 
 
+def _boundaries(d_ap: float, lam: float) -> tuple:
+    return 0.62 * math.sqrt(d_ap**3 / lam), 2.0 * d_ap**2 / lam
+
+
 def field_boundaries(cfg: ArrayConfig) -> tuple:
     """Fresnel and Rayleigh distances (0.62*sqrt(D^3/lam), 2*D^2/lam) in meters."""
-    d_ap = cfg.aperture
-    lam = cfg.wavelength
-    fresnel = 0.62 * math.sqrt(d_ap**3 / lam)
-    rayleigh = 2.0 * d_ap**2 / lam
-    return fresnel, rayleigh
+    return _boundaries(cfg.aperture, cfg.wavelength)
+
+
+def field_regions(carrier_freq, n_antennas: int, spacing=None) -> tuple:
+    """The array-geometry rule as ``check``'s ``(value, name, rule)``, stated on
+    the spacing if given, else on the carrier frequency of a half-wavelength array."""
+
+    def admits(value):
+        lam = SPEED_OF_LIGHT / float(carrier_freq if spacing is not None else value)
+        d_ap = (int(n_antennas) - 1) * (float(value) if spacing is not None else lam / 2)
+        try:
+            fresnel, rayleigh = _boundaries(d_ap, lam)
+        except OverflowError:  # D^3 or D^2 leaves the float range
+            return False
+        return math.isfinite(lam) and 0 < fresnel <= rayleigh < math.inf
+
+    rule = Rule(admits, "must give a finite wavelength and field boundaries 0 < Fresnel <= Rayleigh < inf")
+    return (carrier_freq, "carrier_freq", rule) if spacing is None else (spacing, "spacing", rule)
+
+
+def source_range(cfg: ArrayConfig, distance_min: float = None, distance_max: float = None) -> tuple:
+    """Source distance range; an end not given defaults to the Fresnel distance
+    and 1.2x the Rayleigh distance."""
+    fresnel, rayleigh = field_boundaries(cfg)
+    return fresnel if distance_min is None else distance_min, 1.2 * rayleigh if distance_max is None else distance_max
+
+
+def beyond_fresnel(cfg: ArrayConfig) -> Rule:
+    """The rule of source distances at or beyond the Fresnel distance of ``cfg``."""
+    fresnel, _ = field_boundaries(cfg)
+    return Rule(
+        lambda r: POSITIVE_OR_INF.predicate(r) and r >= fresnel * (1 - 1e-9),
+        f"must be at or beyond the Fresnel distance {fresnel!r} m",
+    )
+
+
+# the exact spherical-wavefront delay squares the source distance
+SQUARABLE = Rule(lambda r: math.isfinite(float(r) * float(r)), "must square to a finite float")
 
 
 def effective_distance(sin_t, r):
@@ -133,6 +168,8 @@ def near_steering(cfg: ArrayConfig, theta: float, r: float, mode: str = "exact")
     check(theta, "theta", ANGLE)
     if not (math.isinf(r) and mode == "taylor"):
         check(r, "r", POSITIVE)
+    if mode == "exact":
+        check(r, "r", SQUARABLE)
     return _steering(cfg, math.sin(theta), r, mode)
 
 
@@ -188,22 +225,15 @@ def sample_channel(
     The line-of-sight gain is complex normal CN(0, 1); the remaining gains are
     rescaled so the aggregate LOS to non-LOS power ratio equals
     ``power_split_db`` exactly. Angles are drawn with sin(theta) uniform on
-    (-1, 1) and distances uniform on ``distance_range`` (default: Fresnel
-    distance to 1.2x the Rayleigh distance).
+    (-1, 1) and distances uniform on ``distance_range`` (default:
+    ``source_range(cfg)``).
     """
     n_paths = check_integer(n_paths, "n_paths", 1)
     check(power_split_db, "power_split_db", DECIBELS)
-    fresnel, rayleigh = field_boundaries(cfg)
-    if distance_range is None:
-        distance_range = (fresnel, 1.2 * rayleigh)
-    lo, hi = distance_range
-    if not (lo <= hi):
-        raise ValueError(f"invalid distance range {distance_range!r}")
-    if lo < fresnel * (1 - 1e-9):
-        raise ValueError(
-            f"distance range must start at or beyond the Fresnel distance "
-            f"{fresnel:.3f} m, got {lo!r}"
-        )
+    lo, hi = source_range(cfg) if distance_range is None else distance_range
+    check(lo, "distance_range[0]", beyond_fresnel(cfg))
+    check((lo, hi), "distance_range", RANGE)
+    check(hi, "distance_range[1]", SQUARABLE)
     rng = as_rng(seed)
     sines = rng.uniform(-1.0, 1.0, n_paths)
     dists = rng.uniform(lo, hi, n_paths)

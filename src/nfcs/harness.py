@@ -19,21 +19,15 @@ import numpy as np
 
 from . import block_rip as rip_mod
 from ._files import write_atomic
-from .coherence import _approx_magnitudes, _exact_magnitudes, _phase_pair, sparsity_bound
-from .dictionaries import Dictionary, build_dft, build_dmu, build_polar_baseline, mutual_coherence
-from .geometry import (
-    ArrayConfig,
-    _scale_gains,
-    _steering,
-    b_vector,
-    effective_distance,
-    field_boundaries,
-    sample_channel,
-)
-from .recovery import PILOT_KINDS, BlockOMP, gen_pilots, ls_estimate, make_problem, nmse
-from .seeding import rng_from
+from .coherence import _approx_magnitudes, _exact_magnitudes, _phase_pair, delta_floor, sparsity_bound
+from .dictionaries import Dictionary, build_dft, build_dmu, build_polar_baseline, half_wavelength, mutual_coherence
+from .dictionaries import polar_range
+from .geometry import SQUARABLE, ArrayConfig, _scale_gains, _steering, b_vector, beyond_fresnel, effective_distance
+from .geometry import field_boundaries, field_regions, sample_channel, source_range
+from .recovery import PILOT_KINDS, BlockOMP, enough_for_ls, gen_pilots, ls_estimate, make_problem, nmse
+from .seeding import plain, rng_from
 from .validation import DECIBELS, DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, OPEN_FRACTION, POSITIVE
-from .validation import POSITIVE_OR_INF, divisor_of, integer
+from .validation import POSITIVE_OR_INF, RANGE, divisor_of, integer
 
 
 class _Method(NamedTuple):
@@ -46,7 +40,7 @@ def _dmu(config, cfg) -> Dictionary:
 
 
 def _polar(config, cfg) -> Dictionary:
-    return build_polar_baseline(cfg, config.polar_rings, _polar_range(config, cfg))
+    return build_polar_baseline(cfg, config.polar_rings, polar_range(cfg, config.polar_r_min, config.polar_r_max))
 
 
 _METHODS = {
@@ -145,11 +139,7 @@ class ExperimentConfig:
     rip_target_xi: float = _setting("rip.target_xi", float, OPEN_FRACTION, 0.5)
 
     def array_config(self, n_antennas: int = None) -> ArrayConfig:
-        return ArrayConfig(
-            carrier_freq=self.carrier_freq,
-            n_antennas=self.n_antennas if n_antennas is None else n_antennas,
-            spacing=self.spacing,
-        )
+        return ArrayConfig(self.carrier_freq, self.n_antennas if n_antennas is None else n_antennas, self.spacing)
 
     @property
     def experiment_id(self) -> str:
@@ -173,31 +163,16 @@ class ExperimentConfig:
             for v in value:
                 _require(key, v, (f.metadata["rule"], f.metadata["requirement"]))
 
-        # checks spanning several fields
+        # checks spanning several fields, each the library's rule under its key
         if not getattr(self, kind.grid):
             raise ConfigError(_key(kind.grid), "grid must be non-empty")
-        # each array field can be admissible on its own while the wavelength
-        # or the field boundaries derived from them overflow or underflow
-        for n in self.n_list if kind.grid == "n_list" else (self.n_antennas,):
-            sized = self.array_config(n)
-            try:
-                fresnel, rayleigh = field_boundaries(sized)
-            except OverflowError:
-                fresnel = rayleigh = math.inf
-            if not (math.isfinite(sized.wavelength) and 0 < fresnel <= rayleigh < math.inf):
-                raise ConfigError(
-                    _key("spacing" if self.spacing is not None else "carrier_freq"),
-                    f"at N = {n} the wavelength is {sized.wavelength!r} and the Fresnel and "
-                    f"Rayleigh distances are {fresnel!r} and {rayleigh!r}; they must be finite "
-                    "with 0 < Fresnel <= Rayleigh",
-                )
-        cfg = self.array_config()
-        if kind.dictionaries and not cfg.is_half_wavelength:
-            raise ConfigError(
-                _key("spacing"),
-                f"the dictionaries need half-wavelength spacing {cfg.wavelength / 2!r}, "
-                f"got {self.spacing!r}",
-            )
+        sizes = self.n_list if kind.grid == "n_list" else (self.n_antennas,)
+        for n in sizes:
+            value, name, rule = field_regions(self.carrier_freq, n, self.spacing)
+            _require(_key(name), value, rule)
+        cfg = self.array_config(sizes[0])
+        if kind.dictionaries:
+            _require(_key("spacing"), cfg.spacing, half_wavelength(cfg.wavelength))
         if kind.check is not None:
             kind.check(self, cfg)
 
@@ -215,12 +190,8 @@ def _key(name: str) -> str:
 
 
 def _check_polar_range(config: ExperimentConfig, cfg: ArrayConfig):
-    lo, hi = _polar_range(config, cfg)
-    if lo > hi:
-        raise ConfigError(
-            _key("polar_r_max" if config.polar_r_max is not None else "polar_r_min"),
-            f"the polar distance range ({lo!r}, {hi!r}) is inverted",
-        )
+    key = _key("polar_r_max" if config.polar_r_max is not None else "polar_r_min")
+    _require(key, polar_range(cfg, config.polar_r_min, config.polar_r_max), RANGE)
 
 
 def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
@@ -230,32 +201,18 @@ def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
     if repeated:
         raise ConfigError(_key("methods"), f"names a method more than once: {repeated}")
     points = [point for _, point in _KINDS[config.kind].points(config)]
-    least_squares = [m for m in config.methods if _METHODS[m].build is None]
-    bad = [t for t in dict.fromkeys(t for t, _, _ in points) if t < config.n_antennas]
-    if least_squares and bad:
-        raise ConfigError(
-            _key("methods"),
-            f"method {least_squares[0]!r} needs n_measurements >= n_antennas; offending T values: {bad}",
-        )
+    if any(_METHODS[m].build is None for m in config.methods):
+        key = _key("t_list" if _KINDS[config.kind].grid == "t_list" else "n_measurements")
+        for t, _, _ in points:
+            _require(key, t, enough_for_ls(config.n_antennas))
     sweep, block_sizes = _block_sizes(config)
     divides_the_array = divisor_of(config.n_antennas, "antennas")
     for s in block_sizes:
         _require(_key("block_size_list" if sweep else "block_size"), s, divides_the_array)
-    fresnel, _ = field_boundaries(cfg)
-    lo, hi = _distance_range(config, cfg)
-    if lo < fresnel * (1 - 1e-9):
-        raise ConfigError(
-            _key("distance_min"),
-            f"must be at or beyond the Fresnel distance {fresnel!r}, got {lo!r}",
-        )
-    if lo > hi:
-        raise ConfigError(
-            _key("distance_max" if config.distance_max is not None else "distance_min"),
-            f"the distance range ({lo!r}, {hi!r}) is inverted",
-        )
-    if not math.isfinite(hi * hi):
-        # the exact spherical-wavefront delay squares the distance
-        raise ConfigError(_key("distance_max"), f"{hi!r} m is too large to square")
+    lo, hi = source_range(cfg, config.distance_min, config.distance_max)
+    _require(_key("distance_min"), lo, beyond_fresnel(cfg))
+    _require(_key("distance_max" if config.distance_max is not None else "distance_min"), (lo, hi), RANGE)
+    _require(_key("distance_max"), hi, SQUARABLE)
     # the sampler gives up on a bin after _MU0_DRAWS misses; reject a bin it
     # misses that often with probability above 1e-9
     for b in (b for _, _, b in points if b is not None):
@@ -274,19 +231,11 @@ def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
 
 def _check_rip_blocks(config: ExperimentConfig, cfg: ArrayConfig):
     _require(_key("rip_block_size"), config.rip_block_size, divisor_of(config.n_antennas, "antennas"))
-    n_blocks = config.n_antennas // config.rip_block_size
-    if config.rip_k > n_blocks:
-        raise ConfigError(_key("rip_k"), f"{config.rip_k} exceeds the number of blocks {n_blocks}")
+    _require(_key("rip_k"), config.rip_k, rip_mod.within_blocks(config.n_antennas // config.rip_block_size))
 
 
 def _check_delta_floor(config: ExperimentConfig, cfg: ArrayConfig):
-    floor = max(1.0 / n for n in config.n_list)
-    if config.delta <= floor:
-        raise ConfigError(
-            _key("delta"),
-            f"must exceed the validity floor 1/N = {floor:.3e} "
-            f"for the smallest antenna count in {_key('n_list')}",
-        )
+    _require(_key("delta"), config.delta, delta_floor(min(config.n_list)))
 
 
 @dataclass(frozen=True)
@@ -307,15 +256,13 @@ ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
 def config_hash(config: ExperimentConfig) -> str:
     """Stable 12-hex-digit digest of the full resolved configuration."""
     payload = "\n".join(
-        f"{f.name}={getattr(config, f.name)!r}" for f in sorted(fields(config), key=lambda f: f.name)
+        f"{f.name}={plain(getattr(config, f.name))!r}" for f in sorted(fields(config), key=lambda f: f.name)
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def emit(rows, fmt: str, path: str) -> str:
@@ -331,10 +278,7 @@ def emit(rows, fmt: str, path: str) -> str:
             writer.writerow([_fmt_value(getattr(row, f)) for f in ROW_FIELDS])
         text = buf.getvalue()
     elif fmt == "json":
-        payload = [
-            {f: getattr(row, f) for f in ROW_FIELDS}
-            for row in rows
-        ]
+        payload = [{f: getattr(row, f) for f in ROW_FIELDS} for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         raise ValueError(f"unknown output format {fmt!r}")
@@ -347,7 +291,8 @@ def emit(rows, fmt: str, path: str) -> str:
 def parse_rows(text: str, fmt: str = "csv"):
     """Parse emitted output back into ResultRow objects (round-trip helper).
 
-    A record whose fields are not exactly ``ROW_FIELDS`` raises ``ValueError``.
+    A record whose fields are not exactly ``ROW_FIELDS``, or a JSON field not
+    of its declared type, raises ``ValueError``.
     """
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
@@ -365,26 +310,17 @@ def parse_rows(text: str, fmt: str = "csv"):
         for data in records:
             if not isinstance(data, dict) or data.keys() != set(ROW_FIELDS):
                 raise ValueError(f"record {data!r} does not hold exactly the fields {ROW_FIELDS}")
+            for f in fields(ResultRow):
+                # JSON numbers of a float field may be written as integers; no bool is a number
+                v = data[f.name]
+                if isinstance(v, bool) or not isinstance(v, (int, float) if f.type is float else f.type):
+                    raise ValueError(f"record field {f.name!r} must be a JSON {f.type.__name__}, got {v!r}")
         return [ResultRow(**data) for data in records]
     raise ValueError(f"unknown output format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
 # channel and solver plumbing shared by the estimation experiments
-
-
-def _distance_range(config: ExperimentConfig, cfg: ArrayConfig) -> tuple:
-    fresnel, rayleigh = field_boundaries(cfg)
-    lo = config.distance_min if config.distance_min is not None else fresnel
-    hi = config.distance_max if config.distance_max is not None else 1.2 * rayleigh
-    return lo, hi
-
-
-def _polar_range(config: ExperimentConfig, cfg: ArrayConfig) -> tuple:
-    fresnel, rayleigh = field_boundaries(cfg)
-    lo = config.polar_r_min if config.polar_r_min is not None else fresnel
-    hi = config.polar_r_max if config.polar_r_max is not None else rayleigh
-    return lo, hi
 
 
 _MU0_DRAWS = 100_000  # rejection-sampling budget per trial and mu0 bin
@@ -507,7 +443,7 @@ def _nmse_rows(config):
     depend on the grid point, so each is built once per run.
     """
     cfg = config.array_config()
-    dist_range = _distance_range(config, cfg)
+    dist_range = source_range(cfg, config.distance_min, config.distance_max)
     methods = [_METHODS[m] for m in config.methods]
     dictionaries = [None if m.build is None else m.build(config, cfg) for m in methods]
     points = _KINDS[config.kind].points(config)

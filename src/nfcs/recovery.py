@@ -9,7 +9,7 @@ from .coherence import _worst_case_nonzeros
 from .dictionaries import SensingProduct, _column_energy
 from .geometry import ArrayConfig, ChannelSpec, synthesize_channel
 from .seeding import as_rng
-from .validation import DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, NONNEGATIVE, block_count, check
+from .validation import DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, NONNEGATIVE, Rule, block_count, check
 from .validation import as_complex_matrix, as_complex_vector, check_integer
 
 RIDGE_SCALE = 1e-10
@@ -408,14 +408,16 @@ class BlockOMP:
         return self
 
 
+def enough_for_ls(n_antennas: int) -> Rule:
+    """The rule of measurement counts a least-squares estimate solves with: at least N."""
+    return Rule(lambda t: t >= n_antennas, f"must be >= the {n_antennas} antennas for least squares (ls)")
+
+
 def ls_estimate(problem: SensingProblem) -> np.ndarray:
     """Least-squares channel estimate on BlockOMP's refit kernel; requires at
     least N measurements."""
     t, n = problem.pilots.shape
-    if t < n:
-        raise ValueError(
-            f"least squares needs n_measurements >= n_antennas ({t} < {n})"
-        )
+    check(t, "n_measurements", enough_for_ls(n))
     return _least_squares(problem.pilots, problem.observations)[0]
 
 

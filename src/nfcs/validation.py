@@ -57,6 +57,9 @@ FRACTION_OR_NONE = Rule(lambda v: v is None or FRACTION.predicate(v), FRACTION.r
 OPEN_FRACTION = Rule(lambda v: _real(v) and 0 < v < 1, "must lie in (0, 1)")
 ANGLE = Rule(lambda v: _real(v) and -math.pi / 2 < v < math.pi / 2, "must lie in (-pi/2, pi/2)")
 
+# a (lo, hi) interval of distances
+RANGE = Rule(lambda r: _real(r[0]) and _real(r[1]) and r[0] <= r[1], "must give a range (lo, hi) with lo <= hi")
+
 # power ratios in dB: no operating point lies beyond +-300 dB, and far beyond
 # it 10^(dB/10) leaves the float range
 DECIBEL_LIMIT = 300.0

@@ -27,7 +27,7 @@ def test_config_derived_quantities(cfg):
     assert cfg.wavelength == pytest.approx(2.998e-3)
     assert cfg.spacing == pytest.approx(cfg.wavelength / 2)
     assert cfg.aperture == pytest.approx(255 * cfg.wavelength / 2)
-    assert cfg.is_half_wavelength
+    assert cfg.spacing == cfg.wavelength / 2
 
 
 def test_config_rejects_bad_values():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfcs.geometry import effective_distance, field_boundaries
+from nfcs.geometry import effective_distance, field_boundaries, source_range
 from nfcs.harness import (
     ConfigError,
     ExperimentConfig,
@@ -20,12 +20,12 @@ from nfcs.harness import (
     emit,
     parse_rows,
     preset_config,
-    _distance_range,
     _mu0_hit_probability,
     _sample_trial_channel,
     run,
 )
 from nfcs.recovery import gen_pilots, make_problem
+from nfcs.seeding import plain
 
 
 def tiny_config(**overrides):
@@ -118,7 +118,7 @@ class TestValidation:
         # and its paths 1.., and redraws only the LOS angle and distance
         config = preset_config("nmse_vs_mu0", "desk", seed=5)
         cfg = config.array_config()
-        dist_range = _distance_range(config, cfg)
+        dist_range = source_range(cfg, config.distance_min, config.distance_max)
         for trial in range(4):
             base = _sample_trial_channel(config, cfg, dist_range, None, (5, "key"), trial)
             assert len(base.gains) == config.n_paths > 1
@@ -179,6 +179,13 @@ class TestDeterminism:
         assert config_hash(tiny_config()) == config_hash(tiny_config())
         assert config_hash(tiny_config()) != config_hash(tiny_config(trials=5))
 
+    def test_plain_keeps_python_values_and_reads_numpy_scalars(self):
+        # the encoding of the draws and of the config hash: a Python value keeps its repr
+        for v in (3, -7, 0.1, 1e300, math.inf, "s", True, None, (1, 2.5), (20.0,), [1, "a"], ()):
+            assert repr(plain(v)) == repr(v)
+        assert repr(plain((np.float64(0.1), np.int64(3), np.float32(0.5)))) == repr((0.1, 3, 0.5))
+        assert type(plain(np.int32(3))) is int and type(plain(np.float64(2.0))) is float
+
     def test_rows_embed_seed_and_hash(self):
         config = tiny_config()
         for row in run(config):
@@ -217,6 +224,23 @@ class TestEmit:
         assert rows[0].seed == 3
         assert parse_rows(emit(rows, fmt, "-"), fmt) == rows
 
+    @pytest.mark.parametrize(
+        "kind, overrides",
+        [
+            ("nmse_vs_snr", dict(seed=np.int64(3))),
+            ("nmse_vs_mu0", dict(mu0_bins=(np.float64(20.0),), mu0_bin_tolerance=np.float64(1.1))),
+        ],
+        ids=["int64-seed", "float64-bins"],
+    )
+    def test_numpy_scalars_emit_the_rows_of_python_numbers(self, kind, overrides):
+        # the draws and the config hash read a NumPy scalar as the Python number of equal value
+        config = replace(preset_config(kind, "desk", seed=3), trials=2, n_antennas=64, n_measurements=32,
+                         snr_db_list=(5.0,), mu0_bins=(20.0,))
+        plain = run(config)
+        typed = run(replace(config, **overrides))
+        for a, b in zip(typed, plain, strict=True):
+            assert {f: getattr(a, f) for f in ROW_FIELDS} == {f: getattr(b, f) for f in ROW_FIELDS}
+
     def test_a_bool_seed_is_a_config_error(self):
         with pytest.raises(ConfigError, match="experiment.seed: must be an integer, got True"):
             run(tiny_config(seed=True))
@@ -242,6 +266,21 @@ class TestEmit:
         else:
             del row["seed"]
         with pytest.raises(ValueError, match="record .* does not hold exactly the fields"):
+            parse_rows(json.dumps([row]), "json")
+
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("experiment", 1), ("method", None), ("grid", 5.0), ("metric", True), ("config_hash", ["h"]),
+         ("value", "oops"), ("value", True), ("value", None),
+         ("trials", 1.5), ("trials", True), ("trials", "1"),
+         ("seed", None), ("seed", False), ("seed", 3.0)],
+    )
+    def test_json_rejects_a_field_of_the_wrong_type(self, name, value):
+        row = {f: v for f, v in zip(ROW_FIELDS, ("e", "m", "g", "x", 1.0, 1, 1, "h"))}
+        parse_rows(json.dumps([row]), "json")
+        row[name] = value
+        with pytest.raises(ValueError, match=f"record field '{name}' must be a JSON"):
             parse_rows(json.dumps([row]), "json")
 
 
@@ -429,6 +468,18 @@ def test_every_benchmark_trace_target_resolves():
         if tracing._resolve(module, qualname) is None
     ]
     assert not missing, f"unresolved trace targets: {missing}"
+
+
+def test_every_benchmark_workload_config_validates():
+    # a validation change that rejects a benchmark workload fails here, not
+    # in a benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.NAMES:
+        for settings in workloads.configs(name, 0):
+            ExperimentConfig(**settings).validate()
 
 
 def _uses_outside_definition(tree, name):

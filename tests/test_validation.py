@@ -2,6 +2,8 @@
 entry points and by the experiment config alike."""
 
 import math
+import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,17 +15,25 @@ from nfcs import (
     ChannelSpec,
     CoherenceParams,
     b_vector,
+    build_dft,
+    build_dmu,
     build_polar_baseline,
     empirical_rip_probe,
+    field_boundaries,
     gen_pilots,
+    ls_estimate,
+    make_problem,
     near_steering,
     noise_variance,
     params_from_geometry,
     sample_channel,
     sample_complexity,
+    synthesize_channel,
     thresholds,
     varrho_bound,
 )
+from nfcs.dictionaries import polar_range
+from nfcs.geometry import source_range
 from nfcs.harness import ConfigError, ExperimentConfig, preset_config
 from nfcs.validation import (
     DECIBELS,
@@ -197,3 +207,140 @@ def test_config_admits_numpy_integers():
     _small_config(
         seed=np.int64(3), trials=np.int64(2), n_antennas=np.int64(64), block_size=np.int32(4), k_max=np.int64(3)
     ).validate()
+
+
+# cross-argument rules: each is decided once in the library, and the config
+# reports the same requirement under its key
+CFG256 = ArrayConfig(carrier_freq=100e9, n_antennas=256)
+FRESNEL, RAYLEIGH = field_boundaries(CFG256)
+
+
+def _ls(t):
+    return ls_estimate(make_problem(CFG256, sample_channel(CFG256, 2, 1), t, 5.0, seed=1))
+
+
+# rule -> (argument name, library call, config kind, config overrides, config key)
+AGREEMENT = {
+    "geometry-tiny-carrier": (
+        "carrier_freq", lambda: ArrayConfig(1e-300, 256), "nmse_vs_snr", dict(carrier_freq=1e-300),
+        "array.carrier_freq_hz",
+    ),
+    "geometry-huge-carrier": (
+        "carrier_freq", lambda: ArrayConfig(1e300, 256), "sparsity_level", dict(carrier_freq=1e300),
+        "array.carrier_freq_hz",
+    ),
+    "geometry-huge-spacing": (
+        "spacing", lambda: ArrayConfig(100e9, 256, 1e150), "coherence_error", dict(spacing=1e150, n_list=(256,)),
+        "array.spacing_m",
+    ),
+    "geometry-tiny-spacing": (
+        "spacing", lambda: ArrayConfig(100e9, 256, 1e-300), "coherence_error", dict(spacing=1e-300, n_list=(256,)),
+        "array.spacing_m",
+    ),
+    "half-wavelength-dmu": (
+        "spacing", lambda: build_dmu(ArrayConfig(100e9, 256, 0.01), 20.0), "mutual_coherence", dict(spacing=0.01),
+        "array.spacing_m",
+    ),
+    "half-wavelength-dft": (
+        "spacing", lambda: build_dft(ArrayConfig(100e9, 256, 0.01)), "nmse_vs_snr",
+        dict(spacing=0.01, methods=("dft_omp",)), "array.spacing_m",
+    ),
+    "source-default-range": (
+        "distance_range", lambda: sample_channel(CFG256, 3, 0, distance_range=(500.0, source_range(CFG256)[1])),
+        "nmse_vs_snr", dict(distance_min=500.0), "channel.distance_min_m",
+    ),
+    "source-before-fresnel": (
+        "distance_range[0]", lambda: sample_channel(CFG256, 3, 0, distance_range=(0.1, 1.2 * RAYLEIGH)),
+        "nmse_vs_snr", dict(distance_min=0.1), "channel.distance_min_m",
+    ),
+    "source-inverted": (
+        "distance_range", lambda: sample_channel(CFG256, 3, 0, distance_range=(FRESNEL, 1.0)),
+        "nmse_vs_snr", dict(distance_max=1.0), "channel.distance_max_m",
+    ),
+    "source-not-squarable": (
+        "distance_range[1]", lambda: sample_channel(CFG256, 3, 0, distance_range=(FRESNEL, 1e155)),
+        "nmse_vs_snr", dict(distance_max=1e155), "channel.distance_max_m",
+    ),
+    "polar-default-range": (
+        "distance_range", lambda: build_polar_baseline(CFG256, 6, (1000.0, polar_range(CFG256)[1])),
+        "mutual_coherence", dict(polar_r_min=1000.0), "dictionary.polar_r_min_m",
+    ),
+    "polar-inverted": (
+        "distance_range", lambda: build_polar_baseline(CFG256, 6, (FRESNEL, 1.0)),
+        "mutual_coherence", dict(polar_r_max=1.0), "dictionary.polar_r_max_m",
+    ),
+    "polar-not-positive": (
+        "distance_range[0]", lambda: build_polar_baseline(CFG256, 6, (-1.0, RAYLEIGH)),
+        "mutual_coherence", dict(polar_r_min=-1.0), "dictionary.polar_r_min_m",
+    ),
+    "polar-infinite": (
+        "distance_range[1]", lambda: build_polar_baseline(CFG256, 6, (FRESNEL, math.inf)),
+        "mutual_coherence", dict(polar_r_max=math.inf), "dictionary.polar_r_max_m",
+    ),
+    "ls-measurements": (
+        "n_measurements", lambda: _ls(80), "nmse_vs_snr", dict(methods=("ls",), n_measurements=80),
+        "experiment.n_measurements",
+    ),
+    "ls-t-list": ("n_measurements", lambda: _ls(40), "nmse_vs_T", dict(methods=("ls",)), "experiment.t_list"),
+    "rip-k": (
+        "k", lambda: empirical_rip_probe(np.eye(64, dtype=complex), 8, 100, 10, 3), "rip_probe", dict(rip_k=100),
+        "rip.k",
+    ),
+    "delta-floor-thresholds": (
+        "delta", lambda: thresholds(256, 0.0039), "sparsity_level", dict(n_list=(256, 1024), delta=0.0039),
+        "experiment.delta",
+    ),
+    "delta-floor-varrho": (
+        "delta", lambda: varrho_bound(CFG256, 0.0039), "sparsity_level", dict(n_list=(256, 1024), delta=0.0039),
+        "experiment.delta",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", AGREEMENT)
+def test_library_and_config_state_a_rule_alike(rule):
+    name, call, kind, overrides, key = AGREEMENT[rule]
+    with pytest.raises(ValueError) as library:
+        call()
+    with pytest.raises(ConfigError) as config:
+        replace(preset_config(kind, "desk", seed=1), **overrides).validate()
+    assert str(library.value).startswith(f"{name} "), str(library.value)
+    assert config.value.field_path == key
+    assert str(library.value)[len(name) + 1 :] == str(config.value)[len(key) + 2 :]
+
+
+def _sources_up_to(hi, rng):
+    return sample_channel(CFG256, 3, rng, distance_range=(FRESNEL, hi))
+
+
+# inputs the library once accepted, or failed on inside NumPy or the math module
+ONCE_ACCEPTED = {
+    "tiny-carrier": ("carrier_freq", lambda rng: ArrayConfig(1e-300, 256)),
+    "huge-carrier": ("carrier_freq", lambda rng: ArrayConfig(1e300, 256)),
+    "infinite-source": ("distance_range[1]", lambda rng: _sources_up_to(math.inf, rng)),
+    "1e200-source": ("distance_range[1]", lambda rng: _sources_up_to(1e200, rng)),
+    "1e155-source": ("distance_range[1]", lambda rng: _sources_up_to(1e155, rng)),
+    "none-source-start": ("distance_range[0]", lambda rng: sample_channel(CFG256, 3, rng, distance_range=(None, 50.0))),
+    "text-source-end": ("distance_range", lambda rng: _sources_up_to("50", rng)),
+    "infinite-polar-ring": ("distance_range[1]", lambda rng: build_polar_baseline(CFG256, 6, (50.0, math.inf))),
+    "1e200-steering": ("r", lambda rng: near_steering(CFG256, 0.0, 1e200)),
+    "1e200-path": ("r", lambda rng: synthesize_channel(CFG256, ChannelSpec((1.0,), (0.0,), (1e200,)))),
+}
+
+
+@pytest.mark.parametrize("case", ONCE_ACCEPTED)
+def test_a_once_accepted_input_fails_by_name_before_any_draw(case):
+    name, call = ONCE_ACCEPTED[case]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} ") as excinfo:
+            call(rng)
+    assert not isinstance(excinfo.value, ArithmeticError)
+    assert rng.bit_generator.state == state
+
+
+def test_the_largest_squarable_source_distance_synthesizes():
+    spec = sample_channel(CFG256, 3, 1, distance_range=(FRESNEL, 1.3e154))
+    assert np.all(np.isfinite(synthesize_channel(CFG256, spec)))
