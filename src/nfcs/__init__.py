@@ -19,8 +19,6 @@ from .dictionaries import (
     build_dmu,
     build_polar_baseline,
     dft_grid,
-    export_dictionary,
-    load_dictionary_matrix,
     mutual_coherence,
 )
 from .coherence import (

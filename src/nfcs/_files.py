@@ -1,4 +1,4 @@
-"""Atomic file replacement, shared by the result-table and dictionary writers."""
+"""Atomic file replacement for the result-table writer."""
 
 import contextlib
 import os

@@ -7,16 +7,12 @@ baseline jointly grids angle and distance and is overcomplete.
 """
 
 import math
-import struct
 
 import numpy as np
 
-from ._files import write_atomic
 from .geometry import ArrayConfig, _steering, b_vector, field_boundaries
 from .validation import POSITIVE, RANGE, Rule, as_complex_matrix, as_complex_vector, check, check_integer
 
-MAGIC = b"NFCS"
-_HEADER = struct.Struct("<4sIII")  # magic, rows, cols, reserved
 _COHERENCE_BLOCK = 128  # Gram rows per block of the mutual-coherence sweep
 _BRACKET_PAD = 1e-6
 """Widening of the mean-column-energy bracket, relative to lambda_max of A A^H."""
@@ -421,31 +417,3 @@ def mutual_coherence(matrix) -> float:
         best = np.maximum(best, block.max())  # propagates a nan, unlike max()
     return float(best)
 
-
-def export_dictionary(dictionary: Dictionary, path):
-    """Write the matrix as little-endian complex64 pairs with a 16-byte header.
-
-    The file is written atomically: readers see the old file or the new one.
-    """
-    header = _HEADER.pack(MAGIC, dictionary.n_antennas, dictionary.n_atoms, 0)
-    write_atomic(path, header + dictionary.matrix.astype("<c8").tobytes(order="C"))
-
-
-def load_dictionary_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`export_dictionary`."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError(
-            f"not a dictionary file: expected a {_HEADER.size}-byte header, got {len(raw)} bytes"
-        )
-    magic, rows, cols, _ = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ValueError(f"not a dictionary file: bad magic {magic!r}")
-    expected = rows * cols * 8
-    if len(raw) - _HEADER.size != expected:
-        raise ValueError(
-            f"dictionary file of {rows} x {cols} complex64 entries needs a "
-            f"{expected}-byte payload, got {len(raw) - _HEADER.size} bytes"
-        )
-    return np.frombuffer(raw, dtype="<c8", offset=_HEADER.size).reshape(rows, cols).astype(np.complex128)

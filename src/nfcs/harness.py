@@ -27,7 +27,7 @@ from .geometry import field_boundaries, field_regions, sample_channel, source_ra
 from .recovery import PILOT_KINDS, BlockOMP, enough_for_ls, gen_pilots, ls_estimate, make_problem, nmse
 from .seeding import plain, rng_from
 from .validation import DECIBELS, DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, OPEN_FRACTION, POSITIVE
-from .validation import POSITIVE_OR_INF, RANGE, divisor_of, integer
+from .validation import POSITIVE_OR_INF, RANGE, Rule, divisor_of, integer
 
 
 class _Method(NamedTuple):
@@ -70,29 +70,24 @@ def _optional_float(text: str):
 
 
 # config-only rules; every other field reads the shared rule from validation
-def _one_of(names):
-    return names.__contains__, f"must be one of {', '.join(names)}"
+def _one_of(names) -> Rule:
+    return Rule(names.__contains__, f"must be one of {', '.join(names)}")
 
 
-_TOLERANCE = (lambda v: POSITIVE.predicate(v) and v > 1, "must be finite and exceed 1.0")
+_TOLERANCE = Rule(lambda v: POSITIVE.predicate(v) and v > 1, "must be finite and exceed 1.0")
 
 
-def _require(key: str, value, rule):
+def _require(key: str, value, rule: Rule):
     """``validation.check`` for a config value: a ConfigError naming ``key``."""
-    predicate, requirement = rule
-    if not predicate(value):
-        raise ConfigError(key, f"{requirement}, got {value!r}")
+    if not rule.predicate(value):
+        raise ConfigError(key, f"{rule.requirement}, got {value!r}")
 
 
-def _setting(key, parse, rule, default=MISSING):
+def _setting(key, parse, rule: Rule, default=MISSING):
     """Field settable from a config file by its dotted ``key``; ``parse`` reads
-    the value text and ``rule`` is the (predicate, requirement) pair of the
-    admissible values, applied to each entry of a tuple field."""
-    predicate, requirement = rule
-    return field(
-        default=default,
-        metadata={"key": key, "parse": parse, "rule": predicate, "requirement": requirement},
-    )
+    the value text and ``rule`` admits the values, applied to each entry of a
+    tuple field."""
+    return field(default=default, metadata={"key": key, "parse": parse, "rule": rule})
 
 
 @dataclass
@@ -161,7 +156,7 @@ class ExperimentConfig:
             elif not isinstance(value, (tuple, list)):  # a scalar from a library caller
                 raise ConfigError(key, f"must be a list, got {value!r}")
             for v in value:
-                _require(key, v, (f.metadata["rule"], f.metadata["requirement"]))
+                _require(key, v, f.metadata["rule"])
 
         # checks spanning several fields, each the library's rule under its key
         if not getattr(self, kind.grid):
@@ -206,9 +201,8 @@ def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
         for t, _, _ in points:
             _require(key, t, enough_for_ls(config.n_antennas))
     sweep, block_sizes = _block_sizes(config)
-    divides_the_array = divisor_of(config.n_antennas, "antennas")
     for s in block_sizes:
-        _require(_key("block_size_list" if sweep else "block_size"), s, divides_the_array)
+        _require(_key("block_size_list" if sweep else "block_size"), s, divisor_of(config.n_antennas))
     lo, hi = source_range(cfg, config.distance_min, config.distance_max)
     _require(_key("distance_min"), lo, beyond_fresnel(cfg))
     _require(_key("distance_max" if config.distance_max is not None else "distance_min"), (lo, hi), RANGE)
@@ -230,11 +224,18 @@ def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
 
 
 def _check_rip_blocks(config: ExperimentConfig, cfg: ArrayConfig):
-    _require(_key("rip_block_size"), config.rip_block_size, divisor_of(config.n_antennas, "antennas"))
+    _require(_key("rip_block_size"), config.rip_block_size, divisor_of(config.n_antennas))
     _require(_key("rip_k"), config.rip_k, rip_mod.within_blocks(config.n_antennas // config.rip_block_size))
 
 
-def _check_delta_floor(config: ExperimentConfig, cfg: ArrayConfig):
+def _check_no_source_range(config: ExperimentConfig, cfg: ArrayConfig):
+    unset = Rule(lambda v: v is None, f"must be unset, as {config.kind} draws its sources on [Fresnel, Rayleigh]")
+    for name in ("distance_min", "distance_max"):
+        _require(_key(name), getattr(config, name), unset)
+
+
+def _check_sparsity_level(config: ExperimentConfig, cfg: ArrayConfig):
+    _check_no_source_range(config, cfg)
     _require(_key("delta"), config.delta, delta_floor(min(config.n_list)))
 
 
@@ -589,8 +590,8 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "coherence_error": _Kind(_run_coherence_error, "n_list", dictionaries=False),
-    "sparsity_level": _Kind(_run_sparsity_level, "n_list", _check_delta_floor),
+    "coherence_error": _Kind(_run_coherence_error, "n_list", _check_no_source_range, dictionaries=False),
+    "sparsity_level": _Kind(_run_sparsity_level, "n_list", _check_sparsity_level),
     "mutual_coherence": _Kind(_run_mutual_coherence, "t_list", _check_polar_range),
     "block_size_sweep": _Kind(_nmse_rows, "block_size_list", _check_estimation, _snr_points),
     "nmse_vs_T": _Kind(

@@ -69,15 +69,15 @@ DECIBELS_OR_INF = Rule(lambda v: v == math.inf or DECIBELS.predicate(v), DECIBEL
 
 
 @functools.cache
-def divisor_of(total: int, what: str) -> Rule:
-    """The rule of block sizes that split ``total`` ``what`` into equal contiguous blocks."""
-    return Rule(lambda s: s >= 1 and total % s == 0, f"must be >= 1 and divide the {total} {what}")
+def divisor_of(total: int) -> Rule:
+    """The rule of block sizes that split ``total`` columns into equal contiguous blocks."""
+    return Rule(lambda s: s >= 1 and total % s == 0, f"must be >= 1 and divide the {total} columns")
 
 
 def block_count(block_size, n_columns: int) -> int:
     """Number of contiguous blocks of ``block_size`` among ``n_columns`` columns."""
     s = check_integer(block_size, "block_size")
-    return n_columns // check(s, "block size", divisor_of(n_columns, "columns"))
+    return n_columns // check(s, "block size", divisor_of(n_columns))
 
 
 def as_complex_vector(x, name: str = "x") -> np.ndarray:

@@ -142,6 +142,9 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, line, field_path):
         ("nmse-vs-mu0", "experiment.mu0_bins = 0.5", "experiment.mu0_bins"),
         ("block-size-sweep", "experiment.block_size_list = 3", "experiment.block_size_list"),
         ("nmse-vs-snr", "experiment.methods = dmu_block_omp, dmu_block_omp", "experiment.methods"),
+        # kinds that draw their sources on [Fresnel, Rayleigh] read no source range
+        ("sparsity-level", "channel.distance_min_m = 30", "channel.distance_min_m"),
+        ("coherence-error", "channel.distance_max_m = 40", "channel.distance_max_m"),
         # fields admissible on their own whose wavelength or field boundaries
         # overflow or underflow
         ("sparsity-level", "array.carrier_freq_hz = 1e300", "array.carrier_freq_hz"),
@@ -209,11 +212,11 @@ def test_every_setting_declares_key_parser_and_rule():
             continue
         meta = f.metadata
         assert isinstance(meta.get("key"), str), f.name
-        assert callable(meta.get("parse")) and callable(meta.get("rule")), f.name
-        assert meta.get("requirement"), f.name
+        assert callable(meta.get("parse")) and callable(meta["rule"].predicate), f.name
+        assert meta["rule"].requirement, f.name
         if f.default not in (None, MISSING):
             entries = f.default if isinstance(f.default, tuple) else (f.default,)
-            assert all(meta["rule"](v) for v in entries), f.name
+            assert all(meta["rule"].predicate(v) for v in entries), f.name
 
 
 _FUZZ_VALUES = (

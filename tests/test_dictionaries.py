@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -14,10 +13,8 @@ from nfcs import (
     build_dmu,
     build_polar_baseline,
     dft_grid,
-    export_dictionary,
     field_boundaries,
     gen_pilots,
-    load_dictionary_matrix,
     mutual_coherence,
     near_steering,
     sample_channel,
@@ -379,64 +376,6 @@ def test_mutual_coherence_matches_brute_force_property(n_rows, n_cols, seed, dup
         matrix[:, j] = matrix[:, i] * np.exp(1j * rng.uniform(0.0, 7.0))
     matrix *= 10.0 ** rng.uniform(-150.0, 150.0, n_cols)
     assert mutual_coherence(matrix) == pytest.approx(brute_force_coherence(matrix), rel=1e-12)
-
-
-def test_export_round_trip(cfg, tmp_path):
-    d = build_dmu(cfg, 20.0)
-    path = tmp_path / "dict.bin"
-    export_dictionary(d, path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"NFCS"
-    assert int.from_bytes(raw[4:8], "little") == 256
-    assert int.from_bytes(raw[8:12], "little") == 256
-    assert len(raw) == 16 + 256 * 256 * 8  # header + complex64 payload
-    loaded = load_dictionary_matrix(path)
-    # complex64 round trip keeps single precision
-    np.testing.assert_allclose(loaded, d.matrix, atol=1e-6)
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bogus.bin"
-    path.write_bytes(b"XXXX" + b"\x00" * 12)
-    with pytest.raises(ValueError):
-        load_dictionary_matrix(path)
-
-
-def _exported(tmp_path):
-    d = build_dmu(ArrayConfig(carrier_freq=100e9, n_antennas=4), 20.0)
-    path = tmp_path / "dict.bin"
-    export_dictionary(d, path)
-    return path, path.read_bytes()
-
-
-@pytest.mark.parametrize("size", [0, 3, 15])
-def test_load_rejects_a_file_shorter_than_the_header(tmp_path, size):
-    path = tmp_path / "short.bin"
-    path.write_bytes((b"NFCS" + b"\x00" * 12)[:size])
-    with pytest.raises(ValueError, match=f"expected a 16-byte header, got {size} bytes"):
-        load_dictionary_matrix(path)
-
-
-@pytest.mark.parametrize("change", [-128, -1, 1, 17])
-def test_load_rejects_a_payload_of_the_wrong_size(tmp_path, change):
-    path, raw = _exported(tmp_path)
-    raw = raw[:change] if change < 0 else raw + b"\x00" * change
-    path.write_bytes(raw)
-    with pytest.raises(ValueError, match=f"needs a 128-byte payload, got {128 + change} bytes"):
-        load_dictionary_matrix(path)
-
-
-def test_failed_export_keeps_the_old_file(cfg, tmp_path, monkeypatch):
-    path, raw = _exported(tmp_path)
-
-    def fail(src, dst):
-        raise OSError("simulated rename failure")
-
-    monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="simulated"):
-        export_dictionary(build_dft(cfg), path)
-    assert path.read_bytes() == raw
-    assert [p.name for p in tmp_path.iterdir()] == ["dict.bin"]
 
 
 def test_parseval_on_sampled_channels(cfg):

@@ -488,7 +488,7 @@ def _uses_outside_definition(tree, name):
     def visit(node):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
             return False
-        if isinstance(node, ast.Name) and node.id == name:
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
             return True
         if isinstance(node, ast.Attribute) and node.attr == name:
             return True
@@ -497,21 +497,33 @@ def _uses_outside_definition(tree, name):
     return visit(tree)
 
 
+def _public_definitions(tree):
+    """Names of the public module-level defs, classes and constants of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
 def test_every_export_is_used_or_documented():
     # library surface that only the tests read is removed unless the README
-    # documents it: each name the package exports is read by the package
-    # itself (outside its own definition), by the benchmark, or named in README
+    # documents it: each name the package exports, and each public module-level
+    # def, class and constant, is read by the package itself (outside its own
+    # definition), by the benchmark, or named in README
     root = Path(__file__).resolve().parents[1]
     package = root / "src" / "nfcs"
     init = ast.parse((package / "__init__.py").read_text())
     exported = [a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
     trees = [ast.parse(p.read_text()) for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    defined = [name for tree in trees for name in _public_definitions(tree) if not name.startswith("_")]
     texts = [p.read_text() for p in sorted((root / "perfbench").glob("*.py"))]
     texts.append((root / "README.md").read_text())
     unused = [
         name
-        for name in exported
+        for name in dict.fromkeys(exported + defined)
         if not any(_uses_outside_definition(tree, name) for tree in trees)
         and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
     ]
-    assert not unused, f"exported but used nowhere outside the tests: {unused}"
+    assert not unused, f"public but used nowhere outside the tests: {unused}"

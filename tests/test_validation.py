@@ -180,8 +180,7 @@ def test_every_numeric_config_field_reads_its_shared_rule():
     assert set(settable) == set(SHARED) | CONFIG_ONLY
     for name, rule in SHARED.items():
         metadata = settable[name].metadata
-        assert metadata["rule"] is rule.predicate, name
-        assert metadata["requirement"] == rule.requirement, name
+        assert metadata["rule"] is rule, name
 
 
 def _config_cases():
@@ -282,6 +281,14 @@ AGREEMENT = {
         "experiment.n_measurements",
     ),
     "ls-t-list": ("n_measurements", lambda: _ls(40), "nmse_vs_T", dict(methods=("ls",)), "experiment.t_list"),
+    "block-partition-fit": (
+        "block size", lambda: BlockOMP(3, noise_var=1e-2).fit(np.eye(256, dtype=complex), np.ones(256)),
+        "nmse_vs_snr", dict(block_size=3), "recovery.block_size",
+    ),
+    "block-partition-rip": (
+        "block size", lambda: empirical_rip_probe(np.eye(64, dtype=complex), 3, 1, 10, 3), "rip_probe",
+        dict(rip_block_size=3), "rip.block_size",
+    ),
     "rip-k": (
         "k", lambda: empirical_rip_probe(np.eye(64, dtype=complex), 8, 100, 10, 3), "rip_probe", dict(rip_k=100),
         "rip.k",
