@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .geometry import ArrayConfig, _steering, b_vector, field_boundaries
+from .geometry import ArrayConfig, _steering, b_vector, field_boundaries, finite_phase
 from .validation import POSITIVE, RANGE, Rule, as_complex_matrix, as_complex_vector, check, check_integer
 
 _COHERENCE_BLOCK = 128  # Gram rows per block of the mutual-coherence sweep
@@ -64,7 +64,7 @@ class Dictionary:
             self.shape = (n, n)
         else:
             self._chirp = None
-            self._matrix = as_complex_matrix(matrix, "matrix")
+            self._matrix = _check_finite(as_complex_matrix(matrix, "matrix"), "matrix")
             self._matrix.setflags(write=False)
             self.shape = self._matrix.shape
 
@@ -125,7 +125,7 @@ class Dictionary:
             return self.sense(pilots)
         arr = as_complex_matrix(pilots, "pilots")
         _check_length(arr, self.n_antennas, "pilot rows")
-        return SensingProduct(arr, self)
+        return SensingProduct(_check_finite(arr, "pilots"), self)
 
     def transform(self, X) -> np.ndarray:
         """Adjoint analysis: channel rows (or a single vector) to coefficients."""
@@ -156,13 +156,14 @@ class SensingProduct:
     """The T x M sensing matrix ``P A`` of pilots P and a dense dictionary A,
     read through the factors without forming it, which would cost T N M.
 
-    ``correlate(r)`` is ``(r^H P) A`` (T N + N M). ``columns`` and
-    ``block_energy`` form a block's columns ``P A_block`` on first read and
-    keep them, so P must not change while the product is in use. The mean
-    column energy E = ``tr(P A A^H P^H) / M`` (T N^2) is computed on first
-    read; ``energy_bracket`` bounds it in T N from ``A A^H``'s extreme
-    eigenvalues (see ``recovery._best_prefix``). The dictionary builds
-    ``row_gram`` and ``row_gram_range`` once, when a draw first needs them.
+    ``correlate(r)`` is ``(r^H P) A`` (T N + N M). ``columns(idx)`` reads any
+    index set, forming each column ``P a_j`` on its own on its first read, so
+    its bits do not depend on the reads around it, and keeping it for the
+    draw (P must not change meanwhile); ``block_energy`` reads through it.
+    The mean column energy E = ``tr(P A A^H P^H) / M`` (T N^2) is computed
+    on each read; ``energy_bracket`` bounds it in T N from ``A A^H``'s
+    extreme eigenvalues (see ``recovery._best_prefix``). The dictionary
+    builds ``row_gram`` and its range once, when a draw first needs them.
     ``rank_bound`` is min(T, N).
     """
 
@@ -171,15 +172,12 @@ class SensingProduct:
         self.dictionary = dictionary
         self.shape = (pilots.shape[0], dictionary.n_atoms)
         self.rank_bound = min(pilots.shape)
-        self._blocks = {}
-        self._mean_col_energy = None
+        self._columns = {}
 
     @property
     def mean_col_energy(self) -> float:
-        if self._mean_col_energy is None:
-            trace = np.vdot(self.pilots, self.pilots @ self.dictionary.row_gram).real
-            self._mean_col_energy = float(trace) / self.shape[1]
-        return self._mean_col_energy
+        trace = np.vdot(self.pilots, self.pilots @ self.dictionary.row_gram).real
+        return float(trace) / self.shape[1]
 
     def energy_bracket(self) -> tuple:
         # lambda_min ||P||_F^2 / M <= E <= lambda_max ||P||_F^2 / M, padded for rounding
@@ -191,18 +189,14 @@ class SensingProduct:
     def correlate(self, resid: np.ndarray) -> np.ndarray:
         return (np.conj(resid) @ self.pilots) @ self.dictionary.matrix
 
-    def _block(self, block: int, s: int) -> np.ndarray:
-        key = (block, s)
-        if key not in self._blocks:
-            self._blocks[key] = self.pilots @ self.dictionary.matrix[:, block * s : (block + 1) * s]
-        return self._blocks[key]
-
     def block_energy(self, block: int, s: int) -> float:
-        return _column_energy(self._block(block, s)).mean()
+        return _column_energy(self.columns(range(block * s, (block + 1) * s))).mean()
 
-    def columns(self, idx: np.ndarray, s: int) -> np.ndarray:
-        # idx runs over whole blocks in ascending order
-        return np.concatenate([self._block(b, s) for b in idx[::s] // s], axis=1)
+    def columns(self, idx) -> np.ndarray:
+        for j in idx:
+            if j not in self._columns:
+                self._columns[j] = self.pilots @ self.dictionary.matrix[:, [j]]
+        return np.concatenate([self._columns[j] for j in idx], axis=1)
 
 
 def _column_energy(X: np.ndarray) -> np.ndarray:
@@ -213,6 +207,8 @@ def _column_energy(X: np.ndarray) -> np.ndarray:
 def _as_rows(X):
     """``X`` as complex rows, and whether it was a single vector."""
     arr = np.asarray(X, dtype=np.complex128)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"X must be 1-D or 2-D, got shape {arr.shape}")
     if arr.ndim == 1:
         return arr[None, :], True
     return arr, False
@@ -221,6 +217,14 @@ def _as_rows(X):
 def _check_length(rows, length: int, what: str):
     if rows.shape[1] != length:
         raise ValueError(f"expected {what} of length {length}, got {rows.shape[1]}")
+
+
+def _check_finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr`` if every entry is finite, else ``ValueError`` naming it. The
+    entries are read only when the sum of their squares is not finite."""
+    if not math.isfinite(float(np.vdot(arr, arr).real)) and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def half_wavelength(wavelength: float) -> Rule:
@@ -276,8 +280,9 @@ def build_polar_baseline(
     check(cfg.spacing, "spacing", half_wavelength(cfg.wavelength))
     n_rings = check_integer(n_rings, "n_rings", 1)
     lo, hi = polar_range(cfg) if distance_range is None else distance_range
-    check(lo, "distance_range[0]", POSITIVE)
-    check(hi, "distance_range[1]", POSITIVE)
+    for end, name in ((lo, "distance_range[0]"), (hi, "distance_range[1]")):
+        check(end, name, POSITIVE)
+        check(end, name, finite_phase(cfg))
     check((lo, hi), "distance_range", RANGE)
     ring_radii = [math.inf]
     if n_rings > 1:

@@ -6,6 +6,7 @@ from broadside, and all steering vectors are normalised to unit l2 norm.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +121,21 @@ def beyond_fresnel(cfg: ArrayConfig) -> Rule:
     )
 
 
+def finite_phase(cfg: ArrayConfig) -> Rule:
+    """The rule of distances r at which the quadratic phase across the
+    aperture D, about pi D^2 / (lambda r), stays finite; inf, the plane-wave
+    sentinel, included.
+
+    ``b_vector`` forms twice that phase, and 1/r on the way; the rule keeps
+    both below a quarter of the float range.
+    """
+    nearest = 4.0 * max(math.pi * cfg.aperture**2 / cfg.wavelength, 1.0) / sys.float_info.max
+    return Rule(
+        lambda r: POSITIVE_OR_INF.predicate(r) and r >= nearest,
+        f"must be at least {nearest!r} m, so that the quadratic phase pi D^2 / (lambda r) stays finite",
+    )
+
+
 # the exact spherical-wavefront delay squares the source distance
 SQUARABLE = Rule(lambda r: math.isfinite(float(r) * float(r)), "must square to a finite float")
 
@@ -181,8 +197,7 @@ def b_vector(cfg: ArrayConfig, mu) -> np.ndarray:
     ``mu`` gives an N x len(mu) matrix with one chirp per column.
     """
     mu = np.asarray(mu, dtype=float)
-    if not np.all(mu > 0):
-        raise ValueError(f"mu {POSITIVE_OR_INF.requirement}, got {mu.tolist()!r}")
+    check(float(mu.min(initial=math.inf)), "mu", finite_phase(cfg))  # min propagates a nan
     offsets = np.arange(cfg.n_antennas) * cfg.spacing
     if mu.ndim:
         offsets = offsets[:, None]

@@ -23,7 +23,7 @@ from .coherence import _approx_magnitudes, _exact_magnitudes, _phase_pair, delta
 from .dictionaries import Dictionary, build_dft, build_dmu, build_polar_baseline, half_wavelength, mutual_coherence
 from .dictionaries import polar_range
 from .geometry import SQUARABLE, ArrayConfig, _scale_gains, _steering, b_vector, beyond_fresnel, effective_distance
-from .geometry import field_boundaries, field_regions, sample_channel, source_range
+from .geometry import field_boundaries, field_regions, finite_phase, sample_channel, source_range
 from .recovery import PILOT_KINDS, BlockOMP, enough_for_ls, gen_pilots, ls_estimate, make_problem, nmse
 from .seeding import plain, rng_from
 from .validation import DECIBELS, DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, OPEN_FRACTION, POSITIVE
@@ -168,6 +168,7 @@ class ExperimentConfig:
         cfg = self.array_config(sizes[0])
         if kind.dictionaries:
             _require(_key("spacing"), cfg.spacing, half_wavelength(cfg.wavelength))
+            _require(_key("mu"), self.mu, finite_phase(cfg))
         if kind.check is not None:
             kind.check(self, cfg)
 
@@ -185,8 +186,9 @@ def _key(name: str) -> str:
 
 
 def _check_polar_range(config: ExperimentConfig, cfg: ArrayConfig):
-    key = _key("polar_r_max" if config.polar_r_max is not None else "polar_r_min")
-    _require(key, polar_range(cfg, config.polar_r_min, config.polar_r_max), RANGE)
+    lo, hi = polar_range(cfg, config.polar_r_min, config.polar_r_max)
+    _require(_key("polar_r_min"), lo, finite_phase(cfg))
+    _require(_key("polar_r_max" if config.polar_r_max is not None else "polar_r_min"), (lo, hi), RANGE)
 
 
 def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):

@@ -173,6 +173,9 @@ class _FormedColumns:
         self.rank_bound = min(X.shape)
         self._block_energy = _column_energy(X).reshape(-1, block_size).mean(axis=1)
         self.mean_col_energy = float(self._block_energy.mean())
+        # a non-finite X has a non-finite energy; only then are its entries read
+        if not math.isfinite(self.mean_col_energy) and not np.isfinite(X).all():
+            raise ValueError("X must be finite")
 
     def energy_bracket(self) -> tuple:
         # the energy is exact here: a bracket of zero width
@@ -185,7 +188,7 @@ class _FormedColumns:
     def block_energy(self, block: int, s: int) -> float:
         return self._block_energy[block]
 
-    def columns(self, idx: np.ndarray, s: int) -> np.ndarray:
+    def columns(self, idx: np.ndarray) -> np.ndarray:
         return self._X[:, idx]
 
 
@@ -288,7 +291,7 @@ class BlockOMP:
     ``block_size`` must be an integer >= 1 that divides the M columns of X
     into contiguous blocks.
     ``noise_var`` must be finite and >= 0, ``delta`` in (0, 1], ``k_max`` an
-    integer >= 0 or None, and y finite; ``fit`` raises ``ValueError``
+    integer >= 0 or None, and X and y finite; ``fit`` raises ``ValueError``
     otherwise.
 
     Attributes after ``fit``: ``coef_``, ``support_``, ``n_iter_``,
@@ -320,8 +323,9 @@ class BlockOMP:
         cap = max(1, rank_bound // self.block_size)
         if sigma2 <= 0:
             return cap
-        budget = math.ceil(1.5 * _worst_case_nonzeros(n_coefficients, self.delta) / self.block_size)
-        return max(1, min(budget, cap))
+        # compared before rounding: a subnormal delta makes the budget inf
+        budget = 1.5 * _worst_case_nonzeros(n_coefficients, self.delta) / self.block_size
+        return cap if budget >= cap else math.ceil(budget)
 
     def fit(self, X, y):
         if not isinstance(X, SensingProduct):
@@ -386,7 +390,7 @@ class BlockOMP:
             selected[pick] = True
             chosen.append(pick)
             idx = (np.sort(chosen)[:, None] * s + np.arange(s)).ravel()
-            sub = psi.columns(idx, s)
+            sub = psi.columns(idx)
             coef, gram_inv_trace = _least_squares(sub, y)
             resid = y - sub @ coef
             rho = float(np.linalg.norm(resid) ** 2)

@@ -156,6 +156,12 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, line, field_path):
         ("nmse-vs-snr", "array.carrier_freq_hz = 1e-300", "array.carrier_freq_hz"),
         ("coherence-error", "array.spacing_m = 1e150", "array.spacing_m"),
         ("coherence-error", "array.spacing_m = 1e-300", "array.spacing_m"),
+        # distances admissible on their own whose quadratic phase overflows
+        ("nmse-vs-snr", "dictionary.mu = 1e-306", "dictionary.mu"),
+        ("mutual-coherence", "dictionary.mu = 1e-306", "dictionary.mu"),
+        ("rip-probe", "dictionary.mu = 1e-310", "dictionary.mu"),
+        ("nmse-vs-snr", "dictionary.polar_r_min_m = 1e-310", "dictionary.polar_r_min_m"),
+        ("mutual-coherence", "dictionary.polar_r_min_m = 1e-310", "dictionary.polar_r_min_m"),
     ],
 )
 def test_cross_field_conflict_exits_2(tmp_path, capsys, command, line, field_path):
@@ -164,6 +170,15 @@ def test_cross_field_conflict_exits_2(tmp_path, capsys, command, line, field_pat
     code = run_cli([command, "--seed", "1", "--trials", "1", "--config", str(cfg)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {field_path}: ")
+
+
+@pytest.mark.parametrize("command", ["nmse-vs-t", "nmse-vs-snr", "block-size-sweep", "nmse-vs-mu0"])
+def test_a_subnormal_delta_runs(tmp_path, capsys, command):
+    # its worst-case nonzero count is inf; the solver budget is the rank cap
+    cfg = tmp_path / "delta.cfg"
+    cfg.write_text("experiment.delta = 5e-324\n")
+    assert run_cli([command, "--seed", "1", "--trials", "1", "--config", str(cfg)]) == 0
+    assert parse_rows(capsys.readouterr().out, "csv")
 
 
 # the config keys and fields before the key table was derived from the field
@@ -221,7 +236,7 @@ def test_every_setting_declares_key_parser_and_rule():
 
 _FUZZ_VALUES = (
     "0", "-1", "1", "2", "0.5", "nan", "inf", "-inf", "none", "bogus", "1, 0",
-    "1e300", "1e-300", "1e150",
+    "1e300", "1e-300", "1e150", "5e-324", "1e-306",
 )
 
 

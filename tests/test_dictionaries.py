@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from nfcs import (
     sample_channel,
     synthesize_channel,
 )
-from nfcs.dictionaries import _screen_margin
+from nfcs.dictionaries import Dictionary, _screen_margin
 
 
 @pytest.fixture
@@ -125,6 +126,31 @@ def test_transform_rows_and_single(cfg):
     np.testing.assert_allclose(batch[1], d.transform(h[1]), atol=1e-14)
     back = d.inverse_transform(batch)
     np.testing.assert_allclose(back, h, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3, 256)])
+@pytest.mark.parametrize("method", ["transform", "inverse_transform"])
+def test_transforms_reject_inputs_of_other_ranks(cfg, method, shape):
+    # neither is a vector or a matrix of rows
+    d = build_dmu(cfg, 20.0)
+    with pytest.raises(ValueError, match=re.escape(f"X must be 1-D or 2-D, got shape {shape}")):
+        getattr(d, method)(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_a_dense_dictionary_rejects_non_finite_entries(bad):
+    matrix = np.eye(4, dtype=complex)
+    matrix[1, 2] = bad
+    with pytest.raises(ValueError, match="^matrix must be finite$"):
+        Dictionary(matrix)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_the_factored_product_rejects_non_finite_pilots(cfg, bad):
+    pilots = gen_pilots(8, cfg.n_antennas, seed=1)
+    pilots[3, 100] = bad
+    with pytest.raises(ValueError, match="^pilots must be finite$"):
+        build_polar_baseline(cfg, 2).sensing_operator(pilots)
 
 
 def test_polar_single_ring_is_dft(cfg):

@@ -33,7 +33,7 @@ from nfcs import (
     varrho_bound,
 )
 from nfcs.dictionaries import polar_range
-from nfcs.geometry import source_range
+from nfcs.geometry import finite_phase, source_range
 from nfcs.harness import ConfigError, ExperimentConfig, preset_config
 from nfcs.validation import (
     DECIBELS,
@@ -264,6 +264,18 @@ AGREEMENT = {
         "distance_range", lambda: build_polar_baseline(CFG256, 6, (1000.0, polar_range(CFG256)[1])),
         "mutual_coherence", dict(polar_r_min=1000.0), "dictionary.polar_r_min_m",
     ),
+    "chirp-tiny-mu": ("mu", lambda: build_dmu(CFG256, 1e-306), "nmse_vs_snr", dict(mu=1e-306), "dictionary.mu"),
+    "chirp-subnormal-mu": (
+        "mu", lambda: b_vector(CFG256, 1e-310), "mutual_coherence", dict(mu=1e-310), "dictionary.mu",
+    ),
+    "polar-tiny-ring": (
+        "distance_range[0]", lambda: build_polar_baseline(CFG256, 6, (1e-310, 97.0)),
+        "mutual_coherence", dict(polar_r_min=1e-310), "dictionary.polar_r_min_m",
+    ),
+    "polar-tiny-ring-nmse": (
+        "distance_range[0]", lambda: build_polar_baseline(CFG256, 6, (1e-306, RAYLEIGH)),
+        "nmse_vs_snr", dict(polar_r_min=1e-306), "dictionary.polar_r_min_m",
+    ),
     "polar-inverted": (
         "distance_range", lambda: build_polar_baseline(CFG256, 6, (FRESNEL, 1.0)),
         "mutual_coherence", dict(polar_r_max=1.0), "dictionary.polar_r_max_m",
@@ -330,6 +342,10 @@ ONCE_ACCEPTED = {
     "none-source-start": ("distance_range[0]", lambda rng: sample_channel(CFG256, 3, rng, distance_range=(None, 50.0))),
     "text-source-end": ("distance_range", lambda rng: _sources_up_to("50", rng)),
     "infinite-polar-ring": ("distance_range[1]", lambda rng: build_polar_baseline(CFG256, 6, (50.0, math.inf))),
+    "1e-306-chirp": ("mu", lambda rng: b_vector(CFG256, 1e-306)),
+    "1e-310-chirp": ("mu", lambda rng: build_dmu(CFG256, 1e-310)),
+    "1e-310-chirp-in-an-array": ("mu", lambda rng: b_vector(CFG256, [20.0, 1e-310])),
+    "1e-310-polar-ring": ("distance_range[0]", lambda rng: build_polar_baseline(CFG256, 6, (1e-310, 97.0))),
     "1e200-steering": ("r", lambda rng: near_steering(CFG256, 0.0, 1e200)),
     "1e200-path": ("r", lambda rng: synthesize_channel(CFG256, ChannelSpec((1.0,), (0.0,), (1e200,)))),
 }
@@ -346,6 +362,23 @@ def test_a_once_accepted_input_fails_by_name_before_any_draw(case):
             call(rng)
     assert not isinstance(excinfo.value, ArithmeticError)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n_antennas", [2, 256, 4096])
+def test_the_nearest_admitted_distance_builds_finite_dictionaries(n_antennas):
+    cfg = ArrayConfig(100e9, n_antennas)
+    rule = finite_phase(cfg)
+    # bisect on the log scale for the edge of the rule
+    far_off, nearest = 5e-324, 1.0
+    for _ in range(100):
+        mid = math.sqrt(far_off) * math.sqrt(nearest)
+        far_off, nearest = (far_off, mid) if rule.predicate(mid) else (mid, nearest)
+    assert nearest <= far_off * (1 + 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(b_vector(cfg, nearest)))
+        assert np.all(np.isfinite(build_dmu(cfg, nearest).matrix))
+        assert np.all(np.isfinite(build_polar_baseline(cfg, 3, (nearest, 1.0)).matrix))
 
 
 def test_the_largest_squarable_source_distance_synthesizes():
