@@ -22,11 +22,10 @@ from .dictionaries import (
     mutual_coherence,
 )
 from .coherence import (
-    CoherenceParams,
     coherence_approx,
     coherence_exact,
     fresnel,
-    params_from_geometry,
+    phase_pair,
     predicted_support,
     sparsity_bound,
     thresholds,

@@ -5,10 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _phase_pair, _worst_case_nonzeros, delta_floor, sparsity_bound
+from .coherence import _worst_case_nonzeros, delta_floor, phase_pair, sparsity_bound
 from .geometry import ArrayConfig
 from .seeding import rng_from
-from .validation import FRACTION, OPEN_FRACTION, POSITIVE, POSITIVE_OR_INF, Rule, block_count, check, check_integer
+from .validation import FRACTION, OPEN_FRACTION, POSITIVE, Rule, block_count, check, check_integer
 from .validation import as_complex_matrix
 
 
@@ -38,9 +38,7 @@ def varrho_bound(cfg: ArrayConfig, delta: float, mu_pair: tuple = None) -> int:
         k_bar = _worst_case_nonzeros(n, delta)
     else:
         mu_0, mu = mu_pair
-        check(mu_0, "mu_0", POSITIVE_OR_INF)
-        check(mu, "mu", POSITIVE_OR_INF)
-        _, b = _phase_pair(cfg, 0.0, 0.0, mu, mu_0)
+        _, b = phase_pair(cfg, 0.0, 0.0, mu, mu_0)
         k_bar = sparsity_bound(cfg, delta, b)
     return max(1, math.ceil(k_bar / root))
 

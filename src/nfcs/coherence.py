@@ -8,13 +8,13 @@ predictions and nonzero-count bounds.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import ArrayConfig
 from .dictionaries import dft_grid
-from .validation import FRACTION, POSITIVE_OR_INF, Rule, check, check_integer
+from .validation import ANGLE, FINITE, FRACTION, NONNEGATIVE, POSITIVE_OR_INF, Rule, check, check_all
+from .validation import check_integer
 
 B_ZERO_TOL = 1e-15
 """|b| below this is treated as the pure-phase-slope (b = 0) regime."""
@@ -41,35 +41,15 @@ def reduce_angle(a):
     return np.mod(np.asarray(a) + np.pi, 2.0 * np.pi) - np.pi
 
 
-@dataclass(frozen=True)
-class CoherenceParams:
-    """Phase-slope/quadratic-phase pair describing one column-response pair."""
-
-    a: float
-    b: float
-    n_antennas: int
-
-    def __post_init__(self):
-        check_integer(self.n_antennas, "n_antennas", 2)
-
-
-def _phase_pair(cfg: ArrayConfig, sin_m, sin_0, mu, mu_0) -> tuple:
-    """Phase slope a and quadratic phase b of a grid response at (sin_m, mu)
-    against a source response at (sin_0, mu_0); broadcasts over all four."""
+def phase_pair(cfg: ArrayConfig, sin_m, sin_0, mu, mu_0) -> tuple:
+    """Phase slope a and quadratic phase b of a grid response at (sin(theta_m), mu)
+    against a source response at (sin(theta_0), mu_0); broadcasts over all four.
+    Each distance must be positive or inf; an array of them is checked by its extremes."""
+    check_all(mu, "mu", POSITIVE_OR_INF)
+    check_all(mu_0, "mu_0", POSITIVE_OR_INF)
     a = (2 * np.pi * cfg.spacing / cfg.wavelength) * (sin_m - sin_0)
     b = (np.pi * cfg.spacing**2 / cfg.wavelength) * (1.0 / mu_0 - 1.0 / mu)
     return a, b
-
-
-def params_from_geometry(
-    cfg: ArrayConfig, theta_m: float, theta_0: float, mu: float, mu_0: float
-) -> CoherenceParams:
-    """Coherence parameters for a grid response at (theta_m, mu) against a
-    source response at (theta_0, mu_0)."""
-    check(mu, "mu", POSITIVE_OR_INF)
-    check(mu_0, "mu_0", POSITIVE_OR_INF)
-    a, b = _phase_pair(cfg, math.sin(theta_m), math.sin(theta_0), mu, mu_0)
-    return CoherenceParams(a=a, b=b, n_antennas=cfg.n_antennas)
 
 
 def _exact_magnitudes(a, b, n_antennas: int) -> np.ndarray:
@@ -81,14 +61,23 @@ def _exact_magnitudes(a, b, n_antennas: int) -> np.ndarray:
     return np.abs(np.exp(-1j * phases).sum(axis=-1)) / n_antennas
 
 
-def coherence_exact(params: CoherenceParams) -> float:
-    """Magnitude of the coherence kernel by direct N-term summation."""
-    return float(_exact_magnitudes(params.a, params.b, params.n_antennas)[0])
+def _magnitudes(kernel, a, b, n_antennas):
+    """``kernel`` at finite a and b: a float for scalar a and b, else an array."""
+    n = check_integer(n_antennas, "n_antennas", 2)
+    check_all(a, "a", FINITE)
+    check_all(b, "b", FINITE)
+    out = kernel(a, b, n)
+    return float(out[0]) if np.ndim(a) == np.ndim(b) == 0 else out
+
+
+def coherence_exact(a, b, n_antennas: int):
+    """Magnitude of the coherence kernel by direct N-term summation; broadcasts
+    over a and b, and is a float for scalar a and b."""
+    return _magnitudes(_exact_magnitudes, a, b, n_antennas)
 
 
 def _geometric_magnitude(a_tilde, n_antennas: int):
     """|sin(N a/2) / (N sin(a/2))| with the limit 1 at a = 0 (mod 2pi)."""
-    a_tilde = np.asarray(a_tilde, dtype=float)
     den = np.sin(a_tilde / 2.0)
     num = np.sin(n_antennas * a_tilde / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -98,26 +87,18 @@ def _geometric_magnitude(a_tilde, n_antennas: int):
 
 def _approx_magnitudes(a, b, n_antennas: int) -> np.ndarray:
     """Closed-form coherence magnitude, branching on the quadratic-phase sign."""
-    a, b = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(a, dtype=float)),
-        np.atleast_1d(np.asarray(b, dtype=float)),
-    )
-    a = a.copy()
-    b = b.copy()
+    a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in np.broadcast_arrays(a, b))
     out = np.empty(a.shape, dtype=float)
 
     zero = np.abs(b) < B_ZERO_TOL
     out[zero] = _geometric_magnitude(reduce_angle(a[zero]), n_antennas)
 
-    # the magnitude is invariant under (a, b) -> (-a, -b)
-    neg = (~zero) & (b < 0)
-    a[neg] = -a[neg]
-    b[neg] = -b[neg]
-
     pos = ~zero
     if np.any(pos):
-        at = reduce_angle(a[pos])
-        sqrt_b = np.sqrt(b[pos])
+        # the magnitude is invariant under (a, b) -> (-a, -b): b < 0 is folded onto b > 0
+        sign = np.sign(b[pos])
+        at = reduce_angle(sign * a[pos])
+        sqrt_b = np.sqrt(sign * b[pos])
         lower = at / (2.0 * sqrt_b)
         upper = (n_antennas - 1) * sqrt_b + lower
         c_hi, s_hi = fresnel(upper)
@@ -128,15 +109,15 @@ def _approx_magnitudes(a, b, n_antennas: int) -> np.ndarray:
     return out
 
 
-def coherence_approx(params: CoherenceParams) -> float:
+def coherence_approx(a, b, n_antennas: int):
     """Closed-form approximation of the coherence magnitude.
 
     Uses the geometric-sum magnitude when b = 0 and the Fresnel-integral
     form otherwise; negative b is folded onto positive b through the
     (a, b) -> (-a, -b) symmetry. The phase slope is reduced to its principal
-    value before any Fresnel evaluation.
+    value before any Fresnel evaluation. Broadcasts as ``coherence_exact``.
     """
-    return float(_approx_magnitudes(params.a, params.b, params.n_antennas)[0])
+    return _magnitudes(_approx_magnitudes, a, b, n_antennas)
 
 
 def delta_floor(n_antennas: int) -> Rule:
@@ -150,7 +131,7 @@ def thresholds(n_antennas: int, delta: float, b_abs=0.0) -> tuple:
 
     eta0 bounds the b = 0 case two-sidedly; eta1/eta2 bound the b != 0 case
     asymmetrically, with eta2 = eta1 + 2 (N-1) |b| / pi. eta2 broadcasts
-    over ``b_abs``.
+    over ``b_abs``, which must be finite and >= 0.
     """
     n = check_integer(n_antennas, "n_antennas", 2)
     check(delta, "delta", FRACTION)
@@ -160,17 +141,14 @@ def thresholds(n_antennas: int, delta: float, b_abs=0.0) -> tuple:
         also = f" and the Fresnel-bound floor 2*sqrt(2)/(N*pi) = {fresnel_floor:.3e}"
         floor = Rule(floor.predicate, floor.requirement + also)
     check(delta, "delta", floor)
-    if np.any(np.less(b_abs, 0)):
-        raise ValueError("b_abs must be nonnegative")
+    check_all(b_abs, "b_abs", NONNEGATIVE)
     eta0 = math.acos(1.0 - 2.0 / (n**2 * delta**2)) / math.pi
     eta1 = 2.0 * math.sqrt(2.0) / (n * math.pi * delta)
     eta2 = eta1 + 2.0 * (n - 1) * b_abs / math.pi
     return eta0, eta1, eta2
 
 
-def predicted_support(
-    cfg: ArrayConfig, theta_0: float, mu_0: float, mu: float, delta: float
-) -> np.ndarray:
+def predicted_support(cfg: ArrayConfig, theta_0: float, mu_0: float, mu: float, delta: float) -> np.ndarray:
     """Grid indices (0-based) that can carry coefficients of magnitude >= delta.
 
     The set is an interval around sin(theta_0) in wrapped sin-angle distance:
@@ -178,9 +156,10 @@ def predicted_support(
     right) or (eta1 left, eta2 right) for positive/negative quadratic-phase
     mismatch respectively. Wrap-around at the +-1 boundary keeps the set
     contiguous on the circle, so it may split across both index ends.
+    ``theta_0`` must lie in (-pi/2, pi/2).
     """
-    params = params_from_geometry(cfg, theta_m=0.0, theta_0=theta_0, mu=mu, mu_0=mu_0)
-    b = params.b
+    check(theta_0, "theta_0", ANGLE)
+    _, b = phase_pair(cfg, 0.0, math.sin(theta_0), mu, mu_0)
     eta0, eta1, eta2 = thresholds(cfg.n_antennas, delta, abs(b))
     grid = dft_grid(cfg.n_antennas)
     # wrapped difference sin(theta_m) - sin(theta_0) on (-1, 1]
@@ -211,12 +190,11 @@ def sparsity_bound(cfg: ArrayConfig, delta: float, b):
 
     Ceil of the support-interval width divided by the 2/N grid resolution:
     ceil(N eta0) when |b| < B_ZERO_TOL, else ceil(N (eta1 + eta2) / 2).
-    An int for a scalar ``b``, an int array for an array ``b``.
+    An int for a scalar ``b``, an int array for an array ``b``, which must
+    be finite.
     """
     n = cfg.n_antennas
     b_abs = np.abs(b)
-    if not np.all(np.isfinite(b_abs)):
-        raise ValueError("the quadratic phase b must be finite")
     eta0, eta1, eta2 = thresholds(n, delta, b_abs)
     k_bar = np.where(b_abs < B_ZERO_TOL, np.ceil(n * eta0), np.ceil(n * (eta1 + eta2) / 2.0))
     return int(k_bar) if np.ndim(b) == 0 else k_bar.astype(int)

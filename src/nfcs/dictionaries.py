@@ -43,9 +43,9 @@ class Dictionary:
     dense products; a solver reads its sensing matrix through
     ``sensing_operator``, which leaves ``pilots @ D`` unformed.
 
-    ``matrix``, ``row_gram`` and ``row_gram_range`` are read-only caches,
-    each built on its first read and never changed after; an instance is
-    otherwise immutable. Two threads that read a cache for the first time at
+    ``matrix`` and ``row_gram_range`` are read-only caches, each built on
+    its first read and never changed after; an instance is otherwise
+    immutable. Two threads that read a cache for the first time at
     once may each build it, with equal results, and either one is kept.
     """
 
@@ -54,7 +54,6 @@ class Dictionary:
         dictionary ``diag(b_vector(cfg, mu)) F`` of a half-wavelength array."""
         self.mu = mu
         self._cfg = cfg
-        self._row_gram = None
         self._row_gram_range = None
         if matrix is None:
             n = cfg.n_antennas
@@ -78,20 +77,11 @@ class Dictionary:
         return self._matrix
 
     @property
-    def row_gram(self) -> np.ndarray:
-        """``D D^H`` (N x N, read-only), built on first access and cached."""
-        if self._row_gram is None:
-            gram = self.matrix @ np.conj(self.matrix.T)
-            gram.setflags(write=False)
-            self._row_gram = gram
-        return self._row_gram
-
-    @property
     def row_gram_range(self) -> tuple:
-        """The extreme eigenvalues ``(lambda_min, lambda_max)`` of ``row_gram``,
-        from one N^3 ``eigvalsh`` on first access, cached."""
+        """The extreme eigenvalues ``(lambda_min, lambda_max)`` of ``D D^H``,
+        from one N^3 ``eigvalsh`` on first access, cached; the Gram is not kept."""
         if self._row_gram_range is None:
-            eigs = np.linalg.eigvalsh(self.row_gram)
+            eigs = np.linalg.eigvalsh(self.matrix @ np.conj(self.matrix.T))
             self._row_gram_range = (float(eigs[0]), float(eigs[-1]))
         return self._row_gram_range
 
@@ -160,10 +150,10 @@ class SensingProduct:
     index set, forming each column ``P a_j`` on its own on its first read, so
     its bits do not depend on the reads around it, and keeping it for the
     draw (P must not change meanwhile); ``block_energy`` reads through it.
-    The mean column energy E = ``tr(P A A^H P^H) / M`` (T N^2) is computed
-    on each read; ``energy_bracket`` bounds it in T N from ``A A^H``'s
-    extreme eigenvalues (see ``recovery._best_prefix``). The dictionary
-    builds ``row_gram`` and its range once, when a draw first needs them.
+    The mean column energy E = ``||P A||_F^2 / M`` is read from the formed
+    product (T N M) on each read; ``energy_bracket`` bounds it in T N from
+    the extreme eigenvalues of ``A A^H`` (see ``recovery._best_prefix``),
+    which the dictionary computes once, when a draw first needs them.
     ``rank_bound`` is min(T, N).
     """
 
@@ -176,8 +166,8 @@ class SensingProduct:
 
     @property
     def mean_col_energy(self) -> float:
-        trace = np.vdot(self.pilots, self.pilots @ self.dictionary.row_gram).real
-        return float(trace) / self.shape[1]
+        formed = self.pilots @ self.dictionary.matrix
+        return float(np.vdot(formed, formed).real) / self.shape[1]
 
     def energy_bracket(self) -> tuple:
         # lambda_min ||P||_F^2 / M <= E <= lambda_max ||P||_F^2 / M, padded for rounding
@@ -334,6 +324,20 @@ def _screen_margin(n_rows: int) -> float:
 _NORM_RANGE = (2.0**-400, 2.0**400)
 
 
+def unit_exponent(z: np.ndarray, axis: int = None):
+    """The power of two that brings the largest real or imaginary part of
+    ``z`` (along ``axis``, if given) into [0.5, 1); 0 for zeros."""
+    return -np.frexp(np.maximum(np.abs(z.real).max(axis=axis), np.abs(z.imag).max(axis=axis)))[1]
+
+
+def complex_ldexp(z: np.ndarray, shift) -> np.ndarray:
+    """``z * 2**shift`` for a complex ``z``, exact for entries that stay in the normal range."""
+    out = np.empty_like(z)
+    out.real = np.ldexp(z.real, shift)
+    out.imag = np.ldexp(z.imag, shift)
+    return out
+
+
 def _column_norms(m) -> np.ndarray:
     """Column 2-norms, by blocks of columns: the norm of all of m would square
     all of it at once."""
@@ -378,16 +382,8 @@ def mutual_coherence(matrix) -> float:
         raise ValueError("mutual coherence needs at least two columns")
     norms = _column_norms(m)
     if not np.all((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1])):
-        # the squares in the norms or the products in the Gram leave the
-        # normal range; coherence is scale-invariant, so scale each column by
-        # the power of two that brings its largest entry into [0.5, 1), which
-        # moves no rounded result
-        largest = np.maximum(np.abs(m.real).max(axis=0), np.abs(m.imag).max(axis=0))
-        shift = -np.frexp(largest)[1]
-        scaled = np.empty_like(m)
-        scaled.real = np.ldexp(m.real, shift)
-        scaled.imag = np.ldexp(m.imag, shift)
-        m = scaled
+        # coherence is scale-invariant, and a power of two moves no rounded result
+        m = complex_ldexp(m, unit_exponent(m, axis=0))
         norms = _column_norms(m)
     if np.any(norms == 0):
         raise ValueError("mutual coherence is undefined for zero columns")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import as_rng
-from .validation import ANGLE, DECIBELS, POSITIVE, POSITIVE_OR_INF, RANGE, Rule, check, check_integer
+from .validation import ANGLE, DECIBELS, POSITIVE, POSITIVE_OR_INF, RANGE, Rule, check, check_all, check_integer
 
 SPEED_OF_LIGHT = 2.998e8
 """Propagation speed used to derive wavelengths, in m/s."""
@@ -197,7 +197,7 @@ def b_vector(cfg: ArrayConfig, mu) -> np.ndarray:
     ``mu`` gives an N x len(mu) matrix with one chirp per column.
     """
     mu = np.asarray(mu, dtype=float)
-    check(float(mu.min(initial=math.inf)), "mu", finite_phase(cfg))  # min propagates a nan
+    check_all(mu, "mu", finite_phase(cfg))
     offsets = np.arange(cfg.n_antennas) * cfg.spacing
     if mu.ndim:
         offsets = offsets[:, None]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import block_rip as rip_mod
 from ._files import write_atomic
-from .coherence import _approx_magnitudes, _exact_magnitudes, _phase_pair, delta_floor, sparsity_bound
+from .coherence import coherence_approx, coherence_exact, delta_floor, phase_pair, sparsity_bound
 from .dictionaries import Dictionary, build_dft, build_dmu, build_polar_baseline, half_wavelength, mutual_coherence
 from .dictionaries import polar_range
 from .geometry import SQUARABLE, ArrayConfig, _scale_gains, _steering, b_vector, beyond_fresnel, effective_distance
@@ -489,8 +489,8 @@ def _run_coherence_error(config: ExperimentConfig):
         sines = rng.uniform(-1.0, 1.0, (config.trials, 2))
         dists = rng.uniform(fresnel, rayleigh, (config.trials, 2))
         mus = effective_distance(sines, dists)
-        a, b = _phase_pair(cfg, sines[:, 0], sines[:, 1], mus[:, 0], mus[:, 1])
-        err = np.abs(_approx_magnitudes(a, b, n) - _exact_magnitudes(a, b, n))
+        a, b = phase_pair(cfg, sines[:, 0], sines[:, 1], mus[:, 0], mus[:, 1])
+        err = np.abs(coherence_approx(a, b, n) - coherence_exact(a, b, n))
         yield "coherence_approx", f"N={n}", "mean_abs_error", float(err.mean())
         yield "coherence_approx", f"N={n}", "max_abs_error", float(err.max())
 
@@ -537,7 +537,7 @@ def _run_sparsity_level(config: ExperimentConfig):
             multi = multi + g[path] * _steering(cfg, sin_l, r_l, "exact")
         frac_multi = _fast_analysis_fractions(dft, chirps, multi, config.delta)
 
-        _, b = _phase_pair(cfg, 0.0, 0.0, mu, mu_0)
+        _, b = phase_pair(cfg, 0.0, 0.0, mu, mu_0)
         bounds = sparsity_bound(cfg, config.delta, b) / n
         label = f"N={n}"
         yield "los", label, "mean_fraction", float(frac_los.mean())

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import _worst_case_nonzeros
-from .dictionaries import SensingProduct, _column_energy
+from .dictionaries import SensingProduct, _column_energy, complex_ldexp, unit_exponent
 from .geometry import ArrayConfig, ChannelSpec, synthesize_channel
 from .seeding import as_rng
 from .validation import DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, NONNEGATIVE, Rule, block_count, check
@@ -17,6 +17,7 @@ _COND_LIMIT = 1e12
 PILOT_KINDS = ("gaussian", "rademacher")
 _DRAW_CHUNK = 12288
 """Real draws per chunk of ``gen_pilots``'s Gaussian buffer (96 KB)."""
+_ENERGY_RANGE = (2.0**-400, 2.0**400)  # ||y||^2 and mean column energies that keep the fit's products in range
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,8 @@ class _FormedColumns:
         self._X = X
         self.shape = X.shape
         self.rank_bound = min(X.shape)
-        self._block_energy = _column_energy(X).reshape(-1, block_size).mean(axis=1)
+        with np.errstate(over="ignore"):  # an energy out of range is scaled by the fit
+            self._block_energy = _column_energy(X).reshape(-1, block_size).mean(axis=1)
         self.mean_col_energy = float(self._block_energy.mean())
         # a non-finite X has a non-finite energy; only then are its entries read
         if not math.isfinite(self.mean_col_energy) and not np.isfinite(X).all():
@@ -221,7 +223,7 @@ def _best_prefix(path: list, t: int, sigma2: float, psi) -> int:
     ``path`` holds ``(rho, p, tr G^-1, ...)`` of every prefix, the empty
     one first; the first strict minimum wins. The risks are first evaluated
     at both ends of ``psi.energy_bracket()`` (T N for a ``SensingProduct``);
-    the mean column energy E (T N^2) is read only when they cannot decide.
+    the mean column energy E (T N M) is read only when they cannot decide.
 
     Why the ends can decide: the risk of a prefix is
     sigma^2 tr G^-1 + max(0, rho - (T - p) sigma^2) T / ((T - p) E), affine
@@ -232,14 +234,15 @@ def _best_prefix(path: list, t: int, sigma2: float, psi) -> int:
     computed risk is off its exact value by a few ulps of the largest risk
     at most, so a lead of more than 64 ulps of the largest risk at both ends
     carries over to the computed risks at the computed E, if the bracket
-    holds it. It does: tr(P R P^H) = sum over the pilot rows p of
-    p^H R p, which lies between lambda_min ||p||^2 and lambda_max ||p||^2
-    of R = A A^H, and the ends are moved out by 1e-6 of lambda_max. That
-    covers the error of ``eigvalsh`` (of order N eps lambda_max) and of the
-    computed trace and ||P||_F^2: summed in any order, they err by at most
-    (gamma(N) + gamma(2 T N)) sqrt(N) lambda_max ||P||_F^2, with
-    gamma(n) = n eps / 2 / (1 - n eps / 2), which is 7e-11 of
-    lambda_max ||P||_F^2 at N = 256, T = 80 and 1.3e-8 at N = 2048, T = 640.
+    holds it. It does: ||P A||_F^2 = tr(P R P^H) sums p^H R p over the pilot
+    rows p, each between lambda_min ||p||^2 and lambda_max ||p||^2 of
+    R = A A^H, and the ends are moved out by 1e-6 of lambda_max. That covers
+    the error of ``eigvalsh`` (of order N eps lambda_max) and of the computed
+    ||P||_F^2 and ||P A||_F^2 (whose entries err by sqrt(2) gamma(2N) |P| |A|
+    at most): (2 sqrt(2N) gamma(2N) + gamma(2 T M) + gamma(2 T N)) lambda_max
+    ||P||_F^2 in all, with gamma(n) = n eps / 2 / (1 - n eps / 2), which is
+    3.4e-11 of lambda_max ||P||_F^2 at N = 256, T = 80, M = 1536 and 2.1e-9
+    at N = 2048, T = 640, M = 12288.
 
     Otherwise, and for a bracket of zero width (an exact E), the prefix is
     chosen from the risks at E, as without the bracket.
@@ -335,7 +338,8 @@ class BlockOMP:
         if y.shape[0] != t:
             raise ValueError(f"X has {t} rows but y has length {y.shape[0]}")
         # a non-finite y has a non-finite norm; only then are its entries read
-        y_norm2 = float(np.linalg.norm(y) ** 2)
+        with np.errstate(over="ignore"):  # a norm out of range is scaled below
+            y_norm2 = float(np.linalg.norm(y) ** 2)
         if not math.isfinite(y_norm2) and not np.isfinite(y).all():
             raise ValueError("y must be finite")
         nb = block_count(self.block_size, m)
@@ -348,6 +352,19 @@ class BlockOMP:
             k_max = self._default_k_max(psi.rank_bound, m, sigma2)
         else:
             k_max = check_integer(self.k_max, "k_max", 0)
+        noisy = sigma2 > 0
+        # a y or a formed X whose energy leaves _ENERGY_RANGE is scaled by a
+        # power of two, which moves no rounded result; the outputs are scaled back
+        y_shift = x_shift = 0
+        if not _ENERGY_RANGE[0] <= y_norm2 <= _ENERGY_RANGE[1]:
+            y_shift = unit_exponent(y)
+            y = complex_ldexp(y, y_shift)
+            y_norm2 = float(np.linalg.norm(y) ** 2)
+            with np.errstate(over="ignore"):  # noise above any signal stops the fit at once
+                sigma2 = float(np.ldexp(sigma2, 2 * y_shift))
+        if isinstance(psi, _FormedColumns) and not _ENERGY_RANGE[0] <= psi.mean_col_energy <= _ENERGY_RANGE[1]:
+            x_shift = unit_exponent(X)
+            psi = _FormedColumns(complex_ldexp(X, x_shift), s)
         tol = math.sqrt(t * sigma2)
         floor = max(tol * tol, 1e-30 * y_norm2)
 
@@ -355,7 +372,7 @@ class BlockOMP:
         # greedy loop runs to exact reconstruction or the block budget. A level
         # alpha / nb >= 1 never stops a fit; the two logs are taken apart so a
         # tiny alpha / nb cannot round to log(0)
-        use_score_stop = alpha is not None and sigma2 > 0 and alpha < nb
+        use_score_stop = alpha is not None and noisy and alpha < nb
         if use_score_stop:
             log_level = math.log(alpha) - math.log(nb)
 
@@ -396,13 +413,13 @@ class BlockOMP:
             rho = float(np.linalg.norm(resid) ** 2)
             path.append((rho, idx.size, gram_inv_trace, idx, coef))
 
-        residual_path = np.sqrt([prefix[0] for prefix in path])
-        best = _best_prefix(path, t, sigma2, psi) if sigma2 > 0 else len(path) - 1
+        residual_path = np.ldexp(np.sqrt([prefix[0] for prefix in path]), -y_shift)
+        best = _best_prefix(path, t, sigma2, psi) if noisy else len(path) - 1
         idx, coef = path[best][3:]
 
         beta = np.zeros(m, dtype=np.complex128)
         if idx.size:
-            beta[idx] = coef
+            beta[idx] = complex_ldexp(coef, x_shift - y_shift)
         self.coef_ = beta
         self.support_ = idx
         self.n_iter_ = len(chosen)

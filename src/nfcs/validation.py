@@ -29,6 +29,15 @@ def check(value, name: str, rule: Rule):
     return value
 
 
+def check_all(values, name: str, rule: Rule):
+    """``check`` a scalar, or an array by its least and greatest entry, which
+    decide an interval rule for all entries (a nan reaches both)."""
+    if np.ndim(values) == 0 and not isinstance(values, np.ndarray):
+        return check(values, name, rule)
+    for end in (np.min(values), np.max(values)) if np.size(values) else ():
+        check(float(end), name, rule)
+
+
 def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
@@ -51,6 +60,7 @@ def check_integer(value, name: str, minimum: int = None) -> int:
 POSITIVE = Rule(lambda v: _real(v) and math.isfinite(v) and v > 0, "must be positive and finite")
 # +inf is the far-field (plane-wave) sentinel of a distance
 POSITIVE_OR_INF = Rule(lambda v: _real(v) and v > 0, "must be positive or inf")
+FINITE = Rule(lambda v: _real(v) and math.isfinite(v), "must be finite")
 NONNEGATIVE = Rule(lambda v: _real(v) and math.isfinite(v) and v >= 0, "must be finite and >= 0")
 FRACTION = Rule(lambda v: _real(v) and 0 < v <= 1, "must lie in (0, 1]")
 FRACTION_OR_NONE = Rule(lambda v: v is None or FRACTION.predicate(v), FRACTION.requirement + " or be none")

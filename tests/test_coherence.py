@@ -5,7 +5,6 @@ import pytest
 
 from nfcs import (
     ArrayConfig,
-    CoherenceParams,
     analyze,
     b_vector,
     build_dft,
@@ -15,12 +14,12 @@ from nfcs import (
     field_boundaries,
     fresnel,
     near_steering,
-    params_from_geometry,
+    phase_pair,
     predicted_support,
     sparsity_bound,
     thresholds,
 )
-from nfcs.coherence import B_ZERO_TOL, _phase_pair, _sublinear_cap, reduce_angle
+from nfcs.coherence import B_ZERO_TOL, _sublinear_cap, reduce_angle
 from nfcs.dictionaries import dft_grid
 from nfcs.harness import _fast_analysis_fractions
 from nfcs.validation import POSITIVE, check
@@ -97,15 +96,15 @@ class TestFresnel:
 
 class TestParams:
     def test_zero_cases(self, cfg):
-        p = params_from_geometry(cfg, 0.4, 0.4, 20.0, 20.0)
-        assert p.a == 0.0 and p.b == 0.0 and reduce_angle(p.a) == 0.0
-        p2 = params_from_geometry(cfg, 0.9, -0.2, 50.0, 50.0)
-        assert p2.b == 0.0 and p2.a != 0.0
+        a, b = phase_pair(cfg, math.sin(0.4), math.sin(0.4), 20.0, 20.0)
+        assert a == 0.0 and b == 0.0 and reduce_angle(a) == 0.0
+        a2, b2 = phase_pair(cfg, math.sin(0.9), math.sin(-0.2), 50.0, 50.0)
+        assert b2 == 0.0 and a2 != 0.0
 
     def test_half_wavelength_reduction(self, cfg):
-        p = params_from_geometry(cfg, 0.5, -0.3, 30.0, 10.0)
-        assert p.a == pytest.approx(math.pi * (math.sin(0.5) - math.sin(-0.3)), rel=1e-12)
-        assert p.b == pytest.approx(
+        a, b = phase_pair(cfg, math.sin(0.5), math.sin(-0.3), 30.0, 10.0)
+        assert a == pytest.approx(math.pi * (math.sin(0.5) - math.sin(-0.3)), rel=1e-12)
+        assert b == pytest.approx(
             (math.pi * cfg.wavelength / 4.0) * (1 / 10.0 - 1 / 30.0), rel=1e-12
         )
 
@@ -127,23 +126,33 @@ class TestParams:
             r1, r2 = rng.uniform(fresnel_d, 10 * rayleigh, 2)
             mu1 = r1 / (1 - s1**2)
             mu2 = r2 / (1 - s2**2)
-            p = params_from_geometry(cfg, math.asin(s1), math.asin(s2), mu1, mu2)
-            assert abs(p.b) < cap
+            _, b = phase_pair(cfg, s1, s2, mu1, mu2)
+            assert abs(b) < cap
         assert cap < math.pi
 
     def test_infinite_effective_distance(self, cfg):
-        p = params_from_geometry(cfg, 0.1, 0.2, math.inf, math.inf)
-        assert p.b == 0.0
+        _, b = phase_pair(cfg, math.sin(0.1), math.sin(0.2), math.inf, math.inf)
+        assert b == 0.0
+
+    def test_an_array_of_distances_is_checked_by_its_extremes(self, cfg):
+        # a scalar distance is checked by the rule itself, an array by its
+        # least and greatest entry, where a nan shows
+        for bad in (0.0, -3.0, math.nan):
+            with pytest.raises(ValueError, match="^mu_0 must be positive or inf"):
+                phase_pair(cfg, 0.0, 0.0, 20.0, np.array([10.0, bad, math.inf]))
+            with pytest.raises(ValueError, match="^mu must be positive or inf"):
+                phase_pair(cfg, np.zeros(2), 0.0, np.array([bad, 5.0]), 10.0)
+        _, b = phase_pair(cfg, np.array([]), 0.0, np.array([]), 10.0)
+        assert b.shape == (0,)
 
 
 class TestExact:
     def test_aligned(self):
-        assert coherence_exact(CoherenceParams(0.0, 0.0, 256)) == pytest.approx(1.0)
+        assert coherence_exact(0.0, 0.0, 256) == pytest.approx(1.0)
 
     def test_orthogonal_grid_shift(self):
         n = 256
-        p = CoherenceParams(2 * math.pi / n, 0.0, n)
-        assert coherence_exact(p) == pytest.approx(0.0, abs=1e-12)
+        assert coherence_exact(2 * math.pi / n, 0.0, n) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_inner_product(self, cfg):
         # |<chirped column, second-order steering vector>| equals the kernel
@@ -159,28 +168,26 @@ class TestExact:
             mu0 = r0 / math.cos(theta0) ** 2
             vec = near_steering(cfg, theta0, r0, "taylor")
             direct = abs(np.vdot(d.matrix[:, m], vec))
-            p = params_from_geometry(cfg, math.asin(grid[m]), theta0, mu, mu0)
-            assert coherence_exact(p) == pytest.approx(direct, abs=1e-12)
+            a, b = phase_pair(cfg, grid[m], math.sin(theta0), mu, mu0)
+            assert coherence_exact(a, b, cfg.n_antennas) == pytest.approx(direct, abs=1e-12)
 
 
 class TestApprox:
     def test_aligned(self):
-        assert coherence_approx(CoherenceParams(0.0, 0.0, 256)) == pytest.approx(1.0)
+        assert coherence_approx(0.0, 0.0, 256) == pytest.approx(1.0)
 
     def test_geometric_branch_is_exact(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            p = CoherenceParams(float(rng.uniform(-6, 6)), 0.0, 256)
-            assert coherence_approx(p) == pytest.approx(coherence_exact(p), abs=1e-12)
+            a = float(rng.uniform(-6, 6))
+            assert coherence_approx(a, 0.0, 256) == pytest.approx(coherence_exact(a, 0.0, 256), abs=1e-12)
 
     def test_sign_symmetry_exact(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             a = float(rng.uniform(-2 * math.pi, 2 * math.pi))
             b = float(rng.uniform(1e-6, 8e-4))
-            plus = coherence_approx(CoherenceParams(a, b, 256))
-            minus = coherence_approx(CoherenceParams(-a, -b, 256))
-            assert plus == minus
+            assert coherence_approx(a, b, 256) == coherence_approx(-a, -b, 256)
 
     def _mean_error(self, cfg, trials, seed):
         fresnel_d, rayleigh = field_boundaries(cfg)
@@ -189,10 +196,9 @@ class TestApprox:
         for i in range(trials):
             s1, s2 = rng.uniform(-1, 1, 2)
             r1, r2 = rng.uniform(fresnel_d, rayleigh, 2)
-            p = params_from_geometry(
-                cfg, math.asin(s1), math.asin(s2), r1 / (1 - s1**2), r2 / (1 - s2**2)
-            )
-            errs[i] = abs(coherence_approx(p) - coherence_exact(p))
+            a, b = phase_pair(cfg, s1, s2, r1 / (1 - s1**2), r2 / (1 - s2**2))
+            n = cfg.n_antennas
+            errs[i] = abs(coherence_approx(a, b, n) - coherence_exact(a, b, n))
         return errs.mean()
 
     def test_mean_error_small(self, cfg):
@@ -204,6 +210,27 @@ class TestApprox:
         e_small = self._mean_error(cfg_small, 1000, seed=200)
         e_large = self._mean_error(cfg_large, 1000, seed=200)
         assert e_large < e_small
+
+
+@pytest.mark.parametrize("kernel", [coherence_exact, coherence_approx])
+class TestKernelArguments:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_an_array_with_a_non_finite_phase_by_name(self, kernel, bad):
+        # scalar arguments are covered by the library table of test_validation
+        for k, name in enumerate("ab"):
+            arrays = [np.array([0.5, 1.0]), np.zeros(2)]
+            arrays[k][1] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                kernel(*arrays, 8)
+
+    def test_broadcasts_over_a_and_b(self, kernel):
+        a = np.linspace(-3.0, 3.0, 4)[:, None]
+        b = np.array([0.0, 2e-4, -5e-4])
+        out = kernel(a, b, 64)
+        assert out.shape == (4, 3)
+        for i in range(4):
+            for j in range(3):
+                assert out[i, j] == kernel(float(a[i, 0]), float(b[j]), 64)
 
 
 class TestThresholds:
@@ -223,8 +250,8 @@ class TestThresholds:
         # eta2 - eta1 = 2 (N-1) |b| / pi also equals D |1/mu0 - 1/mu|
         cfg = ArrayConfig(100e9, 256)
         mu0, mu = 6.0, 20.0
-        p = params_from_geometry(cfg, 0.0, 0.0, mu, mu0)
-        _, eta1, eta2 = thresholds(256, 0.01, abs(p.b))
+        _, b = phase_pair(cfg, 0.0, 0.0, mu, mu0)
+        _, eta1, eta2 = thresholds(256, 0.01, abs(b))
         assert eta2 - eta1 == pytest.approx(cfg.aperture * abs(1 / mu0 - 1 / mu), rel=1e-12)
 
     def test_validity_floors(self):
@@ -300,10 +327,10 @@ class TestSparsityBound:
         assert k_bar == math.ceil(256 * eta0)
 
     def test_mismatched_regime(self, cfg):
-        p = params_from_geometry(cfg, 0.0, 0.0, 20.0, 6.0)
-        k_bar = sparsity_bound(cfg, 0.01, p.b)
+        _, b = phase_pair(cfg, 0.0, 0.0, 20.0, 6.0)
+        k_bar = sparsity_bound(cfg, 0.01, b)
         assert k_bar == 96  # ceil(90.03 + 5.71)
-        _, eta1, eta2 = thresholds(256, 0.01, abs(p.b))
+        _, eta1, eta2 = thresholds(256, 0.01, abs(b))
         assert k_bar == math.ceil(256 * (eta1 + eta2) / 2)
 
     def test_sublinear_cap(self, cfg):
@@ -316,16 +343,15 @@ class TestSparsityBound:
         for _ in range(200):
             s1, s2 = rng.uniform(-1, 1, 2)
             r1, r2 = rng.uniform(fres, 5 * ray, 2)
-            p = params_from_geometry(
-                cfg, math.asin(s1), math.asin(s2), r1 / (1 - s1**2), r2 / (1 - s2**2)
-            )
-            mismatch_term = 256 * 255 * abs(p.b) / math.pi
+            _, b = phase_pair(cfg, s1, s2, r1 / (1 - s1**2), r2 / (1 - s2**2))
+            mismatch_term = 256 * 255 * abs(b) / math.pi
             assert mismatch_term <= _sublinear_cap(256) * (1 + 1e-12)
 
     @pytest.mark.parametrize("spacing_factor", [1.0, 2.0])
     def test_batch_equals_scalar(self, spacing_factor):
         # one vectorised call gives, bit for bit, what one call per draw gives,
-        # across the b = 0 and the |b| < B_ZERO_TOL branch
+        # across the b = 0 and the |b| < B_ZERO_TOL branch, and a call on
+        # scalars returns Python scalars
         cfg = ArrayConfig(100e9, 256, spacing=spacing_factor * 2.998e-3 / 2)
         rng = np.random.default_rng(14)
         sin_m, sin_0 = rng.uniform(-1, 1, (2, 64))
@@ -333,23 +359,27 @@ class TestSparsityBound:
         mu[:3] = mu_0[:3]  # b = 0
         mu[3] = math.inf
         mu_0[3] = math.inf
-        a, b = _phase_pair(cfg, sin_m, sin_0, mu, mu_0)
+        a, b = phase_pair(cfg, sin_m, sin_0, mu, mu_0)
         b[4] = 0.5 * B_ZERO_TOL
         b[5] = -0.5 * B_ZERO_TOL
         b[6] = -b[7]
         k_bar = sparsity_bound(cfg, 0.01, b)
         assert k_bar.dtype.kind == "i" and k_bar.shape == b.shape
         assert k_bar.min() < k_bar.max()
+        exact = coherence_exact(a, b, 256)
+        approx = coherence_approx(a, b, 256)
+        assert exact.shape == approx.shape == b.shape
         for i in range(b.size):
-            ai, bi = _phase_pair(cfg, float(sin_m[i]), float(sin_0[i]), float(mu[i]), float(mu_0[i]))
-            assert ai == a[i]
+            ai, bi = phase_pair(cfg, float(sin_m[i]), float(sin_0[i]), float(mu[i]), float(mu_0[i]))
+            assert type(ai) is float and type(bi) is float and ai == a[i]
             if i not in (4, 5, 6):
                 assert bi == b[i]
-            scalar = sparsity_bound(cfg, 0.01, float(b[i]))
+            ai, bi = float(a[i]), float(b[i])
+            scalar = sparsity_bound(cfg, 0.01, bi)
             assert type(scalar) is int and scalar == k_bar[i]
-        theta_m, theta_0 = math.asin(sin_m[8]), math.asin(sin_0[8])
-        p = params_from_geometry(cfg, theta_m, theta_0, float(mu[8]), float(mu_0[8]))
-        assert (p.a, p.b) == _phase_pair(cfg, math.sin(theta_m), math.sin(theta_0), mu[8], mu_0[8])
+            for kernel, batch in ((coherence_exact, exact), (coherence_approx, approx)):
+                value = kernel(ai, bi, 256)
+                assert type(value) is float and value == batch[i]
 
     @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_b(self, cfg, b):

@@ -302,6 +302,38 @@ class TestBlockOMP:
         with pytest.raises(ValueError, match="X must be finite"):
             BlockOMP(noise_var=1e-2).fit(X, y)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0**-1070])
+    def test_an_out_of_range_scale_fits_as_in_range(self, scale):
+        # ||y||^2 or the column energies under- or overflow; the fit scales y
+        # and X by powers of two and scales its outputs back
+        X = scale * np.eye(4)
+        est = BlockOMP().fit(X, X[:, 2])
+        assert est.coef_[2] == pytest.approx(1.0, abs=1e-12)
+        assert np.count_nonzero(est.coef_) == 1
+        np.testing.assert_array_equal(est.residual_path_, [scale, 0.0])
+        assert est.stop_reason_ == "residual"
+
+    @pytest.mark.parametrize("x_scale, y_scale", [(1e-200, 1.0), (1.0, 1e150), (1e150, 1e-100)])
+    def test_a_noisy_out_of_range_fit_scales_back_exactly(self, x_scale, y_scale):
+        # a power of two moves no rounded result: the fit on 2^k X and 2^j y,
+        # with the noise variance in the units of y, is the in-range fit with
+        # its coefficients scaled by 2^(j-k) and its residuals by 2^j
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((20, 16)) + 1j * rng.standard_normal((20, 16))
+        y = X[:, 3] - 0.5 * X[:, 8] + 0.05 * rng.standard_normal(20)
+        k, j = np.frexp(x_scale)[1], np.frexp(y_scale)[1]
+
+        def ldexp(z, e):
+            return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
+
+        base = BlockOMP(2, noise_var=2.5e-3).fit(X, y)
+        scaled = BlockOMP(2, noise_var=float(np.ldexp(2.5e-3, 2 * j))).fit(ldexp(X, k), ldexp(y, j))
+        assert base.support_.size == 4
+        np.testing.assert_array_equal(scaled.support_, base.support_)
+        assert scaled.stop_reason_ == base.stop_reason_
+        np.testing.assert_array_equal(ldexp(scaled.coef_, k - j), base.coef_)
+        np.testing.assert_array_equal(np.ldexp(scaled.residual_path_, -j), base.residual_path_)
+
     @pytest.mark.parametrize("delta", [5e-324, 1e-320, 1e-310])
     def test_a_subnormal_delta_takes_the_rank_capped_budget(self, delta):
         # the worst-case nonzero count is inf, which math.ceil cannot round;
@@ -593,15 +625,6 @@ class TestFactoredFit:
         alone = np.concatenate([fresh.columns([j]) for j in idx], axis=1)
         assert shared.columns(idx).tobytes() == alone.tobytes()
 
-    def test_row_gram_is_cached_and_read_only(self):
-        polar = build_polar_baseline(ArrayConfig(carrier_freq=100e9, n_antennas=64))
-        gram = polar.row_gram
-        assert polar.row_gram is gram
-        assert not gram.flags.writeable
-        with pytest.raises(ValueError):
-            gram[0, 0] = 0.0
-        np.testing.assert_allclose(gram, polar.matrix @ np.conj(polar.matrix.T), atol=1e-12)
-
     def test_chirped_dictionaries_form_their_sensing_matrix(self, cfg, dmu):
         pilots = gen_pilots(20, cfg.n_antennas, seed=3)
         np.testing.assert_array_equal(dmu.sensing_operator(pilots), dmu.sense(pilots))
@@ -694,17 +717,18 @@ class TestPrefixBracket:
             assert 0.0 <= lo <= psi.mean_col_energy <= hi
 
     def test_polar_build_leaves_the_row_gram_unbuilt(self):
-        # neither the build, nor sensing a draw, nor a noiseless fit builds
-        # the row Gram or its eigenvalue range; the first noisy fit reads the
-        # range for its bracket
+        # neither the build, nor sensing a draw, nor a noiseless fit computes
+        # the eigenvalue range of the row Gram; the first noisy fit reads it
+        # for its bracket, and the Gram itself is not kept
         polar, pilots, y, noise_var = _polar_problem(64, 20, 1, 10.0, (64, 1, 20, 10))
-        assert polar._row_gram is None and polar._row_gram_range is None
+        assert polar._row_gram_range is None
         operator = polar.sensing_operator(pilots)
         BlockOMP().fit(operator, y)
-        assert polar._row_gram is None and polar._row_gram_range is None
+        assert polar._row_gram_range is None
         BlockOMP(noise_var=noise_var).fit(operator, y)
-        eigs = np.linalg.eigvalsh(polar.row_gram)
-        assert polar.row_gram_range == (eigs[0], eigs[-1])
+        eigs = np.linalg.eigvalsh(polar.matrix @ np.conj(polar.matrix.T))
+        assert polar._row_gram_range == (eigs[0], eigs[-1])
+        assert not [name for name, value in vars(polar).items() if np.shape(value) == (64, 64)]
 
     def test_desk_snr_sweep_rarely_computes_the_trace(self, monkeypatch):
         # the nmse_vs_snr desk grid for polar_omp alone (N = 256, T = 80,

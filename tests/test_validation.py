@@ -13,11 +13,12 @@ from nfcs import (
     ArrayConfig,
     BlockOMP,
     ChannelSpec,
-    CoherenceParams,
     b_vector,
     build_dft,
     build_dmu,
     build_polar_baseline,
+    coherence_approx,
+    coherence_exact,
     empirical_rip_probe,
     field_boundaries,
     gen_pilots,
@@ -25,7 +26,8 @@ from nfcs import (
     make_problem,
     near_steering,
     noise_variance,
-    params_from_geometry,
+    phase_pair,
+    predicted_support,
     sample_channel,
     sample_complexity,
     synthesize_channel,
@@ -60,6 +62,7 @@ BAD = {
     "integer": (2.5, True),
     "finite": (True, math.nan, math.inf),  # a real that must be finite
     "real": (True, math.nan),  # a real that may be inf, or lies in (0, 1] or (0, 1)
+    "angle": (True, math.nan, 3.0),  # a real in (-pi/2, pi/2)
     # the chirp takes an array of distances, where True reads as the distance 1.0
     "array": (math.nan,),
 }
@@ -72,7 +75,7 @@ LIBRARY = {
     "ArrayConfig.carrier_freq": ("carrier_freq", "finite", lambda v: ArrayConfig(v, 4)),
     "ArrayConfig.spacing": ("spacing", "finite", lambda v: ArrayConfig(100e9, 4, v)),
     "ChannelSpec.distances": ("distance", "finite", lambda v: ChannelSpec((1.0,), (0.0,), (v,))),
-    "ChannelSpec.thetas": ("theta", "real", lambda v: ChannelSpec((1.0,), (v,), (10.0,))),
+    "ChannelSpec.thetas": ("theta", "angle", lambda v: ChannelSpec((1.0,), (v,), (10.0,))),
     "near_steering.r": ("r", "finite", lambda v: near_steering(CFG, 0.0, v)),
     "b_vector.mu": ("mu", "array", lambda v: b_vector(CFG, v)),
     "sample_channel.n_paths": ("n_paths", "integer", lambda v: sample_channel(CFG, v, 1)),
@@ -91,10 +94,17 @@ LIBRARY = {
     "BlockOMP.stop_alpha": ("stop_alpha", "real", lambda v: _fit(stop_alpha=v)),
     "BlockOMP.noise_var": ("noise_var", "finite", lambda v: _fit(noise_var=v)),
     "BlockOMP.delta": ("delta", "real", lambda v: _fit(delta=v)),
-    "CoherenceParams.n_antennas": ("n_antennas", "integer", lambda v: CoherenceParams(0.1, 0.0, v)),
-    "params_from_geometry.mu": ("mu", "real", lambda v: params_from_geometry(CFG, 0.0, 0.0, v, 20.0)),
+    "phase_pair.mu": ("mu", "real", lambda v: phase_pair(CFG, 0.0, 0.0, v, 20.0)),
+    "phase_pair.mu_0": ("mu_0", "real", lambda v: phase_pair(CFG, 0.0, 0.0, 20.0, v)),
+    "coherence_exact.n_antennas": ("n_antennas", "integer", lambda v: coherence_exact(0.1, 0.0, v)),
+    "coherence_exact.a": ("a", "finite", lambda v: coherence_exact(v, 0.0, 8)),
+    "coherence_exact.b": ("b", "finite", lambda v: coherence_exact(0.1, v, 8)),
+    "coherence_approx.a": ("a", "finite", lambda v: coherence_approx(v, 1e-3, 8)),
+    "coherence_approx.b": ("b", "finite", lambda v: coherence_approx(1.0, v, 8)),
     "thresholds.n_antennas": ("n_antennas", "integer", lambda v: thresholds(v, 0.5)),
     "thresholds.delta": ("delta", "real", lambda v: thresholds(16, v)),
+    "thresholds.b_abs": ("b_abs", "finite", lambda v: thresholds(16, 0.5, v)),
+    "predicted_support.theta_0": ("theta_0", "angle", lambda v: predicted_support(CFG, v, 20.0, 20.0, 0.5)),
     "varrho_bound.delta": ("delta", "real", lambda v: varrho_bound(CFG, v)),
     "varrho_bound.mu_0": ("mu_0", "real", lambda v: varrho_bound(CFG, 0.5, mu_pair=(v, 20.0))),
     "sample_complexity.n_antennas": ("n_antennas", "integer", lambda v: sample_complexity(v, 7, 0.5, 1.0)),
