@@ -9,7 +9,7 @@ from .coherence import _worst_case_nonzeros, delta_floor, phase_pair, sparsity_b
 from .geometry import ArrayConfig
 from .seeding import rng_from
 from .validation import FRACTION, OPEN_FRACTION, POSITIVE, Rule, block_count, check, check_integer
-from .validation import as_complex_matrix
+from .validation import as_complex_matrix, finite_energy
 
 
 def _require_square(n_antennas: int) -> int:
@@ -86,9 +86,10 @@ def empirical_rip_probe(
     Each trial draws k distinct blocks uniformly and a complex Gaussian
     coefficient vector on that support, normalised to unit norm. Per-trial
     generators are derived independently from (seed, trial), so any execution
-    order reproduces the same set.
+    order reproduces the same set. ``psi`` must be finite.
     """
     psi = as_complex_matrix(psi, "psi")
+    finite_energy(psi, "psi")
     m = psi.shape[1]
     n_blocks = block_count(block_size, m)
     k = check_integer(k, "k", 1)

@@ -12,6 +12,7 @@ import numpy as np
 
 from .geometry import ArrayConfig, _steering, b_vector, field_boundaries, finite_phase
 from .validation import POSITIVE, RANGE, Rule, as_complex_matrix, as_complex_vector, check, check_integer
+from .validation import finite_energy
 
 _COHERENCE_BLOCK = 128  # Gram rows per block of the mutual-coherence sweep
 _BRACKET_PAD = 1e-6
@@ -63,7 +64,8 @@ class Dictionary:
             self.shape = (n, n)
         else:
             self._chirp = None
-            self._matrix = _check_finite(as_complex_matrix(matrix, "matrix"), "matrix")
+            self._matrix = as_complex_matrix(matrix, "matrix")
+            finite_energy(self._matrix, "matrix")
             self._matrix.setflags(write=False)
             self.shape = self._matrix.shape
 
@@ -111,11 +113,7 @@ class Dictionary:
         T x M product would cost T N M to form, while a solver only needs its
         correlations and a few of its columns.
         """
-        if self._chirp is not None:
-            return self.sense(pilots)
-        arr = as_complex_matrix(pilots, "pilots")
-        _check_length(arr, self.n_antennas, "pilot rows")
-        return SensingProduct(_check_finite(arr, "pilots"), self)
+        return self.sense(pilots) if self._chirp is not None else SensingProduct(pilots, self)
 
     def transform(self, X) -> np.ndarray:
         """Adjoint analysis: channel rows (or a single vector) to coefficients."""
@@ -146,19 +144,25 @@ class SensingProduct:
     """The T x M sensing matrix ``P A`` of pilots P and a dense dictionary A,
     read through the factors without forming it, which would cost T N M.
 
+    P must be finite and not all zero; it is held as ``scale_into_range``
+    returns it (the product reads ``2**shift P A``), with its ||P||_F^2.
     ``correlate(r)`` is ``(r^H P) A`` (T N + N M). ``columns(idx)`` reads any
     index set, forming each column ``P a_j`` on its own on its first read, so
     its bits do not depend on the reads around it, and keeping it for the
-    draw (P must not change meanwhile); ``block_energy`` reads through it.
-    The mean column energy E = ``||P A||_F^2 / M`` is read from the formed
-    product (T N M) on each read; ``energy_bracket`` bounds it in T N from
-    the extreme eigenvalues of ``A A^H`` (see ``recovery._best_prefix``),
-    which the dictionary computes once, when a draw first needs them.
-    ``rank_bound`` is min(T, N).
+    draw (P must not change meanwhile). The mean column energy
+    E = ``||P A||_F^2 / M`` is read from the formed product (T N M) on each
+    read; ``energy_bracket`` bounds it from ||P||_F^2 and the extreme
+    eigenvalues of ``A A^H`` (see ``recovery._best_prefix``), which the
+    dictionary computes once, when a draw first needs them. ``rank_bound``
+    is min(T, N).
     """
 
-    def __init__(self, pilots: np.ndarray, dictionary: Dictionary):
-        self.pilots = pilots
+    def __init__(self, pilots, dictionary: Dictionary):
+        pilots = as_complex_matrix(pilots, "pilots")
+        _check_length(pilots, dictionary.n_antennas, "pilot rows")
+        self.pilots, self._pilot_energy, self.shift = scale_into_range(pilots, "pilots")
+        if not self._pilot_energy:
+            raise ValueError("pilots must not be all zero")
         self.dictionary = dictionary
         self.shape = (pilots.shape[0], dictionary.n_atoms)
         self.rank_bound = min(pilots.shape)
@@ -173,25 +177,17 @@ class SensingProduct:
         # lambda_min ||P||_F^2 / M <= E <= lambda_max ||P||_F^2 / M, padded for rounding
         lo, hi = self.dictionary.row_gram_range
         pad = _BRACKET_PAD * hi
-        scale = float(np.vdot(self.pilots, self.pilots).real) / self.shape[1]
+        scale = self._pilot_energy / self.shape[1]
         return max(lo - pad, 0.0) * scale, (hi + pad) * scale
 
     def correlate(self, resid: np.ndarray) -> np.ndarray:
         return (np.conj(resid) @ self.pilots) @ self.dictionary.matrix
-
-    def block_energy(self, block: int, s: int) -> float:
-        return _column_energy(self.columns(range(block * s, (block + 1) * s))).mean()
 
     def columns(self, idx) -> np.ndarray:
         for j in idx:
             if j not in self._columns:
                 self._columns[j] = self.pilots @ self.dictionary.matrix[:, [j]]
         return np.concatenate([self._columns[j] for j in idx], axis=1)
-
-
-def _column_energy(X: np.ndarray) -> np.ndarray:
-    """Squared column norms, read through the real and imaginary views of X."""
-    return np.einsum("ij,ij->j", X.real, X.real) + np.einsum("ij,ij->j", X.imag, X.imag)
 
 
 def _as_rows(X):
@@ -207,14 +203,6 @@ def _as_rows(X):
 def _check_length(rows, length: int, what: str):
     if rows.shape[1] != length:
         raise ValueError(f"expected {what} of length {length}, got {rows.shape[1]}")
-
-
-def _check_finite(arr: np.ndarray, name: str) -> np.ndarray:
-    """``arr`` if every entry is finite, else ``ValueError`` naming it. The
-    entries are read only when the sum of their squares is not finite."""
-    if not math.isfinite(float(np.vdot(arr, arr).real)) and not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    return arr
 
 
 def half_wavelength(wavelength: float) -> Rule:
@@ -322,6 +310,7 @@ def _screen_margin(n_rows: int) -> float:
 # column norms inside which neither the squares of the norms nor the Gram
 # products of two columns over- or underflow
 _NORM_RANGE = (2.0**-400, 2.0**400)
+_ENERGY_RANGE = (2.0**-400, 2.0**400)  # sums of squares that keep BlockOMP's products in range
 
 
 def unit_exponent(z: np.ndarray, axis: int = None):
@@ -336,6 +325,19 @@ def complex_ldexp(z: np.ndarray, shift) -> np.ndarray:
     out.real = np.ldexp(z.real, shift)
     out.imag = np.ldexp(z.imag, shift)
     return out
+
+
+def scale_into_range(arr: np.ndarray, name: str) -> tuple:
+    """``(2**shift * arr, its sum of squares, shift)``, or ``ValueError`` naming
+    a non-finite ``arr``. Out of ``_ENERGY_RANGE``, ``arr`` is scaled by the
+    power of two that brings its largest real or imaginary part into [0.5, 1),
+    which moves no rounded result; in range it is returned as it is, shift 0."""
+    energy = finite_energy(arr, name)
+    if _ENERGY_RANGE[0] <= energy <= _ENERGY_RANGE[1]:
+        return arr, energy, 0
+    shift = unit_exponent(arr)
+    arr = complex_ldexp(arr, shift)
+    return arr, finite_energy(arr, name), shift
 
 
 def _column_norms(m) -> np.ndarray:

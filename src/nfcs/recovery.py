@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import _worst_case_nonzeros
-from .dictionaries import SensingProduct, _column_energy, complex_ldexp, unit_exponent
+from .dictionaries import SensingProduct, complex_ldexp, scale_into_range
 from .geometry import ArrayConfig, ChannelSpec, synthesize_channel
 from .seeding import as_rng
 from .validation import DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, NONNEGATIVE, Rule, block_count, check
@@ -17,7 +17,6 @@ _COND_LIMIT = 1e12
 PILOT_KINDS = ("gaussian", "rademacher")
 _DRAW_CHUNK = 12288
 """Real draws per chunk of ``gen_pilots``'s Gaussian buffer (96 KB)."""
-_ENERGY_RANGE = (2.0**-400, 2.0**400)  # ||y||^2 and mean column energies that keep the fit's products in range
 
 
 @dataclass(frozen=True)
@@ -166,18 +165,17 @@ def _log_poisson_tail(s: int, u: float) -> float:
 
 
 class _FormedColumns:
-    """A formed T x M matrix, read in place through a ``SensingProduct``'s members."""
+    """A formed T x M matrix X, read in place through a ``SensingProduct``'s
+    members. X must be finite and not all zero; it is held as
+    ``scale_into_range`` returns it, so the reader reads ``2**shift X``."""
 
-    def __init__(self, X: np.ndarray, block_size: int):
-        self._X = X
+    def __init__(self, X: np.ndarray):
+        self._X, energy, self.shift = scale_into_range(X, "X")
+        if not energy:
+            raise ValueError("X must not be all zero")
         self.shape = X.shape
         self.rank_bound = min(X.shape)
-        with np.errstate(over="ignore"):  # an energy out of range is scaled by the fit
-            self._block_energy = _column_energy(X).reshape(-1, block_size).mean(axis=1)
-        self.mean_col_energy = float(self._block_energy.mean())
-        # a non-finite X has a non-finite energy; only then are its entries read
-        if not math.isfinite(self.mean_col_energy) and not np.isfinite(X).all():
-            raise ValueError("X must be finite")
+        self.mean_col_energy = energy / X.shape[1]
 
     def energy_bracket(self) -> tuple:
         # the energy is exact here: a bracket of zero width
@@ -187,10 +185,7 @@ class _FormedColumns:
         # r^H X without conjugating X (|r^H X| = |X^H r|)
         return np.conj(resid) @ self._X
 
-    def block_energy(self, block: int, s: int) -> float:
-        return self._block_energy[block]
-
-    def columns(self, idx: np.ndarray) -> np.ndarray:
+    def columns(self, idx) -> np.ndarray:
         return self._X[:, idx]
 
 
@@ -294,8 +289,11 @@ class BlockOMP:
     ``block_size`` must be an integer >= 1 that divides the M columns of X
     into contiguous blocks.
     ``noise_var`` must be finite and >= 0, ``delta`` in (0, 1], ``k_max`` an
-    integer >= 0 or None, and X and y finite; ``fit`` raises ``ValueError``
-    otherwise.
+    integer >= 0 or None, X and y finite and X (or a product's pilots) not
+    all zero; ``fit`` raises ``ValueError`` otherwise. A zero y stops at once
+    ("residual"). y, a formed X and a product's pilots are scaled into range
+    by ``dictionaries.scale_into_range``; ``noise_var`` is read in the units
+    of the scaled y, and ``coef_`` and the residuals are scaled back.
 
     Attributes after ``fit``: ``coef_``, ``support_``, ``n_iter_``,
     ``residual_norm_``, ``residual_path_`` and ``stop_reason_``, the rule
@@ -331,40 +329,24 @@ class BlockOMP:
         return cap if budget >= cap else math.ceil(budget)
 
     def fit(self, X, y):
-        if not isinstance(X, SensingProduct):
-            X = as_complex_matrix(X, "X")
-        y = as_complex_vector(y, "y")
-        t, m = X.shape
+        psi = X if isinstance(X, SensingProduct) else _FormedColumns(as_complex_matrix(X, "X"))
+        t, m = psi.shape
+        # y, like the reader, holds 2**shift times the given values
+        y, y_norm2, y_shift = scale_into_range(as_complex_vector(y, "y"), "y")
         if y.shape[0] != t:
             raise ValueError(f"X has {t} rows but y has length {y.shape[0]}")
-        # a non-finite y has a non-finite norm; only then are its entries read
-        with np.errstate(over="ignore"):  # a norm out of range is scaled below
-            y_norm2 = float(np.linalg.norm(y) ** 2)
-        if not math.isfinite(y_norm2) and not np.isfinite(y).all():
-            raise ValueError("y must be finite")
         nb = block_count(self.block_size, m)
         s = m // nb
         alpha = check(self.stop_alpha, "stop_alpha", FRACTION_OR_NONE)
         sigma2 = float(check(self.noise_var, "noise_var", NONNEGATIVE))
         check(self.delta, "delta", FRACTION)
-        psi = X if isinstance(X, SensingProduct) else _FormedColumns(X, s)
         if self.k_max is None:
             k_max = self._default_k_max(psi.rank_bound, m, sigma2)
         else:
             k_max = check_integer(self.k_max, "k_max", 0)
         noisy = sigma2 > 0
-        # a y or a formed X whose energy leaves _ENERGY_RANGE is scaled by a
-        # power of two, which moves no rounded result; the outputs are scaled back
-        y_shift = x_shift = 0
-        if not _ENERGY_RANGE[0] <= y_norm2 <= _ENERGY_RANGE[1]:
-            y_shift = unit_exponent(y)
-            y = complex_ldexp(y, y_shift)
-            y_norm2 = float(np.linalg.norm(y) ** 2)
-            with np.errstate(over="ignore"):  # noise above any signal stops the fit at once
-                sigma2 = float(np.ldexp(sigma2, 2 * y_shift))
-        if isinstance(psi, _FormedColumns) and not _ENERGY_RANGE[0] <= psi.mean_col_energy <= _ENERGY_RANGE[1]:
-            x_shift = unit_exponent(X)
-            psi = _FormedColumns(complex_ldexp(X, x_shift), s)
+        with np.errstate(over="ignore"):  # noise above any signal stops the fit at once
+            sigma2 = float(np.ldexp(sigma2, 2 * y_shift))
         tol = math.sqrt(t * sigma2)
         floor = max(tol * tol, 1e-30 * y_norm2)
 
@@ -397,10 +379,12 @@ class BlockOMP:
             scores = (np.abs(corr) ** 2).reshape(nb, s).sum(axis=1)
             scores[selected] = -np.inf
             pick = int(np.argmax(scores))
-            if use_score_stop and rho > 0:
-                # u is half the chi-squared statistic on 2s degrees of freedom;
-                # the fit goes on only while its tail is at most the level
-                u = float(t * scores[pick] / (rho * psi.block_energy(pick, s)))
+            if use_score_stop:
+                # u is half the chi-squared statistic on 2s degrees of freedom,
+                # against the mean column energy of the block; the fit goes on
+                # only while its tail is at most the level
+                block = psi.columns(range(pick * s, (pick + 1) * s))
+                u = float(t * scores[pick] / (rho * np.vdot(block, block).real / s))
                 if _log_poisson_tail(s, u) > log_level:
                     stop_reason = "significance"
                     break
@@ -419,7 +403,7 @@ class BlockOMP:
 
         beta = np.zeros(m, dtype=np.complex128)
         if idx.size:
-            beta[idx] = complex_ldexp(coef, x_shift - y_shift)
+            beta[idx] = complex_ldexp(coef, psi.shift - y_shift)
         self.coef_ = beta
         self.support_ = idx
         self.n_iter_ = len(chosen)

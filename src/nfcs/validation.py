@@ -103,3 +103,12 @@ def as_complex_matrix(x, name: str = "x") -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
+
+
+def finite_energy(arr: np.ndarray, name: str) -> float:
+    """``||arr||_F^2`` (inf if it overflows), or ``ValueError`` naming ``arr``
+    if an entry is not finite; the entries are read only for a sum not finite."""
+    energy = float(np.vdot(arr, arr).real)
+    if not math.isfinite(energy) and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return energy

@@ -125,6 +125,16 @@ class TestRipProbe:
         report = empirical_rip_probe(psi, 8, k=2, trials=300, seed=2)
         assert report.violation_rate < 0.10
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_a_non_finite_psi(self, bad):
+        # an all-NaN psi used to give xi_hat nan and violation rate 0, and an
+        # all-inf one a matmul warning
+        psi = np.eye(4, dtype=complex)
+        psi[2, 1] = bad
+        for matrix in (psi, np.full((4, 4), bad, dtype=complex)):
+            with pytest.raises(ValueError, match="^psi must be finite$"):
+                empirical_rip_probe(matrix, 1, k=1, trials=5, seed=3)
+
     def test_rejects_zero_trials(self):
         psi = np.eye(16, dtype=complex)
         for trials in (0, -1):

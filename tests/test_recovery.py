@@ -313,26 +313,62 @@ class TestBlockOMP:
         np.testing.assert_array_equal(est.residual_path_, [scale, 0.0])
         assert est.stop_reason_ == "residual"
 
-    @pytest.mark.parametrize("x_scale, y_scale", [(1e-200, 1.0), (1.0, 1e150), (1e150, 1e-100)])
-    def test_a_noisy_out_of_range_fit_scales_back_exactly(self, x_scale, y_scale):
-        # a power of two moves no rounded result: the fit on 2^k X and 2^j y,
-        # with the noise variance in the units of y, is the in-range fit with
-        # its coefficients scaled by 2^(j-k) and its residuals by 2^j
+    @pytest.mark.parametrize(
+        "x_scale, y_scale, product",
+        [
+            pytest.param(1e-200, 1.0, False, id="1e-200-1.0"),
+            pytest.param(1.0, 1e150, False, id="1.0-1e+150"),
+            pytest.param(1e150, 1e-100, False, id="1e+150-1e-100"),
+            # the pilots P of a polar P A, whose ||P||_F^2 over- or underflows
+            pytest.param(2.0**665, 1.0, True, id="pilots-2^665"),
+            pytest.param(2.0**-665, 1.0, True, id="pilots-2^-665"),
+        ],
+    )
+    def test_a_noisy_out_of_range_fit_scales_back_exactly(self, x_scale, y_scale, product):
+        # a power of two moves no rounded result: the fit on 2^k X (or on
+        # 2^k P A) and 2^j y, with the noise variance in the units of y, is
+        # the in-range fit with its coefficients scaled by 2^(j-k) and its
+        # residuals by 2^j
         rng = np.random.default_rng(21)
-        X = rng.standard_normal((20, 16)) + 1j * rng.standard_normal((20, 16))
+        if product:
+            polar = build_polar_baseline(ArrayConfig(carrier_freq=100e9, n_antennas=16), 2)
+            pilots = gen_pilots(20, 16, seed=rng)
+            X = pilots @ polar.matrix
+        else:
+            X = rng.standard_normal((20, 16)) + 1j * rng.standard_normal((20, 16))
         y = X[:, 3] - 0.5 * X[:, 8] + 0.05 * rng.standard_normal(20)
         k, j = np.frexp(x_scale)[1], np.frexp(y_scale)[1]
 
         def ldexp(z, e):
             return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
 
-        base = BlockOMP(2, noise_var=2.5e-3).fit(X, y)
-        scaled = BlockOMP(2, noise_var=float(np.ldexp(2.5e-3, 2 * j))).fit(ldexp(X, k), ldexp(y, j))
+        def sensing(e):
+            return polar.sensing_operator(ldexp(pilots, e)) if product else ldexp(X, e)
+
+        base = BlockOMP(2, noise_var=2.5e-3).fit(sensing(0), y)
+        scaled = BlockOMP(2, noise_var=float(np.ldexp(2.5e-3, 2 * j))).fit(sensing(k), ldexp(y, j))
         assert base.support_.size == 4
         np.testing.assert_array_equal(scaled.support_, base.support_)
         assert scaled.stop_reason_ == base.stop_reason_
         np.testing.assert_array_equal(ldexp(scaled.coef_, k - j), base.coef_)
         np.testing.assert_array_equal(np.ldexp(scaled.residual_path_, -j), base.residual_path_)
+
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-2])
+    def test_rejects_an_all_zero_sensing_matrix(self, noise_var):
+        # no column to pick: the fit used to divide 0 by 0 and return NaN
+        # coefficients; a zero X is rejected by the fit, zero pilots by the product
+        with pytest.raises(ValueError, match="^X must not be all zero$"):
+            BlockOMP(noise_var=noise_var).fit(np.zeros((6, 4)), np.ones(6))
+        polar = build_polar_baseline(ArrayConfig(carrier_freq=100e9, n_antennas=16), 2)
+        with pytest.raises(ValueError, match="^pilots must not be all zero$"):
+            polar.sensing_operator(np.zeros((6, 16)))
+
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-2])
+    def test_a_zero_y_stops_at_once(self, noise_var):
+        est = BlockOMP(noise_var=noise_var).fit(np.eye(6)[:, :4], np.zeros(6))
+        assert est.stop_reason_ == "residual"
+        assert est.n_iter_ == 0
+        np.testing.assert_array_equal(est.coef_, np.zeros(4))
 
     @pytest.mark.parametrize("delta", [5e-324, 1e-320, 1e-310])
     def test_a_subnormal_delta_takes_the_rank_capped_budget(self, delta):
@@ -587,17 +623,24 @@ class TestFactoredFit:
         matrix = rng.standard_normal((7, 12)) + 1j * rng.standard_normal((7, 12))
         X = pilots @ matrix
         s = block_size
-        formed = _FormedColumns(X, s)
+        formed = _FormedColumns(X)
         factored = Dictionary(matrix).sensing_operator(pilots)
+        # in range, neither reader scales what it holds
+        assert factored.shift == formed.shift == 0
+        assert factored.pilots is pilots
         assert factored.shape == formed.shape == (10, 12)
         assert factored.rank_bound == 7 and formed.rank_bound == 10
         r = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         np.testing.assert_allclose(factored.correlate(r), formed.correlate(r), rtol=1e-12)
         assert factored.mean_col_energy == pytest.approx(formed.mean_col_energy, rel=1e-12)
+        assert formed.energy_bracket() == (formed.mean_col_energy,) * 2
         for b in range(12 // s):
-            assert factored.block_energy(b, s) == pytest.approx(formed.block_energy(b, s), rel=1e-12)
+            block = range(b * s, (b + 1) * s)
+            energy = np.linalg.norm(X[:, block], axis=0) ** 2
+            for psi in (factored, formed):
+                assert np.linalg.norm(psi.columns(block), axis=0) ** 2 == pytest.approx(energy, rel=1e-12)
         idx = np.concatenate([np.arange(b * s, (b + 1) * s) for b in (0, 2, 3)])
-        factored.block_energy(3, s)  # a block looked at first is still placed in index order
+        factored.columns(range(3 * s, 4 * s))  # a block looked at first is still placed in index order
         np.testing.assert_allclose(factored.columns(idx), formed.columns(idx), rtol=1e-12)
         # any index set: unsorted, repeated and across block edges
         idx = np.array([7, 1, 7, 11, 2, 4, 1])
