@@ -158,8 +158,6 @@ def _element_delay(sin_t, r, offsets, mode: str):
     if mode == "taylor":
         return -offsets * sin_t + offsets**2 * (1.0 - sin_t**2) / (2.0 * r)
     if mode == "exact":
-        if np.any(np.isinf(r)):
-            raise ValueError("exact mode requires a finite distance")
         # r*(sqrt(1+delta)-1) evaluated as r*delta/(sqrt(1+delta)+1)
         delta = offsets * (offsets - 2.0 * r * sin_t) / r**2
         return r * delta / (np.sqrt(1.0 + delta) + 1.0)
@@ -179,14 +177,13 @@ def _steering(cfg: ArrayConfig, sin_t, r, mode: str) -> np.ndarray:
     return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
 
 
-def near_steering(cfg: ArrayConfig, theta: float, r: float, mode: str = "exact") -> np.ndarray:
-    """Spherical-wavefront array response; entry n is exp(-j*(2pi/lam)*(r^(n)-r))/sqrt(N)."""
+def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
+    """Exact spherical-wavefront array response to a source at a finite
+    distance ``r``; entry n is exp(-j*(2pi/lam)*(r^(n)-r))/sqrt(N)."""
     check(theta, "theta", ANGLE)
-    if not (math.isinf(r) and mode == "taylor"):
-        check(r, "r", POSITIVE)
-    if mode == "exact":
-        check(r, "r", SQUARABLE)
-    return _steering(cfg, math.sin(theta), r, mode)
+    check(r, "r", POSITIVE)
+    check(r, "r", SQUARABLE)
+    return _steering(cfg, math.sin(theta), r, "exact")
 
 
 def b_vector(cfg: ArrayConfig, mu) -> np.ndarray:
@@ -213,19 +210,31 @@ def synthesize_channel(cfg: ArrayConfig, spec: ChannelSpec) -> np.ndarray:
     return h
 
 
-def _scale_gains(gains: np.ndarray, power_split_db: float, normalize: bool):
-    """Rescale one draw's path gains in place, LOS first.
+def _draw_sources(rng, lo: float, hi: float, size=None) -> tuple:
+    """``(sin(theta), r)`` of sources with sin(theta) uniform on (-1, 1) and r
+    uniform on (lo, hi): floats, or arrays of shape ``size``."""
+    return rng.uniform(-1.0, 1.0, size), rng.uniform(lo, hi, size)
 
-    The non-LOS gains are scaled so the LOS to non-LOS power ratio equals
-    ``power_split_db``; with ``normalize`` all gains are then scaled to unit
-    total power.
-    """
-    if gains.size > 1:
-        nlos_power = float(np.sum(np.abs(gains[1:]) ** 2))
-        target = abs(gains[0]) ** 2 / 10.0 ** (power_split_db / 10.0)
-        gains[1:] *= math.sqrt(target / nlos_power)
-    if normalize:
-        gains /= math.sqrt(float(np.sum(np.abs(gains) ** 2)))
+
+def _path_power(gains: np.ndarray):
+    """|g|^2 summed over the paths (axis 0) of every draw, along a contiguous
+    axis: NumPy sums 8 or more terms pairwise there, as it sums one draw's,
+    but down axis 0 row by row, which would move the last bit."""
+    return np.ascontiguousarray((np.abs(gains) ** 2).T).sum(axis=-1)
+
+
+def _draw_gains(rng, size, power_split_db: float) -> np.ndarray:
+    """CN(0, 1) path gains of shape ``size``, paths along axis 0 and the LOS
+    path first, with every draw's non-LOS gains scaled so that its LOS to
+    non-LOS power ratio equals ``power_split_db``."""
+    gains = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2)
+    if gains.shape[0] > 1:
+        # |g|^2 bit for bit as the scalar abs(g) ** 2 of one draw gives it:
+        # np.abs of a complex array is not hypot, and an array ** 2 is x * x,
+        # not pow(x, 2)
+        los = np.float_power(np.hypot(gains[0].real, gains[0].imag), 2.0)
+        gains[1:] *= np.sqrt(los / 10.0 ** (power_split_db / 10.0) / _path_power(gains[1:]))
+    return gains
 
 
 def sample_channel(
@@ -237,11 +246,11 @@ def sample_channel(
 ) -> ChannelSpec:
     """Draw a random multipath channel.
 
-    The line-of-sight gain is complex normal CN(0, 1); the remaining gains are
-    rescaled so the aggregate LOS to non-LOS power ratio equals
-    ``power_split_db`` exactly. Angles are drawn with sin(theta) uniform on
-    (-1, 1) and distances uniform on ``distance_range`` (default:
-    ``source_range(cfg)``).
+    The sources are drawn by ``_draw_sources`` on ``distance_range``
+    (default: ``source_range(cfg)``), then the gains by ``_draw_gains``: a
+    CN(0, 1) line-of-sight gain and non-LOS gains rescaled so the aggregate
+    LOS to non-LOS power ratio equals ``power_split_db`` exactly. Every
+    experiment draws its sources and gains through these two helpers.
     """
     n_paths = check_integer(n_paths, "n_paths", 1)
     check(power_split_db, "power_split_db", DECIBELS)
@@ -250,10 +259,8 @@ def sample_channel(
     check((lo, hi), "distance_range", RANGE)
     check(hi, "distance_range[1]", SQUARABLE)
     rng = as_rng(seed)
-    sines = rng.uniform(-1.0, 1.0, n_paths)
-    dists = rng.uniform(lo, hi, n_paths)
-    gains = (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)) / math.sqrt(2)
-    _scale_gains(gains, power_split_db, normalize=False)
+    sines, dists = _draw_sources(rng, lo, hi, n_paths)
+    gains = _draw_gains(rng, n_paths, power_split_db)
     return ChannelSpec(
         gains=tuple(complex(g) for g in gains),
         thetas=tuple(math.asin(s) for s in sines),

@@ -22,8 +22,9 @@ from ._files import write_atomic
 from .coherence import coherence_approx, coherence_exact, delta_floor, phase_pair, sparsity_bound
 from .dictionaries import Dictionary, build_dft, build_dmu, build_polar_baseline, half_wavelength, mutual_coherence
 from .dictionaries import polar_range
-from .geometry import SQUARABLE, ArrayConfig, _scale_gains, _steering, b_vector, beyond_fresnel, effective_distance
-from .geometry import field_boundaries, field_regions, finite_phase, sample_channel, source_range
+from .geometry import SQUARABLE, ArrayConfig, _draw_gains, _draw_sources, _path_power, _steering, b_vector
+from .geometry import beyond_fresnel, effective_distance, field_boundaries, field_regions, finite_phase, sample_channel
+from .geometry import source_range
 from .recovery import PILOT_KINDS, BlockOMP, enough_for_ls, gen_pilots, ls_estimate, make_problem, nmse
 from .seeding import plain, rng_from
 from .validation import DECIBELS, DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, OPEN_FRACTION, POSITIVE
@@ -359,28 +360,15 @@ def _sample_trial_channel(config, cfg, dist_range, bin_center, data_key, trial):
     the non-LOS paths come from a bin-independent stream so they are shared
     across bins (common random numbers).
     """
-    base = sample_channel(
-        cfg,
-        config.n_paths,
-        rng_from(*data_key, "chan", trial),
-        power_split_db=config.power_split_db,
-        distance_range=dist_range,
-    )
+    base = sample_channel(cfg, config.n_paths, rng_from(*data_key, "chan", trial), config.power_split_db, dist_range)
     if bin_center is None:
         return base
     log_tol = math.log(config.mu0_bin_tolerance)
-    lo, hi = dist_range
     for attempt in range(_MU0_DRAWS):
-        rng = rng_from(*data_key, "los", bin_center, trial, attempt)
-        sin0 = rng.uniform(-1.0, 1.0)
-        r0 = rng.uniform(lo, hi)
+        sin0, r0 = _draw_sources(rng_from(*data_key, "los", bin_center, trial, attempt), *dist_range)
         mu0 = effective_distance(sin0, r0)
         if abs(math.log(mu0 / bin_center)) <= log_tol:
-            return replace(
-                base,
-                thetas=(math.asin(sin0),) + base.thetas[1:],
-                distances=(r0,) + base.distances[1:],
-            )
+            return replace(base, thetas=(math.asin(sin0),) + base.thetas[1:], distances=(r0,) + base.distances[1:])
     raise ConfigError(
         _key("mu0_bins"),
         f"could not hit the bin {bin_center!r} within the sampling budget; "
@@ -486,8 +474,7 @@ def _run_coherence_error(config: ExperimentConfig):
         cfg = config.array_config(n)
         fresnel, rayleigh = field_boundaries(cfg)
         rng = rng_from(config.seed, config.experiment_id, f"N={n}")
-        sines = rng.uniform(-1.0, 1.0, (config.trials, 2))
-        dists = rng.uniform(fresnel, rayleigh, (config.trials, 2))
+        sines, dists = _draw_sources(rng, fresnel, rayleigh, (config.trials, 2))
         mus = effective_distance(sines, dists)
         a, b = phase_pair(cfg, sines[:, 0], sines[:, 1], mus[:, 0], mus[:, 1])
         err = np.abs(coherence_approx(a, b, n) - coherence_exact(a, b, n))
@@ -514,27 +501,22 @@ def _run_sparsity_level(config: ExperimentConfig):
         rng = rng_from(config.seed, config.experiment_id, f"N={n}")
         # dictionary effective distances drawn as the effective distance of a
         # random in-range source
-        sin_mu = rng.uniform(-1.0, 1.0, trials)
-        r_mu = rng.uniform(fresnel, rayleigh, trials)
+        sin_mu, r_mu = _draw_sources(rng, fresnel, rayleigh, trials)
         mu = effective_distance(sin_mu, r_mu)
         chirps = b_vector(cfg, mu)
 
         dft = build_dft(cfg)
-        sin_0 = rng.uniform(-1.0, 1.0, trials)
-        r_0 = rng.uniform(fresnel, rayleigh, trials)
+        sin_0, r_0 = _draw_sources(rng, fresnel, rayleigh, trials)
         mu_0 = effective_distance(sin_0, r_0)
         los = _steering(cfg, sin_0, r_0, "exact")  # one column per draw
         frac_los = _fast_analysis_fractions(dft, chirps, los, config.delta)
 
         # multipath channels: unit total power, fixed LOS/NLOS power split
-        g = (rng.standard_normal((config.n_paths, trials)) + 1j * rng.standard_normal((config.n_paths, trials))) / math.sqrt(2)
-        for i in range(trials):
-            _scale_gains(g[:, i], config.power_split_db, normalize=True)
+        g = _draw_gains(rng, (config.n_paths, trials), config.power_split_db)
+        g /= np.sqrt(_path_power(g))
         multi = g[0] * los
         for path in range(1, config.n_paths):
-            sin_l = rng.uniform(-1.0, 1.0, trials)
-            r_l = rng.uniform(fresnel, rayleigh, trials)
-            multi = multi + g[path] * _steering(cfg, sin_l, r_l, "exact")
+            multi = multi + g[path] * _steering(cfg, *_draw_sources(rng, fresnel, rayleigh, trials), "exact")
         frac_multi = _fast_analysis_fractions(dft, chirps, multi, config.delta)
 
         _, b = phase_pair(cfg, 0.0, 0.0, mu, mu_0)

@@ -289,16 +289,18 @@ class BlockOMP:
     ``block_size`` must be an integer >= 1 that divides the M columns of X
     into contiguous blocks.
     ``noise_var`` must be finite and >= 0, ``delta`` in (0, 1], ``k_max`` an
-    integer >= 0 or None, X and y finite and X (or a product's pilots) not
-    all zero; ``fit`` raises ``ValueError`` otherwise. A zero y stops at once
-    ("residual"). y, a formed X and a product's pilots are scaled into range
-    by ``dictionaries.scale_into_range``; ``noise_var`` is read in the units
-    of the scaled y, and ``coef_`` and the residuals are scaled back.
+    integer >= 0 or None, X and y finite and X (or a product's pilots)
+    neither empty nor all zero; ``fit`` raises ``ValueError`` otherwise. A
+    zero y stops at once ("residual"). y, a formed X and a product's pilots
+    are scaled into range by ``dictionaries.scale_into_range``;
+    ``noise_var`` is read in the units of the scaled y, and ``coef_`` and
+    the residuals are scaled back.
 
     Attributes after ``fit``: ``coef_``, ``support_``, ``n_iter_``,
     ``residual_norm_``, ``residual_path_`` and ``stop_reason_``, the rule
     that ended the greedy loop: "residual" (the residual stop, checked first),
-    "exhausted" (every block selected), "budget" (``k_max`` blocks selected)
+    "exhausted" (every block selected, or none left that correlates with the
+    residual, so none could lower it), "budget" (``k_max`` blocks selected)
     or "significance" (the ``stop_alpha`` test).
     """
 
@@ -331,10 +333,11 @@ class BlockOMP:
     def fit(self, X, y):
         psi = X if isinstance(X, SensingProduct) else _FormedColumns(as_complex_matrix(X, "X"))
         t, m = psi.shape
-        # y, like the reader, holds 2**shift times the given values
-        y, y_norm2, y_shift = scale_into_range(as_complex_vector(y, "y"), "y")
+        y = as_complex_vector(y, "y")
         if y.shape[0] != t:
             raise ValueError(f"X has {t} rows but y has length {y.shape[0]}")
+        # y, like the reader, holds 2**shift times the given values
+        y, y_norm2, y_shift = scale_into_range(y, "y")
         nb = block_count(self.block_size, m)
         s = m // nb
         alpha = check(self.stop_alpha, "stop_alpha", FRACTION_OR_NONE)
@@ -379,6 +382,9 @@ class BlockOMP:
             scores = (np.abs(corr) ** 2).reshape(nb, s).sum(axis=1)
             scores[selected] = -np.inf
             pick = int(np.argmax(scores))
+            if scores[pick] == 0:  # the residual is orthogonal to every block left
+                stop_reason = "exhausted"
+                break
             if use_score_stop:
                 # u is half the chi-squared statistic on 2s degrees of freedom,
                 # against the mean column energy of the block; the fit goes on

@@ -102,6 +102,8 @@ def as_complex_matrix(x, name: str = "x") -> np.ndarray:
     arr = np.asarray(x, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
+    if not arr.size:
+        raise ValueError(f"{name} must not be empty, got shape {arr.shape}")
     return arr
 
 

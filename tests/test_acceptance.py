@@ -27,6 +27,7 @@ from nfcs import (
 )
 from nfcs.block_rip import empirical_rip_probe
 from nfcs.coherence import _exact_magnitudes, thresholds
+from nfcs.geometry import _steering
 from nfcs.harness import emit, preset_config, run
 
 SEED = 9
@@ -242,9 +243,9 @@ def test_criterion_8a_unitarity_and_norms():
     for _ in range(50):
         theta = float(rng.uniform(-1.5, 1.5))
         r = float(rng.uniform(3.0, 100.0))
-        for mode in ("exact", "taylor"):
-            norm_errs.append(abs(np.linalg.norm(near_steering(CFG, theta, r, mode)) - 1))
-        norm_errs.append(abs(np.linalg.norm(near_steering(CFG, theta, math.inf, "taylor")) - 1))
+        norm_errs.append(abs(np.linalg.norm(near_steering(CFG, theta, r)) - 1))
+        norm_errs.append(abs(np.linalg.norm(_steering(CFG, math.sin(theta), r, "taylor")) - 1))
+        norm_errs.append(abs(np.linalg.norm(_steering(CFG, math.sin(theta), math.inf, "taylor")) - 1))
     ok = gram_err < 1e-10 and max(norm_errs) < 1e-12
     report(
         "8a unitarity and norms",
@@ -261,8 +262,8 @@ def test_criterion_8b_chirp_factorization():
     for _ in range(50):
         theta = float(rng.uniform(-1.5, 1.5))
         r = float(rng.uniform(3.0, 100.0))
-        lhs = near_steering(CFG, theta, r, "taylor")
-        rhs = near_steering(CFG, theta, math.inf, "taylor") * b_vector(CFG, effective_distance(math.sin(theta), r))
+        lhs = _steering(CFG, math.sin(theta), r, "taylor")
+        rhs = _steering(CFG, math.sin(theta), math.inf, "taylor") * b_vector(CFG, effective_distance(math.sin(theta), r))
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     ok = worst < 1e-12
     report("8b chirp factorization", ok, f"worst entry deviation {worst:.2e} (< 1e-12)")
@@ -327,7 +328,7 @@ def test_criterion_8e_support_containment_mismatched():
         if key not in dmu_cache:
             dmu_cache[key] = build_dmu(CFG, mu)
         alpha = np.abs(
-            dmu_cache[key].matrix.conj().T @ near_steering(CFG, theta0, r0, "taylor")
+            dmu_cache[key].matrix.conj().T @ _steering(CFG, math.sin(theta0), r0, "taylor")
         )
         support = predicted_support(CFG, theta0, mu0, mu, delta)
         above = np.flatnonzero(alpha >= delta)

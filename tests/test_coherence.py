@@ -21,6 +21,7 @@ from nfcs import (
 )
 from nfcs.coherence import B_ZERO_TOL, _sublinear_cap, reduce_angle
 from nfcs.dictionaries import dft_grid
+from nfcs.geometry import _steering
 from nfcs.harness import _fast_analysis_fractions
 from nfcs.validation import POSITIVE, check
 
@@ -166,7 +167,7 @@ class TestExact:
             r0 = float(rng.uniform(3.0, 90.0))
             theta0 = math.asin(sin0)
             mu0 = r0 / math.cos(theta0) ** 2
-            vec = near_steering(cfg, theta0, r0, "taylor")
+            vec = _steering(cfg, math.sin(theta0), r0, "taylor")
             direct = abs(np.vdot(d.matrix[:, m], vec))
             a, b = phase_pair(cfg, grid[m], math.sin(theta0), mu, mu0)
             assert coherence_exact(a, b, cfg.n_antennas) == pytest.approx(direct, abs=1e-12)
@@ -312,7 +313,7 @@ class TestPredictedSupport:
             theta0 = math.asin(s0)
             mu0 = r0 / math.cos(theta0) ** 2
             mu = float(rng.uniform(3.0, 100.0))
-            vec = near_steering(cfg, theta0, r0, "taylor")
+            vec = _steering(cfg, math.sin(theta0), r0, "taylor")
             alpha = np.abs(build_dmu(cfg, mu).matrix.conj().T @ vec)
             support = set(predicted_support(cfg, theta0, mu0, mu, delta).tolist())
             above = set(np.flatnonzero(alpha >= delta).tolist())

@@ -17,11 +17,11 @@ from nfcs import (
     field_boundaries,
     gen_pilots,
     mutual_coherence,
-    near_steering,
     sample_channel,
     synthesize_channel,
 )
 from nfcs.dictionaries import Dictionary, _screen_margin
+from nfcs.geometry import _steering
 
 
 @pytest.fixture
@@ -83,7 +83,7 @@ def test_dmu_columns_are_steering_vectors(cfg):
     for col in (0, 100, 255):
         theta = math.asin(grid[col])
         r = mu * math.cos(theta) ** 2
-        expected = near_steering(cfg, theta, r, mode="taylor")
+        expected = _steering(cfg, math.sin(theta), r, "taylor")
         np.testing.assert_allclose(d.matrix[:, col], expected, atol=1e-12)
 
 
@@ -176,7 +176,7 @@ def test_polar_ring_distances(cfg):
     grid = dft_grid(cfg.n_antennas)
     for ring, radius in enumerate(radii, start=1):
         col = ring * 256 + 37
-        expected = near_steering(cfg, math.asin(grid[37]), radius, "taylor")
+        expected = _steering(cfg, grid[37], radius, "taylor")
         np.testing.assert_allclose(polar.matrix[:, col], expected, atol=1e-12)
 
 
@@ -188,7 +188,7 @@ def test_polar_ring_columns_are_steering_vectors(cfg):
     radii = [math.inf, rayleigh, fresnel]
     grid = dft_grid(cfg.n_antennas)
     for col in (256, 300, 511, 512, 700, 767):
-        expected = near_steering(cfg, math.asin(grid[col % 256]), radii[col // 256], "taylor")
+        expected = _steering(cfg, grid[col % 256], radii[col // 256], "taylor")
         np.testing.assert_allclose(polar.matrix[:, col], expected, atol=1e-12)
 
 

@@ -15,7 +15,7 @@ from nfcs import (
     synthesize_channel,
 )
 from nfcs.dictionaries import dft_grid
-from nfcs.geometry import _element_delay, _scale_gains, _steering
+from nfcs.geometry import _draw_gains, _element_delay, _path_power, _steering
 
 
 @pytest.fixture
@@ -61,13 +61,13 @@ def test_field_boundaries_two_antennas():
 
 
 def test_far_steering_broadside(cfg):
-    v = near_steering(cfg, 0.0, math.inf, "taylor")
+    v = _steering(cfg, 0.0, math.inf, "taylor")
     np.testing.assert_allclose(v, np.full(256, 1 / 16.0), atol=1e-15)
 
 
 def test_far_steering_quarter_phase():
     cfg4 = ArrayConfig(carrier_freq=100e9, n_antennas=4)
-    v = near_steering(cfg4, math.asin(0.5), math.inf, "taylor")
+    v = _steering(cfg4, 0.5, math.inf, "taylor")
     phases = np.angle(v * np.sqrt(4))
     expected = np.array([0.0, math.pi / 2, math.pi, -math.pi / 2])
     np.testing.assert_allclose(
@@ -77,15 +77,15 @@ def test_far_steering_quarter_phase():
 
 def test_far_steering_grid_orthogonality(cfg):
     grid = dft_grid(cfg.n_antennas)
-    v1 = near_steering(cfg, math.asin(grid[10]), math.inf, "taylor")
-    v2 = near_steering(cfg, math.asin(grid[200]), math.inf, "taylor")
+    v1 = _steering(cfg, grid[10], math.inf, "taylor")
+    v2 = _steering(cfg, grid[200], math.inf, "taylor")
     assert abs(np.vdot(v1, v2)) < 1e-10
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.4, -1.2])
 @pytest.mark.parametrize("mode", ["exact", "taylor"])
 def test_steering_unit_norm(cfg, theta, mode):
-    v = near_steering(cfg, theta, 10.0, mode)
+    v = _steering(cfg, math.sin(theta), 10.0, mode)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
@@ -98,7 +98,7 @@ def test_element_distance_reference_antenna(cfg):
     for mode in ("exact", "taylor"):
         assert element_distance(cfg, 0.7, 5.0, 1, mode) == 5.0
         # so every response starts at phase zero
-        assert near_steering(cfg, 0.7, 5.0, mode)[0] == 1 / 16.0
+        assert _steering(cfg, math.sin(0.7), 5.0, mode)[0] == 1 / 16.0
 
 
 def test_element_distance_broadside_exact(cfg):
@@ -107,7 +107,7 @@ def test_element_distance_broadside_exact(cfg):
     assert got == pytest.approx(math.hypot(3.0, (n - 1) * cfg.spacing), rel=1e-12)
     # the exact response carries that distance as its phase
     phase = -(2 * math.pi / cfg.wavelength) * (got - 3.0)
-    assert near_steering(cfg, 0.0, 3.0, "exact")[n - 1] * 16.0 == pytest.approx(
+    assert near_steering(cfg, 0.0, 3.0)[n - 1] * 16.0 == pytest.approx(
         complex(math.cos(phase), math.sin(phase)), abs=1e-12
     )
 
@@ -122,11 +122,7 @@ def test_element_distance_taylor_accuracy(cfg):
 
 def test_element_distance_rejects_bad_inputs(cfg):
     with pytest.raises(ValueError):
-        near_steering(cfg, 0.1, -2.0, "exact")
-    with pytest.raises(ValueError):
-        near_steering(cfg, 0.1, -2.0, "taylor")
-    with pytest.raises(ValueError):
-        near_steering(cfg, 0.1, 5.0, mode="cubic")
+        near_steering(cfg, 0.1, -2.0)
     with pytest.raises(ValueError):
         _element_delay(0.1, 5.0, 3 * cfg.spacing, "cubic")
 
@@ -142,15 +138,15 @@ def test_taylor_error_decreases_with_distance(cfg):
 
 def test_near_steering_first_entry(cfg):
     for mode in ("exact", "taylor"):
-        v = near_steering(cfg, 0.9, 7.0, mode)
+        v = _steering(cfg, math.sin(0.9), 7.0, mode)
         assert v[0] == pytest.approx(1 / 16.0, abs=1e-15)
 
 
 def test_near_steering_hadamard_factorization(cfg):
     # the second-order response factors into plane-wave times chirp
     theta, r = 0.35, 8.0
-    v = near_steering(cfg, theta, r, "taylor")
-    plane = near_steering(cfg, theta, math.inf, "taylor")
+    v = _steering(cfg, math.sin(theta), r, "taylor")
+    plane = _steering(cfg, math.sin(theta), math.inf, "taylor")
     factored = plane * b_vector(cfg, effective_distance(math.sin(theta), r))
     np.testing.assert_allclose(v, factored, atol=1e-12)
 
@@ -158,8 +154,8 @@ def test_near_steering_hadamard_factorization(cfg):
 def test_near_steering_exact_vs_taylor(cfg):
     # frozen from numeric comparison of the two branches at theta=pi/6, r=10 m
     err = np.linalg.norm(
-        near_steering(cfg, math.pi / 6, 10.0, "exact")
-        - near_steering(cfg, math.pi / 6, 10.0, "taylor")
+        near_steering(cfg, math.pi / 6, 10.0)
+        - _steering(cfg, math.sin(math.pi / 6), 10.0, "taylor")
     )
     assert err == pytest.approx(0.083584, rel=1e-3)
     assert err < 0.1
@@ -171,7 +167,7 @@ def test_near_steering_taylor_far_limit(cfg):
     # the plane-wave response exp(+j*(2pi/lam)*(n-1)*d*sin(theta))/sqrt(N)
     n = np.arange(cfg.n_antennas)
     plane = np.exp(1j * (2 * math.pi / cfg.wavelength) * n * cfg.spacing * math.sin(theta)) / 16.0
-    np.testing.assert_allclose(near_steering(cfg, theta, math.inf, "taylor"), plane, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_steering(cfg, math.sin(theta), math.inf, "taylor"), plane, rtol=0, atol=1e-12)
 
 
 def test_steering_kernel_broadcasts_over_distance(cfg):
@@ -180,7 +176,7 @@ def test_steering_kernel_broadcasts_over_distance(cfg):
     responses = _steering(cfg, math.sin(0.4), r, "taylor")
     assert responses.shape == (cfg.n_antennas, 3)
     for j in range(3):
-        assert responses[:, j].tobytes() == near_steering(cfg, 0.4, r[j], "taylor").tobytes()
+        assert responses[:, j].tobytes() == _steering(cfg, math.sin(0.4), r[j], "taylor").tobytes()
 
 
 _LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
@@ -201,7 +197,7 @@ def test_exact_steering_phase_against_long_double(n):
     wavenumber = two_pi / np.longdouble(cfg.wavelength)
     for r in np.geomspace(fresnel, 1e4 * rayleigh, 9):
         for sin_t in (-0.999, -0.5, 0.0, 0.1, 0.7, 0.9999):
-            v = near_steering(cfg, math.asin(sin_t), float(r), "exact")
+            v = near_steering(cfg, math.asin(sin_t), float(r))
             r_ld, sin_ld = np.longdouble(r), np.longdouble(math.sin(math.asin(sin_t)))
             delta = offsets * (offsets - 2 * r_ld * sin_ld) / r_ld**2
             phase = -wavenumber * r_ld * delta / (np.sqrt(1 + delta) + 1)
@@ -214,9 +210,9 @@ def test_exact_steering_phase_against_long_double(n):
 
 def test_near_steering_rejects_bad_distance(cfg):
     with pytest.raises(ValueError):
-        near_steering(cfg, 0.2, -1.0, "exact")
+        near_steering(cfg, 0.2, -1.0)
     with pytest.raises(ValueError):
-        near_steering(cfg, 0.2, math.inf, "exact")
+        near_steering(cfg, 0.2, math.inf)
 
 
 def test_b_vector_basics(cfg):
@@ -266,7 +262,7 @@ def test_effective_distance_values():
 def test_synthesize_single_path(cfg):
     spec = ChannelSpec(gains=(1.0,), thetas=(0.3,), distances=(12.0,))
     h = synthesize_channel(cfg, spec)
-    np.testing.assert_allclose(h, near_steering(cfg, 0.3, 12.0, "exact"), atol=1e-15)
+    np.testing.assert_allclose(h, near_steering(cfg, 0.3, 12.0), atol=1e-15)
     assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -370,13 +366,31 @@ def test_sample_channel_structure_and_ranges(cfg):
 
 
 def test_sample_channel_normalization():
-    # the sparsity runner's path: split the power 13 dB, then scale to unit power
-    rng = np.random.default_rng(9)
-    gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / math.sqrt(2)
-    _scale_gains(gains, 13.0, normalize=True)
-    assert np.sum(np.abs(gains) ** 2) == pytest.approx(1.0, rel=1e-12)
-    ratio = abs(gains[0]) ** 2 / np.sum(np.abs(gains[1:]) ** 2)
-    assert ratio == pytest.approx(10**1.3, abs=1e-9)
+    # the sparsity runner's path: split every draw's power 13 dB, then scale
+    # each draw to unit power
+    gains = _draw_gains(np.random.default_rng(9), (3, 50), 13.0)
+    gains /= np.sqrt(_path_power(gains))
+    np.testing.assert_allclose(np.sum(np.abs(gains) ** 2, axis=0), 1.0, rtol=1e-12)
+    ratio = np.abs(gains[0]) ** 2 / np.sum(np.abs(gains[1:]) ** 2, axis=0)
+    np.testing.assert_allclose(ratio, 10**1.3, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 9, 12])
+def test_batched_gain_split_equals_the_per_draw_formula(n_paths):
+    # a (paths, draws) batch is split and normalised bit for bit as the scalar
+    # formula does each draw on its own; from 9 paths on NumPy sums a draw's
+    # non-LOS powers pairwise
+    draws, power_split_db = 5000, 13.0
+    batch = _draw_gains(np.random.default_rng(11), (n_paths, draws), power_split_db)
+    unit = batch / np.sqrt(_path_power(batch))
+    rng = np.random.default_rng(11)
+    raw = (rng.standard_normal((n_paths, draws)) + 1j * rng.standard_normal((n_paths, draws))) / math.sqrt(2)
+    for g, split, normalised in zip(raw.T, batch.T, unit.T):
+        if n_paths > 1:
+            target = abs(g[0]) ** 2 / 10.0 ** (power_split_db / 10.0)
+            g = np.concatenate([g[:1], g[1:] * math.sqrt(target / float(np.sum(np.abs(g[1:]) ** 2)))])
+        assert split.tobytes() == g.tobytes()
+        assert normalised.tobytes() == (g / math.sqrt(float(np.sum(np.abs(g) ** 2)))).tobytes()
 
 
 def test_sample_channel_rejects_bad_args(cfg):

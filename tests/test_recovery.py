@@ -364,6 +364,24 @@ class TestBlockOMP:
             polar.sensing_operator(np.zeros((6, 16)))
 
     @pytest.mark.parametrize("noise_var", [0.0, 1e-2])
+    def test_never_picks_a_block_the_residual_does_not_reach(self, noise_var):
+        # once the residual is e_5, every block left scores 0 and none can
+        # lower it: the fit used to pick the zero column, 0/0 in the
+        # significance statistic and a zero Gram in the refit
+        X = np.eye(6)[:, :4]
+        X[:, 0] = 0.0
+        est = BlockOMP(noise_var=noise_var).fit(X, 10.0 * X[:, 2] + np.eye(6)[5])
+        np.testing.assert_array_equal(est.support_, [2])
+        assert est.n_iter_ == 1
+        assert est.stop_reason_ == "exhausted"
+        np.testing.assert_array_equal(est.coef_, [0.0, 0.0, 10.0, 0.0])
+
+    @pytest.mark.parametrize("length", [0, 5, 7])
+    def test_rejects_a_y_of_another_length(self, length):
+        with pytest.raises(ValueError, match=f"^X has 6 rows but y has length {length}$"):
+            BlockOMP().fit(np.eye(6)[:, :4], np.ones(length))
+
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-2])
     def test_a_zero_y_stops_at_once(self, noise_var):
         est = BlockOMP(noise_var=noise_var).fit(np.eye(6)[:, :4], np.zeros(6))
         assert est.stop_reason_ == "residual"

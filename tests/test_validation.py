@@ -24,6 +24,7 @@ from nfcs import (
     gen_pilots,
     ls_estimate,
     make_problem,
+    mutual_coherence,
     near_steering,
     noise_variance,
     phase_pair,
@@ -65,6 +66,7 @@ BAD = {
     "angle": (True, math.nan, 3.0),  # a real in (-pi/2, pi/2)
     # the chirp takes an array of distances, where True reads as the distance 1.0
     "array": (math.nan,),
+    "matrix": (np.zeros((0, 4)), np.ones((3, 0))),  # empty
 }
 
 _EYE = np.eye(16, dtype=complex)
@@ -119,11 +121,17 @@ LIBRARY = {
         "real",
         lambda v: empirical_rip_probe(_EYE, 4, 1, 10, 3, target_xi=v),
     ),
+    "empirical_rip_probe.psi": ("psi", "matrix", lambda v: empirical_rip_probe(v, 1, 1, 10, 3)),
+    "BlockOMP.X": ("X", "matrix", lambda v: BlockOMP().fit(v, np.ones(v.shape[0]))),
+    "sensing_operator.pilots": ("pilots", "matrix", lambda v: build_polar_baseline(CFG, 2).sensing_operator(v)),
+    "mutual_coherence.matrix": ("matrix", "matrix", mutual_coherence),
 }
 
 
 @pytest.mark.parametrize(
-    "entry, value", [(entry, v) for entry, (_, kind, _) in LIBRARY.items() for v in BAD[kind]]
+    "entry, value",
+    [(entry, v) for entry, (_, kind, _) in LIBRARY.items() for v in BAD[kind]],
+    ids=lambda v: f"shape{v.shape}" if isinstance(v, np.ndarray) else None,
 )
 def test_library_rejects_a_bad_argument_by_name(entry, value):
     name, _, call = LIBRARY[entry]
