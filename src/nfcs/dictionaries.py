@@ -7,6 +7,7 @@ baseline jointly grids angle and distance and is overcomplete.
 """
 
 import math
+import threading
 
 import numpy as np
 
@@ -46,8 +47,8 @@ class Dictionary:
 
     ``matrix`` and ``row_gram_range`` are read-only caches, each built on
     its first read and never changed after; an instance is otherwise
-    immutable. Two threads that read a cache for the first time at
-    once may each build it, with equal results, and either one is kept.
+    immutable. A cache is built under the instance's lock, so threads that
+    read it for the first time at once build it once and all read that one.
     """
 
     def __init__(self, matrix, mu: float = None, cfg=None):
@@ -56,6 +57,7 @@ class Dictionary:
         self.mu = mu
         self._cfg = cfg
         self._row_gram_range = None
+        self._lock = threading.RLock()  # reentrant: row_gram_range reads matrix
         if matrix is None:
             n = cfg.n_antennas
             shift = np.exp(-1j * np.pi * np.arange(n) * (n - 1) / n)
@@ -73,9 +75,11 @@ class Dictionary:
     def matrix(self) -> np.ndarray:
         """The dense N x M matrix (read-only; chirped kinds build it on first access)."""
         if self._matrix is None:
-            matrix = b_vector(self._cfg, self.mu)[:, None] * _far_matrix(self._cfg)
-            matrix.setflags(write=False)
-            self._matrix = matrix
+            with self._lock:
+                if self._matrix is None:
+                    matrix = b_vector(self._cfg, self.mu)[:, None] * _far_matrix(self._cfg)
+                    matrix.setflags(write=False)
+                    self._matrix = matrix
         return self._matrix
 
     @property
@@ -83,9 +87,16 @@ class Dictionary:
         """The extreme eigenvalues ``(lambda_min, lambda_max)`` of ``D D^H``,
         from one N^3 ``eigvalsh`` on first access, cached; the Gram is not kept."""
         if self._row_gram_range is None:
-            eigs = np.linalg.eigvalsh(self.matrix @ np.conj(self.matrix.T))
-            self._row_gram_range = (float(eigs[0]), float(eigs[-1]))
+            with self._lock:
+                if self._row_gram_range is None:
+                    eigs = np.linalg.eigvalsh(self.matrix @ np.conj(self.matrix.T))
+                    self._row_gram_range = (float(eigs[0]), float(eigs[-1]))
         return self._row_gram_range
+
+    @property
+    def chirped(self) -> bool:
+        """Whether this is a chirped dictionary, applied through its chirp and one FFT."""
+        return self._chirp is not None
 
     @property
     def n_antennas(self) -> int:
@@ -95,25 +106,30 @@ class Dictionary:
     def n_atoms(self) -> int:
         return self.shape[1]
 
-    def sense(self, pilots) -> np.ndarray:
-        """Sensing matrix ``pilots @ D`` for a T x N pilot block."""
+    def sense(self, pilots, overwrite: bool = False) -> np.ndarray:
+        """Sensing matrix ``pilots @ D`` for a T x N pilot block.
+
+        With ``overwrite`` a chirped dictionary forms it in the buffer of
+        writable complex128 pilots, which then hold the product; the result
+        is the same to the bit. A dense dictionary ignores it.
+        """
         arr = as_complex_matrix(pilots, "pilots")
         _check_length(arr, self.n_antennas, "pilot rows")
         if self._chirp is None:
             return arr @ self._matrix
         # the product is transformed in place: one T x N array, not two
-        buf = arr * self._chirp
+        buf = np.multiply(arr, self._chirp, out=arr if overwrite and arr.flags.writeable else None)
         return np.fft.ifft(buf, axis=1, norm="ortho", out=buf)
 
-    def sensing_operator(self, pilots):
+    def sensing_operator(self, pilots, overwrite: bool = False):
         """The sensing matrix ``pilots @ D`` in the form a solver reads it.
 
-        The chirped kinds return ``sense(pilots)``, which one FFT forms in
-        O(T N log N). A dense dictionary returns a ``SensingProduct``: the
-        T x M product would cost T N M to form, while a solver only needs its
-        correlations and a few of its columns.
+        The chirped kinds return ``sense(pilots, overwrite)``, which one FFT
+        forms in O(T N log N). A dense dictionary returns a
+        ``SensingProduct``: the T x M product would cost T N M to form, while
+        a solver only needs its correlations and a few of its columns.
         """
-        return self.sense(pilots) if self._chirp is not None else SensingProduct(pilots, self)
+        return self.sense(pilots, overwrite) if self._chirp is not None else SensingProduct(pilots, self)
 
     def transform(self, X) -> np.ndarray:
         """Adjoint analysis: channel rows (or a single vector) to coefficients."""

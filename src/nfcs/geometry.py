@@ -136,8 +136,19 @@ def finite_phase(cfg: ArrayConfig) -> Rule:
     )
 
 
-# the exact spherical-wavefront delay squares the source distance
-SQUARABLE = Rule(lambda r: math.isfinite(float(r) * float(r)), "must square to a finite float")
+def finite_delay(cfg: ArrayConfig) -> Rule:
+    """The rule of source distances r at which the exact spherical-wavefront
+    delay stays finite.
+
+    The delay squares r and divides offsets of up to the aperture D by r^2,
+    so the rule asks that r^2 be finite and at least the smallest normal
+    float, and that (D / r)^2 stay below a sixteenth of the float range.
+    """
+    nearest = max(math.sqrt(sys.float_info.min), 4.0 * cfg.aperture / math.sqrt(sys.float_info.max))
+    return Rule(
+        lambda r: POSITIVE.predicate(r) and r >= nearest and math.isfinite(float(r) * float(r)),
+        f"must be at least {nearest!r} m and square to a finite float, so that the exact delay stays finite",
+    )
 
 
 def effective_distance(sin_t, r):
@@ -181,8 +192,7 @@ def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
     """Exact spherical-wavefront array response to a source at a finite
     distance ``r``; entry n is exp(-j*(2pi/lam)*(r^(n)-r))/sqrt(N)."""
     check(theta, "theta", ANGLE)
-    check(r, "r", POSITIVE)
-    check(r, "r", SQUARABLE)
+    check(r, "r", finite_delay(cfg))
     return _steering(cfg, math.sin(theta), r, "exact")
 
 
@@ -257,7 +267,7 @@ def sample_channel(
     lo, hi = source_range(cfg) if distance_range is None else distance_range
     check(lo, "distance_range[0]", beyond_fresnel(cfg))
     check((lo, hi), "distance_range", RANGE)
-    check(hi, "distance_range[1]", SQUARABLE)
+    check(hi, "distance_range[1]", finite_delay(cfg))
     rng = as_rng(seed)
     sines, dists = _draw_sources(rng, lo, hi, n_paths)
     gains = _draw_gains(rng, n_paths, power_split_db)

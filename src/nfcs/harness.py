@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import NamedTuple
@@ -22,13 +23,13 @@ from ._files import write_atomic
 from .coherence import coherence_approx, coherence_exact, delta_floor, phase_pair, sparsity_bound
 from .dictionaries import Dictionary, build_dft, build_dmu, build_polar_baseline, half_wavelength, mutual_coherence
 from .dictionaries import polar_range
-from .geometry import SQUARABLE, ArrayConfig, _draw_gains, _draw_sources, _path_power, _steering, b_vector
-from .geometry import beyond_fresnel, effective_distance, field_boundaries, field_regions, finite_phase, sample_channel
-from .geometry import source_range
+from .geometry import ArrayConfig, _draw_gains, _draw_sources, _path_power, _steering, b_vector
+from .geometry import beyond_fresnel, effective_distance, field_boundaries, field_regions, finite_delay, finite_phase
+from .geometry import sample_channel, source_range
 from .recovery import PILOT_KINDS, BlockOMP, enough_for_ls, gen_pilots, ls_estimate, make_problem, nmse
 from .seeding import plain, rng_from
 from .validation import DECIBELS, DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, OPEN_FRACTION, POSITIVE
-from .validation import POSITIVE_OR_INF, RANGE, Rule, divisor_of, integer
+from .validation import POSITIVE_OR_INF, RANGE, Rule, check_integer, divisor_of, integer
 
 
 class _Method(NamedTuple):
@@ -209,7 +210,7 @@ def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
     lo, hi = source_range(cfg, config.distance_min, config.distance_max)
     _require(_key("distance_min"), lo, beyond_fresnel(cfg))
     _require(_key("distance_max" if config.distance_max is not None else "distance_min"), (lo, hi), RANGE)
-    _require(_key("distance_max"), hi, SQUARABLE)
+    _require(_key("distance_max"), hi, finite_delay(cfg))
     # the sampler gives up on a bin after _MU0_DRAWS misses; reject a bin it
     # misses that often with probability above 1e-9
     for b in (b for _, _, b in points if b is not None):
@@ -400,13 +401,18 @@ def _trial_nmse(config, draw, methods, dictionaries, block_sizes):
     Returns a (block size, method) array. Each method senses the draw once,
     through its unformed operator for the polar baseline; a method that is
     not blocked, and ls, is solved once and its value spans every block size.
+    The chirped dictionaries are solved last, and the last of them senses in
+    the draw's own pilot buffer, after every other reader of the pilots has
+    finished: one T x N array per draw, not two.
     """
     values = np.empty((len(block_sizes), len(methods)))
-    for i, (method, dictionary) in enumerate(zip(methods, dictionaries)):
+    order = sorted(range(len(methods)), key=lambda i: dictionaries[i] is not None and dictionaries[i].chirped)
+    for i in order:
+        method, dictionary = methods[i], dictionaries[i]
         if dictionary is None:
             values[:, i] = nmse(draw.channel, ls_estimate(draw))
             continue
-        operator = dictionary.sensing_operator(draw.pilots)
+        operator = dictionary.sensing_operator(draw.pilots, overwrite=i == order[-1])
         fits = []
         for s in block_sizes if method.blocked else (1,):
             est = BlockOMP(
@@ -424,26 +430,63 @@ def _block_sizes(config):
     return sweep, config.block_size_list if sweep else (config.block_size,)
 
 
-def _nmse_rows(config):
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(fn, items, workers) -> list:
+    """``fn`` of every item, in the items' order, computed on a pool of
+    ``workers`` threads when that is more than one.
+
+    The first exception in item order propagates, as it would from the
+    serial loop; the items not yet started are cancelled, and every worker
+    has ended when it reaches the caller.
+    """
+    if workers <= 1:
+        return list(map(fn, items))
+    from concurrent.futures import ThreadPoolExecutor  # imported here: a serial run never loads it
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _nmse_rows(config, jobs):
     """Runner of every NMSE sweep (rows block-size-major, then grid
-    point, then method).
+    point, then method), on at most ``jobs`` worker threads.
 
     The kind's ``points`` lists the grid as (label, (T, SNR, mu0 bin)). Each
     trial is drawn once and shared by all methods and block sizes at its grid
     point, so differences isolate the estimator. The dictionaries do not
-    depend on the grid point, so each is built once per run.
+    depend on the grid point, so each is built once per run. A (grid point,
+    trial) task depends on nothing but its own coordinates, so the tasks run
+    in any order on any worker; their values are stored by index and reduced
+    in one order, which keeps the tables byte-identical for every ``jobs``.
     """
     cfg = config.array_config()
     dist_range = source_range(cfg, config.distance_min, config.distance_max)
     methods = [_METHODS[m] for m in config.methods]
     dictionaries = [None if m.build is None else m.build(config, cfg) for m in methods]
+    for dictionary in dictionaries:
+        if dictionary is not None and not dictionary.chirped:
+            # a dense dictionary's noisy fits read this bound for their energy
+            # bracket; its build allocates an N x M transient, which a worker's
+            # own malloc heap would keep after the build, so it is built here
+            dictionary.row_gram_range
     points = _KINDS[config.kind].points(config)
     sweep, block_sizes = _block_sizes(config)
+
+    def solve(task):
+        p, trial = task
+        draw = _draw(config, cfg, dist_range, points[p][1], trial)
+        return _trial_nmse(config, draw, methods, dictionaries, block_sizes)
+
+    tasks = [(p, trial) for p in range(len(points)) for trial in range(config.trials)]
     values = np.empty((len(block_sizes), len(points), len(methods), config.trials))
-    for p, (_, point) in enumerate(points):
-        for trial in range(config.trials):
-            draw = _draw(config, cfg, dist_range, point, trial)
-            values[:, p, :, trial] = _trial_nmse(config, draw, methods, dictionaries, block_sizes)
+    for (p, trial), v in zip(tasks, _in_order(solve, tasks, min(jobs, len(tasks)))):
+        values[:, p, :, trial] = v
     for s, by_point in zip(block_sizes, values):
         for (label, _), by_method in zip(points, by_point):
             label = f"s={s},{label}" if sweep else label
@@ -566,7 +609,7 @@ def _run_rip_probe(config: ExperimentConfig):
 
 
 class _Kind(NamedTuple):
-    run: Callable  # config -> (method, grid, metric, value) tuples
+    run: Callable  # config (and for the NMSE sweeps the worker count) -> (method, grid, metric, value) tuples
     grid: str  # the ExperimentConfig field it sweeps; must be non-empty
     check: Callable = None  # (config, array config) -> None; raises ConfigError
     points: Callable = None  # NMSE sweeps: config -> [(label, (T, SNR, mu0 bin))]
@@ -589,18 +632,25 @@ _KINDS = {
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
-def run(config: ExperimentConfig):
+def run(config: ExperimentConfig, jobs: int = None):
     """Run one experiment and return its result rows (no partial results).
 
-    Runners yield ``(method, grid, metric, value)``; every row is stamped here
-    with the experiment id, trial count, seed and config hash.
+    The NMSE sweeps run their (grid point, trial) tasks on a pool of at
+    most ``jobs`` threads (default: every usable CPU), never more than the
+    usable CPUs or the tasks; the rows do not depend on it. The other kinds
+    run serially. Runners yield ``(method, grid, metric, value)``; every row
+    is stamped here with the experiment id, trial count, seed and config hash.
     """
+    usable = _usable_cpus()
+    jobs = usable if jobs is None else min(check_integer(jobs, "jobs", 1), usable)
     config.validate()
     chash = config_hash(config)
+    kind = _KINDS[config.kind]
+    rows = kind.run(config, jobs) if kind.points is not None else kind.run(config)
     # plain ints in the rows: json cannot write a NumPy integer
     return [
         ResultRow(config.experiment_id, method, grid, metric, value, int(config.trials), int(config.seed), chash)
-        for method, grid, metric, value in _KINDS[config.kind].run(config)
+        for method, grid, metric, value in rows
     ]
 
 

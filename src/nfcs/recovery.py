@@ -30,7 +30,6 @@ class SensingProblem:
 
     pilots: np.ndarray
     observations: np.ndarray
-    noise: np.ndarray
     noise_var: float
     channel: np.ndarray
 
@@ -100,15 +99,12 @@ def make_problem(
     h = synthesize_channel(cfg, spec)
     pilots = gen_pilots(n_measurements, cfg.n_antennas, pilot_kind, rng)
     sigma2 = noise_variance(h, cfg.n_antennas, snr_db)
+    observations = pilots @ h
     if sigma2 > 0:
-        noise = math.sqrt(sigma2 / 2.0) * (
+        observations += math.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(n_measurements) + 1j * rng.standard_normal(n_measurements)
         )
-    else:
-        noise = np.zeros(n_measurements, dtype=np.complex128)
-    return SensingProblem(
-        pilots=pilots, observations=pilots @ h + noise, noise=noise, noise_var=sigma2, channel=h
-    )
+    return SensingProblem(pilots=pilots, observations=observations, noise_var=sigma2, channel=h)
 
 
 def _least_squares(sub: np.ndarray, y: np.ndarray):

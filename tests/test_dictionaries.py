@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -454,3 +457,96 @@ def test_sense_leaves_the_pilots_and_matches_the_out_of_place_fft(kind, n):
     assert pilots.tobytes() == before.tobytes()
     expected = np.fft.ifft(pilots * d._chirp, axis=1, norm="ortho")
     assert sensed.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 255, 2048])
+@pytest.mark.parametrize("kind", ["dmu", "dft"])
+def test_sense_with_overwrite_forms_the_same_bytes_in_the_pilots(kind, n):
+    # the chirp multiply and the FFT write into the pilots' own buffer: the
+    # product is the copying sense's to the bit, and its T x N output array
+    # is not allocated
+    cfg_n = ArrayConfig(carrier_freq=100e9, n_antennas=n)
+    d = build_dmu(cfg_n, 20.0) if kind == "dmu" else build_dft(cfg_n)
+    pilots = gen_pilots(40, n, seed=n)
+    peaks = []
+    for overwrite in (False, True):
+        tracemalloc.start()
+        try:
+            sensed = d.sensing_operator(pilots, overwrite=overwrite)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        if not overwrite:
+            expected = sensed
+    assert sensed.tobytes() == expected.tobytes()
+    assert np.shares_memory(sensed, pilots)
+    assert peaks[0] - peaks[1] >= pilots.nbytes
+
+
+def test_overwrite_leaves_read_only_and_dense_pilots_alone(cfg):
+    pilots = gen_pilots(20, 256, seed=3)
+    before = pilots.copy()
+    pilots.setflags(write=False)
+    dmu = build_dmu(cfg, 20.0)
+    assert dmu.sense(pilots, overwrite=True).tobytes() == dmu.sense(before).tobytes()
+    # a dense dictionary's product reads the pilots for the whole fit
+    pilots = before.copy()
+    product = build_polar_baseline(cfg, 2).sensing_operator(pilots, overwrite=True)
+    assert pilots.tobytes() == before.tobytes()
+    assert np.shares_memory(product.pilots, pilots)
+
+
+def _race(read, n_threads=4):
+    """``read()`` from ``n_threads`` threads released together by a barrier,
+    with the interpreter switching threads every microsecond."""
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def reader(k):
+        barrier.wait()
+        results[k] = read()
+
+    threads = [threading.Thread(target=reader, args=(k,)) for k in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def _counting(fn, calls):
+    # a slow build: without the lock every reader would be inside it at once
+    def counted(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.05)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_row_gram_range_is_built_once_by_racing_threads(cfg, monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", _counting(np.linalg.eigvalsh, calls))
+    polar = build_polar_baseline(cfg, 2)
+    results = _race(lambda: polar.row_gram_range)
+    assert len(calls) == 1
+    assert all(r is results[0] for r in results)
+
+
+def test_chirped_matrix_is_built_once_by_racing_threads(cfg, monkeypatch):
+    import nfcs.dictionaries as dictionaries
+
+    calls = []
+    monkeypatch.setattr(dictionaries, "_far_matrix", _counting(dictionaries._far_matrix, calls))
+    dmu = build_dmu(cfg, 20.0)
+    results = _race(lambda: dmu.matrix)
+    assert len(calls) == 1
+    assert all(r is results[0] for r in results)
+    # the row Gram reads the matrix under the same (reentrant) lock
+    assert _race(lambda: build_dmu(cfg, 20.0).row_gram_range)[0][1] == pytest.approx(1.0)

@@ -1,8 +1,13 @@
 import ast
+import concurrent.futures
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nfcs
+from nfcs import harness
 from nfcs.geometry import effective_distance, field_boundaries, source_range
 from nfcs.harness import (
     ConfigError,
@@ -24,6 +31,7 @@ from nfcs.harness import (
     _sample_trial_channel,
     run,
 )
+from nfcs.dictionaries import Dictionary
 from nfcs.recovery import gen_pilots, make_problem
 from nfcs.seeding import plain
 
@@ -335,7 +343,8 @@ class TestExperiments:
             kind="block_size_sweep", block_size_list=(2, 4, 8), snr_db_list=(0.0, 10.0), trials=3
         )
         rows = run(config)
-        assert drawn == [0.0, 0.0, 0.0, 10.0, 10.0, 10.0]
+        # the workers may draw in any order
+        assert sorted(drawn) == [0.0, 0.0, 0.0, 10.0, 10.0, 10.0]
         assert list(dict.fromkeys(r.grid for r in rows)) == [
             f"s={s},snr_db={snr!r}" for s in (2, 4, 8) for snr in (0.0, 10.0)
         ]
@@ -440,6 +449,122 @@ class TestExperiments:
         rows = run(config)
         metrics = {r.metric for r in rows}
         assert metrics == {"xi_hat", "violation_rate"}
+
+
+# one small config per NMSE kind; nmse_vs_T runs ls at N = T = 256, where
+# the least-squares Gram's last bits move with the BLAS thread count
+ENGINE_CONFIGS = {
+    "block_size_sweep": dict(
+        n_antennas=64, n_measurements=32, block_size_list=(2, 4, 8), snr_db_list=(5.0,), trials=6,
+        methods=("dmu_block_omp", "polar_omp"),
+    ),
+    "nmse_vs_T": dict(n_antennas=256, t_list=(256,), trials=4, methods=("dmu_block_omp", "polar_omp", "ls")),
+    "nmse_vs_snr": dict(
+        n_antennas=64, n_measurements=32, snr_db_list=(0.0, 10.0), trials=6,
+        methods=("dmu_block_omp", "polar_omp", "dft_omp"),
+    ),
+    "nmse_vs_mu0": dict(n_antennas=64, n_measurements=32, mu0_bins=(1.0, 3.0), trials=4),
+}
+
+
+class _PoolSpy(concurrent.futures.ThreadPoolExecutor):
+    """A ThreadPoolExecutor that records the worker count of every pool."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None, *args, **kwargs):
+        type(self).sizes.append(max_workers)
+        super().__init__(max_workers, *args, **kwargs)
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    monkeypatch.setattr(_PoolSpy, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _PoolSpy)
+    return _PoolSpy.sizes
+
+
+class TestTrialEngine:
+    @pytest.mark.parametrize("threads", [None, "1"], ids=["blas-threads-unset", "one-blas-thread"])
+    def test_tables_do_not_depend_on_the_worker_count(self, threads):
+        # run in a fresh interpreter, as BLAS reads its thread count at load;
+        # the usable CPUs read 2, so the pool runs on any machine
+        code = (
+            "import sys; from nfcs import harness; harness._usable_cpus = lambda: 2\n"
+            "for kind, fields in CONFIGS.items():\n"
+            "    config = harness.preset_config(kind, 'desk', seed=3)\n"
+            "    for key, value in fields.items(): setattr(config, key, value)\n"
+            "    tables = [harness.emit(harness.run(config, jobs), 'csv', '-') for jobs in (1, 2)]\n"
+            "    print(kind, tables[0] == tables[1], len(tables[0]))\n"
+        ).replace("CONFIGS", repr(ENGINE_CONFIGS))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(nfcs.__file__).resolve().parents[1])
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        assert [kind for kind, _, _ in lines] == list(ENGINE_CONFIGS)
+        assert all(same == "True" and int(size) > 100 for _, same, size in lines), proc.stdout
+
+    def test_pool_size_is_capped_by_the_usable_cpus_and_the_tasks(self, monkeypatch, pool_spy):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        two_tasks = tiny_config(trials=2, n_measurements=16, n_antennas=16)
+        five_tasks = replace(two_tasks, trials=5)
+        run(two_tasks)
+        run(five_tasks)
+        run(five_tasks, jobs=5)
+        run(five_tasks, jobs=2)
+        run(five_tasks, jobs=1)
+        assert pool_spy == [2, 3, 3, 2]
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
+    def test_rejects_a_bad_worker_count_by_name(self, jobs):
+        with pytest.raises(ValueError, match="^jobs must be an integer >= 1"):
+            run(tiny_config(trials=1), jobs)
+
+    def test_analytics_run_serially(self, pool_spy):
+        run(ExperimentConfig(kind="mutual_coherence", seed=1, t_list=(20,), trials=2, n_antennas=16), jobs=2)
+        assert pool_spy == []
+
+    def test_a_worker_error_is_the_serial_error_and_leaves_no_thread(self, monkeypatch, pool_spy):
+        # an unreachable bin that validation admits: the trials of bin 0.1
+        # exhaust the sampling budget, in a worker
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_MU0_DRAWS", 20)
+        monkeypatch.setattr(harness, "_mu0_hit_probability", lambda *args: 1.0)
+        config = replace(preset_config("nmse_vs_mu0", "desk", seed=2), **ENGINE_CONFIGS["nmse_vs_mu0"])
+        config = replace(config, mu0_bins=(3.0, 0.1), trials=3)
+        with pytest.raises(ConfigError) as serial:
+            run(config, jobs=1)
+        assert pool_spy == []
+        before = threading.active_count()
+        with pytest.raises(ConfigError) as pooled:
+            run(config, jobs=2)
+        assert pool_spy == [2]
+        assert str(pooled.value) == str(serial.value)
+        assert pooled.value.field_path == "experiment.mu0_bins"
+        assert threading.active_count() == before
+
+    def test_the_chirped_solve_that_overwrites_the_pilots_comes_last(self, monkeypatch):
+        # ls and the polar product read the pilots, so they are solved first;
+        # the last chirped method senses in the draw's pilot buffer, and no
+        # method's value moves
+        methods = ("dmu_block_omp", "ls", "dft_omp", "polar_omp")
+        config = tiny_config(n_measurements=64, methods=methods, trials=2)
+        alone = {}
+        for m in methods:
+            alone.update({(r.method, r.metric): r.value for r in run(replace(config, methods=(m,)))})
+        senses = []
+        operator = Dictionary.sensing_operator
+
+        def recorded(self, pilots, overwrite=False):
+            senses.append((self.mu, overwrite))
+            return operator(self, pilots, overwrite)
+
+        monkeypatch.setattr(Dictionary, "sensing_operator", recorded)
+        joint = {(r.method, r.metric): r.value for r in run(config, jobs=1)}
+        assert joint == alone
+        assert senses == [(None, False), (config.mu, False), (math.inf, True)] * 2
 
 
 class TestCoherenceErrorExperiment:

@@ -103,14 +103,19 @@ class TestMakeProblem:
     def test_noiseless(self, cfg):
         spec = sample_channel(cfg, 3, seed=5)
         prob = make_problem(cfg, spec, 64, snr_db=math.inf, seed=6)
-        np.testing.assert_array_equal(prob.noise, 0)
-        np.testing.assert_allclose(prob.observations, prob.pilots @ prob.channel, atol=1e-15)
+        # no noise is drawn: the observations are the product itself
+        assert prob.observations.tobytes() == (prob.pilots @ prob.channel).tobytes()
         assert prob.noise_var == 0.0
 
     def test_sensing_matrix_is_product(self, cfg, dmu):
         spec = sample_channel(cfg, 3, seed=9)
         prob = make_problem(cfg, spec, 40, snr_db=10.0, seed=10)
-        assert prob.observations.tobytes() == (prob.pilots @ prob.channel + prob.noise).tobytes()
+        # the noise is drawn after the pilots from the same generator
+        rng = np.random.default_rng(10)
+        pilots = gen_pilots(40, cfg.n_antennas, "gaussian", rng)
+        noise = math.sqrt(prob.noise_var / 2.0) * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        assert prob.pilots.tobytes() == pilots.tobytes()
+        assert prob.observations.tobytes() == (prob.pilots @ prob.channel + noise).tobytes()
         # one draw serves every dictionary: each senses the same pilots
         for dictionary in (dmu, build_dft(cfg)):
             np.testing.assert_allclose(
@@ -809,7 +814,8 @@ class TestPrefixBracket:
         monkeypatch.setattr(BlockOMP, "fit", counted_fit)
         monkeypatch.setattr(SensingProduct, "mean_col_energy", property(counted_energy))
         config = preset_config("nmse_vs_snr", "desk", 1)
-        list(run(dataclasses.replace(config, methods=("polar_omp",))))
+        # one worker: the counters are not updated under a lock
+        list(run(dataclasses.replace(config, methods=("polar_omp",)), jobs=1))
         assert counts["fits"] == 600
         assert counts["traces"] <= 0.01 * counts["fits"]
 

@@ -36,7 +36,7 @@ from nfcs import (
     varrho_bound,
 )
 from nfcs.dictionaries import polar_range
-from nfcs.geometry import finite_phase, source_range
+from nfcs.geometry import finite_delay, finite_phase, source_range
 from nfcs.harness import ConfigError, ExperimentConfig, preset_config
 from nfcs.validation import (
     DECIBELS,
@@ -366,6 +366,15 @@ ONCE_ACCEPTED = {
     "1e-310-polar-ring": ("distance_range[0]", lambda rng: build_polar_baseline(CFG256, 6, (1e-310, 97.0))),
     "1e200-steering": ("r", lambda rng: near_steering(CFG256, 0.0, 1e200)),
     "1e200-path": ("r", lambda rng: synthesize_channel(CFG256, ChannelSpec((1.0,), (0.0,), (1e200,)))),
+    # r^2 underflows to zero (1e-300, 1e-170) or (D / r)^2 overflows (1e-160)
+    **{
+        f"{r!r}-{what}": ("r", call)
+        for r in (1e-300, 1e-170, 1e-160)
+        for what, call in (
+            ("steering", lambda rng, r=r: near_steering(ArrayConfig(100e9, 16), 0.1, r)),
+            ("path", lambda rng, r=r: synthesize_channel(ArrayConfig(100e9, 16), ChannelSpec((1.0,), (0.1,), (r,)))),
+        )
+    },
 }
 
 
@@ -402,3 +411,18 @@ def test_the_nearest_admitted_distance_builds_finite_dictionaries(n_antennas):
 def test_the_largest_squarable_source_distance_synthesizes():
     spec = sample_channel(CFG256, 3, 1, distance_range=(FRESNEL, 1.3e154))
     assert np.all(np.isfinite(synthesize_channel(CFG256, spec)))
+
+
+@pytest.mark.parametrize("n_antennas", [2, 16, 4096])
+def test_the_nearest_admitted_source_distance_steers_finitely(n_antennas):
+    cfg = ArrayConfig(100e9, n_antennas)
+    rule = finite_delay(cfg)
+    far_off, nearest = 5e-324, 1.0
+    for _ in range(100):
+        mid = math.sqrt(far_off) * math.sqrt(nearest)
+        far_off, nearest = (far_off, mid) if rule.predicate(mid) else (mid, nearest)
+    assert nearest <= far_off * (1 + 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (-1.5, 0.0, 1.5):
+            assert np.all(np.isfinite(near_steering(cfg, theta, nearest)))
