@@ -59,17 +59,6 @@ def parse_config_file(path: str) -> dict:
     return overrides
 
 
-def _jobs(text: str) -> int:
-    """``--jobs``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
-
-
 _COMMAND_TO_KIND = {kind.lower().replace("_", "-"): kind for kind in EXPERIMENT_KINDS}
 
 
@@ -97,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="desk",
             help="experiment scale: full-size grids or quick desk-scale runs",
         )
-        p.add_argument(
-            "--jobs",
-            type=_jobs,
-            help="worker threads of the NMSE trials (default and cap: the usable CPUs); "
-            "the tables do not depend on it",
-        )
     return parser
 
 
@@ -123,7 +106,7 @@ def main(argv=None) -> int:
             config = replace(config, trials=args.trials)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        rows = run(config, args.jobs)
+        rows = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

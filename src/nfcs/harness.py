@@ -29,7 +29,7 @@ from .geometry import sample_channel, source_range
 from .recovery import PILOT_KINDS, BlockOMP, enough_for_ls, gen_pilots, ls_estimate, make_problem, nmse
 from .seeding import plain, rng_from
 from .validation import DECIBELS, DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, OPEN_FRACTION, POSITIVE
-from .validation import POSITIVE_OR_INF, RANGE, Rule, check_integer, divisor_of, integer
+from .validation import POSITIVE_OR_INF, RANGE, Rule, divisor_of, integer
 
 
 class _Method(NamedTuple):
@@ -430,6 +430,12 @@ def _block_sizes(config):
     return sweep, config.block_size_list if sweep else (config.block_size,)
 
 
+# Peak RSS was measured within 10% of the serial run's at two workers: each
+# worker holds one draw (16 T N bytes, 13 MB at N = 2048, T = 400), and on
+# nmse-xl-n2048 four workers raised it from 81 MB to 110 MB.
+_MAX_WORKERS = 2
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -453,39 +459,42 @@ def _in_order(fn, items, workers) -> list:
         return list(pool.map(fn, items))
 
 
-def _nmse_rows(config, jobs):
+def _nmse_rows(config):
     """Runner of every NMSE sweep (rows block-size-major, then grid
-    point, then method), on at most ``jobs`` worker threads.
+    point, then method).
 
     The kind's ``points`` lists the grid as (label, (T, SNR, mu0 bin)). Each
     trial is drawn once and shared by all methods and block sizes at its grid
     point, so differences isolate the estimator. The dictionaries do not
     depend on the grid point, so each is built once per run. A (grid point,
     trial) task depends on nothing but its own coordinates, so the tasks run
-    in any order on any worker; their values are stored by index and reduced
-    in one order, which keeps the tables byte-identical for every ``jobs``.
+    on min(usable CPUs, tasks, ``_MAX_WORKERS``) threads in any order; their
+    values are stored by index and reduced in one order, which keeps the
+    tables byte-identical for every worker count.
     """
     cfg = config.array_config()
     dist_range = source_range(cfg, config.distance_min, config.distance_max)
     methods = [_METHODS[m] for m in config.methods]
     dictionaries = [None if m.build is None else m.build(config, cfg) for m in methods]
-    for dictionary in dictionaries:
-        if dictionary is not None and not dictionary.chirped:
-            # a dense dictionary's noisy fits read this bound for their energy
-            # bracket; its build allocates an N x M transient, which a worker's
-            # own malloc heap would keep after the build, so it is built here
-            dictionary.row_gram_range
     points = _KINDS[config.kind].points(config)
     sweep, block_sizes = _block_sizes(config)
+    tasks = [(p, trial) for p in range(len(points)) for trial in range(config.trials)]
+    workers = min(_usable_cpus(), len(tasks), _MAX_WORKERS)
+    if workers > 1 and any(snr_db != math.inf for _, (_, snr_db, _) in points):
+        for dictionary in dictionaries:
+            if dictionary is not None and not dictionary.chirped:
+                # a dense dictionary's noisy fits read this bound for their
+                # energy bracket; its build allocates an N x M transient, which
+                # a worker's own malloc heap would keep after the build
+                dictionary.row_gram_range
 
     def solve(task):
         p, trial = task
         draw = _draw(config, cfg, dist_range, points[p][1], trial)
         return _trial_nmse(config, draw, methods, dictionaries, block_sizes)
 
-    tasks = [(p, trial) for p in range(len(points)) for trial in range(config.trials)]
     values = np.empty((len(block_sizes), len(points), len(methods), config.trials))
-    for (p, trial), v in zip(tasks, _in_order(solve, tasks, min(jobs, len(tasks)))):
+    for (p, trial), v in zip(tasks, _in_order(solve, tasks, workers)):
         values[:, p, :, trial] = v
     for s, by_point in zip(block_sizes, values):
         for (label, _), by_method in zip(points, by_point):
@@ -609,7 +618,7 @@ def _run_rip_probe(config: ExperimentConfig):
 
 
 class _Kind(NamedTuple):
-    run: Callable  # config (and for the NMSE sweeps the worker count) -> (method, grid, metric, value) tuples
+    run: Callable  # config -> (method, grid, metric, value) tuples
     grid: str  # the ExperimentConfig field it sweeps; must be non-empty
     check: Callable = None  # (config, array config) -> None; raises ConfigError
     points: Callable = None  # NMSE sweeps: config -> [(label, (T, SNR, mu0 bin))]
@@ -632,25 +641,20 @@ _KINDS = {
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
-def run(config: ExperimentConfig, jobs: int = None):
+def run(config: ExperimentConfig):
     """Run one experiment and return its result rows (no partial results).
 
-    The NMSE sweeps run their (grid point, trial) tasks on a pool of at
-    most ``jobs`` threads (default: every usable CPU), never more than the
-    usable CPUs or the tasks; the rows do not depend on it. The other kinds
+    The NMSE sweeps run their (grid point, trial) tasks on a small thread
+    pool (see ``_nmse_rows``); the rows do not depend on it. The other kinds
     run serially. Runners yield ``(method, grid, metric, value)``; every row
     is stamped here with the experiment id, trial count, seed and config hash.
     """
-    usable = _usable_cpus()
-    jobs = usable if jobs is None else min(check_integer(jobs, "jobs", 1), usable)
     config.validate()
     chash = config_hash(config)
-    kind = _KINDS[config.kind]
-    rows = kind.run(config, jobs) if kind.points is not None else kind.run(config)
     # plain ints in the rows: json cannot write a NumPy integer
     return [
         ResultRow(config.experiment_id, method, grid, metric, value, int(config.trials), int(config.seed), chash)
-        for method, grid, metric, value in rows
+        for method, grid, metric, value in _KINDS[config.kind].run(config)
     ]
 
 

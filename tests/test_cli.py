@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import io
 import os
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfcs
-from nfcs import harness
 from nfcs.cli import _COMMAND_TO_KIND, main, parse_config_file
 from nfcs.harness import CONFIG_FIELDS, ConfigError, ExperimentConfig, parse_rows
 
@@ -414,31 +412,3 @@ def test_failed_output_rename_exits_3(tmp_path, monkeypatch):
     assert run_cli(["rip-probe", "--seed", "1", "--trials", "10", "--out", str(out)]) == 3
     assert out.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["result.csv"]
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "1.5", "two", ""])
-def test_a_bad_jobs_value_exits_2_naming_jobs(capsys, value):
-    with pytest.raises(SystemExit) as excinfo:
-        run_cli(["nmse-vs-snr", "--trials", "1", "--jobs", value])
-    assert excinfo.value.code == 2
-    assert "argument --jobs: must be an integer >= 1" in capsys.readouterr().err
-
-
-def test_jobs_above_the_usable_cpus_are_capped(tmp_path, capsys, monkeypatch):
-    sizes = []
-
-    class Spy(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    cfg = tmp_path / "small.cfg"
-    cfg.write_text("array.n_antennas = 16\nexperiment.n_measurements = 8\nexperiment.snr_db_list = 5\n")
-    tables = []
-    for jobs in ("1", "2", "3"):
-        assert run_cli(["nmse-vs-snr", "--trials", "4", "--config", str(cfg), "--jobs", jobs]) == 0
-        tables.append(capsys.readouterr().out)
-    assert sizes == [2, 2]
-    assert tables[0] == tables[1] == tables[2]

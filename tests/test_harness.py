@@ -484,17 +484,26 @@ def pool_spy(monkeypatch):
     return _PoolSpy.sizes
 
 
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the CPU count the pool reads: ``usable_cpus(k)``."""
+    return lambda k: monkeypatch.setattr(harness, "_usable_cpus", lambda: k)
+
+
 class TestTrialEngine:
     @pytest.mark.parametrize("threads", [None, "1"], ids=["blas-threads-unset", "one-blas-thread"])
     def test_tables_do_not_depend_on_the_worker_count(self, threads):
         # run in a fresh interpreter, as BLAS reads its thread count at load;
-        # the usable CPUs read 2, so the pool runs on any machine
+        # the usable CPUs read 1 and then 2, so the pool runs on any machine
         code = (
-            "import sys; from nfcs import harness; harness._usable_cpus = lambda: 2\n"
+            "from nfcs import harness\n"
             "for kind, fields in CONFIGS.items():\n"
             "    config = harness.preset_config(kind, 'desk', seed=3)\n"
             "    for key, value in fields.items(): setattr(config, key, value)\n"
-            "    tables = [harness.emit(harness.run(config, jobs), 'csv', '-') for jobs in (1, 2)]\n"
+            "    tables = []\n"
+            "    for cpus in (1, 2):\n"
+            "        harness._usable_cpus = lambda: cpus\n"
+            "        tables.append(harness.emit(harness.run(config), 'csv', '-'))\n"
             "    print(kind, tables[0] == tables[1], len(tables[0]))\n"
         ).replace("CONFIGS", repr(ENGINE_CONFIGS))
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -506,44 +515,57 @@ class TestTrialEngine:
         assert [kind for kind, _, _ in lines] == list(ENGINE_CONFIGS)
         assert all(same == "True" and int(size) > 100 for _, same, size in lines), proc.stdout
 
-    def test_pool_size_is_capped_by_the_usable_cpus_and_the_tasks(self, monkeypatch, pool_spy):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    def test_pool_size_is_the_least_of_usable_cpus_tasks_and_the_cap(self, monkeypatch, pool_spy, usable_cpus):
         two_tasks = tiny_config(trials=2, n_measurements=16, n_antennas=16)
         five_tasks = replace(two_tasks, trials=5)
+        usable_cpus(1)
+        run(five_tasks)
+        usable_cpus(3)
+        run(five_tasks)
+        monkeypatch.setattr(harness, "_MAX_WORKERS", 4)
         run(two_tasks)
         run(five_tasks)
-        run(five_tasks, jobs=5)
-        run(five_tasks, jobs=2)
-        run(five_tasks, jobs=1)
-        assert pool_spy == [2, 3, 3, 2]
+        assert pool_spy == [2, 2, 3]
 
-    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
-    def test_rejects_a_bad_worker_count_by_name(self, jobs):
-        with pytest.raises(ValueError, match="^jobs must be an integer >= 1"):
-            run(tiny_config(trials=1), jobs)
-
-    def test_analytics_run_serially(self, pool_spy):
-        run(ExperimentConfig(kind="mutual_coherence", seed=1, t_list=(20,), trials=2, n_antennas=16), jobs=2)
+    def test_analytics_run_serially(self, pool_spy, usable_cpus):
+        usable_cpus(2)
+        run(ExperimentConfig(kind="mutual_coherence", seed=1, t_list=(20,), trials=2, n_antennas=16))
         assert pool_spy == []
 
-    def test_a_worker_error_is_the_serial_error_and_leaves_no_thread(self, monkeypatch, pool_spy):
+    def test_a_worker_error_is_the_serial_error_and_leaves_no_thread(self, monkeypatch, pool_spy, usable_cpus):
         # an unreachable bin that validation admits: the trials of bin 0.1
         # exhaust the sampling budget, in a worker
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "_MU0_DRAWS", 20)
         monkeypatch.setattr(harness, "_mu0_hit_probability", lambda *args: 1.0)
         config = replace(preset_config("nmse_vs_mu0", "desk", seed=2), **ENGINE_CONFIGS["nmse_vs_mu0"])
         config = replace(config, mu0_bins=(3.0, 0.1), trials=3)
+        usable_cpus(1)
         with pytest.raises(ConfigError) as serial:
-            run(config, jobs=1)
+            run(config)
         assert pool_spy == []
         before = threading.active_count()
+        usable_cpus(2)
         with pytest.raises(ConfigError) as pooled:
-            run(config, jobs=2)
+            run(config)
         assert pool_spy == [2]
         assert str(pooled.value) == str(serial.value)
         assert pooled.value.field_path == "experiment.mu0_bins"
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "cpus, snr_db_list, builds", [(2, (math.inf, 5.0), 1), (2, (math.inf,), 0), (1, (5.0,), 0)]
+    )
+    def test_the_row_gram_range_is_read_before_the_pool_only_for_noisy_pooled_runs(
+        self, monkeypatch, usable_cpus, cpus, snr_db_list, builds
+    ):
+        # a noisy fit reads it anyway, in its worker; a noiseless run never does
+        calls, reads = [], []
+        eigvalsh, in_order = np.linalg.eigvalsh, harness._in_order
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        monkeypatch.setattr(harness, "_in_order", lambda *args: reads.append(len(calls)) or in_order(*args))
+        usable_cpus(cpus)
+        run(tiny_config(n_antennas=16, n_measurements=16, methods=("polar_omp",), snr_db_list=snr_db_list))
+        assert reads == [builds]
 
     def test_the_chirped_solve_that_overwrites_the_pilots_comes_last(self, monkeypatch):
         # ls and the polar product read the pilots, so they are solved first;
@@ -562,7 +584,8 @@ class TestTrialEngine:
             return operator(self, pilots, overwrite)
 
         monkeypatch.setattr(Dictionary, "sensing_operator", recorded)
-        joint = {(r.method, r.metric): r.value for r in run(config, jobs=1)}
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        joint = {(r.method, r.metric): r.value for r in run(config)}
         assert joint == alone
         assert senses == [(None, False), (config.mu, False), (math.inf, True)] * 2
 

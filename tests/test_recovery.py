@@ -10,6 +10,7 @@ import pytest
 from scipy.special import chdtri
 
 import nfcs
+from nfcs import harness
 from nfcs import (
     ArrayConfig,
     BlockOMP,
@@ -815,7 +816,8 @@ class TestPrefixBracket:
         monkeypatch.setattr(SensingProduct, "mean_col_energy", property(counted_energy))
         config = preset_config("nmse_vs_snr", "desk", 1)
         # one worker: the counters are not updated under a lock
-        list(run(dataclasses.replace(config, methods=("polar_omp",)), jobs=1))
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        list(run(dataclasses.replace(config, methods=("polar_omp",))))
         assert counts["fits"] == 600
         assert counts["traces"] <= 0.01 * counts["fits"]
 
