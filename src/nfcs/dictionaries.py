@@ -257,8 +257,7 @@ def build_dmu(cfg: ArrayConfig, mu: float) -> Dictionary:
 
 def build_dft(cfg: ArrayConfig) -> Dictionary:
     """Plain DFT dictionary (the chirped dictionary at infinite effective distance)."""
-    check(cfg.spacing, "spacing", half_wavelength(cfg.wavelength))
-    return Dictionary(None, mu=math.inf, cfg=cfg)
+    return build_dmu(cfg, math.inf)
 
 
 def build_polar_baseline(

@@ -159,6 +159,9 @@ class ExperimentConfig:
                 raise ConfigError(key, f"must be a list, got {value!r}")
             for v in value:
                 _require(key, v, f.metadata["rule"])
+            repeated = [v for v in dict.fromkeys(value) if value.count(v) > 1]
+            if repeated:
+                raise ConfigError(key, f"lists a value more than once: {repeated}")
 
         # checks spanning several fields, each the library's rule under its key
         if not getattr(self, kind.grid):
@@ -196,9 +199,6 @@ def _check_polar_range(config: ExperimentConfig, cfg: ArrayConfig):
 def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
     if not config.methods:
         raise ConfigError(_key("methods"), "must be non-empty")
-    repeated = sorted({m for m in config.methods if config.methods.count(m) > 1})
-    if repeated:
-        raise ConfigError(_key("methods"), f"names a method more than once: {repeated}")
     points = [point for _, point in _KINDS[config.kind].points(config)]
     if any(_METHODS[m].build is None for m in config.methods):
         key = _key("t_list" if _KINDS[config.kind].grid == "t_list" else "n_measurements")
@@ -401,18 +401,16 @@ def _trial_nmse(config, draw, methods, dictionaries, block_sizes):
     Returns a (block size, method) array. Each method senses the draw once,
     through its unformed operator for the polar baseline; a method that is
     not blocked, and ls, is solved once and its value spans every block size.
-    The chirped dictionaries are solved last, and the last of them senses in
-    the draw's own pilot buffer, after every other reader of the pilots has
-    finished: one T x N array per draw, not two.
+    The methods are solved in config order. The last one senses in the
+    draw's own pilot buffer, after every other reader of the pilots has
+    finished: when it is chirped, a draw holds one T x N array, not two.
     """
     values = np.empty((len(block_sizes), len(methods)))
-    order = sorted(range(len(methods)), key=lambda i: dictionaries[i] is not None and dictionaries[i].chirped)
-    for i in order:
-        method, dictionary = methods[i], dictionaries[i]
+    for i, (method, dictionary) in enumerate(zip(methods, dictionaries)):
         if dictionary is None:
             values[:, i] = nmse(draw.channel, ls_estimate(draw))
             continue
-        operator = dictionary.sensing_operator(draw.pilots, overwrite=i == order[-1])
+        operator = dictionary.sensing_operator(draw.pilots, overwrite=i == len(methods) - 1)
         fits = []
         for s in block_sizes if method.blocked else (1,):
             est = BlockOMP(
@@ -430,7 +428,7 @@ def _block_sizes(config):
     return sweep, config.block_size_list if sweep else (config.block_size,)
 
 
-# Peak RSS was measured within 10% of the serial run's at two workers: each
+# Peak RSS was measured within 10% of one worker's at two workers: each
 # worker holds one draw (16 T N bytes, 13 MB at N = 2048, T = 400), and on
 # nmse-xl-n2048 four workers raised it from 81 MB to 110 MB.
 _MAX_WORKERS = 2
@@ -443,22 +441,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_order(fn, items, workers) -> list:
-    """``fn`` of every item, in the items' order, computed on a pool of
-    ``workers`` threads when that is more than one.
-
-    The first exception in item order propagates, as it would from the
-    serial loop; the items not yet started are cancelled, and every worker
-    has ended when it reaches the caller.
-    """
-    if workers <= 1:
-        return list(map(fn, items))
-    from concurrent.futures import ThreadPoolExecutor  # imported here: a serial run never loads it
-
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _nmse_rows(config):
     """Runner of every NMSE sweep (rows block-size-major, then grid
     point, then method).
@@ -468,10 +450,15 @@ def _nmse_rows(config):
     point, so differences isolate the estimator. The dictionaries do not
     depend on the grid point, so each is built once per run. A (grid point,
     trial) task depends on nothing but its own coordinates, so the tasks run
-    on min(usable CPUs, tasks, ``_MAX_WORKERS``) threads in any order; their
-    values are stored by index and reduced in one order, which keeps the
-    tables byte-identical for every worker count.
+    on one pool of min(usable CPUs, tasks, ``_MAX_WORKERS``) threads, one
+    thread included, in any order; their values are stored by index and
+    reduced in one order, which keeps the tables byte-identical for every
+    worker count. The first error in task order propagates, as from a loop:
+    the tasks not yet started are cancelled, and every worker has ended when
+    it reaches the caller.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imported here: `import nfcs` and the analytics never load it
+
     cfg = config.array_config()
     dist_range = source_range(cfg, config.distance_min, config.distance_max)
     methods = [_METHODS[m] for m in config.methods]
@@ -479,8 +466,7 @@ def _nmse_rows(config):
     points = _KINDS[config.kind].points(config)
     sweep, block_sizes = _block_sizes(config)
     tasks = [(p, trial) for p in range(len(points)) for trial in range(config.trials)]
-    workers = min(_usable_cpus(), len(tasks), _MAX_WORKERS)
-    if workers > 1 and any(snr_db != math.inf for _, (_, snr_db, _) in points):
+    if any(snr_db != math.inf for _, (_, snr_db, _) in points):
         for dictionary in dictionaries:
             if dictionary is not None and not dictionary.chirped:
                 # a dense dictionary's noisy fits read this bound for their
@@ -494,8 +480,9 @@ def _nmse_rows(config):
         return _trial_nmse(config, draw, methods, dictionaries, block_sizes)
 
     values = np.empty((len(block_sizes), len(points), len(methods), config.trials))
-    for (p, trial), v in zip(tasks, _in_order(solve, tasks, workers)):
-        values[:, p, :, trial] = v
+    with ThreadPoolExecutor(min(_usable_cpus(), len(tasks), _MAX_WORKERS)) as pool:
+        for (p, trial), v in zip(tasks, pool.map(solve, tasks)):
+            values[:, p, :, trial] = v
     for s, by_point in zip(block_sizes, values):
         for (label, _), by_method in zip(points, by_point):
             label = f"s={s},{label}" if sweep else label

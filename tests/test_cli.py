@@ -172,6 +172,27 @@ def test_cross_field_conflict_exits_2(tmp_path, capsys, command, line, field_pat
     assert capsys.readouterr().err.startswith(f"config error: {field_path}: ")
 
 
+@pytest.mark.parametrize(
+    "command, line, repeated",
+    [
+        ("coherence-error", "experiment.n_list = 64, 128, 64", "[64]"),
+        ("nmse-vs-t", "experiment.t_list = 32, 32", "[32]"),
+        ("nmse-vs-snr", "experiment.snr_db_list = 5, 5", "[5.0]"),
+        ("nmse-vs-mu0", "experiment.mu0_bins = 6, 20, 6.0, 20", "[6.0, 20.0]"),
+        ("block-size-sweep", "experiment.block_size_list = 4, 4", "[4]"),
+        ("nmse-vs-snr", "experiment.methods = polar_omp, dmu_block_omp, polar_omp", "['polar_omp']"),
+    ],
+)
+def test_a_repeated_list_entry_exits_2(tmp_path, capsys, command, line, repeated):
+    # a repeated grid point or method would print its rows twice
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(line + "\n")
+    code = run_cli([command, "--seed", "1", "--trials", "1", "--config", str(cfg)])
+    assert code == 2
+    key = line.split(" =")[0]
+    assert capsys.readouterr().err == f"config error: {key}: lists a value more than once: {repeated}\n"
+
+
 @pytest.mark.parametrize("command", ["nmse-vs-t", "nmse-vs-snr", "block-size-sweep", "nmse-vs-mu0"])
 def test_a_subnormal_delta_runs(tmp_path, capsys, command):
     # its worst-case nonzero count is inf; the solver budget is the rank cap

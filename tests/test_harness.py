@@ -57,7 +57,7 @@ class TestValidation:
             tiny_config(methods=("gradient_descent",)).validate()
 
     def test_repeated_method(self):
-        with pytest.raises(ConfigError, match="experiment.methods: names a method more than once"):
+        with pytest.raises(ConfigError, match=r"experiment.methods: lists a value more than once: \['dmu_block_omp'\]"):
             tiny_config(methods=("dmu_block_omp", "polar_omp", "dmu_block_omp")).validate()
 
     def test_ls_needs_enough_measurements(self):
@@ -516,6 +516,7 @@ class TestTrialEngine:
         assert all(same == "True" and int(size) > 100 for _, same, size in lines), proc.stdout
 
     def test_pool_size_is_the_least_of_usable_cpus_tasks_and_the_cap(self, monkeypatch, pool_spy, usable_cpus):
+        # one CPU runs a pool of one worker: there is no serial path
         two_tasks = tiny_config(trials=2, n_measurements=16, n_antennas=16)
         five_tasks = replace(two_tasks, trials=5)
         usable_cpus(1)
@@ -525,7 +526,7 @@ class TestTrialEngine:
         monkeypatch.setattr(harness, "_MAX_WORKERS", 4)
         run(two_tasks)
         run(five_tasks)
-        assert pool_spy == [2, 2, 3]
+        assert pool_spy == [1, 2, 2, 3]
 
     def test_analytics_run_serially(self, pool_spy, usable_cpus):
         usable_cpus(2)
@@ -534,44 +535,52 @@ class TestTrialEngine:
 
     def test_a_worker_error_is_the_serial_error_and_leaves_no_thread(self, monkeypatch, pool_spy, usable_cpus):
         # an unreachable bin that validation admits: the trials of bin 0.1
-        # exhaust the sampling budget, in a worker
+        # exhaust the sampling budget, in a worker; one worker and two raise
+        # the error of the first failing task and leave no thread behind
         monkeypatch.setattr(harness, "_MU0_DRAWS", 20)
         monkeypatch.setattr(harness, "_mu0_hit_probability", lambda *args: 1.0)
         config = replace(preset_config("nmse_vs_mu0", "desk", seed=2), **ENGINE_CONFIGS["nmse_vs_mu0"])
         config = replace(config, mu0_bins=(3.0, 0.1), trials=3)
-        usable_cpus(1)
-        with pytest.raises(ConfigError) as serial:
-            run(config)
-        assert pool_spy == []
         before = threading.active_count()
-        usable_cpus(2)
-        with pytest.raises(ConfigError) as pooled:
-            run(config)
-        assert pool_spy == [2]
-        assert str(pooled.value) == str(serial.value)
-        assert pooled.value.field_path == "experiment.mu0_bins"
-        assert threading.active_count() == before
+        errors = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            with pytest.raises(ConfigError) as info:
+                run(config)
+            errors.append(info.value)
+            assert threading.active_count() == before
+        assert pool_spy == [1, 2]
+        assert str(errors[0]) == str(errors[1])
+        assert errors[1].field_path == "experiment.mu0_bins"
 
     @pytest.mark.parametrize(
-        "cpus, snr_db_list, builds", [(2, (math.inf, 5.0), 1), (2, (math.inf,), 0), (1, (5.0,), 0)]
+        "cpus, snr_db_list, builds", [(2, (math.inf, 5.0), 1), (2, (math.inf,), 0), (1, (5.0,), 1)]
     )
     def test_the_row_gram_range_is_read_before_the_pool_only_for_noisy_pooled_runs(
-        self, monkeypatch, usable_cpus, cpus, snr_db_list, builds
+        self, monkeypatch, pool_spy, usable_cpus, cpus, snr_db_list, builds
     ):
-        # a noisy fit reads it anyway, in its worker; a noiseless run never does
+        # every run is pooled, one worker included; a noiseless run never
+        # reads the bound
         calls, reads = [], []
-        eigvalsh, in_order = np.linalg.eigvalsh, harness._in_order
+        eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
-        monkeypatch.setattr(harness, "_in_order", lambda *args: reads.append(len(calls)) or in_order(*args))
+        monkeypatch.setattr(_PoolSpy, "__enter__", lambda pool: reads.append(len(calls)) or pool)
         usable_cpus(cpus)
         run(tiny_config(n_antennas=16, n_measurements=16, methods=("polar_omp",), snr_db_list=snr_db_list))
         assert reads == [builds]
 
-    def test_the_chirped_solve_that_overwrites_the_pilots_comes_last(self, monkeypatch):
-        # ls and the polar product read the pilots, so they are solved first;
-        # the last chirped method senses in the draw's pilot buffer, and no
-        # method's value moves
-        methods = ("dmu_block_omp", "ls", "dft_omp", "polar_omp")
+    @pytest.mark.parametrize(
+        "methods",
+        [
+            ("dmu_block_omp", "ls", "polar_omp", "dft_omp"),
+            ("dft_omp", "dmu_block_omp", "ls", "polar_omp"),
+            ("polar_omp", "dft_omp", "dmu_block_omp", "ls"),
+        ],
+        ids=["chirped-last", "polar-last", "ls-last"],
+    )
+    def test_the_last_method_alone_senses_in_place(self, monkeypatch, usable_cpus, methods):
+        # methods are solved in config order; the last one senses in the
+        # draw's pilot buffer, after ls and the polar product have read it
         config = tiny_config(n_measurements=64, methods=methods, trials=2)
         alone = {}
         for m in methods:
@@ -584,10 +593,13 @@ class TestTrialEngine:
             return operator(self, pilots, overwrite)
 
         monkeypatch.setattr(Dictionary, "sensing_operator", recorded)
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        usable_cpus(1)
         joint = {(r.method, r.metric): r.value for r in run(config)}
         assert joint == alone
-        assert senses == [(None, False), (config.mu, False), (math.inf, True)] * 2
+        mus = {"dmu_block_omp": config.mu, "dft_omp": math.inf, "polar_omp": None}
+        solved = [mus[m] for m in methods if m != "ls"]
+        in_place = [i == len(methods) - 1 for i, m in enumerate(methods) if m != "ls"]
+        assert senses == list(zip(solved, in_place)) * 2
 
 
 class TestCoherenceErrorExperiment:

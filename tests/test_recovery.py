@@ -966,9 +966,13 @@ class TestSignificanceStop:
 
 
 def test_import_loads_no_scipy():
-    # SciPy is read only by nfcs.fresnel, which imports it on first call;
-    # importing the package and its command line must not load it
-    code = "import nfcs, nfcs.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # SciPy is read only by nfcs.fresnel, which imports it on first call, and
+    # the thread pool only by the NMSE sweeps; importing the package and its
+    # command line must load neither
+    code = (
+        "import nfcs, nfcs.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+    )
     # the child imports the same nfcs as this test, installed or not
     env = {**os.environ, "PYTHONPATH": str(Path(nfcs.__file__).resolve().parents[1])}
     proc = subprocess.run(
