@@ -16,6 +16,7 @@ from .validation import POSITIVE, RANGE, Rule, as_complex_matrix, as_complex_vec
 from .validation import finite_energy
 
 _COHERENCE_BLOCK = 128  # Gram rows per block of the mutual-coherence sweep
+_HEAD_ROWS = 16  # matrix rows in the head screen of the mutual-coherence sweep
 _BRACKET_PAD = 1e-6
 """Widening of the mean-column-energy bracket, relative to lambda_max of A A^H."""
 
@@ -314,6 +315,18 @@ def _screen_margin(n_rows: int) -> float:
 
     The 1% slack covers the float64 normalisation and the float64 recompute,
     whose errors are of order T 2^-52.
+
+    The same bound holds for the heads of unit columns, whose norms are at
+    most 1, so a head-screen entry ``|h_ij|`` of k rows errs by at most
+    ``_screen_margin(k)``. Its tail term ``t_i t_j`` is summed in float32:
+    t_i is the norm of the tail rows, summed directly, over the column
+    norm, so its float64 error is relative, of order T 2^-53, and the cast
+    to float32, the product and the sum add at most 5u in all (``1 - |h_i|^2``
+    would cancel instead: an error d in it moves t_i by up to sqrt(d)).
+    Threshold tau - 2 ``_screen_margin(k)`` leaves ``_screen_margin(k)``
+    for these and for the float64 rounding of tau; for T > 16 that is
+    ``_screen_margin(16)``, about 3e-6, against 5u = 3e-7, and for T <= 16
+    the tails are zero and add nothing.
     """
     u = 2.0**-24
     n = 2 * n_rows
@@ -367,31 +380,67 @@ def _column_norms(m) -> np.ndarray:
         )
 
 
+def _screen_maxima(screen: np.ndarray, rows: np.ndarray, tails: np.ndarray) -> tuple:
+    """Maxima of ``|s_i^H s_j| + t_i t_j`` over the pairs i < j of the
+    columns s of ``screen``, with i in ``rows`` (ascending column positions):
+    per row of ``rows`` and per column. Row blocks of at most
+    ``_COHERENCE_BLOCK`` rows each meet the columns from the block's first
+    row on."""
+    n_cols = screen.shape[1]
+    row_max = np.empty(rows.size)
+    col_max = np.zeros(n_cols)
+    for k in range(0, rows.size, _COHERENCE_BLOCK):
+        chunk = rows[k : k + _COHERENCE_BLOCK]
+        lo, last = chunk[0], chunk[-1]
+        left = screen[:, chunk].T  # a copy, conjugated in place
+        np.conjugate(left, out=left)
+        block = np.abs(left @ screen[:, lo:])
+        block += np.multiply.outer(tails[chunk], tails[lo:])
+        block[:, : last - lo + 1][np.arange(lo, last + 1) <= chunk[:, None]] = 0.0  # j <= i
+        row_max[k : k + chunk.size] = block.max(axis=1)
+        np.maximum(col_max[lo:], block.max(axis=0), out=col_max[lo:])
+    return row_max, col_max
+
+
 def mutual_coherence(matrix) -> float:
-    """Largest normalised inner product between distinct columns.
+    """Largest normalised inner product between distinct columns, at most 1.
 
-    Two passes over the upper triangle of the Gram, each in row blocks of at
-    most ``_COHERENCE_BLOCK`` rows against the columns from the block's
-    first row on, so neither holds more than ``_COHERENCE_BLOCK x M``
-    entries:
+    For unit columns u_i, u_j split into a head of k = min(T, ``_HEAD_ROWS``)
+    rows and the tail after it, Cauchy-Schwarz bounds
+    ``|u_i^H u_j| <= |h_ij| + t_i t_j``, with ``h_ij`` the inner product of
+    the heads and ``t_i`` the norm of u_i's tail. Three stages over the
+    upper triangle of the Gram, each sweep in row blocks of at most
+    ``_COHERENCE_BLOCK`` rows against the columns from the block's first row
+    on, so none holds more than ``_COHERENCE_BLOCK x M`` entries:
 
-    1. Screen: the columns are normalised in float64 and cast once to
-       complex64; the blocks of their Gram are reduced to per-row and
-       per-column maxima at once. Every screened entry is within
-       ``_screen_margin(T)`` of its exact value, so every pair that attains
-       the exact maximum screens at least the screened maximum minus twice
-       that margin.
-    2. Exact: the rows holding such candidate pairs are recomputed in
-       float64 from the original columns, ``|x_i^H x_j| / (n_i n_j)`` for
-       i != j, against the columns up to the last candidate column.
+    1. Head screen: the k head rows are normalised in float64 and cast to
+       complex64; t is the float64 norm of the tail rows over the column
+       norm. The blocks of ``|h_ij| + t_i t_j`` are reduced to per-row and
+       per-column maxima at once, at k M^2 / 2 complex64 multiply-adds.
+    2. Lower bound: the exact float64 row of the row with the largest bound
+       gives tau, the value of a real pair, so the maximum is at least tau.
+    3. Screen and exact pass: the rows whose bound is at least
+       ``tau - 2 _screen_margin(k)``, and the columns whose bound is, are
+       the only ones that can hold the maximum. Only those columns are
+       normalised and cast to complex64, and the rows are screened against
+       them; every screened entry is within ``_screen_margin(T)`` of its
+       exact value, so every pair that attains the exact maximum screens at
+       least the screened maximum minus twice that margin. The rows holding
+       such candidate pairs are recomputed in float64 from the original
+       columns, ``|x_i^H x_j| / (n_i n_j)`` for i != j, against the columns
+       up to the last candidate column.
 
-    The screen costs T M^2 / 2 complex64 multiply-adds. On a matrix with a
-    few near-maximal pairs the exact pass is a few rows; when every pair is
-    a candidate (a unitary or low-coherence matrix, where the threshold is
-    below zero) it is the full float64 sweep.
+    On a matrix with a few near-maximal pairs, such as a polar sensing
+    matrix, stage 3 is a few rows. On a low-coherence matrix the tails are
+    near 1 and stage 1 rules out nothing: stage 3 is the full T M^2 / 2
+    complex64 screen, and when every pair is a candidate (a unitary matrix,
+    where the last threshold is below zero) the exact pass is the full
+    float64 sweep.
 
     A matrix with a column norm outside ``_NORM_RANGE`` is first scaled
-    column by column by powers of two; in range it is used as it is.
+    column by column by powers of two; in range it is used as it is. The
+    result is capped at 1, which a quotient of near-parallel columns can
+    exceed by rounding.
     """
     m = as_complex_matrix(matrix, "matrix")
     n_rows, n_cols = m.shape
@@ -407,22 +456,37 @@ def mutual_coherence(matrix) -> float:
     if not np.all(np.isfinite(norms)):
         raise ValueError("mutual coherence needs finite columns")
 
-    screen = np.empty(m.shape, dtype=np.complex64)
-    np.divide(m, norms, out=screen, casting="same_kind")
-    row_max = np.zeros(n_cols)  # over j > i
-    col_max = np.zeros(n_cols)  # over i < j
-    lower = np.tri(_COHERENCE_BLOCK, dtype=bool)  # the diagonal and below
-    for lo in range(0, n_cols, _COHERENCE_BLOCK):
-        hi = min(lo + _COHERENCE_BLOCK, n_cols)
-        block = np.abs(np.conj(screen[:, lo:hi].T) @ screen[:, lo:])
-        block[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
-        row_max[lo:hi] = block.max(axis=1)
-        np.maximum(col_max[lo:], block.max(axis=0), out=col_max[lo:])
-    del screen, block
+    # 1. head screen: |h_ij| + t_i t_j, with the tails summed directly
+    n_head = min(n_rows, _HEAD_ROWS)
+    head = np.empty((n_head, n_cols), dtype=np.complex64)
+    np.divide(m[:n_head], norms, out=head, casting="same_kind")
+    tail = m[n_head:]
+    tail_energy = np.einsum("ij,ij->j", tail.real, tail.real) + np.einsum("ij,ij->j", tail.imag, tail.imag)
+    tails = (np.sqrt(tail_energy) / norms).astype(np.float32)
+    row_bound, col_bound = _screen_maxima(head, np.arange(n_cols), tails)
+    del head
+
+    # 2. the exact row of the largest bound: the maximum is at least tau
+    top = row_bound.argmax()
+    exact_row = np.abs(np.conj(m[:, top]) @ m) / (norms[top] * norms)
+    exact_row[top] = 0.0
+    tau = exact_row.max()
+
+    # 3. the complex64 screen of the rows whose bound reaches tau, against
+    # the columns whose bound does, cast column block by column block
+    threshold = tau - 2 * _screen_margin(n_head)
+    kept = np.flatnonzero(row_bound >= threshold)
+    cols = np.union1d(kept, np.flatnonzero(col_bound >= threshold))
+    screen = np.empty((n_rows, cols.size), dtype=np.complex64)
+    for lo in range(0, cols.size, _COHERENCE_BLOCK):
+        part = cols[lo : lo + _COHERENCE_BLOCK]
+        np.divide(m[:, part], norms[part], out=screen[:, lo : lo + part.size], casting="same_kind")
+    row_max, col_max = _screen_maxima(screen, np.searchsorted(cols, kept), np.zeros(cols.size, np.float32))
+    del screen
 
     threshold = row_max.max() - 2 * _screen_margin(n_rows)
-    rows = np.flatnonzero(row_max >= threshold)
-    stop = np.flatnonzero(col_max >= threshold)[-1] + 1
+    rows = kept[row_max >= threshold]
+    stop = cols[np.flatnonzero(col_max >= threshold)[-1]] + 1
     best = 0.0
     for k in range(0, rows.size, _COHERENCE_BLOCK):
         chunk = rows[k : k + _COHERENCE_BLOCK]
@@ -433,5 +497,5 @@ def mutual_coherence(matrix) -> float:
         block /= np.outer(norms[chunk], norms[lo:stop])
         block[np.arange(chunk.size), chunk - lo] = 0.0  # i == j
         best = np.maximum(best, block.max())  # propagates a nan, unlike max()
-    return float(best)
+    return float(np.minimum(best, 1.0))
 

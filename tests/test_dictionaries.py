@@ -23,7 +23,8 @@ from nfcs import (
     sample_channel,
     synthesize_channel,
 )
-from nfcs.dictionaries import Dictionary, _screen_margin
+from nfcs import dictionaries
+from nfcs.dictionaries import _HEAD_ROWS, Dictionary, _screen_margin
 from nfcs.geometry import _steering
 
 
@@ -341,6 +342,103 @@ def test_mutual_coherence_all_candidate_worst_case():
     # allocation that scales with the input; beyond it the bound of
     # test_mutual_coherence_never_forms_the_gram holds
     assert peak < 12e6 + matrix.size * np.dtype(np.complex64).itemsize
+
+
+def test_mutual_coherence_is_capped_at_one():
+    # the float64 quotient of a (1 + 1e-9) multiple read 1 + 2^-52
+    matrix = np.random.default_rng(0).standard_normal((50, 300))
+    matrix[:, 7] = matrix[:, 200] * (1 + 1e-9)
+    assert mutual_coherence(matrix) == 1.0
+    matrix[:, 7] = matrix[:, 200]
+    assert mutual_coherence(matrix) == 1.0
+
+
+@pytest.mark.parametrize("n_rows", [17, 40, 200])
+def test_the_head_bound_holds_within_the_screen_margin(n_rows):
+    # |u_i^H u_j| <= |h_ij| + t_i t_j, with h_ij the complex64 product of the
+    # head rows, is the premise of the head screen
+    rng = np.random.default_rng(n_rows)
+    matrix = random_complex(rng, n_rows, 300)
+    matrix[:, 150:] = matrix[:, :150] + 0.2 * matrix[:, 150:]  # pairs near the bound
+    unit = matrix / np.linalg.norm(matrix, axis=0)
+    exact = np.abs(np.conj(unit.T) @ unit)
+    head = unit[:_HEAD_ROWS].astype(np.complex64)
+    tails = np.linalg.norm(unit[_HEAD_ROWS:], axis=0)
+    bound = np.abs(np.conj(head.T) @ head) + np.outer(tails, tails)
+    assert np.all(exact <= bound + _screen_margin(_HEAD_ROWS))
+    # the sweep's float32 maxima of that bound, over j > i and i < j
+    row_bound, col_bound = dictionaries._screen_maxima(head, np.arange(300), tails.astype(np.float32))
+    upper = np.triu(exact, 1)
+    assert np.all(upper.max(axis=1) <= row_bound + _screen_margin(_HEAD_ROWS) + 2.0**-21)
+    assert np.all(upper.max(axis=0) <= col_bound + _screen_margin(_HEAD_ROWS) + 2.0**-21)
+
+
+@pytest.mark.parametrize("head", ["zero", "shared"])
+def test_mutual_coherence_when_the_head_rows_carry_nothing(head):
+    # zero head rows, or head rows the same in every column: every pair's
+    # bound reaches the maximum, so the head screen rules out no row
+    rng = np.random.default_rng(21)
+    matrix = random_complex(rng, 64, 300)
+    matrix[:_HEAD_ROWS] = 0.0 if head == "zero" else matrix[:_HEAD_ROWS, :1]
+    matrix[:, 250] = matrix[:, 30] + 0.05 * matrix[:, 250]
+    got = mutual_coherence(matrix)
+    assert got == pytest.approx(brute_force_coherence(matrix), rel=1e-12)
+    assert got > 0.99
+
+
+@pytest.mark.parametrize(
+    "i, j, gap",
+    [(3, 4, 1e-3), (10, 200, 1e-6), (127, 128, 1e-9), (0, 299, 1e-12)],
+)
+def test_mutual_coherence_finds_a_near_duplicate_that_differs_outside_the_head(i, j, gap):
+    # the two columns share their head rows; their tails differ by ``gap``
+    matrix = random_complex(np.random.default_rng(i + j), 40, 300)
+    matrix[:, j] = matrix[:, i]
+    matrix[_HEAD_ROWS:, j] += gap * random_complex(np.random.default_rng(j), 40 - _HEAD_ROWS, 1)[:, 0]
+    assert mutual_coherence(matrix) == pytest.approx(brute_force_coherence(matrix), rel=1e-12)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    n_rows=st.sampled_from([1, 5, _HEAD_ROWS - 1, _HEAD_ROWS, _HEAD_ROWS + 1, 30, 64]),
+    n_cols=st.integers(2, 200),
+    seed=st.integers(0, 2**32 - 1),
+    head=st.sampled_from(["random", "zero", "shared"]),
+    gap=st.sampled_from([None, 0.0, 1e-9, 1e-4, 0.1]),
+)
+def test_the_head_screen_matches_brute_force_property(n_rows, n_cols, seed, head, gap):
+    # T below, at and above the head rows; head rows that carry nothing; a
+    # pair planted ``gap`` apart in the rows after the head
+    rng = np.random.default_rng(seed)
+    matrix = random_complex(rng, n_rows, n_cols)
+    if n_rows > _HEAD_ROWS and head != "random":  # a zero head leaves no column zero
+        matrix[:_HEAD_ROWS] = 0.0 if head == "zero" else matrix[:_HEAD_ROWS, :1]
+    if gap is not None:
+        i, j = rng.choice(n_cols, 2, replace=False)
+        matrix[:, j] = matrix[:, i] * np.exp(1j * rng.uniform(0.0, 7.0))
+        matrix[_HEAD_ROWS:, j] += gap * random_complex(rng, max(n_rows - _HEAD_ROWS, 0), 1)[:, 0]
+    assert mutual_coherence(matrix) == pytest.approx(brute_force_coherence(matrix), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [100, 200])
+def test_the_polar_screen_runs_on_a_few_rows(cfg, t, monkeypatch):
+    # the head screen sweeps all 1536 columns of 16 rows; the complex64
+    # screen of all T rows then meets only the few columns that can hold
+    # the maximum
+    calls = []
+    sweep = dictionaries._screen_maxima
+
+    def spy(screen, rows, tails):
+        calls.append((screen.shape, rows.size))
+        return sweep(screen, rows, tails)
+
+    monkeypatch.setattr(dictionaries, "_screen_maxima", spy)
+    polar = build_polar_baseline(cfg, n_rings=6)
+    sensing = polar.sense(gen_pilots(t, cfg.n_antennas, "gaussian", np.random.default_rng(7)))
+    assert mutual_coherence(sensing) == pytest.approx(dense_coherence(sensing), rel=1e-13)
+    (head_shape, head_rows), (screen_shape, screen_rows) = calls
+    assert head_shape == (_HEAD_ROWS, 1536) and head_rows == 1536
+    assert screen_shape[0] == t and screen_shape[1] <= 32 and screen_rows <= 16
 
 
 def test_mutual_coherence_of_columns_beyond_the_complex64_range():
