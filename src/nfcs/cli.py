@@ -1,6 +1,7 @@
 """Command-line front end: one subcommand per experiment kind.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on I/O errors.
+Exit codes: 0 on success, 2 on configuration errors, 3 on I/O errors and
+when memory runs out (``error: out of memory: ...``).
 Config files are flat key/value text with dotted sections, e.g.::
 
     array.n_antennas = 256
@@ -106,14 +107,15 @@ def main(argv=None) -> int:
             config = replace(config, trials=args.trials)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        rows = run(config)
+        text = emit(run(config), args.format, args.out)
+        if args.out == "-":
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        text = emit(rows, args.format, args.out)
-        if args.out == "-":
-            sys.stdout.write(text)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -296,37 +296,34 @@ def analyze(dictionary: Dictionary, h) -> np.ndarray:
 
 
 def _screen_margin(n_rows: int) -> float:
-    """Bound on the error of one screened entry of ``mutual_coherence``.
+    """Bound on the error of one head-screen entry ``|h_ij|`` of
+    ``mutual_coherence``, the complex64 product of ``n_rows`` head rows.
 
-    For unit-norm columns x_i, x_j of length T, with u = 2^-24 the unit
-    roundoff of complex64 and gamma(n) = n u / (1 - n u) (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, sections 3.1 and 3.6):
+    For columns x_i, x_j of norm at most 1 (the heads of unit columns), with
+    u = 2^-24 the unit roundoff of complex64 and gamma(n) = n u / (1 - n u)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, sections 3.1
+    and 3.6):
 
     - the cast to complex64 moves each entry by at most u relative, so
       x_i^H x_j moves by at most (2u + u^2) |x_i|^T |x_j| <= 2u + u^2;
-    - the real and imaginary parts of x_i^H x_j are each a sum of 2T real
-      products; summed in any order, with or without fused multiply-adds,
-      each errs by at most gamma(2T) |x_i|^T |x_j|, so the complex value errs
-      by at most sqrt(2) gamma(2T) (1 + u)^2 for the cast columns;
+    - the real and imaginary parts of x_i^H x_j are each a sum of 2k real
+      products (k = ``n_rows``); summed in any order, with or without fused
+      multiply-adds, each errs by at most gamma(2k) |x_i|^T |x_j|, so the
+      complex value errs by at most sqrt(2) gamma(2k) (1 + u)^2;
     - underflow, gradual or flushed to zero, adds at most the smallest
-      normal 2^-126 per real product or sum (4T per part) and per input
-      entry flushed by the cast; 16T of them bound both;
+      normal 2^-126 per real product or sum (4k per part) and per input
+      entry flushed by the cast; 16k of them bound both;
     - ``abs`` rounds once more, by at most 2u of its result.
 
-    The 1% slack covers the float64 normalisation and the float64 recompute,
-    whose errors are of order T 2^-52.
-
-    The same bound holds for the heads of unit columns, whose norms are at
-    most 1, so a head-screen entry ``|h_ij|`` of k rows errs by at most
-    ``_screen_margin(k)``. Its tail term ``t_i t_j`` is summed in float32:
-    t_i is the norm of the tail rows, summed directly, over the column
-    norm, so its float64 error is relative, of order T 2^-53, and the cast
-    to float32, the product and the sum add at most 5u in all (``1 - |h_i|^2``
-    would cancel instead: an error d in it moves t_i by up to sqrt(d)).
-    Threshold tau - 2 ``_screen_margin(k)`` leaves ``_screen_margin(k)``
-    for these and for the float64 rounding of tau; for T > 16 that is
-    ``_screen_margin(16)``, about 3e-6, against 5u = 3e-7, and for T <= 16
-    the tails are zero and add nothing.
+    The 1% slack covers the float64 normalisation. The tail term
+    ``t_i t_j`` is summed in float32: t_i is the norm of the tail rows,
+    summed directly, over the column norm, so its float64 error is relative,
+    of order T 2^-53, and the cast to float32, the product and the sum add
+    at most 5u in all (``1 - |h_i|^2`` would cancel instead: an error d in it
+    moves t_i by up to sqrt(d)). Threshold tau - 2 ``_screen_margin(k)``
+    leaves ``_screen_margin(k)`` for these and for the float64 rounding of
+    tau; for T > 16 that is ``_screen_margin(16)``, about 3e-6, against
+    5u = 3e-7, and for T <= 16 the tails are zero and add nothing.
     """
     u = 2.0**-24
     n = 2 * n_rows
@@ -335,10 +332,9 @@ def _screen_margin(n_rows: int) -> float:
     return 1.01 * (inner + 2 * u * (1 + inner))
 
 
-# column norms inside which neither the squares of the norms nor the Gram
-# products of two columns over- or underflow
-_NORM_RANGE = (2.0**-400, 2.0**400)
-_ENERGY_RANGE = (2.0**-400, 2.0**400)  # sums of squares that keep BlockOMP's products in range
+# sums of squares whose square roots and pairwise products neither over- nor
+# underflow: BlockOMP's correlations and mutual_coherence's Gram entries
+_ENERGY_RANGE = (2.0**-400, 2.0**400)
 
 
 def unit_exponent(z: np.ndarray, axis: int = None):
@@ -368,38 +364,49 @@ def scale_into_range(arr: np.ndarray, name: str) -> tuple:
     return arr, finite_energy(arr, name), shift
 
 
-def _column_norms(m) -> np.ndarray:
-    """Column 2-norms, by blocks of columns: the norm of all of m would square
-    all of it at once."""
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):  # checked by the caller
-        return np.concatenate(
-            [
-                np.linalg.norm(m[:, lo : lo + _COHERENCE_BLOCK], axis=0)
-                for lo in range(0, m.shape[1], _COHERENCE_BLOCK)
-            ]
-        )
+def _column_energy(x: np.ndarray) -> np.ndarray:
+    """Per-column sums of squares of a complex ``x``."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # checked by the caller
+        return np.einsum("ij,ij->j", x.real, x.real) + np.einsum("ij,ij->j", x.imag, x.imag)
 
 
-def _screen_maxima(screen: np.ndarray, rows: np.ndarray, tails: np.ndarray) -> tuple:
+def _screen_maxima(screen: np.ndarray, tails: np.ndarray) -> tuple:
     """Maxima of ``|s_i^H s_j| + t_i t_j`` over the pairs i < j of the
-    columns s of ``screen``, with i in ``rows`` (ascending column positions):
-    per row of ``rows`` and per column. Row blocks of at most
-    ``_COHERENCE_BLOCK`` rows each meet the columns from the block's first
-    row on."""
+    columns s of ``screen``, per row i and per column j. Row blocks of at
+    most ``_COHERENCE_BLOCK`` rows each meet the columns from the block's
+    first row on."""
     n_cols = screen.shape[1]
-    row_max = np.empty(rows.size)
+    row_max = np.empty(n_cols)
     col_max = np.zeros(n_cols)
-    for k in range(0, rows.size, _COHERENCE_BLOCK):
-        chunk = rows[k : k + _COHERENCE_BLOCK]
-        lo, last = chunk[0], chunk[-1]
-        left = screen[:, chunk].T  # a copy, conjugated in place
-        np.conjugate(left, out=left)
+    for lo in range(0, n_cols, _COHERENCE_BLOCK):
+        hi = min(lo + _COHERENCE_BLOCK, n_cols)
+        left = screen[:, lo:hi].conj().T
         block = np.abs(left @ screen[:, lo:])
-        block += np.multiply.outer(tails[chunk], tails[lo:])
-        block[:, : last - lo + 1][np.arange(lo, last + 1) <= chunk[:, None]] = 0.0  # j <= i
-        row_max[k : k + chunk.size] = block.max(axis=1)
+        block += np.multiply.outer(tails[lo:hi], tails[lo:])
+        block[:, : hi - lo][np.tri(hi - lo, dtype=bool)] = 0.0  # j <= i
+        row_max[lo:hi] = block.max(axis=1)
         np.maximum(col_max[lo:], block.max(axis=0), out=col_max[lo:])
     return row_max, col_max
+
+
+def _exact_maximum(m: np.ndarray, norms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Largest float64 ``|x_i^H x_j| / (n_i n_j)``, or nan if one is nan, over
+    the pairs i != j with i in ``rows`` and j in ``cols`` (both ascending).
+    Row blocks of at most ``_COHERENCE_BLOCK`` rows each meet the columns
+    after the block's first row, gathered at most that many at a time."""
+    best = 0.0
+    for k in range(0, rows.size, _COHERENCE_BLOCK):
+        chunk = rows[k : k + _COHERENCE_BLOCK]
+        left = m[:, chunk].T  # a copy, conjugated in place
+        np.conjugate(left, out=left)
+        later = cols[np.searchsorted(cols, chunk[0], side="right") :]
+        for lo in range(0, later.size, _COHERENCE_BLOCK):
+            part = later[lo : lo + _COHERENCE_BLOCK]
+            block = np.abs(left @ m[:, part])
+            block /= np.outer(norms[chunk], norms[part])
+            block[chunk[:, None] == part] = 0.0  # i == j
+            best = np.maximum(best, block.max())  # propagates a nan, unlike max()
+    return best
 
 
 def mutual_coherence(matrix) -> float:
@@ -408,94 +415,59 @@ def mutual_coherence(matrix) -> float:
     For unit columns u_i, u_j split into a head of k = min(T, ``_HEAD_ROWS``)
     rows and the tail after it, Cauchy-Schwarz bounds
     ``|u_i^H u_j| <= |h_ij| + t_i t_j``, with ``h_ij`` the inner product of
-    the heads and ``t_i`` the norm of u_i's tail. Three stages over the
-    upper triangle of the Gram, each sweep in row blocks of at most
-    ``_COHERENCE_BLOCK`` rows against the columns from the block's first row
-    on, so none holds more than ``_COHERENCE_BLOCK x M`` entries:
+    the heads and ``t_i`` the norm of u_i's tail. Two stages:
 
     1. Head screen: the k head rows are normalised in float64 and cast to
-       complex64; t is the float64 norm of the tail rows over the column
-       norm. The blocks of ``|h_ij| + t_i t_j`` are reduced to per-row and
-       per-column maxima at once, at k M^2 / 2 complex64 multiply-adds.
-    2. Lower bound: the exact float64 row of the row with the largest bound
-       gives tau, the value of a real pair, so the maximum is at least tau.
-    3. Screen and exact pass: the rows whose bound is at least
-       ``tau - 2 _screen_margin(k)``, and the columns whose bound is, are
-       the only ones that can hold the maximum. Only those columns are
-       normalised and cast to complex64, and the rows are screened against
-       them; every screened entry is within ``_screen_margin(T)`` of its
-       exact value, so every pair that attains the exact maximum screens at
-       least the screened maximum minus twice that margin. The rows holding
-       such candidate pairs are recomputed in float64 from the original
-       columns, ``|x_i^H x_j| / (n_i n_j)`` for i != j, against the columns
-       up to the last candidate column.
+       complex64, and t is the tail norm over the column norm, both from one
+       pass of sums of squares. Row blocks of at most ``_COHERENCE_BLOCK``
+       rows sweep the upper triangle of ``|h_ij| + t_i t_j`` for its per-row
+       and per-column maxima, at k M^2 / 2 complex64 multiply-adds. The
+       exact float64 row of the row with the largest bound gives tau, the
+       value of a real pair, so the maximum is at least tau.
+    2. Exact pass: only the rows whose bound is at least
+       ``tau - 2 _screen_margin(k)``, and the later columns whose bound is,
+       can hold the maximum. Their pairs are computed in float64 from the
+       original columns, ``|x_i^H x_j| / (n_i n_j)``, gathering at most
+       ``_COHERENCE_BLOCK`` candidate columns at a time.
 
-    On a matrix with a few near-maximal pairs, such as a polar sensing
-    matrix, stage 3 is a few rows. On a low-coherence matrix the tails are
-    near 1 and stage 1 rules out nothing: stage 3 is the full T M^2 / 2
-    complex64 screen, and when every pair is a candidate (a unitary matrix,
-    where the last threshold is below zero) the exact pass is the full
-    float64 sweep.
+    On a polar sensing matrix stage 2 is a few rows and columns. On a
+    low-coherence matrix the tails are near 1, stage 1 rules out nothing and
+    stage 2 is the float64 sweep of the upper triangle.
 
-    A matrix with a column norm outside ``_NORM_RANGE`` is first scaled
-    column by column by powers of two; in range it is used as it is. The
-    result is capped at 1, which a quotient of near-parallel columns can
+    A matrix with a column sum of squares outside ``_ENERGY_RANGE`` is first
+    scaled column by column by powers of two; in range it is used as it is.
+    The result is capped at 1, which a quotient of near-parallel columns can
     exceed by rounding.
     """
     m = as_complex_matrix(matrix, "matrix")
     n_rows, n_cols = m.shape
     if n_cols < 2:
         raise ValueError("mutual coherence needs at least two columns")
-    norms = _column_norms(m)
-    if not np.all((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1])):
+    n_head = min(n_rows, _HEAD_ROWS)
+    head_energy, tail_energy = _column_energy(m[:n_head]), _column_energy(m[n_head:])
+    energy = head_energy + tail_energy
+    if not np.all((energy >= _ENERGY_RANGE[0]) & (energy <= _ENERGY_RANGE[1])):
         # coherence is scale-invariant, and a power of two moves no rounded result
         m = complex_ldexp(m, unit_exponent(m, axis=0))
-        norms = _column_norms(m)
-    if np.any(norms == 0):
+        head_energy, tail_energy = _column_energy(m[:n_head]), _column_energy(m[n_head:])
+        energy = head_energy + tail_energy
+    if np.any(energy == 0):
         raise ValueError("mutual coherence is undefined for zero columns")
-    if not np.all(np.isfinite(norms)):
+    if not np.all(np.isfinite(energy)):
         raise ValueError("mutual coherence needs finite columns")
+    norms = np.sqrt(energy)
 
-    # 1. head screen: |h_ij| + t_i t_j, with the tails summed directly
-    n_head = min(n_rows, _HEAD_ROWS)
+    # 1. head screen: |h_ij| + t_i t_j, and tau from the row of the largest bound
     head = np.empty((n_head, n_cols), dtype=np.complex64)
     np.divide(m[:n_head], norms, out=head, casting="same_kind")
-    tail = m[n_head:]
-    tail_energy = np.einsum("ij,ij->j", tail.real, tail.real) + np.einsum("ij,ij->j", tail.imag, tail.imag)
     tails = (np.sqrt(tail_energy) / norms).astype(np.float32)
-    row_bound, col_bound = _screen_maxima(head, np.arange(n_cols), tails)
+    row_bound, col_bound = _screen_maxima(head, tails)
     del head
-
-    # 2. the exact row of the largest bound: the maximum is at least tau
     top = row_bound.argmax()
     exact_row = np.abs(np.conj(m[:, top]) @ m) / (norms[top] * norms)
     exact_row[top] = 0.0
-    tau = exact_row.max()
+    threshold = exact_row.max() - 2 * _screen_margin(n_head)
 
-    # 3. the complex64 screen of the rows whose bound reaches tau, against
-    # the columns whose bound does, cast column block by column block
-    threshold = tau - 2 * _screen_margin(n_head)
-    kept = np.flatnonzero(row_bound >= threshold)
-    cols = np.union1d(kept, np.flatnonzero(col_bound >= threshold))
-    screen = np.empty((n_rows, cols.size), dtype=np.complex64)
-    for lo in range(0, cols.size, _COHERENCE_BLOCK):
-        part = cols[lo : lo + _COHERENCE_BLOCK]
-        np.divide(m[:, part], norms[part], out=screen[:, lo : lo + part.size], casting="same_kind")
-    row_max, col_max = _screen_maxima(screen, np.searchsorted(cols, kept), np.zeros(cols.size, np.float32))
-    del screen
-
-    threshold = row_max.max() - 2 * _screen_margin(n_rows)
-    rows = kept[row_max >= threshold]
-    stop = cols[np.flatnonzero(col_max >= threshold)[-1]] + 1
-    best = 0.0
-    for k in range(0, rows.size, _COHERENCE_BLOCK):
-        chunk = rows[k : k + _COHERENCE_BLOCK]
-        lo = chunk[0]
-        left = m[:, chunk].T  # a copy, conjugated in place
-        np.conjugate(left, out=left)
-        block = np.abs(left @ m[:, lo:stop])
-        block /= np.outer(norms[chunk], norms[lo:stop])
-        block[np.arange(chunk.size), chunk - lo] = 0.0  # i == j
-        best = np.maximum(best, block.max())  # propagates a nan, unlike max()
-    return float(np.minimum(best, 1.0))
-
+    # 2. float64 pairs of the candidate rows and the later candidate columns
+    rows, cols = np.flatnonzero(row_bound >= threshold), np.flatnonzero(col_bound >= threshold)
+    return float(np.minimum(_exact_maximum(m, norms, rows, cols), 1.0))

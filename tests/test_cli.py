@@ -331,6 +331,23 @@ def test_unwritable_output_exits_3(capsys):
         ]
     )
     assert code == 3
+    # the path the user gave, not the sibling file written first
+    err = capsys.readouterr().err
+    assert err == "i/o error: [Errno 2] No such file or directory: '/nonexistent-dir/result.csv'\n"
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    # a stand-in for numpy's allocation failure, which no test should provoke
+    def run(config):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(nfcs.cli, "run", run)
+    assert run_cli(["mutual-coherence", "--trials", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: out of memory: Unable to allocate 149. GiB for an array with shape (100000, 100000)\n"
+    )
 
 
 def test_missing_config_file_exits_3(capsys):

@@ -253,12 +253,20 @@ def test_mutual_coherence_finds_a_planted_duplicate(i, j):
     assert mutual_coherence(matrix) == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("t", [100, 200])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_mutual_coherence_matches_dense_gram_on_polar_sensing(cfg, t, seed):
-    polar = build_polar_baseline(cfg, n_rings=6)
+SENSED = [(kind, seed, t) for kind in ("polar", "dmu") for seed in (0, 1, 2) for t in (100, 200)]
+
+
+@pytest.mark.parametrize(
+    "kind, seed, t",
+    SENSED,
+    ids=[f"{seed}-{t}" if kind == "polar" else f"{kind}-{seed}-{t}" for kind, seed, t in SENSED],
+)
+def test_mutual_coherence_matches_dense_gram_on_polar_sensing(cfg, kind, seed, t):
+    # on D_mu the head screen rules out almost no row: the float64 pass
+    # meets nearly every pair of real inputs
+    dictionary = build_polar_baseline(cfg, n_rings=6) if kind == "polar" else build_dmu(cfg, 20.0)
     pilots = gen_pilots(t, cfg.n_antennas, "gaussian", np.random.default_rng(seed))
-    sensing = polar.sense(pilots)
+    sensing = dictionary.sense(pilots)
     assert mutual_coherence(sensing) == pytest.approx(dense_coherence(sensing), rel=1e-13)
 
 
@@ -338,10 +346,9 @@ def test_mutual_coherence_all_candidate_worst_case():
     assert got < 1e-10
     # rounding noise of the order of 1e-15: compared in absolute terms
     assert got == pytest.approx(dense_coherence(matrix), rel=0.0, abs=1e-14)
-    # the complex64 copy of the normalised columns (18.9 MB here) is the one
-    # allocation that scales with the input; beyond it the bound of
-    # test_mutual_coherence_never_forms_the_gram holds
-    assert peak < 12e6 + matrix.size * np.dtype(np.complex64).itemsize
+    # no copy of the whole matrix: two gathered T x 128 complex128 blocks
+    # (3.1 MB each here) are the largest allocations
+    assert peak < 12e6
 
 
 def test_mutual_coherence_is_capped_at_one():
@@ -367,7 +374,7 @@ def test_the_head_bound_holds_within_the_screen_margin(n_rows):
     bound = np.abs(np.conj(head.T) @ head) + np.outer(tails, tails)
     assert np.all(exact <= bound + _screen_margin(_HEAD_ROWS))
     # the sweep's float32 maxima of that bound, over j > i and i < j
-    row_bound, col_bound = dictionaries._screen_maxima(head, np.arange(300), tails.astype(np.float32))
+    row_bound, col_bound = dictionaries._screen_maxima(head, tails.astype(np.float32))
     upper = np.triu(exact, 1)
     assert np.all(upper.max(axis=1) <= row_bound + _screen_margin(_HEAD_ROWS) + 2.0**-21)
     assert np.all(upper.max(axis=0) <= col_bound + _screen_margin(_HEAD_ROWS) + 2.0**-21)
@@ -422,23 +429,27 @@ def test_the_head_screen_matches_brute_force_property(n_rows, n_cols, seed, head
 
 @pytest.mark.parametrize("t", [100, 200])
 def test_the_polar_screen_runs_on_a_few_rows(cfg, t, monkeypatch):
-    # the head screen sweeps all 1536 columns of 16 rows; the complex64
-    # screen of all T rows then meets only the few columns that can hold
-    # the maximum
-    calls = []
-    sweep = dictionaries._screen_maxima
+    # one head screen sweeps all 1536 columns of 16 rows; the exact float64
+    # pass then meets only the few rows and columns that can hold the maximum
+    screens, passes = [], []
+    sweep, exact = dictionaries._screen_maxima, dictionaries._exact_maximum
 
-    def spy(screen, rows, tails):
-        calls.append((screen.shape, rows.size))
-        return sweep(screen, rows, tails)
+    def spy_sweep(screen, tails):
+        screens.append(screen.shape)
+        return sweep(screen, tails)
 
-    monkeypatch.setattr(dictionaries, "_screen_maxima", spy)
+    def spy_exact(m, norms, rows, cols):
+        passes.append((rows.size, cols.size))
+        return exact(m, norms, rows, cols)
+
+    monkeypatch.setattr(dictionaries, "_screen_maxima", spy_sweep)
+    monkeypatch.setattr(dictionaries, "_exact_maximum", spy_exact)
     polar = build_polar_baseline(cfg, n_rings=6)
     sensing = polar.sense(gen_pilots(t, cfg.n_antennas, "gaussian", np.random.default_rng(7)))
     assert mutual_coherence(sensing) == pytest.approx(dense_coherence(sensing), rel=1e-13)
-    (head_shape, head_rows), (screen_shape, screen_rows) = calls
-    assert head_shape == (_HEAD_ROWS, 1536) and head_rows == 1536
-    assert screen_shape[0] == t and screen_shape[1] <= 32 and screen_rows <= 16
+    assert screens == [(_HEAD_ROWS, 1536)]
+    ((n_rows, n_cols),) = passes
+    assert 1 <= n_rows <= 16 and 1 <= n_cols <= 32
 
 
 def test_mutual_coherence_of_columns_beyond_the_complex64_range():

@@ -15,8 +15,8 @@ the trial count, the seed and the config hash exactly, the value within
 
 ``mutual_coherence_desk`` has the desk shape (N = 256, T = 100 and 200) and
 was emitted while ``mutual_coherence`` still swept the whole Gram in float64;
-the complex64 screen and the float64 recompute of its candidate rows move its
-values by a few ulps (at most 6e-16 relative when it was pinned).
+the head screen and the float64 pass over its candidates move its values by a
+few ulps (at most 6e-16 relative when it was pinned, 4.4e-16 since).
 
 ``block_size_sweep``, ``nmse_vs_T`` and ``nmse_vs_mu0`` were emitted before
 the NMSE sweeps drew each trial once for all block sizes. The first and the
