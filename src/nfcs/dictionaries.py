@@ -11,7 +11,7 @@ import threading
 
 import numpy as np
 
-from .geometry import ArrayConfig, _steering, b_vector, field_boundaries, finite_phase
+from .geometry import ArrayConfig, _steering, b_vector, field_boundaries, finite_phase, unit_response
 from .validation import POSITIVE, RANGE, Rule, as_complex_matrix, as_complex_vector, check, check_integer
 from .validation import finite_energy
 
@@ -250,8 +250,9 @@ def polar_range(cfg: ArrayConfig, r_min: float = None, r_max: float = None) -> t
     return fresnel if r_min is None else r_min, rayleigh if r_max is None else r_max
 
 
-def _far_matrix(cfg: ArrayConfig) -> np.ndarray:
-    """The DFT basis F of ``D_mu = diag(b_mu) F``, also ring 0 of the polar baseline.
+def _far_matrix(cfg: ArrayConfig, out: np.ndarray = None) -> np.ndarray:
+    """The DFT basis F of ``D_mu = diag(b_mu) F``, also ring 0 of the polar
+    baseline, formed in ``out`` if given.
 
     Its columns are the plane-wave responses on ``dft_grid``, but their phase
     is formed from the grid product directly, not through ``_steering``: the
@@ -260,7 +261,7 @@ def _far_matrix(cfg: ArrayConfig) -> np.ndarray:
     n = np.arange(cfg.n_antennas)
     grid = dft_grid(cfg.n_antennas)
     phase = (2 * np.pi / cfg.wavelength) * cfg.spacing * np.outer(n, grid)
-    return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
+    return unit_response(phase, out)
 
 
 def build_dmu(cfg: ArrayConfig, mu: float) -> Dictionary:
@@ -299,9 +300,11 @@ def build_polar_baseline(
     grid = dft_grid(n)
     matrix = np.empty((n, n * len(ring_radii)), dtype=np.complex128)
     for k, radius in enumerate(ring_radii):
-        matrix[:, k * n:(k + 1) * n] = (
-            _far_matrix(cfg) if math.isinf(radius) else _steering(cfg, grid, radius, "taylor")
-        )
+        ring = matrix[:, k * n:(k + 1) * n]
+        if math.isinf(radius):
+            _far_matrix(cfg, out=ring)
+        else:
+            _steering(cfg, grid, radius, "taylor", out=ring)
     return Dictionary(matrix)
 
 
@@ -385,22 +388,27 @@ def _column_energy(x: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->j", x.real, x.real) + np.einsum("ij,ij->j", x.imag, x.imag)
 
 
-def _screen_maxima(screen: np.ndarray, tails: np.ndarray) -> tuple:
-    """Maxima of ``|s_i^H s_j| + t_i t_j`` over the pairs i < j of the
-    columns s of ``screen``, per row i and per column j. Row blocks of at
-    most ``_COHERENCE_BLOCK`` rows each meet the columns from the block's
-    first row on."""
+def _screen_maxima(screen: np.ndarray, tails: np.ndarray, starts, stops) -> tuple:
+    """Maxima of ``|s_i^H s_j| + t_i t_j`` per row i and per column j of the
+    columns s of ``screen``, over the pairs that row block b meets: its rows
+    b B to (b + 1) B, with B = ``_COHERENCE_BLOCK``, against the columns
+    ``starts[b]`` to ``stops[b]``. A span that starts at the block's first
+    row meets only the columns after each row (j > i). The maxima are 0
+    where a row or a column meets no pair."""
     n_cols = screen.shape[1]
-    row_max = np.empty(n_cols)
-    col_max = np.zeros(n_cols)
-    for lo in range(0, n_cols, _COHERENCE_BLOCK):
+    row_max, col_max = np.zeros(n_cols), np.zeros(n_cols)
+    lower = np.tri(_COHERENCE_BLOCK, dtype=bool)  # j <= i in a block's own columns
+    for lo, start, stop in zip(range(0, n_cols, _COHERENCE_BLOCK), starts, stops):
+        if start >= stop:
+            continue
         hi = min(lo + _COHERENCE_BLOCK, n_cols)
         left = screen[:, lo:hi].conj().T
-        block = np.abs(left @ screen[:, lo:])
-        block += np.multiply.outer(tails[lo:hi], tails[lo:])
-        block[:, : hi - lo][np.tri(hi - lo, dtype=bool)] = 0.0  # j <= i
-        row_max[lo:hi] = block.max(axis=1)
-        np.maximum(col_max[lo:], block.max(axis=0), out=col_max[lo:])
+        block = np.abs(left @ screen[:, start:stop])
+        block += np.multiply.outer(tails[lo:hi], tails[start:stop])
+        if start == lo:
+            block[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
+        np.maximum(row_max[lo:hi], block.max(axis=1), out=row_max[lo:hi])
+        np.maximum(col_max[start:stop], block.max(axis=0), out=col_max[start:stop])
     return row_max, col_max
 
 
@@ -428,26 +436,38 @@ def mutual_coherence(matrix) -> float:
     """Largest normalised inner product between distinct columns, at most 1.
 
     For unit columns u_i, u_j split into a head of k = min(T, ``_HEAD_ROWS``)
-    rows and the tail after it, Cauchy-Schwarz bounds
-    ``|u_i^H u_j| <= |h_ij| + t_i t_j``, with ``h_ij`` the inner product of
-    the heads and ``t_i`` the norm of u_i's tail. Two stages:
+    rows and the tail after it, of norms s_i and t_i (s_i^2 + t_i^2 = 1),
+    Cauchy-Schwarz bounds ``|u_i^H u_j| <= |h_ij| + t_i t_j``, with ``h_ij``
+    the inner product of the heads, and ``|h_ij| <= s_i s_j``. With the angle
+    ``a_i = atan2(s_i, t_i)`` that gives
+    ``|u_i^H u_j| <= s_i s_j + t_i t_j = cos(a_i - a_j)``. Two stages:
 
-    1. Head screen: the k head rows are normalised in float64 and cast to
-       complex64, and t is the tail norm over the column norm, both from one
-       pass of sums of squares. Row blocks of at most ``_COHERENCE_BLOCK``
-       rows sweep the upper triangle of ``|h_ij| + t_i t_j`` for its per-row
-       and per-column maxima, at k M^2 / 2 complex64 multiply-adds. The
-       exact float64 row of the row with the largest bound gives tau, the
-       value of a real pair, so the maximum is at least tau.
-    2. Exact pass: only the rows whose bound is at least
-       ``tau - 2 _screen_margin(k)``, and the later columns whose bound is,
-       can hold the maximum. Their pairs are computed in float64 from the
-       original columns, ``|x_i^H x_j| / (n_i n_j)``, gathering at most
-       ``_COHERENCE_BLOCK`` candidate columns at a time.
+    1. Head screen in angle order: the columns are sorted by a, which comes
+       from the same pass of sums of squares as the norms; the k head rows
+       are normalised in float64 and cast to complex64, and t is the tail
+       norm over the column norm. Row blocks of at most ``_COHERENCE_BLOCK``
+       rows reduce ``|h_ij| + t_i t_j`` over their pairs i < j to per-row
+       and per-column maxima, at k complex64 multiply-adds a pair:
+       a. each block meets its own columns and the next block's; the exact
+          float64 row of the row with the largest bound gives tau, the value
+          of a real pair, so the maximum is at least tau;
+       b. each block then meets the later columns whose angle lies within
+          ``acos(tau - 3 _screen_margin(k))`` of its last row's. Every pair
+          further apart has ``|u_i^H u_j| <= cos(a_j - a_i)`` below
+          ``tau - 3 _screen_margin(k)``, plus the rounding of the angles
+          (of order 2^-52), so below tau: no skipped pair is the maximum.
+    2. Exact pass: only a pair whose bound is at least
+       ``tau - 2 _screen_margin(k)`` can hold the maximum. The columns that
+       begin or end such a pair are the candidates, and all their pairs are
+       computed in float64 from the original columns,
+       ``|x_i^H x_j| / (n_i n_j)``, gathering at most ``_COHERENCE_BLOCK``
+       candidate columns at a time.
 
-    On a polar sensing matrix stage 2 is a few rows and columns. On a
-    low-coherence matrix the tails are near 1, stage 1 rules out nothing and
-    stage 2 is the float64 sweep of the upper triangle.
+    On an N = 256 polar sensing matrix (M = 1536) step 1b adds no pair, so
+    the screen meets 23.6% of the M (M - 1) / 2 pairs, and stage 2 is 4-12
+    columns. On a low-coherence matrix the tails are near 1, the band spans
+    every angle, stage 1 rules out nothing and stage 2 is the float64 sweep
+    of the upper triangle.
 
     A matrix with a column sum of squares outside ``_ENERGY_RANGE`` is first
     scaled column by column by powers of two; in range it is used as it is.
@@ -472,17 +492,31 @@ def mutual_coherence(matrix) -> float:
         raise ValueError("mutual coherence needs finite columns")
     norms = np.sqrt(energy)
 
-    # 1. head screen: |h_ij| + t_i t_j, and tau from the row of the largest bound
+    # 1. head screen of |h_ij| + t_i t_j in angle order: the pairs of
+    # neighbouring blocks give tau, then the band of the angle gaps whose
+    # cosine reaches tau - 3 margin
+    angles = np.arctan2(np.sqrt(head_energy), np.sqrt(tail_energy))
+    order = np.argsort(angles, kind="stable")
+    angles = angles[order]
     head = np.empty((n_head, n_cols), dtype=np.complex64)
-    np.divide(m[:n_head], norms, out=head, casting="same_kind")
-    tails = (np.sqrt(tail_energy) / norms).astype(np.float32)
-    row_bound, col_bound = _screen_maxima(head, tails)
-    del head
-    top = row_bound.argmax()
+    np.divide(m[:n_head, order], norms[order], out=head, casting="same_kind")
+    tails = (np.sqrt(tail_energy[order]) / norms[order]).astype(np.float32)
+    firsts = np.arange(0, n_cols, _COHERENCE_BLOCK)
+    near = np.minimum(firsts + 2 * _COHERENCE_BLOCK, n_cols)
+    row_bound, col_bound = _screen_maxima(head, tails, firsts, near)
+    top = order[row_bound.argmax()]
     exact_row = np.abs(np.conj(m[:, top]) @ m) / (norms[top] * norms)
     exact_row[top] = 0.0
-    threshold = exact_row.max() - 2 * _screen_margin(n_head)
+    margin = _screen_margin(n_head)
+    threshold = exact_row.max() - 2 * margin
+    reach = math.acos(threshold - margin)  # 0 <= tau <= 1 + rounding
+    lasts = np.minimum(firsts + _COHERENCE_BLOCK, n_cols) - 1
+    stops = np.searchsorted(angles, angles[lasts] + reach, side="right")
+    far_rows, far_cols = _screen_maxima(head, tails, near, stops)
+    del head
+    np.maximum(row_bound, far_rows, out=row_bound)
+    np.maximum(col_bound, far_cols, out=col_bound)
 
-    # 2. float64 pairs of the candidate rows and the later candidate columns
-    rows, cols = np.flatnonzero(row_bound >= threshold), np.flatnonzero(col_bound >= threshold)
-    return float(np.minimum(_exact_maximum(m, norms, rows, cols), 1.0))
+    # 2. float64 pairs of the columns that begin or end a candidate pair
+    candidates = np.union1d(order[row_bound >= threshold], order[col_bound >= threshold])
+    return float(np.minimum(_exact_maximum(m, norms, candidates, candidates), 1.0))

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -450,3 +452,33 @@ def test_failed_output_rename_exits_3(tmp_path, monkeypatch):
     assert run_cli(["rip-probe", "--seed", "1", "--trials", "10", "--out", str(out)]) == 3
     assert out.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["result.csv"]
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("previous\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run_cli(["rip-probe", "--seed", "1", "--trials", "10", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert {r.metric for r in parse_rows(target.read_text(), "csv")} == {"xi_hat", "violation_rate"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_output_to_a_fifo_reaches_its_reader(tmp_path):
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)  # blocks until a writer opens the FIFO
+    reader.start()
+    assert run_cli(["rip-probe", "--seed", "1", "--trials", "10", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert {r.metric for r in parse_rows(received[0].decode(), "csv")} == {"xi_hat", "violation_rate"}
+    assert [p.name for p in tmp_path.iterdir()] == ["table.fifo"]

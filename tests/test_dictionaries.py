@@ -24,7 +24,7 @@ from nfcs import (
     synthesize_channel,
 )
 from nfcs import dictionaries
-from nfcs.dictionaries import _HEAD_ROWS, Dictionary, _screen_margin
+from nfcs.dictionaries import _COHERENCE_BLOCK, _HEAD_ROWS, Dictionary, _screen_margin
 from nfcs.geometry import _steering
 
 
@@ -208,10 +208,11 @@ def _traced_peak(fn):
 
 
 def test_polar_build_holds_the_matrix_once(cfg):
-    # each ring is written into the one N x 6N matrix, so the build holds
-    # the matrix once, plus the temporaries of one ring
+    # each ring's responses are formed in its columns of the one N x 6N
+    # matrix, so the build holds the matrix once, plus the real phase
+    # temporaries of one ring
     polar, peak = _traced_peak(lambda: build_polar_baseline(cfg))
-    assert peak < 1.5 * polar.matrix.nbytes
+    assert peak <= 1.3 * polar.matrix.nbytes
 
 
 def test_row_gram_range_copies_no_conjugate_of_the_matrix(cfg):
@@ -414,7 +415,8 @@ def test_the_head_bound_holds_within_the_screen_margin(n_rows):
     bound = np.abs(np.conj(head.T) @ head) + np.outer(tails, tails)
     assert np.all(exact <= bound + _screen_margin(_HEAD_ROWS))
     # the sweep's float32 maxima of that bound, over j > i and i < j
-    row_bound, col_bound = dictionaries._screen_maxima(head, tails.astype(np.float32))
+    firsts = range(0, 300, _COHERENCE_BLOCK)
+    row_bound, col_bound = dictionaries._screen_maxima(head, tails.astype(np.float32), firsts, [300] * len(firsts))
     upper = np.triu(exact, 1)
     assert np.all(upper.max(axis=1) <= row_bound + _screen_margin(_HEAD_ROWS) + 2.0**-21)
     assert np.all(upper.max(axis=0) <= col_bound + _screen_margin(_HEAD_ROWS) + 2.0**-21)
@@ -467,16 +469,27 @@ def test_the_head_screen_matches_brute_force_property(n_rows, n_cols, seed, head
     assert mutual_coherence(matrix) == pytest.approx(brute_force_coherence(matrix), rel=1e-12)
 
 
+def _pairs_met(n_cols, starts, stops):
+    """The pairs i < j that one ``_screen_maxima`` sweep with these spans meets."""
+    count = 0
+    for lo, start, stop in zip(range(0, n_cols, _COHERENCE_BLOCK), starts, stops):
+        rows = np.arange(lo, min(lo + _COHERENCE_BLOCK, n_cols))
+        count += int(np.clip(stop - np.maximum(rows + 1, start), 0, None).sum())
+    return count
+
+
 @pytest.mark.parametrize("t", [100, 200])
 def test_the_polar_screen_runs_on_a_few_rows(cfg, t, monkeypatch):
-    # one head screen sweeps all 1536 columns of 16 rows; the exact float64
-    # pass then meets only the few rows and columns that can hold the maximum
+    # the head screen of 16 rows, in angle order, meets each block's own
+    # and next columns and a band beyond them, under 30% of all pairs; the
+    # exact float64 pass then meets only the few columns that can hold the
+    # maximum
     screens, passes = [], []
     sweep, exact = dictionaries._screen_maxima, dictionaries._exact_maximum
 
-    def spy_sweep(screen, tails):
-        screens.append(screen.shape)
-        return sweep(screen, tails)
+    def spy_sweep(screen, tails, starts, stops):
+        screens.append((screen.shape, _pairs_met(screen.shape[1], starts, stops)))
+        return sweep(screen, tails, starts, stops)
 
     def spy_exact(m, norms, rows, cols):
         passes.append((rows.size, cols.size))
@@ -487,9 +500,74 @@ def test_the_polar_screen_runs_on_a_few_rows(cfg, t, monkeypatch):
     polar = build_polar_baseline(cfg, n_rings=6)
     sensing = polar.sense(gen_pilots(t, cfg.n_antennas, "gaussian", np.random.default_rng(7)))
     assert mutual_coherence(sensing) == pytest.approx(dense_coherence(sensing), rel=1e-13)
-    assert screens == [(_HEAD_ROWS, 1536)]
+    assert [shape for shape, _ in screens] == [(_HEAD_ROWS, 1536)] * 2
+    assert sum(pairs for _, pairs in screens) <= 0.3 * 1536 * 1535 / 2
     ((n_rows, n_cols),) = passes
-    assert 1 <= n_rows <= 16 and 1 <= n_cols <= 32
+    assert 2 <= n_rows == n_cols <= 16
+
+
+def _with_head_share(column, share):
+    """``column`` with its head rows scaled to hold ``share`` of its unit energy."""
+    head, tail = column[:_HEAD_ROWS], column[_HEAD_ROWS:]
+    return np.concatenate(
+        [head * math.sqrt(share) / np.linalg.norm(head), tail * math.sqrt(1 - share) / np.linalg.norm(tail)]
+    )
+
+
+@pytest.mark.parametrize("i, j", [(0, 599), (5, 300), (130, 520)])
+@pytest.mark.parametrize("shares", [(0.25, 0.2501), (0.05, 0.45)], ids=["crowded", "spread"])
+def test_the_band_finds_a_pair_far_apart_in_angle_order(i, j, shares, monkeypatch):
+    # the heads hold from shares[0] to shares[1] of their column's energy,
+    # rising in column order, so the angles sort in column order: crowded
+    # within 1.2e-4 rad, or spread over 0.5 rad. Columns i and j, more than
+    # two blocks apart in that order, share their shape, so their coherence
+    # is cos(a_j - a_i), the angle bound itself. Columns 200 and 201 read
+    # 1e-7 below it, so the neighbouring blocks give a tau just below the
+    # maximum, and (spread) the band reaches j only from i's block's last row
+    rng = np.random.default_rng(i + j)
+    shares = np.linspace(*shares, 600)
+    matrix = random_complex(rng, 64, 600)
+    matrix[:, j] = np.exp(0.4j) * matrix[:, i]
+    matrix = np.stack([_with_head_share(matrix[:, c], f) for c, f in enumerate(shares)], axis=1)
+    top = math.sqrt(shares[i] * shares[j]) + math.sqrt((1 - shares[i]) * (1 - shares[j]))
+    # column 201: column 200's head, and a tail at the cosine that gives top - 1e-7
+    f0, f1 = shares[200], shares[201]
+    c = (top - 1e-7 - math.sqrt(f0 * f1)) / math.sqrt((1 - f0) * (1 - f1))
+    tail = matrix[_HEAD_ROWS:, 200] / np.linalg.norm(matrix[_HEAD_ROWS:, 200])
+    other = matrix[_HEAD_ROWS:, 201] - np.vdot(tail, matrix[_HEAD_ROWS:, 201]) * tail
+    matrix[:_HEAD_ROWS, 201] = matrix[:_HEAD_ROWS, 200] * math.sqrt(f1 / f0)
+    matrix[_HEAD_ROWS:, 201] = math.sqrt(1 - f1) * (c * tail + math.sqrt(1 - c * c) * other / np.linalg.norm(other))
+    spans = []
+    sweep = dictionaries._screen_maxima
+
+    def spy_sweep(screen, tails, starts, stops):
+        spans.append(_pairs_met(screen.shape[1], starts, stops))
+        return sweep(screen, tails, starts, stops)
+
+    monkeypatch.setattr(dictionaries, "_screen_maxima", spy_sweep)
+    got = mutual_coherence(matrix)
+    assert got == pytest.approx(dense_coherence(matrix), rel=1e-13)
+    assert got == pytest.approx(top, rel=1e-13)
+    assert dense_coherence(np.delete(matrix, j, axis=1)) == pytest.approx(top - 1e-7, rel=1e-13)
+    assert spans[1] > 0  # the band, not the neighbouring blocks, met the pair
+
+
+@pytest.mark.parametrize("n_rows", [17, 40, 200])
+def test_the_angle_bound_holds(n_rows):
+    # |u_i^H u_j| <= s_i s_j + t_i t_j = cos(a_i - a_j), with a = atan2(s, t)
+    # of the head and tail norms, is the premise of the band: pairs further
+    # apart in angle than the threshold allows are skipped
+    rng = np.random.default_rng(n_rows)
+    matrix = random_complex(rng, n_rows, 300)
+    matrix[:, 150:] = matrix[:, :150] + 0.2 * matrix[:, 150:]  # pairs near the bound
+    matrix[:, 299] = 3j * matrix[:, 0]  # a pair at the bound
+    unit = matrix / np.linalg.norm(matrix, axis=0)
+    exact = np.abs(np.conj(unit.T) @ unit)
+    head = np.linalg.norm(matrix[:_HEAD_ROWS], axis=0)
+    tail = np.linalg.norm(matrix[_HEAD_ROWS:], axis=0)
+    angles = np.arctan2(head, tail)
+    i, j = np.triu_indices(300, 1)
+    assert np.all(exact[i, j] <= np.cos(angles[i] - angles[j]) + 1e-15)  # float64 rounding
 
 
 def test_mutual_coherence_of_columns_beyond_the_complex64_range():
