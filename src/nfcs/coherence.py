@@ -13,7 +13,7 @@ import numpy as np
 
 from ._fresnel_table import AUX_CHEBYSHEV, FIT_RANGE
 from .geometry import ArrayConfig
-from .dictionaries import dft_grid
+from .dictionaries import _blocks, dft_grid
 from .validation import ANGLE, FINITE, FRACTION, NONNEGATIVE, POSITIVE_OR_INF, Rule, check, check_all
 from .validation import check_integer
 
@@ -142,12 +142,16 @@ def phase_pair(cfg: ArrayConfig, sin_m, sin_0, mu, mu_0) -> tuple:
 
 
 def _exact_magnitudes(a, b, n_antennas: int) -> np.ndarray:
-    """|1/N sum_{n=0}^{N-1} exp(-j(a n + b n^2))| broadcast over a, b."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    """|1/N sum_{n=0}^{N-1} exp(-j(a n + b n^2))| broadcast over a, b, summed
+    over a block of (a, b) rows of N terms at a time (``_blocks``)."""
+    a, b = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b)))
     n = np.arange(n_antennas)
-    phases = np.multiply.outer(a, n) + np.multiply.outer(b, n * n)
-    return np.abs(np.exp(-1j * phases).sum(axis=-1)) / n_antennas
+    out = np.empty(a.shape)
+    flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
+    for rows in _blocks(out.size, n_antennas):
+        phases = np.multiply.outer(flat_a[rows], n) + np.multiply.outer(flat_b[rows], n * n)
+        flat_out[rows] = np.abs(np.exp(-1j * phases).sum(axis=-1)) / n_antennas
+    return out
 
 
 def _magnitudes(kernel, a, b, n_antennas):
@@ -161,7 +165,9 @@ def _magnitudes(kernel, a, b, n_antennas):
 
 def coherence_exact(a, b, n_antennas: int):
     """Magnitude of the coherence kernel by direct N-term summation; broadcasts
-    over a and b, and is a float for scalar a and b."""
+    over a and b, and is a float for scalar a and b. The sums are formed a
+    block of (a, b) pairs at a time, at most ``_BLOCK_ENTRIES`` terms, so the
+    memory does not grow with the number of pairs."""
     return _magnitudes(_exact_magnitudes, a, b, n_antennas)
 
 

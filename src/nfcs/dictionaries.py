@@ -17,7 +17,12 @@ from .validation import finite_energy
 
 _COHERENCE_BLOCK = 128  # Gram rows per block of the mutual-coherence sweep
 _HEAD_ROWS = 16  # matrix rows in the head screen of the mutual-coherence sweep
-_GRAM_ROWS = 64  # matrix rows conjugated at a time for the row Gram
+_DENSE_BLOCK = 64  # rows of a dense dictionary conjugated, or polar columns formed, at a time
+_BLOCK_ENTRIES = 2**16
+"""Entries of one block of the analytics kernels: the columns of a mutual-
+coherence pass, the draws of the sparsity level and the rows of the exact
+coherence kernel are formed this many entries at a time (1 MiB of complex
+values), so their memory does not grow with the trials or with M."""
 _BRACKET_PAD = 1e-6
 """Widening of the mean-column-energy bracket, relative to lambda_max of A A^H."""
 
@@ -97,13 +102,13 @@ class Dictionary:
 
     def _lower_row_gram(self) -> np.ndarray:
         """The lower triangle of ``D D^H``, which ``eigvalsh`` reads, by blocks
-        of ``_GRAM_ROWS`` columns, each the product of the rows from the
+        of ``_DENSE_BLOCK`` columns, each the product of the rows from the
         block's first on with one conjugated block of rows; no N x M copy."""
         matrix = self.matrix
         n = matrix.shape[0]
         gram = np.zeros((n, n), dtype=np.complex128)
-        for start in range(0, n, _GRAM_ROWS):
-            block = slice(start, start + _GRAM_ROWS)
+        for start in range(0, n, _DENSE_BLOCK):
+            block = slice(start, start + _DENSE_BLOCK)
             gram[start:, block] = matrix[start:] @ np.conj(matrix[block]).T
         return gram
 
@@ -152,7 +157,9 @@ class Dictionary:
         if self._chirp is None:
             out = arr @ np.conj(self._matrix)
         else:
-            out = np.fft.fft(np.conj(self._chirp) * arr, axis=1, norm="ortho")
+            # transformed in place, as in sense: one array, not two
+            buf = np.conj(self._chirp) * arr
+            out = np.fft.fft(buf, axis=1, norm="ortho", out=buf)
         return out[0] if single else out
 
     def inverse_transform(self, X) -> np.ndarray:
@@ -184,7 +191,8 @@ class SensingProduct:
     read; ``energy_bracket`` bounds it from ||P||_F^2 and the extreme
     eigenvalues of ``A A^H`` (see ``recovery._best_prefix``), which the
     dictionary computes once, when a draw first needs them. ``rank_bound``
-    is min(T, N).
+    is min(T, N). ``mutual_coherence`` reads the product a block of
+    columns at a time, through ``pilots`` and ``dictionary.matrix``.
     """
 
     def __init__(self, pilots, dictionary: Dictionary):
@@ -230,6 +238,13 @@ def _as_rows(X):
     return arr, False
 
 
+def _blocks(count: int, length: int) -> list:
+    """Slices of ``count`` vectors of ``length`` entries, as many to a slice
+    as ``_BLOCK_ENTRIES`` holds (at least one)."""
+    width = max(1, _BLOCK_ENTRIES // length)
+    return [slice(start, start + width) for start in range(0, count, width)]
+
+
 def _check_length(rows, length: int, what: str):
     if rows.shape[1] != length:
         raise ValueError(f"expected {what} of length {length}, got {rows.shape[1]}")
@@ -250,16 +265,16 @@ def polar_range(cfg: ArrayConfig, r_min: float = None, r_max: float = None) -> t
     return fresnel if r_min is None else r_min, rayleigh if r_max is None else r_max
 
 
-def _far_matrix(cfg: ArrayConfig, out: np.ndarray = None) -> np.ndarray:
+def _far_matrix(cfg: ArrayConfig, out: np.ndarray = None, cols=slice(None)) -> np.ndarray:
     """The DFT basis F of ``D_mu = diag(b_mu) F``, also ring 0 of the polar
-    baseline, formed in ``out`` if given.
+    baseline, or its columns ``cols``, formed in ``out`` if given.
 
     Its columns are the plane-wave responses on ``dft_grid``, but their phase
     is formed from the grid product directly, not through ``_steering``: the
     other association of the same product moves the last bits of the matrix.
     """
     n = np.arange(cfg.n_antennas)
-    grid = dft_grid(cfg.n_antennas)
+    grid = dft_grid(cfg.n_antennas)[cols]
     phase = (2 * np.pi / cfg.wavelength) * cfg.spacing * np.outer(n, grid)
     return unit_response(phase, out)
 
@@ -283,7 +298,9 @@ def build_polar_baseline(
     Ring 0 sits at infinity (plane-wave atoms, identical to the DFT columns);
     the remaining ``n_rings - 1`` rings sample 1/r uniformly over the given
     distance range (default: ``polar_range(cfg)``). Columns are grouped
-    ring-major so ``n_rings = 1`` reduces exactly to the DFT.
+    ring-major so ``n_rings = 1`` reduces exactly to the DFT. Each ring is
+    formed in place, ``_DENSE_BLOCK`` columns at a time, so the build holds
+    the matrix and the real phase of one block of columns.
     """
     check(cfg.spacing, "spacing", half_wavelength(cfg.wavelength))
     n_rings = check_integer(n_rings, "n_rings", 1)
@@ -301,10 +318,12 @@ def build_polar_baseline(
     matrix = np.empty((n, n * len(ring_radii)), dtype=np.complex128)
     for k, radius in enumerate(ring_radii):
         ring = matrix[:, k * n:(k + 1) * n]
-        if math.isinf(radius):
-            _far_matrix(cfg, out=ring)
-        else:
-            _steering(cfg, grid, radius, "taylor", out=ring)
+        for start in range(0, n, _DENSE_BLOCK):
+            cols = slice(start, start + _DENSE_BLOCK)
+            if math.isinf(radius):
+                _far_matrix(cfg, out=ring[:, cols], cols=cols)
+            else:
+                _steering(cfg, grid[cols], radius, "taylor", out=ring[:, cols])
     return Dictionary(matrix)
 
 
@@ -412,28 +431,84 @@ def _screen_maxima(screen: np.ndarray, tails: np.ndarray, starts, stops) -> tupl
     return row_max, col_max
 
 
-def _exact_maximum(m: np.ndarray, norms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+def _exact_maximum(read, norms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
     """Largest float64 ``|x_i^H x_j| / (n_i n_j)``, or nan if one is nan, over
-    the pairs i != j with i in ``rows`` and j in ``cols`` (both ascending).
-    Row blocks of at most ``_COHERENCE_BLOCK`` rows each meet the columns
-    after the block's first row, gathered at most that many at a time."""
+    the pairs i != j with i in ``rows`` and j in ``cols`` (both ascending),
+    of the columns that ``read(idx)`` returns (see ``_column_reader``). Row
+    blocks of at most ``_COHERENCE_BLOCK`` rows each meet the columns after
+    the block's first row, read at most that many at a time."""
     best = 0.0
     for k in range(0, rows.size, _COHERENCE_BLOCK):
         chunk = rows[k : k + _COHERENCE_BLOCK]
-        left = m[:, chunk].T  # a copy, conjugated in place
+        left = read(chunk).T  # a copy, conjugated in place
         np.conjugate(left, out=left)
         later = cols[np.searchsorted(cols, chunk[0], side="right") :]
         for lo in range(0, later.size, _COHERENCE_BLOCK):
             part = later[lo : lo + _COHERENCE_BLOCK]
-            block = np.abs(left @ m[:, part])
+            block = np.abs(left @ read(part))
             block /= np.outer(norms[chunk], norms[part])
             block[chunk[:, None] == part] = 0.0  # i == j
             best = np.maximum(best, block.max())  # propagates a nan, unlike max()
     return best
 
 
+def _column_reader(matrix, width: int, shifts: np.ndarray = None) -> tuple:
+    """``(read, correlate, buffer)`` of a formed T x M matrix or of a
+    ``SensingProduct`` P A, with column j scaled by ``2**shifts[j]`` if
+    ``shifts`` is given. ``read(cols, buffer=None)`` is the T x len(cols)
+    block of the columns ``cols``: of a formed matrix, a view for a slice
+    and a copy for an index array; of a product, ``P A[:, cols]``, formed in
+    ``buffer`` if given. ``buffer`` holds a block of ``width`` columns of a
+    product, and is None for a formed matrix. ``correlate(x)`` is x^H times
+    every column, ``(x^H P) A`` of a ``SensingProduct``."""
+    if isinstance(matrix, SensingProduct):
+        pilots, atoms = matrix.pilots, matrix.dictionary.matrix
+    else:
+        pilots, atoms = None, matrix
+    if shifts is not None:
+        # a power of two on column j of A is the same power on column j of P A
+        atoms = complex_ldexp(atoms, shifts)
+    if pilots is None:
+        return (lambda cols, buffer=None: atoms[:, cols]), (lambda x: np.conj(x) @ atoms), None
+    n_rows = pilots.shape[0]
+
+    def read(cols, buffer=None):
+        block = atoms[:, cols]
+        out = None if buffer is None else buffer[: n_rows * block.shape[1]].reshape(n_rows, -1)
+        return np.matmul(pilots, block, out=out)
+
+    buffer = np.empty(n_rows * width, dtype=np.complex128)
+    return read, (lambda x: (np.conj(x) @ pilots) @ atoms), buffer
+
+
+def _column_pass(read, blocks: list, n_head: int, n_cols: int, buffer) -> tuple:
+    """The sums of squares of the ``n_head`` head rows and of the tail rows
+    of every column, and the head rows over the column norms in complex64,
+    read one block of columns at a time (a product's into ``buffer``)."""
+    head_energy, tail_energy = np.empty(n_cols), np.empty(n_cols)
+    head = np.empty((n_head, n_cols), dtype=np.complex64)
+    # a column out of range is read again scaled, and a zero or non-finite
+    # one (a product that overflows) rejected, after the pass
+    with np.errstate(all="ignore"):
+        for cols in blocks:
+            block = read(cols, buffer)
+            head_energy[cols] = _column_energy(block[:n_head])
+            tail_energy[cols] = _column_energy(block[n_head:])
+            norms = np.sqrt(head_energy[cols] + tail_energy[cols])
+            np.divide(block[:n_head], norms, out=head[:, cols], casting="same_kind")
+    return head_energy, tail_energy, head
+
+
 def mutual_coherence(matrix) -> float:
     """Largest normalised inner product between distinct columns, at most 1.
+
+    ``matrix`` is a formed T x M matrix, or the ``SensingProduct`` P A that
+    ``Dictionary.sensing_operator`` returns for a dense dictionary, which is
+    never formed. Either is read a block of columns at a time (``_blocks``:
+    at most ``_BLOCK_ENTRIES`` entries), by one algorithm; a formed matrix's
+    blocks are views of it. The memory beyond the input is one block, the
+    complex64 head rows below and the candidate columns of stage 2, however
+    large T and M.
 
     For unit columns u_i, u_j split into a head of k = min(T, ``_HEAD_ROWS``)
     rows and the tail after it, of norms s_i and t_i (s_i^2 + t_i^2 = 1),
@@ -442,15 +517,17 @@ def mutual_coherence(matrix) -> float:
     ``a_i = atan2(s_i, t_i)`` that gives
     ``|u_i^H u_j| <= s_i s_j + t_i t_j = cos(a_i - a_j)``. Two stages:
 
-    1. Head screen in angle order: the columns are sorted by a, which comes
-       from the same pass of sums of squares as the norms; the k head rows
-       are normalised in float64 and cast to complex64, and t is the tail
-       norm over the column norm. Row blocks of at most ``_COHERENCE_BLOCK``
-       rows reduce ``|h_ij| + t_i t_j`` over their pairs i < j to per-row
-       and per-column maxima, at k complex64 multiply-adds a pair:
+    1. Head screen in angle order: one pass over the column blocks takes the
+       sums of squares of the head and tail rows, and the k head rows over
+       the column norm, cast to complex64; t is the tail norm over the
+       column norm. The columns are sorted by a. Row blocks of at most
+       ``_COHERENCE_BLOCK`` rows reduce ``|h_ij| + t_i t_j`` over their pairs
+       i < j to per-row and per-column maxima, at k complex64 multiply-adds
+       a pair:
        a. each block meets its own columns and the next block's; the exact
-          float64 row of the row with the largest bound gives tau, the value
-          of a real pair, so the maximum is at least tau;
+          float64 row of the row with the largest bound, x^H times every
+          column (``(x^H P) A`` for a product), gives tau, the value of a
+          real pair, so the maximum is at least tau;
        b. each block then meets the later columns whose angle lies within
           ``acos(tau - 3 _screen_margin(k))`` of its last row's. Every pair
           further apart has ``|u_i^H u_j| <= cos(a_j - a_i)`` below
@@ -460,8 +537,8 @@ def mutual_coherence(matrix) -> float:
        ``tau - 2 _screen_margin(k)`` can hold the maximum. The columns that
        begin or end such a pair are the candidates, and all their pairs are
        computed in float64 from the original columns,
-       ``|x_i^H x_j| / (n_i n_j)``, gathering at most ``_COHERENCE_BLOCK``
-       candidate columns at a time.
+       ``|x_i^H x_j| / (n_i n_j)``, reading at most ``_COHERENCE_BLOCK``
+       candidate columns at a time (``P A[:, cand]`` for a product).
 
     On an N = 256 polar sensing matrix (M = 1536) step 1b adds no pair, so
     the screen meets 23.6% of the M (M - 1) / 2 pairs, and stage 2 is 4-12
@@ -469,23 +546,35 @@ def mutual_coherence(matrix) -> float:
     every angle, stage 1 rules out nothing and stage 2 is the float64 sweep
     of the upper triangle.
 
-    A matrix with a column sum of squares outside ``_ENERGY_RANGE`` is first
-    scaled column by column by powers of two; in range it is used as it is.
-    The result is capped at 1, which a quotient of near-parallel columns can
+    When a column sum of squares lies outside ``_ENERGY_RANGE``, every
+    column is scaled by the power of two that brings its largest real or
+    imaginary part into [0.5, 1) (the columns of A, for a product), and the
+    pass is made again; in range the columns are used as they are. The
+    result is capped at 1, which a quotient of near-parallel columns can
     exceed by rounding.
     """
-    m = as_complex_matrix(matrix, "matrix")
-    n_rows, n_cols = m.shape
+    if not isinstance(matrix, SensingProduct):
+        matrix = as_complex_matrix(matrix, "matrix")
+    n_rows, n_cols = matrix.shape
     if n_cols < 2:
         raise ValueError("mutual coherence needs at least two columns")
     n_head = min(n_rows, _HEAD_ROWS)
-    head_energy, tail_energy = _column_energy(m[:n_head]), _column_energy(m[n_head:])
+    blocks = _blocks(n_cols, n_rows)
+    width = min(blocks[0].stop, n_cols)
+    # a product forms every block of the pass in one buffer, released after
+    # it: with a new array per block, malloc handed the pages back between
+    # blocks and faulted them in again, 9% of a desk run's time
+    read, correlate, buffer = _column_reader(matrix, width)
+    head_energy, tail_energy, head = _column_pass(read, blocks, n_head, n_cols, buffer)
     energy = head_energy + tail_energy
     if not np.all((energy >= _ENERGY_RANGE[0]) & (energy <= _ENERGY_RANGE[1])):
         # coherence is scale-invariant, and a power of two moves no rounded result
-        m = complex_ldexp(m, unit_exponent(m, axis=0))
-        head_energy, tail_energy = _column_energy(m[:n_head]), _column_energy(m[n_head:])
+        with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is rejected below
+            shifts = np.concatenate([unit_exponent(read(cols, buffer), axis=0) for cols in blocks])
+        read, correlate, buffer = _column_reader(matrix, width, shifts)
+        head_energy, tail_energy, head = _column_pass(read, blocks, n_head, n_cols, buffer)
         energy = head_energy + tail_energy
+    del buffer
     if np.any(energy == 0):
         raise ValueError("mutual coherence is undefined for zero columns")
     if not np.all(np.isfinite(energy)):
@@ -498,14 +587,13 @@ def mutual_coherence(matrix) -> float:
     angles = np.arctan2(np.sqrt(head_energy), np.sqrt(tail_energy))
     order = np.argsort(angles, kind="stable")
     angles = angles[order]
-    head = np.empty((n_head, n_cols), dtype=np.complex64)
-    np.divide(m[:n_head, order], norms[order], out=head, casting="same_kind")
+    head = head[:, order]
     tails = (np.sqrt(tail_energy[order]) / norms[order]).astype(np.float32)
     firsts = np.arange(0, n_cols, _COHERENCE_BLOCK)
     near = np.minimum(firsts + 2 * _COHERENCE_BLOCK, n_cols)
     row_bound, col_bound = _screen_maxima(head, tails, firsts, near)
     top = order[row_bound.argmax()]
-    exact_row = np.abs(np.conj(m[:, top]) @ m) / (norms[top] * norms)
+    exact_row = np.abs(correlate(read([top])[:, 0])) / (norms[top] * norms)
     exact_row[top] = 0.0
     margin = _screen_margin(n_head)
     threshold = exact_row.max() - 2 * margin
@@ -519,4 +607,4 @@ def mutual_coherence(matrix) -> float:
 
     # 2. float64 pairs of the columns that begin or end a candidate pair
     candidates = np.union1d(order[row_bound >= threshold], order[col_bound >= threshold])
-    return float(np.minimum(_exact_maximum(m, norms, candidates, candidates), 1.0))
+    return float(np.minimum(_exact_maximum(read, norms, candidates, candidates), 1.0))

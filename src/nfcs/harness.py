@@ -22,7 +22,7 @@ from . import block_rip as rip_mod
 from ._files import write_atomic
 from .coherence import coherence_approx, coherence_exact, delta_floor, phase_pair, sparsity_bound
 from .dictionaries import Dictionary, build_dft, build_dmu, build_polar_baseline, half_wavelength, mutual_coherence
-from .dictionaries import polar_range
+from .dictionaries import _blocks, polar_range
 from .geometry import ArrayConfig, _draw_gains, _draw_sources, _path_power, _steering, b_vector
 from .geometry import beyond_fresnel, effective_distance, field_boundaries, field_regions, finite_delay, finite_phase
 from .geometry import sample_channel, source_range
@@ -527,9 +527,23 @@ def _fast_analysis_fractions(dft, chirps, channels, delta):
     Exploits D_mu^H h = D^H (conj(chirp) * h), so one DFT dictionary analyses
     the draws of every mu in one batched transform.
     """
-    alphas = dft.transform((np.conj(chirps) * channels).T)
+    dechirped = np.conj(chirps)
+    dechirped *= channels
+    alphas = dft.transform(dechirped.T)
     counts = (np.abs(alphas) >= delta).sum(axis=1)
     return counts / dft.n_antennas
+
+
+def _block_fractions(cfg, dft, delta, mu, los_source, gains, path_sources):
+    """Fractions of the LOS and of the multipath channel of one block of draws."""
+    chirps = b_vector(cfg, mu)
+    los = _steering(cfg, *los_source, "exact")
+    frac_los = _fast_analysis_fractions(dft, chirps, los, delta)
+    multi = los  # scaled and summed in place: the LOS response is not read again
+    multi *= gains[0]
+    for g, source in zip(gains[1:], path_sources):
+        multi += g * _steering(cfg, *source, "exact")
+    return frac_los, _fast_analysis_fractions(dft, chirps, multi, delta)
 
 
 def _run_sparsity_level(config: ExperimentConfig):
@@ -538,25 +552,26 @@ def _run_sparsity_level(config: ExperimentConfig):
         cfg = config.array_config(n)
         fresnel, rayleigh = field_boundaries(cfg)
         rng = rng_from(config.seed, config.experiment_id, f"N={n}")
-        # dictionary effective distances drawn as the effective distance of a
-        # random in-range source
+        # every draw first, in stream order: the dictionary effective
+        # distances, as the effective distance of a random in-range source;
+        # the LOS sources; the gains; the other paths' sources
         sin_mu, r_mu = _draw_sources(rng, fresnel, rayleigh, trials)
         mu = effective_distance(sin_mu, r_mu)
-        chirps = b_vector(cfg, mu)
-
-        dft = build_dft(cfg)
         sin_0, r_0 = _draw_sources(rng, fresnel, rayleigh, trials)
         mu_0 = effective_distance(sin_0, r_0)
-        los = _steering(cfg, sin_0, r_0, "exact")  # one column per draw
-        frac_los = _fast_analysis_fractions(dft, chirps, los, config.delta)
-
         # multipath channels: unit total power, fixed LOS/NLOS power split
         g = _draw_gains(rng, (config.n_paths, trials), config.power_split_db)
         g /= np.sqrt(_path_power(g))
-        multi = g[0] * los
-        for path in range(1, config.n_paths):
-            multi = multi + g[path] * _steering(cfg, *_draw_sources(rng, fresnel, rayleigh, trials), "exact")
-        frac_multi = _fast_analysis_fractions(dft, chirps, multi, config.delta)
+        paths = [_draw_sources(rng, fresnel, rayleigh, trials) for _ in range(1, config.n_paths)]
+
+        # then the channels of a block of draws at a time, one column each
+        dft = build_dft(cfg)
+        frac_los, frac_multi = np.empty(trials), np.empty(trials)
+        for draws in _blocks(trials, n):
+            frac_los[draws], frac_multi[draws] = _block_fractions(
+                cfg, dft, config.delta, mu[draws], (sin_0[draws], r_0[draws]), g[:, draws],
+                [(sines[draws], dists[draws]) for sines, dists in paths],
+            )
 
         _, b = phase_pair(cfg, 0.0, 0.0, mu, mu_0)
         bounds = sparsity_bound(cfg, config.delta, b) / n
@@ -578,7 +593,7 @@ def _run_mutual_coherence(config: ExperimentConfig):
             rng = rng_from(config.seed, config.experiment_id, label, trial)
             pilots = gen_pilots(t, cfg.n_antennas, config.pilot_kind, rng)
             for method, dictionary in dictionaries.items():
-                values[method][trial] = mutual_coherence(dictionary.sense(pilots))
+                values[method][trial] = mutual_coherence(dictionary.sensing_operator(pilots))
         for method, row in values.items():
             yield method, label, "median_mutual_coherence", float(np.median(row))
             yield method, label, "mean_mutual_coherence", float(row.mean())

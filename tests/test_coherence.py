@@ -21,7 +21,7 @@ from nfcs import (
     sparsity_bound,
     thresholds,
 )
-from nfcs import _fresnel_table
+from nfcs import _fresnel_table, dictionaries
 from nfcs.coherence import B_ZERO_TOL, _sublinear_cap, reduce_angle
 from nfcs.dictionaries import dft_grid
 from nfcs.geometry import _steering
@@ -265,6 +265,16 @@ class TestKernelArguments:
         for i in range(4):
             for j in range(3):
                 assert out[i, j] == kernel(float(a[i, 0]), float(b[j]), 64)
+
+
+@pytest.mark.parametrize("budget", [64, 3 * 64])
+def test_the_exact_kernel_moves_no_bit_with_the_block_width(budget, monkeypatch):
+    # one row of 64 terms, or three, per block of the exact sums
+    a = np.linspace(-3.0, 3.0, 4)[:, None]
+    b = np.array([0.0, 2e-4, -5e-4])
+    expected = coherence_exact(a, b, 64)
+    monkeypatch.setattr(dictionaries, "_BLOCK_ENTRIES", budget)
+    assert coherence_exact(a, b, 64).tobytes() == expected.tobytes()
 
 
 class TestThresholds:

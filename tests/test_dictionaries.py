@@ -209,10 +209,10 @@ def _traced_peak(fn):
 
 def test_polar_build_holds_the_matrix_once(cfg):
     # each ring's responses are formed in its columns of the one N x 6N
-    # matrix, so the build holds the matrix once, plus the real phase
-    # temporaries of one ring
+    # matrix, a block of columns at a time, so the build holds the matrix
+    # once, plus the real phase temporaries of one block (1.06x here)
     polar, peak = _traced_peak(lambda: build_polar_baseline(cfg))
-    assert peak <= 1.3 * polar.matrix.nbytes
+    assert peak <= 1.1 * polar.matrix.nbytes
 
 
 def test_row_gram_range_copies_no_conjugate_of_the_matrix(cfg):
@@ -328,6 +328,63 @@ def test_mutual_coherence_never_forms_the_gram():
     finally:
         tracemalloc.stop()
     assert peak < 12e6  # one 1536 x 1536 complex Gram is 37.7 MB
+
+
+PRODUCTS = ["random", "scaled", "polar-100", "polar-200"]
+
+
+@pytest.mark.parametrize("budget", ["default", "one column", "seven columns"])
+@pytest.mark.parametrize("case", PRODUCTS)
+def test_mutual_coherence_reads_a_sensing_product_as_its_formed_matrix(cfg, case, budget, monkeypatch):
+    # P A is read a block of columns at a time and never formed: its blocks
+    # round as the formed matrix's columns do, up to the grouping of the
+    # matrix products. A formed matrix's blocks are views of it, so the
+    # block width moves no bit of its value
+    rng = np.random.default_rng(PRODUCTS.index(case))
+    if case.startswith("polar"):
+        dictionary = build_polar_baseline(cfg)
+        pilots = gen_pilots(int(case[6:]), cfg.n_antennas, "gaussian", rng)
+    else:
+        atoms = random_complex(rng, 64, 300)
+        if case == "scaled":
+            # the most coherent pair, of column sums of squares far below
+            # and far above the range: each column takes its own power of two
+            atoms[:, 200] = (atoms[:, 7] + 0.01 * random_complex(rng, 64, 1)[:, 0]) * 2.0**300
+            atoms[:, 7] *= 2.0**-300
+        dictionary = Dictionary(atoms)
+        pilots = random_complex(rng, 40, 64)
+    formed = pilots @ dictionary.matrix
+    expected = mutual_coherence(formed)
+    t = pilots.shape[0]
+    budgets = {"default": dictionaries._BLOCK_ENTRIES, "one column": t, "seven columns": 7 * t}
+    monkeypatch.setattr(dictionaries, "_BLOCK_ENTRIES", budgets[budget])
+    assert mutual_coherence(formed) == expected
+    assert mutual_coherence(dictionary.sensing_operator(pilots)) == pytest.approx(expected, rel=1e-13)
+    if case == "scaled":
+        assert expected > 0.99
+
+
+@pytest.mark.parametrize("column, match", [(0.0, "zero columns"), (1e300, "finite columns")])
+def test_a_sensing_product_with_a_zero_or_non_finite_column_is_rejected(column, match):
+    # 1e300 times pilots of entries near 2^150, whose sum of squares is in
+    # range, overflows in P A
+    rng = np.random.default_rng(5)
+    atoms = random_complex(rng, 64, 300)
+    atoms[:, 123] = column
+    pilots = random_complex(rng, 40, 64) * 2.0**150
+    with np.errstate(over="ignore", invalid="ignore"):
+        formed = pilots @ atoms
+    for matrix in (formed, Dictionary(atoms).sensing_operator(pilots)):
+        with pytest.raises(ValueError, match=match):
+            mutual_coherence(matrix)
+
+
+def test_mutual_coherence_of_a_product_holds_less_than_the_product(cfg):
+    # N = 256, T = 200: the 200 x 1536 complex P A would be 4.9 MB
+    polar = build_polar_baseline(cfg)
+    product = polar.sensing_operator(gen_pilots(200, cfg.n_antennas, "gaussian", np.random.default_rng(3)))
+    _, peak = _traced_peak(lambda: mutual_coherence(product))
+    assert peak < 200 * 1536 * 16
 
 
 def unitary(rng, n):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import nfcs
-from nfcs import harness
+from nfcs import dictionaries, harness
 from nfcs.geometry import effective_distance, field_boundaries, source_range
 from nfcs.harness import (
     ConfigError,
@@ -407,6 +408,17 @@ class TestExperiments:
         medians = {r.method: r.value for r in rows if r.metric == "median_mutual_coherence"}
         assert medians["dmu"] < medians["polar"]
 
+    def test_mutual_coherence_never_forms_the_polar_sensing_matrix(self, monkeypatch):
+        sense = Dictionary.sense
+
+        def chirped_only(self, pilots, overwrite=False):
+            assert self.chirped, "the polar sensing matrix was formed"
+            return sense(self, pilots, overwrite)
+
+        monkeypatch.setattr(Dictionary, "sense", chirped_only)
+        config = replace(preset_config("mutual_coherence", "desk", seed=6), t_list=(48,), trials=2, n_antennas=64)
+        assert all(math.isfinite(r.value) for r in run(config))
+
     def test_mutual_coherence_draws_each_pilot_block_once(self, monkeypatch):
         drawn = []
 
@@ -613,6 +625,32 @@ class TestCoherenceErrorExperiment:
         means = {r.grid: r.value for r in rows if r.metric == "mean_abs_error"}
         assert means["N=256"] < 1e-2
         assert means["N=1024"] < means["N=256"]
+
+
+@pytest.mark.parametrize("kind", ["sparsity_level", "coherence_error"])
+class TestAnalyticsInBlocks:
+    # a budget of one entry puts one draw or row in a block; 4095 entries put
+    # 15, 7 and 3 draws of N = 256, 512 and 1024 in one
+    @pytest.mark.parametrize("budget", [1, 4095])
+    def test_the_block_width_moves_no_byte_of_the_desk_table(self, kind, budget, monkeypatch):
+        config = preset_config(kind, "desk", seed=3)
+        default = emit(run(config), "csv", "-")
+        monkeypatch.setattr(dictionaries, "_BLOCK_ENTRIES", budget)
+        assert emit(run(config), "csv", "-") == default
+
+    def test_memory_does_not_grow_with_the_trials(self, kind):
+        # at N = 1024 the channels of 1000 draws would be 16 MB; only the
+        # per-draw parameters and results, 8 bytes each, grow
+        peaks = []
+        for trials in (200, 1000):
+            config = replace(preset_config(kind, "desk", seed=3), n_list=(1024,), trials=trials)
+            tracemalloc.start()
+            try:
+                run(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6
 
 
 def test_every_benchmark_trace_target_resolves():
