@@ -6,6 +6,7 @@ its columns approximate spherical-wavefront array responses. The polar
 baseline jointly grids angle and distance and is overcomplete.
 """
 
+import copy
 import math
 import threading
 
@@ -36,10 +37,10 @@ def dft_grid(n_antennas: int) -> np.ndarray:
 class Dictionary:
     """An N x M sparsifying dictionary with transformer-style helpers.
 
-    ``sense`` forms the sensing matrix ``pilots @ D``, ``transform`` maps
-    channel vectors to coefficients via the adjoint, and ``inverse_transform``
-    synthesises channels from coefficients. For the unitary chirped
-    dictionaries (``build_dmu``, ``build_dft``) the two are exact inverses.
+    ``sensing_operator`` gives the sensing matrix ``pilots @ D``, ``transform``
+    maps channel vectors to coefficients via the adjoint, and
+    ``inverse_transform`` synthesises channels from coefficients, its exact
+    inverse for the unitary chirped dictionaries (``build_dmu``, ``build_dft``).
 
     The chirped dictionaries are not stored densely. With
     half-wavelength spacing ``D_mu = diag(b_mu) F`` and ``F = diag(s) W``,
@@ -49,8 +50,7 @@ class Dictionary:
     in O(N log N) per vector. Their ``matrix`` is built on first access from
     the closed form ``b_mu[:, None] * F`` and cached. The polar baseline has
     a different quadratic term on every ring, so it keeps a dense matrix and
-    dense products; a solver reads its sensing matrix through
-    ``sensing_operator``, which leaves ``pilots @ D`` unformed.
+    dense products, and its sensing matrix ``pilots @ D`` is left unformed.
 
     ``matrix`` and ``row_gram_range`` are read-only caches, each built on
     its first read and never changed after; an instance is otherwise
@@ -125,30 +125,19 @@ class Dictionary:
     def n_atoms(self) -> int:
         return self.shape[1]
 
-    def sense(self, pilots, overwrite: bool = False) -> np.ndarray:
-        """Sensing matrix ``pilots @ D`` for a T x N pilot block.
-
-        With ``overwrite`` a chirped dictionary forms it in the buffer of
-        writable complex128 pilots, which then hold the product; the result
-        is the same to the bit. A dense dictionary ignores it.
-        """
+    def sensing_operator(self, pilots, overwrite: bool = False):
+        """The sensing matrix ``pilots @ D`` of a T x N pilot block, as a
+        solver reads it. The chirped kinds form it with one FFT, in
+        O(T N log N); with ``overwrite``, to the same bits, in the buffer of
+        writable complex128 pilots, which then hold it. A dense dictionary
+        returns its ``SensingProduct``, which would cost T N M to form."""
+        if self._chirp is None:
+            return SensingProduct(pilots, self)
         arr = as_complex_matrix(pilots, "pilots")
         _check_length(arr, self.n_antennas, "pilot rows")
-        if self._chirp is None:
-            return arr @ self._matrix
         # the product is transformed in place: one T x N array, not two
         buf = np.multiply(arr, self._chirp, out=arr if overwrite and arr.flags.writeable else None)
         return np.fft.ifft(buf, axis=1, norm="ortho", out=buf)
-
-    def sensing_operator(self, pilots, overwrite: bool = False):
-        """The sensing matrix ``pilots @ D`` in the form a solver reads it.
-
-        The chirped kinds return ``sense(pilots, overwrite)``, which one FFT
-        forms in O(T N log N). A dense dictionary returns a
-        ``SensingProduct``: the T x M product would cost T N M to form, while
-        a solver only needs its correlations and a few of its columns.
-        """
-        return self.sense(pilots, overwrite) if self._chirp is not None else SensingProduct(pilots, self)
 
     def transform(self, X) -> np.ndarray:
         """Adjoint analysis: channel rows (or a single vector) to coefficients."""
@@ -157,7 +146,7 @@ class Dictionary:
         if self._chirp is None:
             out = arr @ np.conj(self._matrix)
         else:
-            # transformed in place, as in sense: one array, not two
+            # transformed in place, as in sensing_operator: one array, not two
             buf = np.conj(self._chirp) * arr
             out = np.fft.fft(buf, axis=1, norm="ortho", out=buf)
         return out[0] if single else out
@@ -178,54 +167,108 @@ class Dictionary:
 
 
 class SensingProduct:
-    """The T x M sensing matrix ``P A`` of pilots P and a dense dictionary A,
-    read through the factors without forming it, which would cost T N M.
+    """The T x M sensing matrix X that ``BlockOMP`` and ``mutual_coherence``
+    read: the product P A of pilots P and a dense dictionary A, read through
+    its factors and never formed, which would cost T N M, or, with no
+    dictionary, a formed complex X, read in place (``pilots`` is None).
 
-    P must be finite and not all zero; it is held as ``scale_into_range``
-    returns it (the product reads ``2**shift P A``), with its ||P||_F^2.
-    ``correlate(r)`` is ``(r^H P) A`` (T N + N M). ``columns(idx)`` reads any
-    index set, forming each column ``P a_j`` on its own on its first read, so
-    its bits do not depend on the reads around it, and keeping it for the
-    draw (P must not change meanwhile). The mean column energy
-    E = ``||P A||_F^2 / M`` is read from the formed product (T N M) on each
-    read; ``energy_bracket`` bounds it from ||P||_F^2 and the extreme
-    eigenvalues of ``A A^H`` (see ``recovery._best_prefix``), which the
-    dictionary computes once, when a draw first needs them. ``rank_bound``
-    is min(T, N). ``mutual_coherence`` reads the product a block of
-    columns at a time, through ``pilots`` and ``dictionary.matrix``.
+    A product's P must be finite and not all zero; it is held as
+    ``scale_into_range`` returns it (the reader reads ``2**shift P A``), with
+    its ||P||_F^2. A formed X is read as it is given; ``in_range`` reads it
+    as a solver does, held as ``scale_into_range`` returns it. ``read(cols,
+    out=None)`` is the block of the columns ``cols``: of a formed X a view
+    for a slice, of a product ``P A[:, cols]``, formed in the flat buffer
+    ``out`` if given.
+    ``correlate(r)`` is ``r^H X``, ``(r^H P) A`` of a product (T N + N M).
+    ``scaled(shifts)`` reads X with column j scaled by ``2**shifts[j]``.
+    ``columns(idx)`` reads any index set; a product forms each column
+    ``P a_j`` on its own on its first read, so its bits do not depend on the
+    reads around it, and keeps it for the draw (P must not change meanwhile).
+    The mean column energy E = ||X||_F^2 / M of a formed X is exact, and its
+    ``energy_bracket`` has zero width. A product forms itself (T N M) on each
+    read of E, and bounds E from ||P||_F^2 and the extreme eigenvalues of
+    ``A A^H`` (see ``recovery._best_prefix``), which the dictionary computes
+    once, when a draw first needs them. ``rank_bound`` is min(T, N) of a
+    product and min(T, M) of a formed X.
     """
 
-    def __init__(self, pilots, dictionary: Dictionary):
-        pilots = as_complex_matrix(pilots, "pilots")
-        _check_length(pilots, dictionary.n_antennas, "pilot rows")
-        self.pilots, self._pilot_energy, self.shift = scale_into_range(pilots, "pilots")
-        if not self._pilot_energy:
-            raise ValueError("pilots must not be all zero")
+    def __init__(self, pilots, dictionary: Dictionary = None):
         self.dictionary = dictionary
-        self.shape = (pilots.shape[0], dictionary.n_atoms)
-        self.rank_bound = min(pilots.shape)
         self._columns = {}
+        if dictionary is None:
+            self.pilots, self._atoms = None, pilots
+        else:
+            pilots = as_complex_matrix(pilots, "pilots")
+            _check_length(pilots, dictionary.n_antennas, "pilot rows")
+            self.pilots, self._energy, self.shift = scale_into_range(pilots, "pilots")
+            if not self._energy:
+                raise ValueError("pilots must not be all zero")
+            self._atoms = dictionary.matrix
+        self.shape = (len(pilots), self._atoms.shape[1])
+        self.rank_bound = min(pilots.shape)
+
+    def in_range(self, name: str) -> "SensingProduct":
+        """The reader a solver reads: a product itself, whose pilots were
+        scaled when it was made, or a formed X scaled by ``scale_into_range``;
+        ``ValueError`` names a formed X that is not finite or all zero."""
+        if self.pilots is not None:
+            return self
+        X, energy, shift = scale_into_range(self._atoms, name)
+        if not energy:
+            raise ValueError(f"{name} must not be all zero")
+        reader = SensingProduct(X)
+        reader._energy, reader.shift = energy, shift
+        return reader
+
+    def scaled(self, shifts: np.ndarray) -> "SensingProduct":
+        """X with column j scaled by ``2**shifts[j]``, for ``mutual_coherence``."""
+        reader = copy.copy(self)
+        reader._atoms = complex_ldexp(self._atoms, shifts)
+        reader._columns = {}
+        return reader
 
     @property
     def mean_col_energy(self) -> float:
-        formed = self.pilots @ self.dictionary.matrix
+        if self.pilots is None:
+            return self._energy / self.shape[1]
+        formed = self.read(slice(None))
         return float(np.vdot(formed, formed).real) / self.shape[1]
 
     def energy_bracket(self) -> tuple:
+        if self.pilots is None:
+            return (self.mean_col_energy,) * 2
         # lambda_min ||P||_F^2 / M <= E <= lambda_max ||P||_F^2 / M, padded for rounding
         lo, hi = self.dictionary.row_gram_range
         pad = _BRACKET_PAD * hi
-        scale = self._pilot_energy / self.shape[1]
+        scale = self._energy / self.shape[1]
         return max(lo - pad, 0.0) * scale, (hi + pad) * scale
 
+    def read(self, cols, out: np.ndarray = None) -> np.ndarray:
+        block = self._atoms[:, cols]
+        if self.pilots is None:
+            return block
+        if out is not None:
+            out = out[: self.shape[0] * block.shape[1]].reshape(self.shape[0], -1)
+        return np.matmul(self.pilots, block, out=out)
+
     def correlate(self, resid: np.ndarray) -> np.ndarray:
-        return (np.conj(resid) @ self.pilots) @ self.dictionary.matrix
+        # r^H X without conjugating X (|r^H X| = |X^H r|)
+        left = np.conj(resid)
+        return (left if self.pilots is None else left @ self.pilots) @ self._atoms
 
     def columns(self, idx) -> np.ndarray:
+        if self.pilots is None:
+            return self._atoms[:, idx]
         for j in idx:
             if j not in self._columns:
-                self._columns[j] = self.pilots @ self.dictionary.matrix[:, [j]]
+                self._columns[j] = self.read([j])
         return np.concatenate([self._columns[j] for j in idx], axis=1)
+
+
+def as_sensing(X, name: str) -> SensingProduct:
+    """``X`` if it is a ``SensingProduct``, else the reader of the formed
+    matrix ``as_complex_matrix(X, name)``."""
+    return X if isinstance(X, SensingProduct) else SensingProduct(as_complex_matrix(X, name))
 
 
 def _as_rows(X):
@@ -434,7 +477,7 @@ def _screen_maxima(screen: np.ndarray, tails: np.ndarray, starts, stops) -> tupl
 def _exact_maximum(read, norms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
     """Largest float64 ``|x_i^H x_j| / (n_i n_j)``, or nan if one is nan, over
     the pairs i != j with i in ``rows`` and j in ``cols`` (both ascending),
-    of the columns that ``read(idx)`` returns (see ``_column_reader``). Row
+    of the columns that ``read(idx)`` returns (``SensingProduct.read``). Row
     blocks of at most ``_COHERENCE_BLOCK`` rows each meet the columns after
     the block's first row, read at most that many at a time."""
     best = 0.0
@@ -450,35 +493,6 @@ def _exact_maximum(read, norms: np.ndarray, rows: np.ndarray, cols: np.ndarray) 
             block[chunk[:, None] == part] = 0.0  # i == j
             best = np.maximum(best, block.max())  # propagates a nan, unlike max()
     return best
-
-
-def _column_reader(matrix, width: int, shifts: np.ndarray = None) -> tuple:
-    """``(read, correlate, buffer)`` of a formed T x M matrix or of a
-    ``SensingProduct`` P A, with column j scaled by ``2**shifts[j]`` if
-    ``shifts`` is given. ``read(cols, buffer=None)`` is the T x len(cols)
-    block of the columns ``cols``: of a formed matrix, a view for a slice
-    and a copy for an index array; of a product, ``P A[:, cols]``, formed in
-    ``buffer`` if given. ``buffer`` holds a block of ``width`` columns of a
-    product, and is None for a formed matrix. ``correlate(x)`` is x^H times
-    every column, ``(x^H P) A`` of a ``SensingProduct``."""
-    if isinstance(matrix, SensingProduct):
-        pilots, atoms = matrix.pilots, matrix.dictionary.matrix
-    else:
-        pilots, atoms = None, matrix
-    if shifts is not None:
-        # a power of two on column j of A is the same power on column j of P A
-        atoms = complex_ldexp(atoms, shifts)
-    if pilots is None:
-        return (lambda cols, buffer=None: atoms[:, cols]), (lambda x: np.conj(x) @ atoms), None
-    n_rows = pilots.shape[0]
-
-    def read(cols, buffer=None):
-        block = atoms[:, cols]
-        out = None if buffer is None else buffer[: n_rows * block.shape[1]].reshape(n_rows, -1)
-        return np.matmul(pilots, block, out=out)
-
-    buffer = np.empty(n_rows * width, dtype=np.complex128)
-    return read, (lambda x: (np.conj(x) @ pilots) @ atoms), buffer
 
 
 def _column_pass(read, blocks: list, n_head: int, n_cols: int, buffer) -> tuple:
@@ -504,11 +518,11 @@ def mutual_coherence(matrix) -> float:
 
     ``matrix`` is a formed T x M matrix, or the ``SensingProduct`` P A that
     ``Dictionary.sensing_operator`` returns for a dense dictionary, which is
-    never formed. Either is read a block of columns at a time (``_blocks``:
-    at most ``_BLOCK_ENTRIES`` entries), by one algorithm; a formed matrix's
-    blocks are views of it. The memory beyond the input is one block, the
-    complex64 head rows below and the candidate columns of stage 2, however
-    large T and M.
+    never formed. Both are read through ``SensingProduct.read``, a block of
+    columns at a time (``_blocks``: at most ``_BLOCK_ENTRIES`` entries); a
+    formed matrix's blocks are views of it. The memory beyond the input is
+    one block, the complex64 head rows below and the candidate columns of
+    stage 2, however large T and M.
 
     For unit columns u_i, u_j split into a head of k = min(T, ``_HEAD_ROWS``)
     rows and the tail after it, of norms s_i and t_i (s_i^2 + t_i^2 = 1),
@@ -553,26 +567,24 @@ def mutual_coherence(matrix) -> float:
     result is capped at 1, which a quotient of near-parallel columns can
     exceed by rounding.
     """
-    if not isinstance(matrix, SensingProduct):
-        matrix = as_complex_matrix(matrix, "matrix")
+    matrix = as_sensing(matrix, "matrix")
     n_rows, n_cols = matrix.shape
     if n_cols < 2:
         raise ValueError("mutual coherence needs at least two columns")
     n_head = min(n_rows, _HEAD_ROWS)
     blocks = _blocks(n_cols, n_rows)
-    width = min(blocks[0].stop, n_cols)
     # a product forms every block of the pass in one buffer, released after
     # it: with a new array per block, malloc handed the pages back between
     # blocks and faulted them in again, 9% of a desk run's time
-    read, correlate, buffer = _column_reader(matrix, width)
-    head_energy, tail_energy, head = _column_pass(read, blocks, n_head, n_cols, buffer)
+    buffer = np.empty(n_rows * min(blocks[0].stop, n_cols), dtype=np.complex128)
+    head_energy, tail_energy, head = _column_pass(matrix.read, blocks, n_head, n_cols, buffer)
     energy = head_energy + tail_energy
     if not np.all((energy >= _ENERGY_RANGE[0]) & (energy <= _ENERGY_RANGE[1])):
         # coherence is scale-invariant, and a power of two moves no rounded result
         with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is rejected below
-            shifts = np.concatenate([unit_exponent(read(cols, buffer), axis=0) for cols in blocks])
-        read, correlate, buffer = _column_reader(matrix, width, shifts)
-        head_energy, tail_energy, head = _column_pass(read, blocks, n_head, n_cols, buffer)
+            shifts = np.concatenate([unit_exponent(matrix.read(cols, buffer), axis=0) for cols in blocks])
+        matrix = matrix.scaled(shifts)
+        head_energy, tail_energy, head = _column_pass(matrix.read, blocks, n_head, n_cols, buffer)
         energy = head_energy + tail_energy
     del buffer
     if np.any(energy == 0):
@@ -593,7 +605,7 @@ def mutual_coherence(matrix) -> float:
     near = np.minimum(firsts + 2 * _COHERENCE_BLOCK, n_cols)
     row_bound, col_bound = _screen_maxima(head, tails, firsts, near)
     top = order[row_bound.argmax()]
-    exact_row = np.abs(correlate(read([top])[:, 0])) / (norms[top] * norms)
+    exact_row = np.abs(matrix.correlate(matrix.read([top])[:, 0])) / (norms[top] * norms)
     exact_row[top] = 0.0
     margin = _screen_margin(n_head)
     threshold = exact_row.max() - 2 * margin
@@ -607,4 +619,4 @@ def mutual_coherence(matrix) -> float:
 
     # 2. float64 pairs of the columns that begin or end a candidate pair
     candidates = np.union1d(order[row_bound >= threshold], order[col_bound >= threshold])
-    return float(np.minimum(_exact_maximum(read, norms, candidates, candidates), 1.0))
+    return float(np.minimum(_exact_maximum(matrix.read, norms, candidates, candidates), 1.0))

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import _worst_case_nonzeros
-from .dictionaries import SensingProduct, complex_ldexp, scale_into_range
+from .dictionaries import as_sensing, complex_ldexp, scale_into_range
 from .geometry import ArrayConfig, ChannelSpec, synthesize_channel
 from .seeding import as_rng
 from .validation import DECIBELS_OR_INF, FRACTION, FRACTION_OR_NONE, NONNEGATIVE, Rule, block_count, check
-from .validation import as_complex_matrix, as_complex_vector, check_integer
+from .validation import as_complex_vector, check_integer
 
 RIDGE_SCALE = 1e-10
 _COND_LIMIT = 1e12
@@ -160,31 +160,6 @@ def _log_poisson_tail(s: int, u: float) -> float:
     return math.log(total) + halvings * math.log(2.0) - shift
 
 
-class _FormedColumns:
-    """A formed T x M matrix X, read in place through a ``SensingProduct``'s
-    members. X must be finite and not all zero; it is held as
-    ``scale_into_range`` returns it, so the reader reads ``2**shift X``."""
-
-    def __init__(self, X: np.ndarray):
-        self._X, energy, self.shift = scale_into_range(X, "X")
-        if not energy:
-            raise ValueError("X must not be all zero")
-        self.shape = X.shape
-        self.rank_bound = min(X.shape)
-        self.mean_col_energy = energy / X.shape[1]
-
-    def energy_bracket(self) -> tuple:
-        # the energy is exact here: a bracket of zero width
-        return self.mean_col_energy, self.mean_col_energy
-
-    def correlate(self, resid: np.ndarray) -> np.ndarray:
-        # r^H X without conjugating X (|r^H X| = |X^H r|)
-        return np.conj(resid) @ self._X
-
-    def columns(self, idx) -> np.ndarray:
-        return self._X[:, idx]
-
-
 def _risk_estimate(rho, p, t, sigma2, gram_inv_trace, mean_col_energy):
     """Estimated coefficient-error energy plus unexplained-signal energy.
 
@@ -213,7 +188,7 @@ def _best_prefix(path: list, t: int, sigma2: float, psi) -> int:
 
     ``path`` holds ``(rho, p, tr G^-1, ...)`` of every prefix, the empty
     one first; the first strict minimum wins. The risks are first evaluated
-    at both ends of ``psi.energy_bracket()`` (T N for a ``SensingProduct``);
+    at both ends of ``psi.energy_bracket()`` (T N for a product P A);
     the mean column energy E (T N M) is read only when they cannot decide.
 
     Why the ends can decide: the risk of a prefix is
@@ -254,8 +229,9 @@ def _best_prefix(path: list, t: int, sigma2: float, psi) -> int:
 class BlockOMP:
     """Greedy block-sparse solver for y = X beta with X = (T x M).
 
-    X is a formed matrix or a ``SensingProduct`` (see
-    ``Dictionary.sensing_operator``), which is fitted without forming it.
+    X is a formed matrix or the ``SensingProduct`` P A that
+    ``Dictionary.sensing_operator`` returns for a dense dictionary, which is
+    fitted without forming it; either is read through ``SensingProduct``.
 
     Each iteration selects the not-yet-chosen block whose columns carry the
     largest residual correlation energy ||X_i^H r||_2 (ties broken toward the
@@ -327,7 +303,7 @@ class BlockOMP:
         return cap if budget >= cap else math.ceil(budget)
 
     def fit(self, X, y):
-        psi = X if isinstance(X, SensingProduct) else _FormedColumns(as_complex_matrix(X, "X"))
+        psi = as_sensing(X, "X").in_range("X")
         t, m = psi.shape
         y = as_complex_vector(y, "y")
         if y.shape[0] != t:

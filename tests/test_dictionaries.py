@@ -307,7 +307,7 @@ def test_mutual_coherence_matches_dense_gram_on_polar_sensing(cfg, kind, seed, t
     # meets nearly every pair of real inputs
     dictionary = build_polar_baseline(cfg, n_rings=6) if kind == "polar" else build_dmu(cfg, 20.0)
     pilots = gen_pilots(t, cfg.n_antennas, "gaussian", np.random.default_rng(seed))
-    sensing = dictionary.sense(pilots)
+    sensing = pilots @ dictionary.matrix
     assert mutual_coherence(sensing) == pytest.approx(dense_coherence(sensing), rel=1e-13)
 
 
@@ -555,7 +555,7 @@ def test_the_polar_screen_runs_on_a_few_rows(cfg, t, monkeypatch):
     monkeypatch.setattr(dictionaries, "_screen_maxima", spy_sweep)
     monkeypatch.setattr(dictionaries, "_exact_maximum", spy_exact)
     polar = build_polar_baseline(cfg, n_rings=6)
-    sensing = polar.sense(gen_pilots(t, cfg.n_antennas, "gaussian", np.random.default_rng(7)))
+    sensing = gen_pilots(t, cfg.n_antennas, "gaussian", np.random.default_rng(7)) @ polar.matrix
     assert mutual_coherence(sensing) == pytest.approx(dense_coherence(sensing), rel=1e-13)
     assert [shape for shape, _ in screens] == [(_HEAD_ROWS, 1536)] * 2
     assert sum(pairs for _, pairs in screens) <= 0.3 * 1536 * 1535 / 2
@@ -719,7 +719,7 @@ def test_fft_products_match_dense_matrix(kind, n):
     dense = d.matrix
     rng = np.random.default_rng(n)
     pilots = gen_pilots(40, n, seed=rng)
-    np.testing.assert_allclose(d.sense(pilots), pilots @ dense, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d.sensing_operator(pilots), pilots @ dense, rtol=0, atol=1e-12)
     rows = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     np.testing.assert_allclose(d.transform(rows), rows @ np.conj(dense), rtol=0, atol=1e-12)
@@ -731,13 +731,13 @@ def test_fft_products_match_dense_matrix(kind, n):
 @pytest.mark.parametrize("n", [2, 255, 2048])
 @pytest.mark.parametrize("kind", ["dmu", "dft"])
 def test_sense_leaves_the_pilots_and_matches_the_out_of_place_fft(kind, n):
-    # sense transforms its chirped copy of the pilots in place; the caller's
+    # sensing_operator transforms its chirped copy of the pilots in place; the caller's
     # array is untouched and the bytes are those of a separate output array
     cfg_n = ArrayConfig(carrier_freq=100e9, n_antennas=n)
     d = build_dmu(cfg_n, 20.0) if kind == "dmu" else build_dft(cfg_n)
     pilots = gen_pilots(40, n, seed=n)
     before = pilots.copy()
-    sensed = d.sense(pilots)
+    sensed = d.sensing_operator(pilots)
     assert pilots.tobytes() == before.tobytes()
     expected = np.fft.ifft(pilots * d._chirp, axis=1, norm="ortho")
     assert sensed.tobytes() == expected.tobytes()
@@ -747,7 +747,7 @@ def test_sense_leaves_the_pilots_and_matches_the_out_of_place_fft(kind, n):
 @pytest.mark.parametrize("kind", ["dmu", "dft"])
 def test_sense_with_overwrite_forms_the_same_bytes_in_the_pilots(kind, n):
     # the chirp multiply and the FFT write into the pilots' own buffer: the
-    # product is the copying sense's to the bit, and its T x N output array
+    # product is the copying call's to the bit, and its T x N output array
     # is not allocated
     cfg_n = ArrayConfig(carrier_freq=100e9, n_antennas=n)
     d = build_dmu(cfg_n, 20.0) if kind == "dmu" else build_dft(cfg_n)
@@ -772,7 +772,7 @@ def test_overwrite_leaves_read_only_and_dense_pilots_alone(cfg):
     before = pilots.copy()
     pilots.setflags(write=False)
     dmu = build_dmu(cfg, 20.0)
-    assert dmu.sense(pilots, overwrite=True).tobytes() == dmu.sense(before).tobytes()
+    assert dmu.sensing_operator(pilots, overwrite=True).tobytes() == dmu.sensing_operator(before).tobytes()
     # a dense dictionary's product reads the pilots for the whole fit
     pilots = before.copy()
     product = build_polar_baseline(cfg, 2).sensing_operator(pilots, overwrite=True)

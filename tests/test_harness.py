@@ -44,6 +44,28 @@ def tiny_config(**overrides):
     return replace(base, **defaults)
 
 
+def _fail_whole_polar_products(monkeypatch):
+    """Make every polar dictionary the harness builds fail a matrix product
+    that has all M of its columns, such as a formed T x M sensing matrix P A."""
+    build = harness.build_polar_baseline
+
+    class Atoms(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [x.view(np.ndarray) if isinstance(x, Atoms) else x for x in inputs]
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            if ufunc is np.matmul and np.ndim(result) == 2 and result.shape[1] == Atoms.n_atoms:
+                raise AssertionError(f"a {result.shape[0]} x {result.shape[1]} polar product was formed")
+            return result
+
+    def polar(*args):
+        dictionary = build(*args)
+        Atoms.n_atoms = dictionary.n_atoms
+        dictionary._matrix = dictionary.matrix.view(Atoms)
+        return dictionary
+
+    monkeypatch.setattr(harness, "build_polar_baseline", polar)
+
+
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="experiment.kind"):
@@ -369,10 +391,7 @@ class TestExperiments:
         assert joint == alone
 
     def test_polar_baseline_never_forms_its_sensing_matrix(self, monkeypatch):
-        def formed(*args):
-            raise AssertionError("the polar sensing matrix was formed")
-
-        monkeypatch.setattr("nfcs.dictionaries.Dictionary.sense", formed)
+        _fail_whole_polar_products(monkeypatch)
         rows = run(tiny_config(methods=("polar_omp",), trials=2))
         assert all(math.isfinite(r.value) for r in rows)
 
@@ -409,14 +428,10 @@ class TestExperiments:
         assert medians["dmu"] < medians["polar"]
 
     def test_mutual_coherence_never_forms_the_polar_sensing_matrix(self, monkeypatch):
-        sense = Dictionary.sense
-
-        def chirped_only(self, pilots, overwrite=False):
-            assert self.chirped, "the polar sensing matrix was formed"
-            return sense(self, pilots, overwrite)
-
-        monkeypatch.setattr(Dictionary, "sense", chirped_only)
-        config = replace(preset_config("mutual_coherence", "desk", seed=6), t_list=(48,), trials=2, n_antennas=64)
+        # N = 256, T = 48: a block of the 48 x 1536 product holds 1365 columns
+        _fail_whole_polar_products(monkeypatch)
+        config = replace(preset_config("mutual_coherence", "desk", seed=6), t_list=(48,), trials=2)
+        assert config.n_antennas * config.polar_rings * 48 > dictionaries._BLOCK_ENTRIES
         assert all(math.isfinite(r.value) for r in run(config))
 
     def test_mutual_coherence_draws_each_pilot_block_once(self, monkeypatch):

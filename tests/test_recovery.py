@@ -30,7 +30,6 @@ from nfcs.recovery import (
     _COND_LIMIT,
     RIDGE_SCALE,
     _best_prefix,
-    _FormedColumns,
     _least_squares,
     _log_poisson_tail,
     _risk_estimate,
@@ -641,17 +640,18 @@ class TestFactoredFit:
 
     @pytest.mark.parametrize("block_size", [1, 3])
     def test_reads_what_the_formed_matrix_holds(self, block_size):
-        # correlations, column energies and sub-matrices of P A from its factors
+        # correlations, column energies and sub-matrices of P A from its
+        # factors, and of a formed X through the same reader
         rng = np.random.default_rng(17)
         pilots = rng.standard_normal((10, 7)) + 1j * rng.standard_normal((10, 7))
         matrix = rng.standard_normal((7, 12)) + 1j * rng.standard_normal((7, 12))
         X = pilots @ matrix
         s = block_size
-        formed = _FormedColumns(X)
+        formed = SensingProduct(X).in_range("X")
         factored = Dictionary(matrix).sensing_operator(pilots)
         # in range, neither reader scales what it holds
         assert factored.shift == formed.shift == 0
-        assert factored.pilots is pilots
+        assert factored.pilots is pilots and formed.pilots is None
         assert factored.shape == formed.shape == (10, 12)
         assert factored.rank_bound == 7 and formed.rank_bound == 10
         r = rng.standard_normal(10) + 1j * rng.standard_normal(10)
@@ -669,6 +669,16 @@ class TestFactoredFit:
         # any index set: unsorted, repeated and across block edges
         idx = np.array([7, 1, 7, 11, 2, 4, 1])
         np.testing.assert_allclose(factored.columns(idx), pilots @ matrix[:, idx], rtol=1e-12)
+        # a block read: a view of a formed X for a slice, and P A[:, cols]
+        # formed in the leading entries of a flat buffer
+        cols = slice(s, 4 * s)
+        assert np.shares_memory(formed.read(cols), X)
+        buffer = np.empty(10 * 12, dtype=complex)
+        for psi in (factored, formed):
+            for out in (None, buffer):
+                np.testing.assert_allclose(psi.read(cols, out), X[:, cols], rtol=1e-12)
+                np.testing.assert_allclose(psi.read(idx, out), X[:, idx], rtol=1e-12)
+        assert np.shares_memory(factored.read(cols, buffer), buffer)
 
     def test_a_draw_serves_fits_at_several_block_sizes(self):
         # the product keeps its columns per draw: fits at block size 1, then
@@ -694,7 +704,9 @@ class TestFactoredFit:
 
     def test_chirped_dictionaries_form_their_sensing_matrix(self, cfg, dmu):
         pilots = gen_pilots(20, cfg.n_antennas, seed=3)
-        np.testing.assert_array_equal(dmu.sensing_operator(pilots), dmu.sense(pilots))
+        sensed = dmu.sensing_operator(pilots)
+        assert isinstance(sensed, np.ndarray)
+        np.testing.assert_allclose(sensed, pilots @ dmu.matrix, rtol=0, atol=1e-12)
 
 
 class _Path:
