@@ -181,9 +181,8 @@ class SensingProduct:
     ``out`` if given.
     ``correlate(r)`` is ``r^H X``, ``(r^H P) A`` of a product (T N + N M).
     ``scaled(shifts)`` reads X with column j scaled by ``2**shifts[j]``.
-    ``columns(idx)`` reads any index set; a product forms each column
-    ``P a_j`` on its own on its first read, so its bits do not depend on the
-    reads around it, and keeps it for the draw (P must not change meanwhile).
+    A reader holds no per-draw state: once built it does not change, so
+    fits at several block sizes, or in several threads, can share one.
     The mean column energy E = ||X||_F^2 / M of a formed X is exact, and its
     ``energy_bracket`` has zero width. A product forms itself (T N M) on each
     read of E, and bounds E from ||P||_F^2 and the extreme eigenvalues of
@@ -194,7 +193,6 @@ class SensingProduct:
 
     def __init__(self, pilots, dictionary: Dictionary = None):
         self.dictionary = dictionary
-        self._columns = {}
         if dictionary is None:
             self.pilots, self._atoms = None, pilots
         else:
@@ -224,7 +222,6 @@ class SensingProduct:
         """X with column j scaled by ``2**shifts[j]``, for ``mutual_coherence``."""
         reader = copy.copy(self)
         reader._atoms = complex_ldexp(self._atoms, shifts)
-        reader._columns = {}
         return reader
 
     @property
@@ -255,14 +252,6 @@ class SensingProduct:
         # r^H X without conjugating X (|r^H X| = |X^H r|)
         left = np.conj(resid)
         return (left if self.pilots is None else left @ self.pilots) @ self._atoms
-
-    def columns(self, idx) -> np.ndarray:
-        if self.pilots is None:
-            return self._atoms[:, idx]
-        for j in idx:
-            if j not in self._columns:
-                self._columns[j] = self.read([j])
-        return np.concatenate([self._columns[j] for j in idx], axis=1)
 
 
 def as_sensing(X, name: str) -> SensingProduct:
@@ -474,18 +463,18 @@ def _screen_maxima(screen: np.ndarray, tails: np.ndarray, starts, stops) -> tupl
     return row_max, col_max
 
 
-def _exact_maximum(read, norms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+def _exact_maximum(read, norms: np.ndarray, candidates: np.ndarray) -> float:
     """Largest float64 ``|x_i^H x_j| / (n_i n_j)``, or nan if one is nan, over
-    the pairs i != j with i in ``rows`` and j in ``cols`` (both ascending),
-    of the columns that ``read(idx)`` returns (``SensingProduct.read``). Row
-    blocks of at most ``_COHERENCE_BLOCK`` rows each meet the columns after
-    the block's first row, read at most that many at a time."""
+    the pairs i < j of the ``candidates`` (ascending, distinct), of the
+    columns that ``read(idx)`` returns (``SensingProduct.read``). Row blocks
+    of at most ``_COHERENCE_BLOCK`` candidates each meet the candidates after
+    the block's first, read at most that many at a time."""
     best = 0.0
-    for k in range(0, rows.size, _COHERENCE_BLOCK):
-        chunk = rows[k : k + _COHERENCE_BLOCK]
+    for k in range(0, candidates.size, _COHERENCE_BLOCK):
+        chunk = candidates[k : k + _COHERENCE_BLOCK]
         left = read(chunk).T  # a copy, conjugated in place
         np.conjugate(left, out=left)
-        later = cols[np.searchsorted(cols, chunk[0], side="right") :]
+        later = candidates[k + 1 :]
         for lo in range(0, later.size, _COHERENCE_BLOCK):
             part = later[lo : lo + _COHERENCE_BLOCK]
             block = np.abs(left @ read(part))
@@ -619,4 +608,4 @@ def mutual_coherence(matrix) -> float:
 
     # 2. float64 pairs of the columns that begin or end a candidate pair
     candidates = np.union1d(order[row_bound >= threshold], order[col_bound >= threshold])
-    return float(np.minimum(_exact_maximum(matrix.read, norms, candidates, candidates), 1.0))
+    return float(np.minimum(_exact_maximum(matrix.read, norms, candidates), 1.0))

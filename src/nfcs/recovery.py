@@ -236,7 +236,10 @@ class BlockOMP:
     Each iteration selects the not-yet-chosen block whose columns carry the
     largest residual correlation energy ||X_i^H r||_2 (ties broken toward the
     lowest block index), refits least squares on all selected columns, and
-    updates the residual. Three stopping controls compose:
+    updates the residual. The picked block is read once
+    (``SensingProduct.read``) and kept for the rest of the fit; each refit
+    assembles the selected columns from the kept blocks in block order.
+    Three stopping controls compose:
 
     * ``k_max`` caps the number of selected blocks (default: 1.5 times the
       worst-case nonzero count K_bar(M, delta), converted to blocks and
@@ -334,8 +337,7 @@ class BlockOMP:
             log_level = math.log(alpha) - math.log(nb)
 
         resid = y.copy()
-        selected = np.zeros(nb, dtype=bool)
-        chosen = []
+        kept = {}  # block -> its T x s columns, each read once
         rho = y_norm2
         # (rho, p, tr G^-1, support, coefficients) of every prefix
         path = [(rho, 0, 0.0, np.array([], dtype=int), np.zeros(0, dtype=np.complex128))]
@@ -344,32 +346,32 @@ class BlockOMP:
             if rho <= floor:
                 stop_reason = "residual"
                 break
-            if len(chosen) == nb:
+            if len(kept) == nb:
                 stop_reason = "exhausted"
                 break
-            if len(chosen) >= k_max:
+            if len(kept) >= k_max:
                 stop_reason = "budget"
                 break
             corr = psi.correlate(resid)
             scores = (np.abs(corr) ** 2).reshape(nb, s).sum(axis=1)
-            scores[selected] = -np.inf
+            scores[list(kept)] = -np.inf
             pick = int(np.argmax(scores))
             if scores[pick] == 0:  # the residual is orthogonal to every block left
                 stop_reason = "exhausted"
                 break
+            block = psi.read(np.arange(pick * s, (pick + 1) * s))
             if use_score_stop:
                 # u is half the chi-squared statistic on 2s degrees of freedom,
                 # against the mean column energy of the block; the fit goes on
                 # only while its tail is at most the level
-                block = psi.columns(range(pick * s, (pick + 1) * s))
                 u = float(t * scores[pick] / (rho * np.vdot(block, block).real / s))
                 if _log_poisson_tail(s, u) > log_level:
                     stop_reason = "significance"
                     break
-            selected[pick] = True
-            chosen.append(pick)
-            idx = (np.sort(chosen)[:, None] * s + np.arange(s)).ravel()
-            sub = psi.columns(idx)
+            kept[pick] = block
+            order = sorted(kept)
+            idx = (np.array(order)[:, None] * s + np.arange(s)).ravel()
+            sub = np.concatenate([kept[b] for b in order], axis=1)
             coef, gram_inv_trace = _least_squares(sub, y)
             resid = y - sub @ coef
             rho = float(np.linalg.norm(resid) ** 2)
@@ -384,7 +386,7 @@ class BlockOMP:
             beta[idx] = complex_ldexp(coef, psi.shift - y_shift)
         self.coef_ = beta
         self.support_ = idx
-        self.n_iter_ = len(chosen)
+        self.n_iter_ = len(kept)
         self.residual_norm_ = float(residual_path[best])
         self.residual_path_ = residual_path
         self.stop_reason_ = stop_reason

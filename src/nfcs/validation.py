@@ -84,10 +84,10 @@ def divisor_of(total: int) -> Rule:
     return Rule(lambda s: s >= 1 and total % s == 0, f"must be >= 1 and divide the {total} columns")
 
 
-def block_count(block_size, n_columns: int) -> int:
-    """Number of contiguous blocks of ``block_size`` among ``n_columns`` columns."""
+def block_count(block_size, n_cols: int) -> int:
+    """Number of contiguous blocks of ``block_size`` among ``n_cols`` columns."""
     s = check_integer(block_size, "block_size")
-    return n_columns // check(s, "block size", divisor_of(n_columns))
+    return n_cols // check(s, "block size", divisor_of(n_cols))
 
 
 def as_complex_vector(x, name: str = "x") -> np.ndarray:

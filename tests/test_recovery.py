@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from nfcs import (
     noise_variance,
     sample_channel,
 )
-from nfcs.dictionaries import Dictionary, SensingProduct
+from nfcs.dictionaries import Dictionary, SensingProduct, mutual_coherence
 from nfcs.harness import preset_config, run
 from nfcs.recovery import (
     _COND_LIMIT,
@@ -659,16 +660,14 @@ class TestFactoredFit:
         assert factored.mean_col_energy == pytest.approx(formed.mean_col_energy, rel=1e-12)
         assert formed.energy_bracket() == (formed.mean_col_energy,) * 2
         for b in range(12 // s):
-            block = range(b * s, (b + 1) * s)
+            block = np.arange(b * s, (b + 1) * s)
             energy = np.linalg.norm(X[:, block], axis=0) ** 2
             for psi in (factored, formed):
-                assert np.linalg.norm(psi.columns(block), axis=0) ** 2 == pytest.approx(energy, rel=1e-12)
-        idx = np.concatenate([np.arange(b * s, (b + 1) * s) for b in (0, 2, 3)])
-        factored.columns(range(3 * s, 4 * s))  # a block looked at first is still placed in index order
-        np.testing.assert_allclose(factored.columns(idx), formed.columns(idx), rtol=1e-12)
+                assert np.linalg.norm(psi.read(block), axis=0) ** 2 == pytest.approx(energy, rel=1e-12)
         # any index set: unsorted, repeated and across block edges
         idx = np.array([7, 1, 7, 11, 2, 4, 1])
-        np.testing.assert_allclose(factored.columns(idx), pilots @ matrix[:, idx], rtol=1e-12)
+        for psi in (factored, formed):
+            np.testing.assert_allclose(psi.read(idx), pilots @ matrix[:, idx], rtol=1e-12)
         # a block read: a view of a formed X for a slice, and P A[:, cols]
         # formed in the leading entries of a flat buffer
         cols = slice(s, 4 * s)
@@ -681,11 +680,10 @@ class TestFactoredFit:
         assert np.shares_memory(factored.read(cols, buffer), buffer)
 
     def test_a_draw_serves_fits_at_several_block_sizes(self):
-        # the product keeps its columns per draw: fits at block size 1, then
-        # 2, then 1 again on one product equal fits on fresh products
+        # fits at block size 1, then 2, then 1 again on one product equal
+        # fits on fresh products
         polar, pilots, y, noise_var = _polar_problem(64, 40, 2, 10.0, (64, 2, 40, 10))
         shared = polar.sensing_operator(pilots)
-        supports = []
         for s in (1, 2, 1):
             est = BlockOMP(block_size=s, noise_var=noise_var)
             reused = est.fit(shared, y)
@@ -693,14 +691,38 @@ class TestFactoredFit:
             assert reused.coef_.tobytes() == fresh.coef_.tobytes()
             np.testing.assert_array_equal(reused.support_, fresh.support_)
             assert reused.residual_path_.tobytes() == fresh.residual_path_.tobytes()
-            supports.append(reused.support_)
-        # a column first read by a fit at either block size has the bits of
-        # the same column read alone from a fresh product
-        idx = np.unique(np.concatenate(supports))
-        assert idx.size > 1
-        fresh = polar.sensing_operator(pilots)
-        alone = np.concatenate([fresh.columns([j]) for j in idx], axis=1)
-        assert shared.columns(idx).tobytes() == alone.tobytes()
+            assert reused.support_.size > 1
+
+    def test_a_product_holds_no_state_of_its_reads(self):
+        # a noisy fit and a mutual-coherence pass leave the product as it
+        # was built, so two fits in two threads on one product equal fits
+        # on fresh products byte for byte
+        polar, pilots, y, noise_var = _polar_problem(64, 40, 1, 10.0, (64, 1, 40, 10))
+        shared = polar.sensing_operator(pilots)
+        # the same objects, and a copy of the entries of any dict it holds
+        built = {name: dict(held) if isinstance(held, dict) else held for name, held in vars(shared).items()}
+        BlockOMP(noise_var=noise_var).fit(shared, y)
+        mutual_coherence(shared)
+        assert vars(shared) == built
+
+        others = [y, 2 * y[::-1]]
+        fresh = [BlockOMP(noise_var=noise_var).fit(polar.sensing_operator(pilots), obs) for obs in others]
+        threaded = [None, None]
+        barrier = threading.Barrier(2)
+
+        def fit(k):
+            barrier.wait()
+            threaded[k] = BlockOMP(noise_var=noise_var).fit(shared, others[k])
+
+        workers = [threading.Thread(target=fit, args=(k,)) for k in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        for got, want in zip(threaded, fresh):
+            assert got.coef_.tobytes() == want.coef_.tobytes()
+            np.testing.assert_array_equal(got.support_, want.support_)
+            assert got.residual_path_.tobytes() == want.residual_path_.tobytes()
 
     def test_chirped_dictionaries_form_their_sensing_matrix(self, cfg, dmu):
         pilots = gen_pilots(20, cfg.n_antennas, seed=3)
