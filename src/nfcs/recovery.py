@@ -110,10 +110,12 @@ def make_problem(
 def _least_squares(sub: np.ndarray, y: np.ndarray):
     """LS coefficients of y on the columns of ``sub``, and tr(G^-1).
 
-    Both come from one eigendecomposition of the Gram G = sub^H sub. A Gram
-    whose condition number is not finite or exceeds ``_COND_LIMIT`` is
-    ridged by ``RIDGE_SCALE`` times its mean diagonal, which shifts every
-    eigenvalue by that amount.
+    The kernel of ``ls_estimate``, and of a ``BlockOMP`` refit once the
+    bordered factor no longer certifies that no ridge is needed (see
+    ``_BorderedFactor``). Both results come from one eigendecomposition of
+    the Gram G = sub^H sub. A Gram whose condition number is not finite or
+    exceeds ``_COND_LIMIT`` is ridged by ``RIDGE_SCALE`` times its mean
+    diagonal, which shifts every eigenvalue by that amount.
 
     The small eigenvalues carry a relative error of about eps * cond (up to
     1e-4 below the ridge limit), so the solve is refined twice with the same
@@ -136,6 +138,107 @@ def _least_squares(sub: np.ndarray, y: np.ndarray):
     for _ in range(2):
         coef = coef + v @ ((v_h @ (rhs - gram @ coef - ridge * coef)) / w)
     return coef, float(np.sum(1.0 / w))
+
+
+class _BorderedFactor:
+    """The columns a fit has picked, in pick order, and the inverse L^-1 of
+    the lower Cholesky factor of their Gram G = X_S^H X_S, bordered as each
+    block is added.
+
+    A block X_b of s columns adds its cross products [B; C] = X_S^H X_b
+    (B = X_S^H X_b for the p columns before it, C = X_b^H X_b; T p s work)
+    and s rows to L^-1: with W = L^-1 B, the Schur complement
+    S = C - W^H W and K = chol(S)^-1, the new rows are [-K W^H L^-1, K].
+    numpy has no triangular solve, so the inverse factor is kept.
+    tr(G^-1) = ||L^-1||_F^2 is summed as the rows are added, tr(G) as the
+    blocks are.
+
+    ``certified`` says that the Gram needs no ridge: cond G <= tr(G) tr(G^-1)
+    is at most half of ``_COND_LIMIT``, so the eigendecomposition of
+    ``_least_squares``, whose computed smallest eigenvalue errs by about
+    p eps cond relative, would not ridge it either, for p up to several
+    thousand. Both traces grow with every block, so once the bound fails,
+    or S is not positive definite, or the block takes the Gram past the rank
+    of X (where it is singular), it stays failed and the factor is no longer
+    bordered; the columns are still kept.
+    """
+
+    def __init__(self, t: int, capacity: int, rank_bound: int):
+        self.t, self.capacity, self.rank_bound = t, capacity, rank_bound
+        self.cols = np.empty((t, 0), dtype=np.complex128, order="F")
+        self.cols_h = np.empty((0, t), dtype=np.complex128)
+        self.linv = np.empty((0, 0), dtype=np.complex128)
+        self.size = 0
+        self.gram_trace = self.inv_trace = 0.0
+        self.certified = True
+
+    def _reserve(self, q: int):
+        """Room for twice the ``q`` columns, up to the capacity: a fit of few
+        blocks holds little memory, and the moves cost O(T) per column."""
+        p, room = self.size, min(2 * q, self.capacity)
+        self.cols = _moved(self.cols, (self.t, room), np.s_[:, :p], order="F")
+        self.cols_h = _moved(self.cols_h, (room, self.t), np.s_[:p])
+        if self.certified:
+            room = min(room, self.rank_bound)
+            self.linv = _moved(self.linv, (room, room), np.s_[:p, :p])
+
+    def add(self, block: np.ndarray, energy: float):
+        """Append the T x s ``block``, of sum of squares ``energy``."""
+        p = self.size
+        q = p + block.shape[1]
+        if q > len(self.cols_h):
+            self._reserve(q)
+        self.size = q
+        self.cols[:, p:q] = block
+        np.conjugate(block.T, out=self.cols_h[p:q])
+        if not self.certified or q > len(self.linv):  # past the rank of X, G is singular
+            self.certified = False
+            return
+        cross = self.cols_h[:q] @ block
+        w = self.linv[:p, :p] @ cross[:p]
+        w_h = np.conj(w.T)
+        try:
+            k = np.linalg.inv(np.linalg.cholesky(cross[p:] - w_h @ w))
+        except np.linalg.LinAlgError:
+            self.certified = False
+            return
+        rows = self.linv[p:q, :q]
+        np.matmul(-k @ w_h, self.linv[:p, :p], out=rows[:, :p])
+        rows[:, p:] = k
+        self.linv[:p, p:q] = 0  # the factor is not zeroed when made
+        self.gram_trace += energy
+        self.inv_trace += float(np.vdot(rows, rows).real)
+        self.certified = self.gram_trace * self.inv_trace <= 0.5 * _COND_LIMIT
+
+    def refit(self, y: np.ndarray):
+        """LS coefficients of y on the columns, in pick order, and the residual.
+
+        The solve L^-H L^-1 X_S^H y is refined twice, as in ``_least_squares``,
+        each time on the least-squares residual: c += G^-1 X_S^H (y - X_S c),
+        which keeps the residual of an exact fit at rounding level.
+        """
+        q = self.size
+        cols, cols_h = self.cols[:, :q], self.cols_h[:q]
+        linv = self.linv[:q, :q]
+        linv_h = np.conj(linv.T)
+        coef = linv_h @ (linv @ (cols_h @ y))
+        resid = y - cols @ coef
+        for _ in range(2):
+            coef += linv_h @ (linv @ (cols_h @ resid))
+            resid = y - cols @ coef
+        return coef, resid
+
+
+def _moved(held: np.ndarray, shape: tuple, used: tuple, order: str = "C") -> np.ndarray:
+    """A new, not zeroed complex array of ``shape`` with ``held[used]`` in place."""
+    out = np.empty(shape, dtype=np.complex128, order=order)
+    out[used] = held[used]
+    return out
+
+
+def _columns(blocks, s: int) -> np.ndarray:
+    """Column indices of ``blocks`` of ``s`` columns each, block by block."""
+    return (np.asarray(blocks, dtype=int)[:, None] * s + np.arange(s)).ravel()
 
 
 def _log_poisson_tail(s: int, u: float) -> float:
@@ -237,8 +340,13 @@ class BlockOMP:
     largest residual correlation energy ||X_i^H r||_2 (ties broken toward the
     lowest block index), refits least squares on all selected columns, and
     updates the residual. The picked block is read once
-    (``SensingProduct.read``) and kept for the rest of the fit; each refit
-    assembles the selected columns from the kept blocks in block order.
+    (``SensingProduct.read``) and kept, in pick order, for the rest of the
+    fit. Each refit borders the inverse Cholesky factor of the selected
+    columns' Gram with the new block (``_BorderedFactor``, T p s work for p
+    selected columns) while tr(G) tr(G^-1) certifies that the Gram needs no
+    ridge; from the first block that breaks the certificate on, the fit
+    refits through the eigendecomposition of ``_least_squares``, which
+    ridges an ill-conditioned Gram, on the columns in block order.
     Three stopping controls compose:
 
     * ``k_max`` caps the number of selected blocks (default: 1.5 times the
@@ -337,56 +445,64 @@ class BlockOMP:
             log_level = math.log(alpha) - math.log(nb)
 
         resid = y.copy()
-        kept = {}  # block -> its T x s columns, each read once
+        blocks = []  # the picked blocks, in pick order
+        factor = _BorderedFactor(t, min(k_max, nb) * s, psi.rank_bound)
         rho = y_norm2
-        # (rho, p, tr G^-1, support, coefficients) of every prefix
-        path = [(rho, 0, 0.0, np.array([], dtype=int), np.zeros(0, dtype=np.complex128))]
+        # (rho, p, tr G^-1, coefficients in pick order) of every prefix
+        path = [(rho, 0, 0.0, np.zeros(0, dtype=np.complex128))]
 
         while True:
             if rho <= floor:
                 stop_reason = "residual"
                 break
-            if len(kept) == nb:
+            if len(blocks) == nb:
                 stop_reason = "exhausted"
                 break
-            if len(kept) >= k_max:
+            if len(blocks) >= k_max:
                 stop_reason = "budget"
                 break
             corr = psi.correlate(resid)
             scores = (np.abs(corr) ** 2).reshape(nb, s).sum(axis=1)
-            scores[list(kept)] = -np.inf
+            scores[blocks] = -np.inf
             pick = int(np.argmax(scores))
             if scores[pick] == 0:  # the residual is orthogonal to every block left
                 stop_reason = "exhausted"
                 break
             block = psi.read(np.arange(pick * s, (pick + 1) * s))
+            energy = np.vdot(block, block).real
             if use_score_stop:
                 # u is half the chi-squared statistic on 2s degrees of freedom,
                 # against the mean column energy of the block; the fit goes on
                 # only while its tail is at most the level
-                u = float(t * scores[pick] / (rho * np.vdot(block, block).real / s))
+                u = float(t * scores[pick] / (rho * energy / s))
                 if _log_poisson_tail(s, u) > log_level:
                     stop_reason = "significance"
                     break
-            kept[pick] = block
-            order = sorted(kept)
-            idx = (np.array(order)[:, None] * s + np.arange(s)).ravel()
-            sub = np.concatenate([kept[b] for b in order], axis=1)
-            coef, gram_inv_trace = _least_squares(sub, y)
-            resid = y - sub @ coef
+            blocks.append(pick)
+            factor.add(block, energy)
+            if factor.certified:
+                coef, resid = factor.refit(y)
+                gram_inv_trace = factor.inv_trace
+            else:
+                # the eigh kernel, on the columns in ascending block order
+                at = _columns(np.argsort(blocks), s)
+                sub = np.ascontiguousarray(factor.cols[:, at])
+                ascending, gram_inv_trace = _least_squares(sub, y)
+                resid = y - sub @ ascending
+                coef = np.empty_like(ascending)
+                coef[at] = ascending
             rho = float(np.linalg.norm(resid) ** 2)
-            path.append((rho, idx.size, gram_inv_trace, idx, coef))
+            path.append((rho, coef.size, gram_inv_trace, coef))
 
         residual_path = np.ldexp(np.sqrt([prefix[0] for prefix in path]), -y_shift)
         best = _best_prefix(path, t, sigma2, psi) if noisy else len(path) - 1
-        idx, coef = path[best][3:]
+        idx, coef = _columns(blocks[: path[best][1] // s], s), path[best][3]
 
         beta = np.zeros(m, dtype=np.complex128)
-        if idx.size:
-            beta[idx] = complex_ldexp(coef, psi.shift - y_shift)
+        beta[idx] = complex_ldexp(coef, psi.shift - y_shift)
         self.coef_ = beta
-        self.support_ = idx
-        self.n_iter_ = len(kept)
+        self.support_ = np.sort(idx)
+        self.n_iter_ = len(blocks)
         self.residual_norm_ = float(residual_path[best])
         self.residual_path_ = residual_path
         self.stop_reason_ = stop_reason
@@ -399,8 +515,8 @@ def enough_for_ls(n_antennas: int) -> Rule:
 
 
 def ls_estimate(problem: SensingProblem) -> np.ndarray:
-    """Least-squares channel estimate on BlockOMP's refit kernel; requires at
-    least N measurements."""
+    """Least-squares channel estimate on the eigendecomposition kernel
+    ``_least_squares``; requires at least N measurements."""
     t, n = problem.pilots.shape
     check(t, "n_measurements", enough_for_ls(n))
     return _least_squares(problem.pilots, problem.observations)[0]

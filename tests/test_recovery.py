@@ -11,7 +11,7 @@ import pytest
 from scipy.special import chdtri
 
 import nfcs
-from nfcs import harness
+from nfcs import harness, recovery
 from nfcs import (
     ArrayConfig,
     BlockOMP,
@@ -576,6 +576,86 @@ class TestAgainstReferenceFit:
         est = BlockOMP(block_size=s, noise_var=noise_var).fit(psi, y)
         np.testing.assert_array_equal(np.unique(est.support_ // s), blocks)
         _assert_matches_reference(est, psi, y)
+
+
+def _count_eigh_refits(monkeypatch):
+    """Column counts of the ``_least_squares`` refits the fits make from now on."""
+    calls = []
+    kernel = recovery._least_squares
+
+    def spy(sub, y):
+        calls.append(sub.shape[1])
+        return kernel(sub, y)
+
+    monkeypatch.setattr(recovery, "_least_squares", spy)
+    return calls
+
+
+def _noise_var(psi, beta, snr_db):
+    return float(np.linalg.norm(psi @ beta) ** 2) / (psi.shape[0] * 10 ** (snr_db / 10))
+
+
+class TestBorderedRefit:
+    """The bordered Cholesky refit takes the decisions of the eigh refit."""
+
+    def test_a_long_path(self, monkeypatch):
+        # block 32 at T = 100 and 30 dB: three blocks take p to 96 of the 100 rows
+        calls = _count_eigh_refits(monkeypatch)
+        psi, beta, y, _ = random_block_sparse_problem(41, t=100, m=512, s=32, k=3, snr_db=30.0)
+        est = BlockOMP(block_size=32, noise_var=_noise_var(psi, beta, 30.0)).fit(psi, y)
+        assert est.n_iter_ * 32 >= 96
+        assert calls == []
+        _assert_matches_reference(est, psi, y)
+
+    @pytest.mark.parametrize("factor", [0.9, 1.1], ids=["unridged", "ridged"])
+    @pytest.mark.parametrize("seed, first", [(5, 3), (3, 2)], ids=["weak-last", "weak-second"])
+    def test_the_eigh_refit_takes_over_once_the_certificate_fails(self, seed, first, factor, monkeypatch):
+        # block 0 holds the weak column, which gives the Gram a condition of
+        # factor * _COND_LIMIT: tr(G) tr(G^-1) passes half the limit when the
+        # block is picked (the third pick, or the second), and the refits go
+        # through _least_squares from that iteration on, never before
+        calls = _count_eigh_refits(monkeypatch)
+        X, beta, y = _graded_problem(seed, factor * _COND_LIMIT)
+        est = BlockOMP(block_size=2, k_max=3, stop_alpha=None).fit(X, y)
+        assert calls == [2 * k for k in range(first, 4)]
+        _assert_matches_reference(est, X, y)
+
+    def test_a_well_conditioned_noisy_fit_never_takes_the_eigh_refit(self, monkeypatch):
+        calls = _count_eigh_refits(monkeypatch)
+        psi, beta, y, _ = random_block_sparse_problem(43, t=80, m=256, s=4, k=4, snr_db=10.0)
+        est = BlockOMP(block_size=4, noise_var=_noise_var(psi, beta, 10.0)).fit(psi, y)
+        assert est.n_iter_ >= 4
+        assert calls == []
+        _assert_matches_reference(est, psi, y)
+
+    @pytest.mark.parametrize("factored", [False, True], ids=["formed", "factored"])
+    @pytest.mark.parametrize("block_size", [1, 2, 16])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_an_identified_noiseless_fit_stops_at_the_rounding_floor(self, n, block_size, factored):
+        # y = P A beta exactly, with k blocks of the coherent polar dictionary
+        # and T = 0.3 N; a fit held to k blocks that finds them must bring the
+        # residual to 1e-15 ||y||, the residual stop. The last refinement on
+        # the least-squares residual does (an eigh refit left up to 1.8e-14
+        # on a single block of 16 at N = 64)
+        polar = build_polar_baseline(ArrayConfig(carrier_freq=100e9, n_antennas=n))
+        s, t = block_size, int(0.3 * n)
+        k = max(1, t // (8 * s))
+        identified = 0
+        for seed in range(10):
+            rng = np.random.default_rng((n, s, seed))
+            pilots = gen_pilots(t, n, "gaussian", rng)
+            blocks = np.sort(rng.choice(polar.n_atoms // s, size=k, replace=False))
+            beta = np.zeros(polar.n_atoms, dtype=np.complex128)
+            values = rng.standard_normal(k * s) + 1j * rng.standard_normal(k * s)
+            beta[(blocks[:, None] * s + np.arange(s)).ravel()] = values
+            y = pilots @ (polar.matrix @ beta)
+            X = polar.sensing_operator(pilots) if factored else pilots @ polar.matrix
+            est = BlockOMP(block_size=s, k_max=k).fit(X, y)
+            if np.array_equal(np.unique(est.support_ // s), blocks):
+                identified += 1
+                assert est.stop_reason_ == "residual"
+                assert est.residual_norm_ <= 1e-15 * np.linalg.norm(y)
+        assert identified >= 3
 
 
 def _polar_problem(n, t, block_size, snr_db, seed):
