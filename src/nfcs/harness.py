@@ -205,8 +205,13 @@ def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
         for t, _, _ in points:
             _require(key, t, enough_for_ls(config.n_antennas))
     sweep, block_sizes = _block_sizes(config)
+    key = _key("block_size_list" if sweep else "block_size")
+    # a block of s > T columns has rank <= T < s: BlockOMP stops at it, "dependent"
+    t_min = min(t for t, _, _ in points) if any(_METHODS[m].blocked for m in config.methods) else math.inf
+    within_t = Rule(lambda s: s <= t_min, f"must be <= {t_min}, the fewest measurements on the grid")
     for s in block_sizes:
-        _require(_key("block_size_list" if sweep else "block_size"), s, divisor_of(config.n_antennas))
+        _require(key, s, divisor_of(config.n_antennas))
+        _require(key, s, within_t)
     lo, hi = source_range(cfg, config.distance_min, config.distance_max)
     _require(_key("distance_min"), lo, beyond_fresnel(cfg))
     _require(_key("distance_max" if config.distance_max is not None else "distance_min"), (lo, hi), RANGE)

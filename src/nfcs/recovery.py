@@ -107,21 +107,17 @@ def make_problem(
     return SensingProblem(pilots=pilots, observations=observations, noise_var=sigma2, channel=h)
 
 
-def _least_squares(sub: np.ndarray, y: np.ndarray):
-    """LS coefficients of y on the columns of ``sub``, and tr(G^-1).
+def _least_squares(sub: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """LS coefficients of y on the columns of ``sub``, the kernel of ``ls_estimate``.
 
-    The kernel of ``ls_estimate``, and of a ``BlockOMP`` refit once the
-    bordered factor no longer certifies that no ridge is needed (see
-    ``_BorderedFactor``). Both results come from one eigendecomposition of
-    the Gram G = sub^H sub. A Gram whose condition number is not finite or
-    exceeds ``_COND_LIMIT`` is ridged by ``RIDGE_SCALE`` times its mean
-    diagonal, which shifts every eigenvalue by that amount.
+    The coefficients come from one eigendecomposition of the Gram
+    G = sub^H sub. A Gram whose condition number is not finite or exceeds
+    ``_COND_LIMIT`` is ridged by ``RIDGE_SCALE`` times its mean diagonal,
+    which shifts every eigenvalue by that amount.
 
     The small eigenvalues carry a relative error of about eps * cond (up to
     1e-4 below the ridge limit), so the solve is refined twice with the same
-    factors; each step multiplies the error by that factor. This keeps the
-    residual of an exact fit at rounding level (about eps * ||y||), which
-    the noiseless stopping rule relies on.
+    factors; each step multiplies the error by that factor.
     """
     gram = np.conj(sub.T) @ sub
     w, v = np.linalg.eigh(gram)
@@ -137,7 +133,7 @@ def _least_squares(sub: np.ndarray, y: np.ndarray):
     coef = v @ ((v_h @ rhs) / w)
     for _ in range(2):
         coef = coef + v @ ((v_h @ (rhs - gram @ coef - ridge * coef)) / w)
-    return coef, float(np.sum(1.0 / w))
+    return coef
 
 
 class _BorderedFactor:
@@ -153,69 +149,65 @@ class _BorderedFactor:
     tr(G^-1) = ||L^-1||_F^2 is summed as the rows are added, tr(G) as the
     blocks are.
 
-    ``certified`` says that the Gram needs no ridge: cond G <= tr(G) tr(G^-1)
-    is at most half of ``_COND_LIMIT``, so the eigendecomposition of
-    ``_least_squares``, whose computed smallest eigenvalue errs by about
-    p eps cond relative, would not ridge it either, for p up to several
-    thousand. Both traces grow with every block, so once the bound fails,
-    or S is not positive definite, or the block takes the Gram past the rank
-    of X (where it is singular), it stays failed and the factor is no longer
-    bordered; the columns are still kept.
+    ``add`` borders the factor only with a block that leaves the Gram
+    certified well conditioned: S is positive definite, the columns stay
+    within ``cap`` (at most the rank bound of X, past which G is singular),
+    and cond G <= tr(G) tr(G^-1) is at most half of ``_COND_LIMIT``.
+    Otherwise it returns False and the factor is as it was.
     """
 
-    def __init__(self, t: int, capacity: int, rank_bound: int):
-        self.t, self.capacity, self.rank_bound = t, capacity, rank_bound
+    def __init__(self, t: int, cap: int):
+        self.t, self.cap = t, cap
         self.cols = np.empty((t, 0), dtype=np.complex128, order="F")
         self.cols_h = np.empty((0, t), dtype=np.complex128)
         self.linv = np.empty((0, 0), dtype=np.complex128)
         self.size = 0
         self.gram_trace = self.inv_trace = 0.0
-        self.certified = True
 
     def _reserve(self, q: int):
-        """Room for twice the ``q`` columns, up to the capacity: a fit of few
+        """Room for twice the ``q`` columns, up to the cap: a fit of few
         blocks holds little memory, and the moves cost O(T) per column."""
-        p, room = self.size, min(2 * q, self.capacity)
+        p, room = self.size, min(2 * q, self.cap)
         self.cols = _moved(self.cols, (self.t, room), np.s_[:, :p], order="F")
         self.cols_h = _moved(self.cols_h, (room, self.t), np.s_[:p])
-        if self.certified:
-            room = min(room, self.rank_bound)
-            self.linv = _moved(self.linv, (room, room), np.s_[:p, :p])
+        self.linv = _moved(self.linv, (room, room), np.s_[:p, :p])
 
-    def add(self, block: np.ndarray, energy: float):
-        """Append the T x s ``block``, of sum of squares ``energy``."""
+    def add(self, block: np.ndarray, energy: float) -> bool:
+        """Border the factor with the T x s ``block``, of sum of squares
+        ``energy``; return whether it did."""
         p = self.size
         q = p + block.shape[1]
+        if q > self.cap:
+            return False
         if q > len(self.cols_h):
             self._reserve(q)
-        self.size = q
         self.cols[:, p:q] = block
         np.conjugate(block.T, out=self.cols_h[p:q])
-        if not self.certified or q > len(self.linv):  # past the rank of X, G is singular
-            self.certified = False
-            return
         cross = self.cols_h[:q] @ block
         w = self.linv[:p, :p] @ cross[:p]
         w_h = np.conj(w.T)
         try:
             k = np.linalg.inv(np.linalg.cholesky(cross[p:] - w_h @ w))
         except np.linalg.LinAlgError:
-            self.certified = False
-            return
+            return False
         rows = self.linv[p:q, :q]
         np.matmul(-k @ w_h, self.linv[:p, :p], out=rows[:, :p])
         rows[:, p:] = k
+        gram_trace = self.gram_trace + energy
+        inv_trace = self.inv_trace + float(np.vdot(rows, rows).real)
+        if gram_trace * inv_trace > 0.5 * _COND_LIMIT:
+            return False
         self.linv[:p, p:q] = 0  # the factor is not zeroed when made
-        self.gram_trace += energy
-        self.inv_trace += float(np.vdot(rows, rows).real)
-        self.certified = self.gram_trace * self.inv_trace <= 0.5 * _COND_LIMIT
+        self.size, self.gram_trace, self.inv_trace = q, gram_trace, inv_trace
+        return True
 
     def refit(self, y: np.ndarray):
         """LS coefficients of y on the columns, in pick order, and the residual.
 
-        The solve L^-H L^-1 X_S^H y is refined twice, as in ``_least_squares``,
-        each time on the least-squares residual: c += G^-1 X_S^H (y - X_S c),
-        which keeps the residual of an exact fit at rounding level.
+        The solve L^-H L^-1 X_S^H y is refined twice, each time on the
+        least-squares residual: c += G^-1 X_S^H (y - X_S c), which keeps the
+        residual of an exact fit at rounding level (about eps * ||y||), as
+        the noiseless stopping rule needs.
         """
         q = self.size
         cols, cols_h = self.cols[:, :q], self.cols_h[:q]
@@ -343,11 +335,11 @@ class BlockOMP:
     (``SensingProduct.read``) and kept, in pick order, for the rest of the
     fit. Each refit borders the inverse Cholesky factor of the selected
     columns' Gram with the new block (``_BorderedFactor``, T p s work for p
-    selected columns) while tr(G) tr(G^-1) certifies that the Gram needs no
-    ridge; from the first block that breaks the certificate on, the fit
-    refits through the eigendecomposition of ``_least_squares``, which
-    ridges an ill-conditioned Gram, on the columns in block order.
-    Three stopping controls compose:
+    selected columns). A block the factor cannot border ends the loop and
+    is not selected: its Schur complement is not positive definite, it takes
+    the columns past the rank bound of X, or tr(G) tr(G^-1), a bound on
+    cond G, would pass half of ``_COND_LIMIT``. Four stopping controls
+    compose:
 
     * ``k_max`` caps the number of selected blocks (default: 1.5 times the
       worst-case nonzero count K_bar(M, delta), converted to blocks and
@@ -359,6 +351,7 @@ class BlockOMP:
       best block's correlation statistic is no longer distinguishable from
       noise at family-wise level alpha (a chi-squared test on 2*block_size
       degrees of freedom).
+    * the factor's certificate stops at the first dependent block.
 
     When ``noise_var`` is positive, the returned model is the prefix of the
     greedy path minimising an unbiased risk estimate (estimated coefficient
@@ -383,8 +376,9 @@ class BlockOMP:
     ``residual_norm_``, ``residual_path_`` and ``stop_reason_``, the rule
     that ended the greedy loop: "residual" (the residual stop, checked first),
     "exhausted" (every block selected, or none left that correlates with the
-    residual, so none could lower it), "budget" (``k_max`` blocks selected)
-    or "significance" (the ``stop_alpha`` test).
+    residual, so none could lower it), "budget" (``k_max`` blocks selected),
+    "significance" (the ``stop_alpha`` test) or "dependent" (the best block
+    could not be bordered).
     """
 
     def __init__(
@@ -446,7 +440,7 @@ class BlockOMP:
 
         resid = y.copy()
         blocks = []  # the picked blocks, in pick order
-        factor = _BorderedFactor(t, min(k_max, nb) * s, psi.rank_bound)
+        factor = _BorderedFactor(t, min(k_max * s, m, psi.rank_bound))
         rho = y_norm2
         # (rho, p, tr G^-1, coefficients in pick order) of every prefix
         path = [(rho, 0, 0.0, np.zeros(0, dtype=np.complex128))]
@@ -478,21 +472,13 @@ class BlockOMP:
                 if _log_poisson_tail(s, u) > log_level:
                     stop_reason = "significance"
                     break
+            if not factor.add(block, energy):
+                stop_reason = "dependent"
+                break
             blocks.append(pick)
-            factor.add(block, energy)
-            if factor.certified:
-                coef, resid = factor.refit(y)
-                gram_inv_trace = factor.inv_trace
-            else:
-                # the eigh kernel, on the columns in ascending block order
-                at = _columns(np.argsort(blocks), s)
-                sub = np.ascontiguousarray(factor.cols[:, at])
-                ascending, gram_inv_trace = _least_squares(sub, y)
-                resid = y - sub @ ascending
-                coef = np.empty_like(ascending)
-                coef[at] = ascending
+            coef, resid = factor.refit(y)
             rho = float(np.linalg.norm(resid) ** 2)
-            path.append((rho, coef.size, gram_inv_trace, coef))
+            path.append((rho, coef.size, factor.inv_trace, coef))
 
         residual_path = np.ldexp(np.sqrt([prefix[0] for prefix in path]), -y_shift)
         best = _best_prefix(path, t, sigma2, psi) if noisy else len(path) - 1
@@ -519,7 +505,7 @@ def ls_estimate(problem: SensingProblem) -> np.ndarray:
     ``_least_squares``; requires at least N measurements."""
     t, n = problem.pilots.shape
     check(t, "n_measurements", enough_for_ls(n))
-    return _least_squares(problem.pilots, problem.observations)[0]
+    return _least_squares(problem.pilots, problem.observations)
 
 
 def nmse(h, h_hat) -> float:

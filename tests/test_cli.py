@@ -143,6 +143,10 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, line, field_path):
         ("rip-probe", "rip.k = 100", "rip.k"),
         ("nmse-vs-mu0", "experiment.mu0_bins = 0.5", "experiment.mu0_bins"),
         ("block-size-sweep", "experiment.block_size_list = 3", "experiment.block_size_list"),
+        # a block wider than the fewest measurements of a blocked method's grid
+        ("block-size-sweep", "experiment.n_measurements = 16", "experiment.block_size_list"),
+        ("nmse-vs-t", "experiment.t_list = 2, 40", "recovery.block_size"),
+        ("nmse-vs-snr", "recovery.block_size = 128", "recovery.block_size"),
         ("nmse-vs-snr", "experiment.methods = dmu_block_omp, dmu_block_omp", "experiment.methods"),
         # kinds that draw their sources on [Fresnel, Rayleigh] read no source range
         ("sparsity-level", "channel.distance_min_m = 30", "channel.distance_min_m"),

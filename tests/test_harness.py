@@ -92,6 +92,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="recovery.block_size"):
             tiny_config(block_size=5).validate()
 
+    def test_a_block_wider_than_the_fewest_measurements_is_rejected(self):
+        # such a block has rank <= T < s, so every BlockOMP estimate would be zero
+        with pytest.raises(ConfigError, match=r"^recovery.block_size: must be <= 32, .* got 64$"):
+            tiny_config(block_size=64).validate()
+        tiny_config(block_size=32).validate()
+        # only a blocked method reads the block size
+        tiny_config(block_size=64, methods=("polar_omp",)).validate()
+        t_sweep = replace(preset_config("nmse_vs_T", "desk", seed=11), t_list=(40, 8))
+        with pytest.raises(ConfigError, match=r"^recovery.block_size: must be <= 8, .* got 16$"):
+            replace(t_sweep, block_size=16).validate()
+        sweep = replace(preset_config("block_size_sweep", "desk", seed=11), n_measurements=16)
+        with pytest.raises(ConfigError, match=r"^experiment.block_size_list: must be <= 16, .* got 32$"):
+            sweep.validate()
+
     def test_sparsity_delta_floor(self):
         with pytest.raises(ConfigError, match="experiment.delta"):
             ExperimentConfig(

@@ -11,7 +11,7 @@ import pytest
 from scipy.special import chdtri
 
 import nfcs
-from nfcs import harness, recovery
+from nfcs import harness
 from nfcs import (
     ArrayConfig,
     BlockOMP,
@@ -31,6 +31,7 @@ from nfcs.recovery import (
     _COND_LIMIT,
     RIDGE_SCALE,
     _best_prefix,
+    _BorderedFactor,
     _least_squares,
     _log_poisson_tail,
     _risk_estimate,
@@ -217,8 +218,8 @@ class TestBlockOMP:
                 BlockOMP(block_size=block_size).fit(psi, y)
 
     def test_rank_deficient_ls_is_stabilised(self):
-        # duplicated columns make the Gram matrix singular; the ridge keeps
-        # the solve finite
+        # the second block repeats the first, so no Gram of both is
+        # invertible; the first block explains y and the fit stops there
         rng = np.random.default_rng(9)
         base = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
         psi = np.concatenate([base, base], axis=1)
@@ -426,8 +427,11 @@ def _reference_fit(est, X, y):
     """The solver arithmetic before the in-place rewrite, kept as an oracle.
 
     Column energies by ``norm``, correlations by ``X^H r`` and every refit by
-    ``cond`` plus ``inv``; the stopping rules and the risk are those of
-    ``BlockOMP``. Returns ``(coef, support, n_iter, residual_path)``.
+    ``inv`` of the Gram of the columns in block order; the stopping rules and
+    the risk are those of ``BlockOMP``. Like it, the reference stops before
+    a block that takes the columns past min(T, M) or whose Gram G it cannot
+    certify by 0 < tr(G) tr(G^-1) <= _COND_LIMIT / 2. Returns
+    ``(coef, support, n_iter, residual_path)``.
     """
     t, m = X.shape
     s = est.block_size
@@ -459,16 +463,20 @@ def _reference_fit(est, X, y):
         if use_score_stop and rho > 0:
             if 2.0 * t * scores[pick] / (rho * block_energy[pick]) < score_threshold:
                 break
+        candidate = np.concatenate([np.arange(b * s, (b + 1) * s) for b in sorted(chosen + [pick])])
+        if candidate.size > min(t, m):
+            break
+        sub = X[:, candidate]
+        gram = np.conj(sub.T) @ sub
+        try:
+            gram_inv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            break
+        if not 0 < np.trace(gram).real * np.trace(gram_inv).real <= 0.5 * _COND_LIMIT:
+            break
         selected[pick] = True
         chosen.append(pick)
-        idx = np.concatenate([np.arange(b * s, (b + 1) * s) for b in sorted(chosen)])
-        sub = X[:, idx]
-        gram = np.conj(sub.T) @ sub
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            ridge = RIDGE_SCALE * float(np.trace(gram).real) / gram.shape[0]
-            gram = gram + ridge * np.eye(gram.shape[0])
-        gram_inv = np.linalg.inv(gram)
+        idx = candidate
         coef = gram_inv @ (np.conj(sub.T) @ y)
         resid = y - sub @ coef
         rho = float(np.linalg.norm(resid) ** 2)
@@ -525,48 +533,35 @@ class TestAgainstReferenceFit:
         est = BlockOMP(block_size=block_size, noise_var=noise_var).fit(psi, y)
         _assert_matches_reference(est, psi, y)
 
-    @pytest.mark.parametrize("duplicate", [False, True], ids=["full-rank", "ridged"])
-    def test_least_squares_trace_matches_inverse(self, duplicate):
-        # tr(G^-1) feeds the risk estimate that picks the returned prefix
-        rng = np.random.default_rng(12)
-        sub = rng.standard_normal((30, 6)) + 1j * rng.standard_normal((30, 6))
-        if duplicate:
-            sub[:, 5] = sub[:, 0]
-        y = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        gram = np.conj(sub.T) @ sub
-        if duplicate:
-            gram = gram + RIDGE_SCALE * np.trace(gram).real / 6 * np.eye(6)
-        coef, trace = _least_squares(sub, y)
-        assert trace == pytest.approx(np.trace(np.linalg.inv(gram)).real, rel=1e-6 if duplicate else 1e-12)
-        if not duplicate:
-            np.testing.assert_allclose(coef, np.linalg.solve(gram, np.conj(sub.T) @ y), atol=1e-12)
-
     @pytest.mark.parametrize("factor", [0.9, 1.1], ids=["below", "above"])
     def test_condition_at_ridge_threshold(self, factor):
-        # the final Gram's condition lies just below or above the ridge limit;
-        # the ridge visibly shrinks the coefficient of the weak column
+        # the full Gram's condition lies just below or above _COND_LIMIT.
+        # The certificate tr(G) tr(G^-1) >= cond G is conservative: with the
+        # weak block it is about 5 cond G, past half the limit either way,
+        # so both fits stop before the weak block (block 0, the third pick)
         X, beta, y = _graded_problem(5, factor * _COND_LIMIT)
         est = BlockOMP(block_size=2, k_max=3, stop_alpha=None).fit(X, y)
         gram = np.conj(X.T) @ X
         assert (np.linalg.cond(gram) > _COND_LIMIT) == (factor > 1)
         _assert_matches_reference(est, X, y)
-        weak_error = abs(est.coef_[1] - beta[1]) / abs(beta[1])
-        assert (weak_error > 0.5) if factor > 1 else (weak_error < 1e-9)
+        assert est.stop_reason_ == "dependent"
+        np.testing.assert_array_equal(est.support_, [2, 3, 4, 5])
+        np.testing.assert_allclose(est.coef_[2:], beta[2:], rtol=1e-9)
 
     @pytest.mark.parametrize("k_max", [1, 2])
-    def test_duplicated_column_takes_the_ridge(self, k_max):
-        # block 0 holds one column twice, so its Gram is singular and ridged.
-        # The reference inverts the ridged Gram (condition about 1e10) and is
-        # accurate only to about 1e-6 there, so values are compared at 1e-5;
-        # the new solve splits the duplicate's coefficient evenly to 1e-9.
+    def test_a_duplicated_column_is_dependent(self, k_max):
+        # block 0 holds one column twice, so its Gram is singular: the fit
+        # stops at the first pick and returns no coefficient
         rng = np.random.default_rng(9)
         base = rng.standard_normal((20, 7)) + 1j * rng.standard_normal((20, 7))
         X = np.concatenate([base[:, :3], base[:, :1], base[:, 3:]], axis=1)
         y = base[:, :3] @ (rng.standard_normal(3) + 1j * rng.standard_normal(3))
         est = BlockOMP(block_size=4, stop_alpha=None, k_max=k_max).fit(X, y)
-        _assert_matches_reference(est, X, y, rtol=1e-5)
-        assert abs(est.coef_[0] - est.coef_[3]) < 1e-9 * abs(est.coef_[0])
-        assert est.residual_norm_ < 1e-8 * np.linalg.norm(y)
+        _assert_matches_reference(est, X, y)
+        assert est.stop_reason_ == "dependent"
+        assert est.n_iter_ == 0
+        np.testing.assert_array_equal(est.coef_, np.zeros(8))
+        assert est.residual_norm_ == pytest.approx(np.linalg.norm(y), rel=1e-15)
 
     def test_large_array_high_snr_recovers_the_blocks(self):
         # N = 2048, T = 400, block 16 at 60 dB: the true block support is found
@@ -578,54 +573,40 @@ class TestAgainstReferenceFit:
         _assert_matches_reference(est, psi, y)
 
 
-def _count_eigh_refits(monkeypatch):
-    """Column counts of the ``_least_squares`` refits the fits make from now on."""
-    calls = []
-    kernel = recovery._least_squares
-
-    def spy(sub, y):
-        calls.append(sub.shape[1])
-        return kernel(sub, y)
-
-    monkeypatch.setattr(recovery, "_least_squares", spy)
-    return calls
-
-
 def _noise_var(psi, beta, snr_db):
     return float(np.linalg.norm(psi @ beta) ** 2) / (psi.shape[0] * 10 ** (snr_db / 10))
 
 
 class TestBorderedRefit:
-    """The bordered Cholesky refit takes the decisions of the eigh refit."""
+    """The bordered Cholesky refit takes the decisions of the reference fit."""
 
-    def test_a_long_path(self, monkeypatch):
+    def test_a_long_path(self):
         # block 32 at T = 100 and 30 dB: three blocks take p to 96 of the 100 rows
-        calls = _count_eigh_refits(monkeypatch)
         psi, beta, y, _ = random_block_sparse_problem(41, t=100, m=512, s=32, k=3, snr_db=30.0)
         est = BlockOMP(block_size=32, noise_var=_noise_var(psi, beta, 30.0)).fit(psi, y)
         assert est.n_iter_ * 32 >= 96
-        assert calls == []
+        assert est.stop_reason_ != "dependent"
         _assert_matches_reference(est, psi, y)
 
-    @pytest.mark.parametrize("factor", [0.9, 1.1], ids=["unridged", "ridged"])
+    @pytest.mark.parametrize("factor", [0.9, 1.1], ids=["below", "above"])
     @pytest.mark.parametrize("seed, first", [(5, 3), (3, 2)], ids=["weak-last", "weak-second"])
-    def test_the_eigh_refit_takes_over_once_the_certificate_fails(self, seed, first, factor, monkeypatch):
+    def test_stops_at_the_block_that_breaks_the_certificate(self, seed, first, factor):
         # block 0 holds the weak column, which gives the Gram a condition of
         # factor * _COND_LIMIT: tr(G) tr(G^-1) passes half the limit when the
-        # block is picked (the third pick, or the second), and the refits go
-        # through _least_squares from that iteration on, never before
-        calls = _count_eigh_refits(monkeypatch)
+        # block is picked (the third pick, or the second), and the fit stops
+        # there with the blocks picked before it
         X, beta, y = _graded_problem(seed, factor * _COND_LIMIT)
         est = BlockOMP(block_size=2, k_max=3, stop_alpha=None).fit(X, y)
-        assert calls == [2 * k for k in range(first, 4)]
+        assert est.stop_reason_ == "dependent"
+        assert est.n_iter_ == first - 1
+        assert 0 not in est.support_ // 2
         _assert_matches_reference(est, X, y)
 
-    def test_a_well_conditioned_noisy_fit_never_takes_the_eigh_refit(self, monkeypatch):
-        calls = _count_eigh_refits(monkeypatch)
+    def test_a_well_conditioned_noisy_fit_is_never_dependent(self):
         psi, beta, y, _ = random_block_sparse_problem(43, t=80, m=256, s=4, k=4, snr_db=10.0)
         est = BlockOMP(block_size=4, noise_var=_noise_var(psi, beta, 10.0)).fit(psi, y)
         assert est.n_iter_ >= 4
-        assert calls == []
+        assert est.stop_reason_ != "dependent"
         _assert_matches_reference(est, psi, y)
 
     @pytest.mark.parametrize("factored", [False, True], ids=["formed", "factored"])
@@ -656,6 +637,46 @@ class TestBorderedRefit:
                 assert est.stop_reason_ == "residual"
                 assert est.residual_norm_ <= 1e-15 * np.linalg.norm(y)
         assert identified >= 3
+
+
+class TestBorderedFactor:
+    def test_traces_match_the_gram_after_every_block(self):
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((30, 12)) + 1j * rng.standard_normal((30, 12))
+        factor = _BorderedFactor(30, 12)
+        start = 0
+        for width in (3, 1, 4, 2, 2):
+            block = X[:, start : start + width]
+            assert factor.add(block, np.vdot(block, block).real)
+            start += width
+            gram = np.conj(X[:, :start].T) @ X[:, :start]
+            assert factor.size == start
+            assert factor.gram_trace == pytest.approx(np.trace(gram).real, rel=1e-12)
+            assert factor.inv_trace == pytest.approx(np.trace(np.linalg.inv(gram)).real, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "repeat", [(0, 1, 0), (1, 6, 3)], ids=["within-the-block", "of-an-earlier-column"]
+    )
+    def test_refuses_a_block_with_a_duplicated_column(self, repeat):
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))
+        factor = _BorderedFactor(30, 8)
+        first = X[:, 5:8]
+        assert factor.add(first, np.vdot(first, first).real)
+        traces = factor.gram_trace, factor.inv_trace
+        block = X[:, list(repeat)]
+        assert not factor.add(block, np.vdot(block, block).real)
+        assert factor.size == 3 and (factor.gram_trace, factor.inv_trace) == traces
+        coef, resid = factor.refit(X[:, 6])
+        np.testing.assert_allclose(coef, [0, 1, 0], atol=1e-12)
+
+    def test_refuses_a_block_past_the_cap(self):
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((30, 6)) + 1j * rng.standard_normal((30, 6))
+        factor = _BorderedFactor(30, 4)
+        assert factor.add(X[:, :3], np.vdot(X[:, :3], X[:, :3]).real)
+        assert not factor.add(X[:, 3:], np.vdot(X[:, 3:], X[:, 3:]).real)
+        assert factor.size == 3
 
 
 def _polar_problem(n, t, block_size, snr_db, seed):
@@ -699,16 +720,30 @@ class TestFactoredFit:
         )
         np.testing.assert_array_equal(factored.support_, formed.support_)
         assert factored.n_iter_ == formed.n_iter_
-        # a noiseless fit that misses the support runs on to that budget; N
-        # columns of the rank-N product can have an ill-conditioned Gram
-        # (condition 6e8 at [64-2-noiseless-T>N], ridged at 256-2), where
-        # the two solves agree only to 1.9e-9 and 8.8e-7 of the scale
+        # a noiseless fit that misses the support runs on to that budget or
+        # to its first dependent block; N columns of the rank-N product can
+        # have an ill-conditioned Gram (condition 6e8 at
+        # [64-2-noiseless-T>N]), where the two solves agree only to 1.9e-9
+        # of the scale
         rtol = 1e-10 if formed.support_.size < n else 1e-4
         scale = max(np.abs(formed.coef_).max(), 1.0)
         np.testing.assert_allclose(factored.coef_, formed.coef_, rtol=0, atol=rtol * scale)
         np.testing.assert_allclose(
             factored.residual_path_, formed.residual_path_, rtol=0, atol=1e-10 * formed.residual_path_[0]
         )
+
+    @pytest.mark.parametrize("factored", [False, True], ids=["formed", "factored"])
+    def test_a_noiseless_miss_stops_at_the_first_dependent_block(self, factored):
+        # the [256-2-noiseless-T>N] draw misses the support; it used to run on
+        # to its budget of 128 blocks, ridging every Gram from the 74th on
+        n, t, s = 256, 320, 2
+        polar, pilots, y, _ = _polar_problem(n, t, s, None, (n, s, t, 99))
+        k_max = BlockOMP(block_size=s)._default_k_max(min(t, n), polar.n_atoms, 0.0)
+        X = polar.sensing_operator(pilots) if factored else pilots @ polar.matrix
+        est = BlockOMP(block_size=s, k_max=k_max).fit(X, y)
+        assert est.stop_reason_ == "dependent"
+        assert est.n_iter_ == 73 < k_max
+        assert est.support_.size == 2 * 73
 
     def test_noiseless_budget_stops_at_the_rank_of_the_pilots(self):
         # the [64-1-noiseless-T>N] draw misses the support; it used to run on
@@ -959,6 +994,23 @@ class TestRecoveryOnChannel:
 
 
 class TestLeastSquares:
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["full-rank", "ridged"])
+    def test_kernel_matches_the_solve(self, duplicate):
+        # a repeated column makes the Gram singular, and the kernel solves
+        # with the ridged Gram; np.linalg.solve of that Gram (condition 2e10)
+        # is itself accurate only to about eps * cond, 4e-6 relative
+        rng = np.random.default_rng(12)
+        sub = rng.standard_normal((30, 6)) + 1j * rng.standard_normal((30, 6))
+        if duplicate:
+            sub[:, 5] = sub[:, 0]
+        y = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        gram = np.conj(sub.T) @ sub
+        if duplicate:
+            gram = gram + RIDGE_SCALE * np.trace(gram).real / 6 * np.eye(6)
+        expected = np.linalg.solve(gram, np.conj(sub.T) @ y)
+        atol = (1e-6 if duplicate else 1e-12) * np.abs(expected).max()
+        np.testing.assert_allclose(_least_squares(sub, y), expected, rtol=0, atol=atol)
+
     def test_noiseless_square(self, cfg):
         spec = sample_channel(cfg, 3, seed=40)
         prob = make_problem(cfg, spec, cfg.n_antennas, snr_db=math.inf, seed=41)
