@@ -7,6 +7,7 @@ import numpy as np
 
 from .coherence import _worst_case_nonzeros, delta_floor, phase_pair, sparsity_bound
 from .geometry import ArrayConfig
+from .recovery import _columns
 from .seeding import rng_from
 from .validation import FRACTION, OPEN_FRACTION, POSITIVE, Rule, block_count, check, check_integer
 from .validation import as_complex_matrix, finite_energy
@@ -100,9 +101,7 @@ def empirical_rip_probe(
     for t in range(trials):
         rng = rng_from(seed, "rip_probe", t)
         blocks = rng.choice(n_blocks, size=k, replace=False)
-        idx = np.concatenate(
-            [np.arange(b * block_size, (b + 1) * block_size) for b in np.sort(blocks)]
-        )
+        idx = _columns(np.sort(blocks), block_size)
         c = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
         c /= np.linalg.norm(c)
         deviations[t] = abs(float(np.linalg.norm(psi[:, idx] @ c) ** 2) - 1.0)

@@ -12,13 +12,13 @@ import threading
 
 import numpy as np
 
-from .geometry import ArrayConfig, _steering, b_vector, field_boundaries, finite_phase, unit_response
+from .geometry import ArrayConfig, _steering, b_vector, field_boundaries, finite_phase
 from .validation import POSITIVE, RANGE, Rule, as_complex_matrix, as_complex_vector, check, check_integer
 from .validation import finite_energy
 
 _COHERENCE_BLOCK = 128  # Gram rows per block of the mutual-coherence sweep
 _HEAD_ROWS = 16  # matrix rows in the head screen of the mutual-coherence sweep
-_DENSE_BLOCK = 64  # rows of a dense dictionary conjugated, or polar columns formed, at a time
+_DENSE_BLOCK = 64  # rows of a dense dictionary conjugated, or its columns formed, at a time
 _BLOCK_ENTRIES = 2**16
 """Entries of one block of the analytics kernels: the columns of a mutual-
 coherence pass, the draws of the sparsity level and the rows of the exact
@@ -47,10 +47,13 @@ class Dictionary:
     where ``W`` is the unitary inverse DFT and ``s_n = exp(-j*pi*n*(N-1)/N)``
     carries the centring of the angular grid, so all three products apply
     the length-N chirp ``c = b_mu * s`` and one FFT along the antenna axis,
-    in O(N log N) per vector. Their ``matrix`` is built on first access from
-    the closed form ``b_mu[:, None] * F`` and cached. The polar baseline has
-    a different quadratic term on every ring, so it keeps a dense matrix and
-    dense products, and its sensing matrix ``pilots @ D`` is left unformed.
+    in O(N log N) per vector. Their ``matrix`` is built on first access and
+    cached: column n is the second-order steering vector at
+    (theta_n, mu cos^2(theta_n)) on the DFT grid, formed in place by
+    ``_steering_columns`` (mu = inf gives the DFT), so the build holds the
+    matrix once. The polar baseline has a different quadratic term on every
+    ring, so it keeps a dense matrix and dense products, and its sensing
+    matrix ``pilots @ D`` is left unformed.
 
     ``matrix`` and ``row_gram_range`` are read-only caches, each built on
     its first read and never changed after; an instance is otherwise
@@ -84,7 +87,9 @@ class Dictionary:
         if self._matrix is None:
             with self._lock:
                 if self._matrix is None:
-                    matrix = b_vector(self._cfg, self.mu)[:, None] * _far_matrix(self._cfg)
+                    grid = dft_grid(self.n_antennas)
+                    matrix = np.empty(self.shape, dtype=np.complex128)
+                    _steering_columns(self._cfg, grid, self.mu * (1.0 - grid**2), matrix)
                     matrix.setflags(write=False)
                     self._matrix = matrix
         return self._matrix
@@ -297,18 +302,16 @@ def polar_range(cfg: ArrayConfig, r_min: float = None, r_max: float = None) -> t
     return fresnel if r_min is None else r_min, rayleigh if r_max is None else r_max
 
 
-def _far_matrix(cfg: ArrayConfig, out: np.ndarray = None, cols=slice(None)) -> np.ndarray:
-    """The DFT basis F of ``D_mu = diag(b_mu) F``, also ring 0 of the polar
-    baseline, or its columns ``cols``, formed in ``out`` if given.
-
-    Its columns are the plane-wave responses on ``dft_grid``, but their phase
-    is formed from the grid product directly, not through ``_steering``: the
-    other association of the same product moves the last bits of the matrix.
-    """
-    n = np.arange(cfg.n_antennas)
-    grid = dft_grid(cfg.n_antennas)[cols]
-    phase = (2 * np.pi / cfg.wavelength) * cfg.spacing * np.outer(n, grid)
-    return unit_response(phase, out)
+def _steering_columns(cfg: ArrayConfig, sines: np.ndarray, radii: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The second-order steering vectors at ``(sines[j], radii[j])``, one per
+    column j of ``out`` (N x len(sines)), with r = inf the plane-wave
+    response. They are formed in place through ``_steering``,
+    ``_DENSE_BLOCK`` columns at a time, so a build holds ``out`` and the real
+    phase of one block of columns."""
+    for start in range(0, out.shape[1], _DENSE_BLOCK):
+        cols = slice(start, start + _DENSE_BLOCK)
+        _steering(cfg, sines[cols], radii[cols], "taylor", out=out[:, cols])
+    return out
 
 
 def build_dmu(cfg: ArrayConfig, mu: float) -> Dictionary:
@@ -327,12 +330,13 @@ def build_polar_baseline(
 ) -> Dictionary:
     """Overcomplete angle x distance dictionary used as the comparison baseline.
 
-    Ring 0 sits at infinity (plane-wave atoms, identical to the DFT columns);
+    Ring 0 sits at r = inf (plane-wave atoms, identical to the DFT columns);
     the remaining ``n_rings - 1`` rings sample 1/r uniformly over the given
     distance range (default: ``polar_range(cfg)``). Columns are grouped
-    ring-major so ``n_rings = 1`` reduces exactly to the DFT. Each ring is
-    formed in place, ``_DENSE_BLOCK`` columns at a time, so the build holds
-    the matrix and the real phase of one block of columns.
+    ring-major so ``n_rings = 1`` reduces exactly to the DFT. Every ring,
+    ring 0 included, is formed in place by ``_steering_columns``, the
+    former of the chirped dictionaries' dense matrix, on the ring-major
+    (sin(theta), r) grid, so the build holds the matrix once.
     """
     check(cfg.spacing, "spacing", half_wavelength(cfg.wavelength))
     n_rings = check_integer(n_rings, "n_rings", 1)
@@ -341,21 +345,10 @@ def build_polar_baseline(
         check(end, name, POSITIVE)
         check(end, name, finite_phase(cfg))
     check((lo, hi), "distance_range", RANGE)
-    ring_radii = [math.inf]
-    if n_rings > 1:
-        inv = np.linspace(1.0 / hi, 1.0 / lo, n_rings - 1)
-        ring_radii.extend(float(1.0 / v) for v in inv)
+    radii = np.append(math.inf, 1.0 / np.linspace(1.0 / hi, 1.0 / lo, n_rings - 1))
     n = cfg.n_antennas
-    grid = dft_grid(n)
-    matrix = np.empty((n, n * len(ring_radii)), dtype=np.complex128)
-    for k, radius in enumerate(ring_radii):
-        ring = matrix[:, k * n:(k + 1) * n]
-        for start in range(0, n, _DENSE_BLOCK):
-            cols = slice(start, start + _DENSE_BLOCK)
-            if math.isinf(radius):
-                _far_matrix(cfg, out=ring[:, cols], cols=cols)
-            else:
-                _steering(cfg, grid[cols], radius, "taylor", out=ring[:, cols])
+    matrix = np.empty((n, n * n_rings), dtype=np.complex128)
+    _steering_columns(cfg, np.tile(dft_grid(n), n_rings), np.repeat(radii, n), matrix)
     return Dictionary(matrix)
 
 

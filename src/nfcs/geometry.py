@@ -175,28 +175,24 @@ def _element_delay(sin_t, r, offsets, mode: str):
     raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'taylor'")
 
 
-def unit_response(phase: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """exp(j*phase)/sqrt(N) for the N rows of ``phase``, formed in ``out``
-    (a complex array of the same shape, such as one ring's columns of a
-    dictionary) if given, with no complex temporary; the same bits either way."""
-    out = np.multiply(phase, 1j, out=out)
-    np.exp(out, out=out)
-    out /= math.sqrt(phase.shape[0])
-    return out
-
-
 def _steering(cfg: ArrayConfig, sin_t, r, mode: str, out: np.ndarray = None) -> np.ndarray:
     """Unit-norm response exp(-j*(2pi/lam)*(r^(n)-r))/sqrt(N) to a source at (sin_t, r).
 
-    The one place a path-length delay becomes an array response. An array
-    ``sin_t`` or ``r`` gives an N x len matrix with one response per column,
-    formed in ``out`` if given (see ``unit_response``).
+    The one place a path-length delay becomes an array response, and so the
+    kernel of every dense dictionary column (``dictionaries._steering_columns``).
+    An array ``sin_t`` or ``r`` gives an N x len matrix with one response per
+    column. It is formed in ``out`` if given (a complex array of that shape,
+    such as a block of a dictionary's columns), with no complex temporary;
+    the same bits either way.
     """
     offsets = np.arange(cfg.n_antennas) * cfg.spacing
     if np.ndim(sin_t) or np.ndim(r):
         offsets = offsets[:, None]
     phase = -(2 * np.pi / cfg.wavelength) * _element_delay(sin_t, r, offsets, mode)
-    return unit_response(phase, out)
+    out = np.multiply(phase, 1j, out=out)
+    np.exp(out, out=out)
+    out /= math.sqrt(cfg.n_antennas)
+    return out
 
 
 def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:

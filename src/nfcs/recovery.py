@@ -462,7 +462,7 @@ class BlockOMP:
             if scores[pick] == 0:  # the residual is orthogonal to every block left
                 stop_reason = "exhausted"
                 break
-            block = psi.read(np.arange(pick * s, (pick + 1) * s))
+            block = psi.read(_columns([pick], s))
             energy = np.vdot(block, block).real
             if use_score_stop:
                 # u is half the chi-squared statistic on 2s degrees of freedom,

@@ -78,6 +78,8 @@ def test_dmu_infinite_mu_is_dft(cfg):
     dft = build_dft(cfg)
     np.testing.assert_array_equal(via_inf.matrix, dft.matrix)
     assert dft.mu == math.inf
+    # the plane-wave responses of the one steering kernel, bit for bit
+    assert dft.matrix.tobytes() == _steering(cfg, dft_grid(256), math.inf, "taylor").tobytes()
 
 
 def test_dmu_columns_are_steering_vectors(cfg):
@@ -210,9 +212,17 @@ def _traced_peak(fn):
 def test_polar_build_holds_the_matrix_once(cfg):
     # each ring's responses are formed in its columns of the one N x 6N
     # matrix, a block of columns at a time, so the build holds the matrix
-    # once, plus the real phase temporaries of one block (1.06x here)
+    # once, plus the real phase temporaries of one block (1.08x here)
     polar, peak = _traced_peak(lambda: build_polar_baseline(cfg))
     assert peak <= 1.1 * polar.matrix.nbytes
+
+
+def test_dense_dmu_build_holds_the_matrix_once():
+    # the chirped matrix is formed in place by the same column former, not
+    # as b_mu[:, None] * F, which held F and the product (2.01x here)
+    dmu = build_dmu(ArrayConfig(100e9, 1024), 200.0)
+    matrix, peak = _traced_peak(lambda: dmu.matrix)
+    assert peak <= 1.2 * matrix.nbytes
 
 
 def test_row_gram_range_copies_no_conjugate_of_the_matrix(cfg):
@@ -827,7 +837,7 @@ def test_chirped_matrix_is_built_once_by_racing_threads(cfg, monkeypatch):
     import nfcs.dictionaries as dictionaries
 
     calls = []
-    monkeypatch.setattr(dictionaries, "_far_matrix", _counting(dictionaries._far_matrix, calls))
+    monkeypatch.setattr(dictionaries, "_steering_columns", _counting(dictionaries._steering_columns, calls))
     dmu = build_dmu(cfg, 20.0)
     results = _race(lambda: dmu.matrix)
     assert len(calls) == 1

@@ -31,6 +31,15 @@ relative (2 of 16 and 0 of 4 values still identical), so they are compared
 within ``VALUE_RTOL`` too. ``nmse_vs_snr``, ``block_size_sweep`` and
 ``nmse_vs_mu0`` give the same bytes with one or two BLAS threads.
 
+Ring 0 of the polar baseline, the plane-wave ring, was formed from its own
+phase product until every dense dictionary column came from
+``geometry._steering``. Forming it there moved only the ``polar`` and
+``polar_omp`` rows: ``nmse_vs_snr`` 4 of 8 values, by at most 2.4e-14
+relative; ``block_size_sweep`` 8 of 16, 1.8e-14; ``mutual_coherence`` 2 of
+4, 8.9e-16; ``mutual_coherence_desk`` 4 of 8, 6.7e-16. Against the committed
+CSVs they now differ by at most 1.8e-13, 1.8e-14, 1.1e-14 and 3.3e-16,
+within ``VALUE_RTOL``. ``nmse_vs_T`` has no polar method and did not move.
+
 ``coherence_error`` and ``rip_probe`` were emitted before the effective
 distance, the (a, b) phase pair and the nonzero count were each written once
 for the analytics; both match byte for byte. ``coherence_error`` was also
