@@ -37,8 +37,8 @@ def dft_grid(n_antennas: int) -> np.ndarray:
 class Dictionary:
     """An N x M sparsifying dictionary with transformer-style helpers.
 
-    ``sensing_operator`` gives the sensing matrix ``pilots @ D``, ``transform``
-    maps channel vectors to coefficients via the adjoint, and
+    ``sensing_operator`` gives the ``SensingProduct`` of ``pilots @ D``,
+    ``transform`` maps channel vectors to coefficients via the adjoint, and
     ``inverse_transform`` synthesises channels from coefficients, its exact
     inverse for the unitary chirped dictionaries (``build_dmu``, ``build_dft``).
 
@@ -51,9 +51,10 @@ class Dictionary:
     cached: column n is the second-order steering vector at
     (theta_n, mu cos^2(theta_n)) on the DFT grid, formed in place by
     ``_steering_columns`` (mu = inf gives the DFT), so the build holds the
-    matrix once. The polar baseline has a different quadratic term on every
-    ring, so it keeps a dense matrix and dense products, and its sensing
-    matrix ``pilots @ D`` is left unformed.
+    matrix once; their sensing matrix is formed by the FFT. The polar
+    baseline has a different quadratic term on every ring, so it keeps a
+    dense matrix and dense products, and its sensing matrix ``pilots @ D``
+    is left unformed.
 
     ``matrix`` and ``row_gram_range`` are read-only caches, each built on
     its first read and never changed after; an instance is otherwise
@@ -130,19 +131,23 @@ class Dictionary:
     def n_atoms(self) -> int:
         return self.shape[1]
 
-    def sensing_operator(self, pilots, overwrite: bool = False):
-        """The sensing matrix ``pilots @ D`` of a T x N pilot block, as a
-        solver reads it. The chirped kinds form it with one FFT, in
-        O(T N log N); with ``overwrite``, to the same bits, in the buffer of
-        writable complex128 pilots, which then hold it. A dense dictionary
-        returns its ``SensingProduct``, which would cost T N M to form."""
+    def sensing_operator(self, pilots, overwrite: bool = False) -> "SensingProduct":
+        """The ``SensingProduct`` of ``pilots @ D`` for T x N pilots, finite
+        and not all zero. The chirped kinds form X with one FFT, in
+        O(T N log N), and read it in place; with ``overwrite``, to the same
+        bits, in the buffer of writable complex128 pilots, which then hold
+        it. A dense dictionary's reader, which would cost T N M to form,
+        holds P and D."""
         if self._chirp is None:
             return SensingProduct(pilots, self)
         arr = as_complex_matrix(pilots, "pilots")
         _check_length(arr, self.n_antennas, "pilot rows")
-        # the product is transformed in place: one T x N array, not two
-        buf = np.multiply(arr, self._chirp, out=arr if overwrite and arr.flags.writeable else None)
-        return np.fft.ifft(buf, axis=1, norm="ortho", out=buf)
+        # the product is transformed in place, and read there: one T x N array, not
+        # two; a non-finite pilot gives a non-finite X, rejected by the reader
+        with np.errstate(invalid="ignore"):
+            buf = np.multiply(arr, self._chirp, out=arr if overwrite and arr.flags.writeable else None)
+            np.fft.ifft(buf, axis=1, norm="ortho", out=buf)
+        return SensingProduct(buf)
 
     def transform(self, X) -> np.ndarray:
         """Adjoint analysis: channel rows (or a single vector) to coefficients."""
@@ -172,18 +177,17 @@ class Dictionary:
 
 
 class SensingProduct:
-    """The T x M sensing matrix X that ``BlockOMP`` and ``mutual_coherence``
-    read: the product P A of pilots P and a dense dictionary A, read through
-    its factors and never formed, which would cost T N M, or, with no
+    """The T x M sensing matrix X that every solver and probe reads: the
+    product P A of pilots P and a dense dictionary A, read through its
+    factors and never formed, which would cost T N M, or, with no
     dictionary, a formed complex X, read in place (``pilots`` is None).
 
-    A product's P must be finite and not all zero; it is held as
-    ``scale_into_range`` returns it (the reader reads ``2**shift P A``), with
-    its ||P||_F^2. A formed X is read as it is given; ``in_range`` reads it
-    as a solver does, held as ``scale_into_range`` returns it. ``read(cols,
-    out=None)`` is the block of the columns ``cols``: of a formed X a view
-    for a slice, of a product ``P A[:, cols]``, formed in the flat buffer
-    ``out`` if given.
+    P or X must be finite and not all zero (``ValueError`` names it
+    ``name``); it is checked once, when the reader is built, and held as
+    ``scale_into_range`` returns it (the reader reads ``2**shift`` X), with
+    its sum of squares. ``read(cols, out=None)`` is the block of the columns
+    ``cols``: of a formed X a view for a slice, of a product
+    ``P A[:, cols]``, formed in the flat buffer ``out`` if given.
     ``correlate(r)`` is ``r^H X``, ``(r^H P) A`` of a product (T N + N M).
     ``scaled(shifts)`` reads X with column j scaled by ``2**shifts[j]``.
     A reader holds no per-draw state: once built it does not change, so
@@ -196,32 +200,17 @@ class SensingProduct:
     product and min(T, M) of a formed X.
     """
 
-    def __init__(self, pilots, dictionary: Dictionary = None):
+    def __init__(self, pilots, dictionary: Dictionary = None, name: str = "pilots"):
         self.dictionary = dictionary
-        if dictionary is None:
-            self.pilots, self._atoms = None, pilots
-        else:
-            pilots = as_complex_matrix(pilots, "pilots")
-            _check_length(pilots, dictionary.n_antennas, "pilot rows")
-            self.pilots, self._energy, self.shift = scale_into_range(pilots, "pilots")
-            if not self._energy:
-                raise ValueError("pilots must not be all zero")
-            self._atoms = dictionary.matrix
-        self.shape = (len(pilots), self._atoms.shape[1])
-        self.rank_bound = min(pilots.shape)
-
-    def in_range(self, name: str) -> "SensingProduct":
-        """The reader a solver reads: a product itself, whose pilots were
-        scaled when it was made, or a formed X scaled by ``scale_into_range``;
-        ``ValueError`` names a formed X that is not finite or all zero."""
-        if self.pilots is not None:
-            return self
-        X, energy, shift = scale_into_range(self._atoms, name)
-        if not energy:
+        arr = as_complex_matrix(pilots, name)
+        if dictionary is not None:
+            _check_length(arr, dictionary.n_antennas, "pilot rows")
+        arr, self._energy, self.shift = scale_into_range(arr, name)
+        if not self._energy:
             raise ValueError(f"{name} must not be all zero")
-        reader = SensingProduct(X)
-        reader._energy, reader.shift = energy, shift
-        return reader
+        self.pilots, self._atoms = (None, arr) if dictionary is None else (arr, dictionary.matrix)
+        self.shape = (len(arr), self._atoms.shape[1])
+        self.rank_bound = min(arr.shape)
 
     def scaled(self, shifts: np.ndarray) -> "SensingProduct":
         """X with column j scaled by ``2**shifts[j]``, for ``mutual_coherence``."""
@@ -261,8 +250,8 @@ class SensingProduct:
 
 def as_sensing(X, name: str) -> SensingProduct:
     """``X`` if it is a ``SensingProduct``, else the reader of the formed
-    matrix ``as_complex_matrix(X, name)``."""
-    return X if isinstance(X, SensingProduct) else SensingProduct(as_complex_matrix(X, name))
+    matrix ``X``, checked and scaled as ``name``."""
+    return X if isinstance(X, SensingProduct) else SensingProduct(X, name=name)
 
 
 def _as_rows(X):
@@ -498,11 +487,12 @@ def _column_pass(read, blocks: list, n_head: int, n_cols: int, buffer) -> tuple:
 def mutual_coherence(matrix) -> float:
     """Largest normalised inner product between distinct columns, at most 1.
 
-    ``matrix`` is a formed T x M matrix, or the ``SensingProduct`` P A that
-    ``Dictionary.sensing_operator`` returns for a dense dictionary, which is
-    never formed. Both are read through ``SensingProduct.read``, a block of
-    columns at a time (``_blocks``: at most ``_BLOCK_ENTRIES`` entries); a
-    formed matrix's blocks are views of it. The memory beyond the input is
+    ``matrix`` is a ``SensingProduct`` (``Dictionary.sensing_operator``;
+    a dense dictionary's P A is never formed), or a formed T x M matrix,
+    finite and not all zero, wrapped in one (``as_sensing``). It is read
+    through ``SensingProduct.read``, a block of columns at a time
+    (``_blocks``: at most ``_BLOCK_ENTRIES`` entries); a formed matrix's
+    blocks are views of it. The memory beyond the input is
     one block, the complex64 head rows below and the candidate columns of
     stage 2, however large T and M.
 

@@ -404,8 +404,9 @@ def _trial_nmse(config, draw, methods, dictionaries, block_sizes):
     """NMSE of one draw solved by every method at every block size.
 
     Returns a (block size, method) array. Each method senses the draw once,
-    through its unformed operator for the polar baseline; a method that is
-    not blocked, and ls, is solved once and its value spans every block size.
+    into one reader that its fits at every block size share (unformed for
+    the polar baseline); a method that is not blocked, and ls, is solved
+    once and its value spans every block size.
     The methods are solved in config order. The last one senses in the
     draw's own pilot buffer, after every other reader of the pilots has
     finished: when it is chirped, a draw holds one T x N array, not two.

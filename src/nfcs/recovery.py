@@ -24,8 +24,8 @@ class SensingProblem:
     """One draw: the observations y = F h + n of channel h through pilots F.
 
     A solver senses the draw through a dictionary D with
-    ``dictionary.sensing_operator(problem.pilots)``, so one draw serves
-    every dictionary.
+    ``dictionary.sensing_operator(problem.pilots)``, the ``SensingProduct``
+    it fits, so one draw serves every dictionary.
     """
 
     pilots: np.ndarray
@@ -324,9 +324,9 @@ def _best_prefix(path: list, t: int, sigma2: float, psi) -> int:
 class BlockOMP:
     """Greedy block-sparse solver for y = X beta with X = (T x M).
 
-    X is a formed matrix or the ``SensingProduct`` P A that
-    ``Dictionary.sensing_operator`` returns for a dense dictionary, which is
-    fitted without forming it; either is read through ``SensingProduct``.
+    X is the ``SensingProduct`` that ``Dictionary.sensing_operator``
+    returns, or a formed matrix, read through one (``as_sensing``); a dense
+    dictionary's P A is fitted without forming it.
 
     Each iteration selects the not-yet-chosen block whose columns carry the
     largest residual correlation energy ||X_i^H r||_2 (ties broken toward the
@@ -367,8 +367,8 @@ class BlockOMP:
     ``noise_var`` must be finite and >= 0, ``delta`` in (0, 1], ``k_max`` an
     integer >= 0 or None, X and y finite and X (or a product's pilots)
     neither empty nor all zero; ``fit`` raises ``ValueError`` otherwise. A
-    zero y stops at once ("residual"). y, a formed X and a product's pilots
-    are scaled into range by ``dictionaries.scale_into_range``;
+    zero y stops at once ("residual"). y is scaled into range by
+    ``dictionaries.scale_into_range``, as X was when its reader was built;
     ``noise_var`` is read in the units of the scaled y, and ``coef_`` and
     the residuals are scaled back.
 
@@ -408,7 +408,7 @@ class BlockOMP:
         return cap if budget >= cap else math.ceil(budget)
 
     def fit(self, X, y):
-        psi = as_sensing(X, "X").in_range("X")
+        psi = as_sensing(X, "X")
         t, m = psi.shape
         y = as_complex_vector(y, "y")
         if y.shape[0] != t:

@@ -7,9 +7,11 @@ from nfcs import (
     ArrayConfig,
     build_dmu,
     empirical_rip_probe,
+    gen_pilots,
     sample_complexity,
     varrho_bound,
 )
+from nfcs.block_rip import RipProbeReport
 from nfcs.coherence import sparsity_bound
 
 
@@ -134,6 +136,25 @@ class TestRipProbe:
         for matrix in (psi, np.full((4, 4), bad, dtype=complex)):
             with pytest.raises(ValueError, match="^psi must be finite$"):
                 empirical_rip_probe(matrix, 1, k=1, trials=5, seed=3)
+
+    def test_rejects_an_all_zero_psi(self):
+        # every deviation of a zero psi is 1: it used to report xi_hat = 1
+        with pytest.raises(ValueError, match="^psi must not be all zero$"):
+            empirical_rip_probe(np.zeros((4, 8), dtype=complex), 2, k=1, trials=3, seed=1)
+
+    def test_a_psi_past_the_float_range_deviates_by_inf(self):
+        # ||Psi c||^2 is about 1e400: read in range and scaled back, it
+        # overflows to inf without a warning; the matmul of the raw psi warned
+        report = empirical_rip_probe(np.full((4, 8), 1e200, dtype=complex), 2, 1, 3, seed=1)
+        assert report == RipProbeReport(xi_hat=math.inf, violation_rate=1.0)
+
+    def test_a_chirped_reader_probes_as_its_formed_matrix(self):
+        cfg = ArrayConfig(100e9, 64)
+        reader = build_dmu(cfg, 10.0).sensing_operator(gen_pilots(24, 64, seed=8))
+        got = empirical_rip_probe(reader, 8, k=2, trials=40, seed=9)
+        want = empirical_rip_probe(reader.read(slice(None)), 8, k=2, trials=40, seed=9)
+        assert np.float64(got.xi_hat).tobytes() == np.float64(want.xi_hat).tobytes()
+        assert got.violation_rate == want.violation_rate
 
     def test_rejects_zero_trials(self):
         psi = np.eye(16, dtype=complex)

@@ -151,12 +151,28 @@ def test_a_dense_dictionary_rejects_non_finite_entries(bad):
         Dictionary(matrix)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
-def test_the_factored_product_rejects_non_finite_pilots(cfg, bad):
+SENSED_KINDS = {
+    "dmu": lambda cfg: build_dmu(cfg, 20.0),
+    "dft": build_dft,
+    "polar": lambda cfg: build_polar_baseline(cfg, 2),
+}
+
+
+@pytest.mark.parametrize("kind", SENSED_KINDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf), 0.0])
+def test_the_factored_product_rejects_non_finite_pilots(cfg, kind, bad):
+    # every dictionary's reader checks the pilots alike: a chirped one used
+    # to return a non-finite or zero X, read as it was
+    dictionary = SENSED_KINDS[kind](cfg)
     pilots = gen_pilots(8, cfg.n_antennas, seed=1)
-    pilots[3, 100] = bad
-    with pytest.raises(ValueError, match="^pilots must be finite$"):
-        build_polar_baseline(cfg, 2).sensing_operator(pilots)
+    if bad == 0:
+        pilots[:] = 0.0
+        match = "^pilots must not be all zero$"
+    else:
+        pilots[3, 100] = bad
+        match = "^pilots must be finite$"
+    with pytest.raises(ValueError, match=match):
+        dictionary.sensing_operator(pilots)
 
 
 def test_polar_single_ring_is_dft(cfg):
@@ -374,19 +390,33 @@ def test_mutual_coherence_reads_a_sensing_product_as_its_formed_matrix(cfg, case
         assert expected > 0.99
 
 
-@pytest.mark.parametrize("column, match", [(0.0, "zero columns"), (1e300, "finite columns")])
-def test_a_sensing_product_with_a_zero_or_non_finite_column_is_rejected(column, match):
+@pytest.mark.parametrize(
+    "column, formed_match, match",
+    [(0.0, "zero columns", "zero columns"), (1e300, "^matrix must be finite$", "finite columns")],
+)
+def test_a_sensing_product_with_a_zero_or_non_finite_column_is_rejected(column, formed_match, match):
     # 1e300 times pilots of entries near 2^150, whose sum of squares is in
-    # range, overflows in P A
+    # range, overflows in P A; the formed overflow is rejected when it is read
     rng = np.random.default_rng(5)
     atoms = random_complex(rng, 64, 300)
     atoms[:, 123] = column
     pilots = random_complex(rng, 40, 64) * 2.0**150
     with np.errstate(over="ignore", invalid="ignore"):
         formed = pilots @ atoms
-    for matrix in (formed, Dictionary(atoms).sensing_operator(pilots)):
-        with pytest.raises(ValueError, match=match):
-            mutual_coherence(matrix)
+    with pytest.raises(ValueError, match=formed_match):
+        mutual_coherence(formed)
+    with pytest.raises(ValueError, match=match):
+        mutual_coherence(Dictionary(atoms).sensing_operator(pilots))
+
+
+@pytest.mark.parametrize(
+    "fill, match", [(0.0, "^matrix must not be all zero$"), (math.nan, "^matrix must be finite$")]
+)
+def test_mutual_coherence_rejects_a_formed_matrix_when_it_reads_it(fill, match):
+    # these used to reach the column checks: "undefined for zero columns"
+    # and "needs finite columns"
+    with pytest.raises(ValueError, match=match):
+        mutual_coherence(np.full((5, 7), fill, dtype=complex))
 
 
 def test_mutual_coherence_of_a_product_holds_less_than_the_product(cfg):
@@ -729,7 +759,7 @@ def test_fft_products_match_dense_matrix(kind, n):
     dense = d.matrix
     rng = np.random.default_rng(n)
     pilots = gen_pilots(40, n, seed=rng)
-    np.testing.assert_allclose(d.sensing_operator(pilots), pilots @ dense, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d.sensing_operator(pilots).read(slice(None)), pilots @ dense, rtol=0, atol=1e-12)
     rows = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     np.testing.assert_allclose(d.transform(rows), rows @ np.conj(dense), rtol=0, atol=1e-12)
@@ -747,7 +777,7 @@ def test_sense_leaves_the_pilots_and_matches_the_out_of_place_fft(kind, n):
     d = build_dmu(cfg_n, 20.0) if kind == "dmu" else build_dft(cfg_n)
     pilots = gen_pilots(40, n, seed=n)
     before = pilots.copy()
-    sensed = d.sensing_operator(pilots)
+    sensed = d.sensing_operator(pilots).read(slice(None))
     assert pilots.tobytes() == before.tobytes()
     expected = np.fft.ifft(pilots * d._chirp, axis=1, norm="ortho")
     assert sensed.tobytes() == expected.tobytes()
@@ -766,7 +796,7 @@ def test_sense_with_overwrite_forms_the_same_bytes_in_the_pilots(kind, n):
     for overwrite in (False, True):
         tracemalloc.start()
         try:
-            sensed = d.sensing_operator(pilots, overwrite=overwrite)
+            sensed = d.sensing_operator(pilots, overwrite=overwrite).read(slice(None))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -782,7 +812,8 @@ def test_overwrite_leaves_read_only_and_dense_pilots_alone(cfg):
     before = pilots.copy()
     pilots.setflags(write=False)
     dmu = build_dmu(cfg, 20.0)
-    assert dmu.sensing_operator(pilots, overwrite=True).tobytes() == dmu.sensing_operator(before).tobytes()
+    sensed = dmu.sensing_operator(pilots, overwrite=True).read(slice(None))
+    assert sensed.tobytes() == dmu.sensing_operator(before).read(slice(None)).tobytes()
     # a dense dictionary's product reads the pilots for the whole fit
     pilots = before.copy()
     product = build_polar_baseline(cfg, 2).sensing_operator(pilots, overwrite=True)

@@ -11,7 +11,7 @@ import pytest
 from scipy.special import chdtri
 
 import nfcs
-from nfcs import harness
+from nfcs import dictionaries, harness
 from nfcs import (
     ArrayConfig,
     BlockOMP,
@@ -25,7 +25,7 @@ from nfcs import (
     noise_variance,
     sample_channel,
 )
-from nfcs.dictionaries import Dictionary, SensingProduct, mutual_coherence
+from nfcs.dictionaries import Dictionary, SensingProduct, as_sensing, mutual_coherence
 from nfcs.harness import preset_config, run
 from nfcs.recovery import (
     _COND_LIMIT,
@@ -120,9 +120,8 @@ class TestMakeProblem:
         assert prob.observations.tobytes() == (prob.pilots @ prob.channel + noise).tobytes()
         # one draw serves every dictionary: each senses the same pilots
         for dictionary in (dmu, build_dft(cfg)):
-            np.testing.assert_allclose(
-                dictionary.sensing_operator(prob.pilots), prob.pilots @ dictionary.matrix, atol=1e-12
-            )
+            sensed = dictionary.sensing_operator(prob.pilots).read(slice(None))
+            np.testing.assert_allclose(sensed, prob.pilots @ dictionary.matrix, atol=1e-12)
 
     def test_snr_convention(self, cfg):
         # per-measurement signal power E|h^H f_t|^2 is ||h||^2 / N for the
@@ -763,7 +762,7 @@ class TestFactoredFit:
         matrix = rng.standard_normal((7, 12)) + 1j * rng.standard_normal((7, 12))
         X = pilots @ matrix
         s = block_size
-        formed = SensingProduct(X).in_range("X")
+        formed = as_sensing(X, "X")
         factored = Dictionary(matrix).sensing_operator(pilots)
         # in range, neither reader scales what it holds
         assert factored.shift == formed.shift == 0
@@ -842,8 +841,26 @@ class TestFactoredFit:
     def test_chirped_dictionaries_form_their_sensing_matrix(self, cfg, dmu):
         pilots = gen_pilots(20, cfg.n_antennas, seed=3)
         sensed = dmu.sensing_operator(pilots)
-        assert isinstance(sensed, np.ndarray)
-        np.testing.assert_allclose(sensed, pilots @ dmu.matrix, rtol=0, atol=1e-12)
+        # the same reader as a dense dictionary's, over the formed X
+        assert isinstance(sensed, SensingProduct) and sensed.pilots is None
+        np.testing.assert_allclose(sensed.read(slice(None)), pilots @ dmu.matrix, rtol=0, atol=1e-12)
+
+    def test_a_chirped_reader_is_scanned_once_for_every_block_size(self, cfg, dmu, monkeypatch):
+        # the reader checks and scales X when it is built; a block-size sweep
+        # used to scan the draw's T x N matrix again in every fit
+        prob = make_problem(cfg, sample_channel(cfg, 3, seed=21), 40, snr_db=10.0, seed=22)
+        scans = []
+        scale = dictionaries.scale_into_range
+
+        def spy(arr, name):
+            scans.append((arr.shape, name))
+            return scale(arr, name)
+
+        monkeypatch.setattr(dictionaries, "scale_into_range", spy)
+        reader = dmu.sensing_operator(prob.pilots)
+        fits = [BlockOMP(s, noise_var=prob.noise_var).fit(reader, prob.observations) for s in (4, 8, 32)]
+        assert scans == [((40, cfg.n_antennas), "pilots")]
+        assert all(est.support_.size for est in fits)
 
 
 class _Path:
