@@ -31,9 +31,10 @@ from .harness import (
 def parse_config_file(path: str) -> dict:
     """Parse a flat dotted-key config file into ExperimentConfig overrides.
 
-    Each key may appear once; a repeated key is a config error.
+    Each key may appear once; a repeated key is a config error. A leading
+    UTF-8 byte-order mark, which some editors write, is skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

@@ -535,11 +535,20 @@ def mutual_coherence(matrix) -> float:
     When a column sum of squares lies outside ``_ENERGY_RANGE``, every
     column is scaled by the power of two that brings its largest real or
     imaginary part into [0.5, 1) (the columns of A, for a product), and the
-    pass is made again; in range the columns are used as they are. The
+    pass is made again; in range the columns are used as they are. A formed
+    matrix whose whole sum of squares is out of range, which ``as_sensing``
+    would scale by one power of two, is scaled so column by column, from
+    the columns as given, before it is wrapped. The
     result is capped at 1, which a quotient of near-parallel columns can
     exceed by rounding.
     """
-    matrix = as_sensing(matrix, "matrix")
+    reader = as_sensing(matrix, "matrix")
+    if reader is not matrix and reader.shift:
+        # a formed X out of range was scaled by one power of two, which can
+        # flush its smallest columns to zero: scale each column as given instead
+        formed = np.asarray(matrix, dtype=np.complex128)
+        reader = as_sensing(complex_ldexp(formed, unit_exponent(formed, axis=0)), "matrix")
+    matrix = reader
     n_rows, n_cols = matrix.shape
     if n_cols < 2:
         raise ValueError("mutual coherence needs at least two columns")

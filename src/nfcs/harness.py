@@ -34,7 +34,8 @@ from .validation import POSITIVE_OR_INF, RANGE, Rule, divisor_of, integer
 
 class _Method(NamedTuple):
     build: Callable | None  # (config, cfg) -> Dictionary; None for least squares, which needs none
-    blocked: bool  # BlockOMP takes recovery.block_size; otherwise single columns
+    block: int | None  # a fixed block size; None takes the run's, recovery.block_size or the sweep's list
+    solve: Callable  # (config, draw, dictionary, its sensing reader or None, s) -> channel estimate
 
 
 def _dmu(config, cfg) -> Dictionary:
@@ -45,11 +46,16 @@ def _polar(config, cfg) -> Dictionary:
     return build_polar_baseline(cfg, config.polar_rings, polar_range(cfg, config.polar_r_min, config.polar_r_max))
 
 
+def _block_omp(config, draw, dictionary, reader, s):
+    est = BlockOMP(s, k_max=config.k_max, stop_alpha=config.stop_alpha, noise_var=draw.noise_var, delta=config.delta)
+    return dictionary.inverse_transform(est.fit(reader, draw.observations).coef_)
+
+
 _METHODS = {
-    "dmu_block_omp": _Method(_dmu, blocked=True),
-    "polar_omp": _Method(_polar, blocked=False),
-    "dft_omp": _Method(lambda config, cfg: build_dft(cfg), blocked=False),
-    "ls": _Method(None, blocked=False),
+    "dmu_block_omp": _Method(_dmu, None, _block_omp),
+    "polar_omp": _Method(_polar, 1, _block_omp),
+    "dft_omp": _Method(lambda config, cfg: build_dft(cfg), 1, _block_omp),
+    "ls": _Method(None, 1, lambda config, draw, *_: ls_estimate(draw)),
 }
 
 METHOD_NAMES = tuple(_METHODS)
@@ -207,7 +213,7 @@ def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
     sweep, block_sizes = _block_sizes(config)
     key = _key("block_size_list" if sweep else "block_size")
     # a block of s > T columns has rank <= T < s: BlockOMP stops at it, "dependent"
-    t_min = min(t for t, _, _ in points) if any(_METHODS[m].blocked for m in config.methods) else math.inf
+    t_min = min(t for t, _, _ in points) if any(_METHODS[m].block is None for m in config.methods) else math.inf
     within_t = Rule(lambda s: s <= t_min, f"must be <= {t_min}, the fewest measurements on the grid")
     for s in block_sizes:
         _require(key, s, divisor_of(config.n_antennas))
@@ -263,10 +269,25 @@ class ResultRow:
 ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
+def _as_read(f, value):
+    """``value`` of the field ``f`` as its config-file parser reads the value's
+    text, so that ``(5,)``, ``[5.0]`` and ``(5.0,)`` are one value; a value
+    that is unset, not settable or not readable is kept as it is."""
+    value = plain(value)
+    if not f.metadata or value is None:
+        return value
+    text = ", ".join(map(str, value)) if isinstance(value, (tuple, list)) else str(value)
+    try:
+        return f.metadata["parse"](text)
+    except (ValueError, TypeError):
+        return value
+
+
 def config_hash(config: ExperimentConfig) -> str:
-    """Stable 12-hex-digit digest of the full resolved configuration."""
+    """Stable 12-hex-digit digest of the full resolved configuration, each
+    settable value as a config file would give it."""
     payload = "\n".join(
-        f"{f.name}={plain(getattr(config, f.name))!r}" for f in sorted(fields(config), key=lambda f: f.name)
+        f"{f.name}={_as_read(f, getattr(config, f.name))!r}" for f in sorted(fields(config), key=lambda f: f.name)
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
@@ -403,28 +424,19 @@ def _draw(config, cfg, dist_range, point, trial):
 def _trial_nmse(config, draw, methods, dictionaries, block_sizes):
     """NMSE of one draw solved by every method at every block size.
 
-    Returns a (block size, method) array. Each method senses the draw once,
-    into one reader that its fits at every block size share (unformed for
-    the polar baseline); a method that is not blocked, and ls, is solved
-    once and its value spans every block size.
+    Returns a (block size, method) array. Each method with a dictionary
+    senses the draw once, into one reader that its solves at every block
+    size share (unformed for the polar baseline); a method with a fixed
+    block size is solved once and its value spans every block size.
     The methods are solved in config order. The last one senses in the
     draw's own pilot buffer, after every other reader of the pilots has
     finished: when it is chirped, a draw holds one T x N array, not two.
     """
     values = np.empty((len(block_sizes), len(methods)))
     for i, (method, dictionary) in enumerate(zip(methods, dictionaries)):
-        if dictionary is None:
-            values[:, i] = nmse(draw.channel, ls_estimate(draw))
-            continue
-        operator = dictionary.sensing_operator(draw.pilots, overwrite=i == len(methods) - 1)
-        fits = []
-        for s in block_sizes if method.blocked else (1,):
-            est = BlockOMP(
-                s, k_max=config.k_max, stop_alpha=config.stop_alpha, noise_var=draw.noise_var, delta=config.delta
-            )
-            est.fit(operator, draw.observations)
-            fits.append(nmse(draw.channel, dictionary.inverse_transform(est.coef_)))
-        values[:, i] = fits
+        reader = None if dictionary is None else dictionary.sensing_operator(draw.pilots, i == len(methods) - 1)
+        sizes = block_sizes if method.block is None else (method.block,)
+        values[:, i] = [nmse(draw.channel, method.solve(config, draw, dictionary, reader, s)) for s in sizes]
     return values
 
 

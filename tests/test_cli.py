@@ -378,6 +378,17 @@ def test_config_file_that_is_not_utf8_exits_2(tmp_path):
         parse_config_file(str(bad))
 
 
+def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    text = b"array.n_antennas = 64\nexperiment.trials = 2\nexperiment.n_measurements = 32\n"
+    outputs = []
+    for name, data in (("plain.cfg", text), ("marked.cfg", b"\xef\xbb\xbf" + text)):
+        cfg = tmp_path / name
+        cfg.write_bytes(data)
+        assert run_cli(["nmse-vs-snr", "--config", str(cfg)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[1] == outputs[0]
+
+
 def test_parse_config_file_values(tmp_path):
     cfg = tmp_path / "full.cfg"
     cfg.write_text(

@@ -714,6 +714,15 @@ def test_mutual_coherence_of_zero_and_subnormal_columns():
     assert mutual_coherence(matrix) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_mutual_coherence_of_columns_whose_scales_span_past_the_float_range():
+    # one power of two for the whole matrix would flush the 1e-300 columns to
+    # zero; each column's own shift, read from the columns as given, keeps them
+    rng = np.random.default_rng(0)
+    matrix = np.c_[1e300 * rng.standard_normal((8, 3)), 1e-300 * rng.standard_normal((8, 2))] + 0j
+    per_column = dictionaries.complex_ldexp(matrix, dictionaries.unit_exponent(matrix, axis=0))
+    assert mutual_coherence(matrix) == mutual_coherence(per_column)
+
+
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(
     n_rows=st.integers(1, 40),

@@ -33,7 +33,8 @@ from nfcs.harness import (
     run,
 )
 from nfcs.dictionaries import Dictionary
-from nfcs.recovery import gen_pilots, make_problem
+from nfcs.cli import parse_config_file
+from nfcs.recovery import BlockOMP, gen_pilots, make_problem
 from nfcs.seeding import plain
 
 
@@ -224,6 +225,23 @@ class TestDeterminism:
         assert config_hash(tiny_config()) == config_hash(tiny_config())
         assert config_hash(tiny_config()) != config_hash(tiny_config(trials=5))
 
+    def test_config_hash_reads_each_value_as_a_config_file_gives_it(self, tmp_path):
+        # run() draws, labels and values these spellings alike; so is their hash
+        base = dict(kind="nmse_vs_snr", seed=1, trials=2, n_antennas=64)
+        spellings = [
+            dict(snr_db_list=(5.0,), methods=("dmu_block_omp",)),
+            dict(snr_db_list=[5.0], methods=["dmu_block_omp"]),
+            dict(snr_db_list=(5,)),
+        ]
+        cfg = tmp_path / "same.cfg"
+        cfg.write_text(
+            "experiment.seed = 1\nexperiment.trials = 2\narray.n_antennas = 64\n"
+            "experiment.snr_db_list = 5\nexperiment.methods = dmu_block_omp\n"
+        )
+        read = ExperimentConfig(kind="nmse_vs_snr", **parse_config_file(cfg))
+        hashes = [config_hash(ExperimentConfig(**base, **s)) for s in spellings]
+        assert hashes == [config_hash(read)] * 3
+
     def test_plain_keeps_python_values_and_reads_numpy_scalars(self):
         # the encoding of the draws and of the config hash: a Python value keeps its repr
         for v in (3, -7, 0.1, 1e300, math.inf, "s", True, None, (1, 2.5), (20.0,), [1, "a"], ()):
@@ -403,6 +421,38 @@ class TestExperiments:
             for r in run(replace(config, block_size_list=(s,)))
         ]
         assert joint == alone
+
+    def test_each_method_solves_a_draw_at_its_own_block_sizes(self, monkeypatch):
+        # dmu_block_omp fits at each of the three swept sizes, polar_omp once
+        # at its fixed 1; ls is solved once a draw
+        fits, ls_draws = [], []
+        fit, estimate = BlockOMP.fit, harness.ls_estimate
+        monkeypatch.setattr(BlockOMP, "fit", lambda est, *args: fits.append(est.block_size) or fit(est, *args))
+        monkeypatch.setattr(harness, "ls_estimate", lambda draw: ls_draws.append(draw) or estimate(draw))
+        config = tiny_config(
+            kind="block_size_sweep", block_size_list=(2, 4, 8), methods=("dmu_block_omp", "polar_omp"), trials=3
+        )
+        run(config)
+        assert sorted(fits) == sorted([2, 4, 8, 1] * 3)
+        fits.clear()
+        run(replace(config, methods=("ls",), n_measurements=64))
+        assert fits == [] and len(ls_draws) == 3
+
+    def test_a_fixed_block_size_spans_every_swept_size(self):
+        # a record with a fixed block of 2 gives, at every swept size, the
+        # bytes of dmu_block_omp at block 2 on the same draw
+        config = tiny_config(kind="block_size_sweep", block_size_list=(2, 4, 8))
+        cfg = config.array_config()
+        dictionary = harness._dmu(config, cfg)
+
+        def solved(method, block_sizes):
+            # the last method senses in the draw's pilot buffer: a fresh draw each
+            draw = harness._draw(config, cfg, source_range(cfg), harness._snr_points(config)[0][1], 0)
+            return harness._trial_nmse(config, draw, [method], [dictionary], block_sizes)
+
+        fixed = solved(harness._Method(harness._dmu, 2, harness._block_omp), (2, 4, 8))
+        at_two = solved(harness._METHODS["dmu_block_omp"], (2,))
+        assert fixed.tobytes() == np.repeat(at_two, 3, axis=0).tobytes()
 
     def test_polar_baseline_never_forms_its_sensing_matrix(self, monkeypatch):
         _fail_whole_polar_products(monkeypatch)
