@@ -137,17 +137,30 @@ class Dictionary:
         O(T N log N), and read it in place; with ``overwrite``, to the same
         bits, in the buffer of writable complex128 pilots, which then hold
         it. A dense dictionary's reader, which would cost T N M to form,
-        holds P and D."""
+        holds P and D. Finite pilots so large that their X overflows, and
+        that were not overwritten, are formed again scaled by the power of
+        two of ``unit_exponent``, which the reader adds to its ``shift``."""
         if self._chirp is None:
             return SensingProduct(pilots, self)
         arr = as_complex_matrix(pilots, "pilots")
         _check_length(arr, self.n_antennas, "pilot rows")
-        # the product is transformed in place, and read there: one T x N array, not
-        # two; a non-finite pilot gives a non-finite X, rejected by the reader
-        with np.errstate(invalid="ignore"):
-            buf = np.multiply(arr, self._chirp, out=arr if overwrite and arr.flags.writeable else None)
-            np.fft.ifft(buf, axis=1, norm="ortho", out=buf)
-        return SensingProduct(buf)
+        buf = self._chirped_product(arr, arr if overwrite and arr.flags.writeable else None)
+        try:
+            return SensingProduct(buf)
+        except ValueError:
+            if buf is arr or np.isfinite(buf).all() or not np.isfinite(arr).all():
+                raise
+        shift = unit_exponent(arr)
+        scaled = complex_ldexp(arr, shift)
+        return SensingProduct(self._chirped_product(scaled, scaled), shift=shift)
+
+    def _chirped_product(self, arr: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``arr @ D`` by the chirp and one FFT, formed in ``out`` if given,
+        and transformed in place: one T x N array, not two. A non-finite or
+        overflowing X is left for the reader to reject."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            buf = np.multiply(arr, self._chirp, out=out)
+            return np.fft.ifft(buf, axis=1, norm="ortho", out=buf)
 
     def transform(self, X) -> np.ndarray:
         """Adjoint analysis: channel rows (or a single vector) to coefficients."""
@@ -162,11 +175,15 @@ class Dictionary:
         return out[0] if single else out
 
     def inverse_transform(self, X) -> np.ndarray:
-        """Synthesis: coefficient rows (or a single vector) to channels."""
+        """Synthesis: coefficient rows (or a single vector) to channels. A
+        dense dictionary reads only the columns that some row uses (a nonzero
+        or non-finite coefficient): a sparse estimate costs N per nonzero,
+        not N M, and the terms left out are exact zeros."""
         arr, single = _as_rows(X)
         _check_length(arr, self.n_atoms, "coefficient vectors")
         if self._chirp is None:
-            out = arr @ self._matrix.T
+            cols = np.flatnonzero(np.any(arr != 0, axis=0))
+            out = arr[:, cols] @ self._matrix[:, cols].T
         else:
             out = self._chirp * np.fft.ifft(arr, axis=1, norm="ortho")
         return out[0] if single else out
@@ -193,19 +210,22 @@ class SensingProduct:
     A reader holds no per-draw state: once built it does not change, so
     fits at several block sizes, or in several threads, can share one.
     The mean column energy E = ||X||_F^2 / M of a formed X is exact, and its
-    ``energy_bracket`` has zero width. A product forms itself (T N M) on each
-    read of E, and bounds E from ||P||_F^2 and the extreme eigenvalues of
-    ``A A^H`` (see ``recovery._best_prefix``), which the dictionary computes
-    once, when a draw first needs them. ``rank_bound`` is min(T, N) of a
-    product and min(T, M) of a formed X.
+    ``energy_bracket`` has zero width. A product sums E (T N M) on each
+    read, one ``_blocks`` block of columns at a time through one buffer,
+    never holding the T x M product, and bounds E from ||P||_F^2 and the
+    extreme eigenvalues of ``A A^H`` (see ``recovery._best_prefix``), which
+    the dictionary computes once, when a draw first needs them.
+    ``rank_bound`` is min(T, N) of a product and min(T, M) of a formed X.
     """
 
-    def __init__(self, pilots, dictionary: Dictionary = None, name: str = "pilots"):
+    def __init__(self, pilots, dictionary: Dictionary = None, name: str = "pilots", shift: int = 0):
+        """``shift``: ``pilots`` already holds ``2**shift`` times the P or X it stands for."""
         self.dictionary = dictionary
         arr = as_complex_matrix(pilots, name)
         if dictionary is not None:
             _check_length(arr, dictionary.n_antennas, "pilot rows")
         arr, self._energy, self.shift = scale_into_range(arr, name)
+        self.shift += shift
         if not self._energy:
             raise ValueError(f"{name} must not be all zero")
         self.pilots, self._atoms = (None, arr) if dictionary is None else (arr, dictionary.matrix)
@@ -222,8 +242,17 @@ class SensingProduct:
     def mean_col_energy(self) -> float:
         if self.pilots is None:
             return self._energy / self.shape[1]
-        formed = self.read(slice(None))
-        return float(np.vdot(formed, formed).real) / self.shape[1]
+        blocks = _blocks(self.shape[1], self.shape[0])
+        buffer = self._read_buffer(blocks)
+        return sum(float(_column_energy(self.read(cols, buffer)).sum()) for cols in blocks) / self.shape[1]
+
+    def _read_buffer(self, blocks: list):
+        """A flat buffer for ``read`` of each of the column slices ``blocks``
+        (``_blocks``, the first the widest), or None for a formed X, whose
+        slices are read as views."""
+        if self.pilots is None:
+            return None
+        return np.empty(self.shape[0] * min(blocks[0].stop, self.shape[1]), dtype=np.complex128)
 
     def energy_bracket(self) -> tuple:
         if self.pilots is None:
@@ -492,8 +521,8 @@ def mutual_coherence(matrix) -> float:
     finite and not all zero, wrapped in one (``as_sensing``). It is read
     through ``SensingProduct.read``, a block of columns at a time
     (``_blocks``: at most ``_BLOCK_ENTRIES`` entries); a formed matrix's
-    blocks are views of it. The memory beyond the input is
-    one block, the complex64 head rows below and the candidate columns of
+    blocks are views of it. The memory beyond the input is one block of a
+    product, the complex64 head rows below and the candidate columns of
     stage 2, however large T and M.
 
     For unit columns u_i, u_j split into a head of k = min(T, ``_HEAD_ROWS``)
@@ -557,7 +586,7 @@ def mutual_coherence(matrix) -> float:
     # a product forms every block of the pass in one buffer, released after
     # it: with a new array per block, malloc handed the pages back between
     # blocks and faulted them in again, 9% of a desk run's time
-    buffer = np.empty(n_rows * min(blocks[0].stop, n_cols), dtype=np.complex128)
+    buffer = matrix._read_buffer(blocks)
     head_energy, tail_energy, head = _column_pass(matrix.read, blocks, n_head, n_cols, buffer)
     energy = head_energy + tail_energy
     if not np.all((energy >= _ENERGY_RANGE[0]) & (energy <= _ENERGY_RANGE[1])):

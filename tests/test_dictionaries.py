@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nfcs import (
     ArrayConfig,
+    BlockOMP,
     analyze,
     build_dft,
     build_dmu,
@@ -143,6 +144,51 @@ def test_transforms_reject_inputs_of_other_ranks(cfg, method, shape):
         getattr(d, method)(np.ones(shape, dtype=complex))
 
 
+def _sparse_rows(rng, n_cols, supports):
+    """Complex coefficient rows of ``n_cols`` entries, nonzero on each row's support."""
+    rows = np.zeros((len(supports), n_cols), dtype=complex)
+    for row, support in zip(rows, supports):
+        row[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+    return rows
+
+
+def test_dense_synthesis_of_a_sparse_vector_matches_the_full_product(cfg):
+    polar = build_polar_baseline(cfg)
+    (beta,) = _sparse_rows(np.random.default_rng(1), polar.n_atoms, [[7, 300, 301, 1500]])
+    np.testing.assert_allclose(polar.inverse_transform(beta), polar.matrix @ beta, rtol=0, atol=1e-13)
+
+
+def test_dense_synthesis_of_rows_with_different_supports(cfg):
+    # each row's columns outside its own support add exact zeros
+    polar = build_polar_baseline(cfg)
+    supports = [[3], [3, 900], [1200, 1201, 1535], list(range(0, 1536, 97))]
+    rows = _sparse_rows(np.random.default_rng(2), polar.n_atoms, supports)
+    out = polar.inverse_transform(rows)
+    assert out.shape == (4, cfg.n_antennas)
+    np.testing.assert_allclose(out, rows @ polar.matrix.T, rtol=0, atol=1e-13)
+    for row, alone in zip(rows, out):
+        np.testing.assert_allclose(polar.inverse_transform(row), alone, rtol=0, atol=1e-13)
+
+
+def test_dense_synthesis_of_a_zero_row_is_exactly_zero(cfg):
+    polar = build_polar_baseline(cfg, 2)
+    rows = _sparse_rows(np.random.default_rng(3), polar.n_atoms, [[], [5, 260]])
+    out = polar.inverse_transform(rows)
+    assert np.all(out[0] == 0) and np.all(out[1] != 0)
+    assert not np.any(polar.inverse_transform(np.zeros(polar.n_atoms)))
+    assert polar.inverse_transform(np.zeros((3, polar.n_atoms))).shape == (3, cfg.n_antennas)
+
+
+def test_dense_synthesis_propagates_a_nan_coefficient(cfg):
+    # as through the full product: the NaN's row is NaN, the other rows are not
+    polar = build_polar_baseline(cfg, 2)
+    rows = _sparse_rows(np.random.default_rng(4), polar.n_atoms, [[5, 260], [6]])
+    rows[0, 100] = math.nan
+    out = polar.inverse_transform(rows)
+    assert np.all(np.isnan(out[0]))
+    np.testing.assert_allclose(out[1], polar.matrix @ rows[1], rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
 def test_a_dense_dictionary_rejects_non_finite_entries(bad):
     matrix = np.eye(4, dtype=complex)
@@ -173,6 +219,28 @@ def test_the_factored_product_rejects_non_finite_pilots(cfg, kind, bad):
         match = "^pilots must be finite$"
     with pytest.raises(ValueError, match=match):
         dictionary.sensing_operator(pilots)
+
+
+@pytest.mark.parametrize("kind", ["dmu", "dft"])
+def test_finite_pilots_whose_chirped_product_overflows_are_read_scaled(cfg, kind):
+    # the chirped FFT of these pilots overflows (it warned, then raised "pilots
+    # must be finite"); the reader forms it again from the pilots scaled by a
+    # power of two and reads them as the polar product does
+    dictionary = SENSED_KINDS[kind](cfg)
+    pilots = 1e307 * (0.1 * np.conj(dictionary._chirp) + gen_pilots(24, cfg.n_antennas, seed=2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.fft.ifft(pilots * dictionary._chirp, axis=1, norm="ortho")).all()
+    shift = dictionaries.unit_exponent(pilots)
+    scaled = dictionary.sensing_operator(dictionaries.complex_ldexp(pilots, shift))
+    reader = dictionary.sensing_operator(pilots)
+    assert reader.shift == scaled.shift + shift
+    assert reader.read(slice(None)).tobytes() == scaled.read(slice(None)).tobytes()
+    rng = np.random.default_rng(3)
+    y = scaled.read(np.r_[0:4, 12:16]).sum(axis=1) + 1e-4 * (rng.standard_normal(24) + 1j * rng.standard_normal(24))
+    fit = BlockOMP(4, noise_var=2e-8).fit(reader, y)
+    fit_scaled = BlockOMP(4, noise_var=2e-8).fit(scaled, y)
+    assert fit.support_.tolist() == fit_scaled.support_.tolist() == [0, 1, 2, 3, 12, 13, 14, 15]
+    assert fit.coef_.tobytes() == dictionaries.complex_ldexp(fit_scaled.coef_, shift).tobytes()
 
 
 def test_polar_single_ring_is_dft(cfg):
@@ -425,6 +493,29 @@ def test_mutual_coherence_of_a_product_holds_less_than_the_product(cfg):
     product = polar.sensing_operator(gen_pilots(200, cfg.n_antennas, "gaussian", np.random.default_rng(3)))
     _, peak = _traced_peak(lambda: mutual_coherence(product))
     assert peak < 200 * 1536 * 16
+
+
+def test_mutual_coherence_of_a_formed_matrix_allocates_no_product_buffer():
+    # a formed X is read as views; the pass used to allocate a product's
+    # block buffer anyway, 2^16 // T columns of T rows (1.05 MB here, 1.42 MB
+    # peak). The traced call is the second: the first imports NumPy modules
+    n, t = 128, 200
+    formed = gen_pilots(t, n, seed=3) @ build_polar_baseline(ArrayConfig(100e9, n)).matrix
+    mutual_coherence(formed)
+    value, peak = _traced_peak(lambda: mutual_coherence(formed))
+    assert value == 0.9999714004012731
+    assert peak < t * (dictionaries._BLOCK_ENTRIES // t) * 16
+
+
+def test_the_mean_column_energy_of_a_product_is_summed_by_blocks(cfg):
+    # N = 256, T = 100: the 100 x 1536 product P A would be 2.5 MB
+    polar = build_polar_baseline(cfg)
+    pilots = gen_pilots(100, cfg.n_antennas, seed=5)
+    product = polar.sensing_operator(pilots)
+    energy, peak = _traced_peak(lambda: product.mean_col_energy)
+    formed = pilots @ polar.matrix
+    assert peak < formed.nbytes
+    assert math.isclose(energy, np.vdot(formed, formed).real / polar.n_atoms, rel_tol=1e-12)
 
 
 def unitary(rng, n):

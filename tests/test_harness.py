@@ -47,7 +47,9 @@ def tiny_config(**overrides):
 
 def _fail_whole_polar_products(monkeypatch):
     """Make every polar dictionary the harness builds fail a matrix product
-    that has all M of its columns, such as a formed T x M sensing matrix P A."""
+    that has all M of its columns, such as a formed T x M sensing matrix P A,
+    or that sums over all M of them, such as a synthesis from every column.
+    The row Gram reads every column by design, so its range is built first."""
     build = harness.build_polar_baseline
 
     class Atoms(np.ndarray):
@@ -56,11 +58,14 @@ def _fail_whole_polar_products(monkeypatch):
             result = getattr(ufunc, method)(*plain, **kwargs)
             if ufunc is np.matmul and np.ndim(result) == 2 and result.shape[1] == Atoms.n_atoms:
                 raise AssertionError(f"a {result.shape[0]} x {result.shape[1]} polar product was formed")
+            if ufunc is np.matmul and np.shape(inputs[0])[-1:] == (Atoms.n_atoms,):
+                raise AssertionError(f"a product summed over all {Atoms.n_atoms} polar columns")
             return result
 
     def polar(*args):
         dictionary = build(*args)
         Atoms.n_atoms = dictionary.n_atoms
+        dictionary.row_gram_range
         dictionary._matrix = dictionary.matrix.view(Atoms)
         return dictionary
 
