@@ -54,7 +54,8 @@ class Dictionary:
     matrix once; their sensing matrix is formed by the FFT. The polar
     baseline has a different quadratic term on every ring, so it keeps a
     dense matrix and dense products, and its sensing matrix ``pilots @ D``
-    is left unformed.
+    is left unformed. A dense matrix out of ``_ENERGY_RANGE`` (not the
+    polar grid) is also kept scaled into range, for its products to read.
 
     ``matrix`` and ``row_gram_range`` are read-only caches, each built on
     its first read and never changed after; an instance is otherwise
@@ -68,6 +69,7 @@ class Dictionary:
         self.mu = mu
         self._cfg = cfg
         self._row_gram_range = None
+        self._scaled, self._shift = None, 0  # the copy products read, if any
         self._lock = threading.RLock()  # reentrant: row_gram_range reads matrix
         if matrix is None:
             n = cfg.n_antennas
@@ -78,7 +80,8 @@ class Dictionary:
         else:
             self._chirp = None
             self._matrix = as_complex_matrix(matrix, "matrix")
-            finite_energy(self._matrix, "matrix")
+            scaled, _, self._shift = scale_into_range(self._matrix, "matrix")
+            self._scaled = None if scaled is self._matrix else scaled
             self._matrix.setflags(write=False)
             self.shape = self._matrix.shape
 
@@ -98,7 +101,8 @@ class Dictionary:
     @property
     def row_gram_range(self) -> tuple:
         """The extreme eigenvalues ``(lambda_min, lambda_max)`` of ``D D^H``,
-        from one N^3 ``eigvalsh`` on first access, cached; the Gram is not kept."""
+        D as its products read it, from one N^3 ``eigvalsh`` on first
+        access, cached; the Gram is not kept."""
         if self._row_gram_range is None:
             with self._lock:
                 if self._row_gram_range is None:
@@ -110,13 +114,17 @@ class Dictionary:
         """The lower triangle of ``D D^H``, which ``eigvalsh`` reads, by blocks
         of ``_DENSE_BLOCK`` columns, each the product of the rows from the
         block's first on with one conjugated block of rows; no N x M copy."""
-        matrix = self.matrix
+        matrix = self._product_matrix()
         n = matrix.shape[0]
         gram = np.zeros((n, n), dtype=np.complex128)
         for start in range(0, n, _DENSE_BLOCK):
             block = slice(start, start + _DENSE_BLOCK)
             gram[start:, block] = matrix[start:] @ np.conj(matrix[block]).T
         return gram
+
+    def _product_matrix(self) -> np.ndarray:
+        """The matrix a product ``pilots @ D`` reads: D, or its copy scaled into range."""
+        return self.matrix if self._scaled is None else self._scaled
 
     @property
     def chirped(self) -> bool:
@@ -167,7 +175,8 @@ class Dictionary:
         arr, single = _as_rows(X)
         _check_length(arr, self.n_antennas, "vectors")
         if self._chirp is None:
-            out = arr @ np.conj(self._matrix)
+            # conj(conj(x) D) = x conj(D), without a conjugated copy of D
+            out = np.conj(np.conj(arr) @ self._matrix)
         else:
             # transformed in place, as in sensing_operator: one array, not two
             buf = np.conj(self._chirp) * arr
@@ -202,8 +211,9 @@ class SensingProduct:
     P or X must be finite and not all zero (``ValueError`` names it
     ``name``); it is checked once, when the reader is built, and held as
     ``scale_into_range`` returns it (the reader reads ``2**shift`` X), with
-    its sum of squares. ``read(cols, out=None)`` is the block of the columns
-    ``cols``: of a formed X a view for a slice, of a product
+    its sum of squares; a product adds the power of two of the dictionary's
+    scaled copy, if it reads one. ``read(cols, out=None)`` is the block of
+    the columns ``cols``: of a formed X a view for a slice, of a product
     ``P A[:, cols]``, formed in the flat buffer ``out`` if given.
     ``correlate(r)`` is ``r^H X``, ``(r^H P) A`` of a product (T N + N M).
     ``scaled(shifts)`` reads X with column j scaled by ``2**shifts[j]``.
@@ -225,10 +235,10 @@ class SensingProduct:
         if dictionary is not None:
             _check_length(arr, dictionary.n_antennas, "pilot rows")
         arr, self._energy, self.shift = scale_into_range(arr, name)
-        self.shift += shift
         if not self._energy:
             raise ValueError(f"{name} must not be all zero")
-        self.pilots, self._atoms = (None, arr) if dictionary is None else (arr, dictionary.matrix)
+        self.pilots, self._atoms = (None, arr) if dictionary is None else (arr, dictionary._product_matrix())
+        self.shift += shift if dictionary is None else shift + dictionary._shift
         self.shape = (len(arr), self._atoms.shape[1])
         self.rank_bound = min(arr.shape)
 
@@ -567,16 +577,21 @@ def mutual_coherence(matrix) -> float:
     pass is made again; in range the columns are used as they are. A formed
     matrix whose whole sum of squares is out of range, which ``as_sensing``
     would scale by one power of two, is scaled so column by column, from
-    the columns as given, before it is wrapped. The
+    the columns as given, before it is wrapped; so is the A of a product
+    that its ``Dictionary`` keeps scaled by one power of two. The
     result is capped at 1, which a quotient of near-parallel columns can
     exceed by rounding.
     """
     reader = as_sensing(matrix, "matrix")
+    # a formed X, or the A of a product P A, out of range was scaled by one
+    # power of two, which can flush its smallest columns to zero: scale each
+    # column as given instead
     if reader is not matrix and reader.shift:
-        # a formed X out of range was scaled by one power of two, which can
-        # flush its smallest columns to zero: scale each column as given instead
         formed = np.asarray(matrix, dtype=np.complex128)
         reader = as_sensing(complex_ldexp(formed, unit_exponent(formed, axis=0)), "matrix")
+    elif reader.dictionary is not None and reader.dictionary._scaled is not None:
+        atoms = reader.dictionary.matrix
+        reader = Dictionary(complex_ldexp(atoms, unit_exponent(atoms, axis=0))).sensing_operator(reader.pilots)
     matrix = reader
     n_rows, n_cols = matrix.shape
     if n_cols < 2:

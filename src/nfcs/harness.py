@@ -213,9 +213,10 @@ def _check_estimation(config: ExperimentConfig, cfg: ArrayConfig):
     sweep, block_sizes = _block_sizes(config)
     key = _key("block_size_list" if sweep else "block_size")
     # a block of s > T columns has rank <= T < s: BlockOMP stops at it, "dependent"
-    t_min = min(t for t, _, _ in points) if any(_METHODS[m].block is None for m in config.methods) else math.inf
+    t_min = min(t for t, _, _ in points)
     within_t = Rule(lambda s: s <= t_min, f"must be <= {t_min}, the fewest measurements on the grid")
-    for s in block_sizes:
+    # only a method of no fixed block reads the run's block sizes
+    for s in block_sizes if any(_METHODS[m].block is None for m in config.methods) else ():
         _require(key, s, divisor_of(config.n_antennas))
         _require(key, s, within_t)
     lo, hi = source_range(cfg, config.distance_min, config.distance_max)

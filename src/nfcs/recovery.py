@@ -137,9 +137,11 @@ def _least_squares(sub: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _BorderedFactor:
-    """The columns a fit has picked, in pick order, and the inverse L^-1 of
-    the lower Cholesky factor of their Gram G = X_S^H X_S, bordered as each
-    block is added.
+    """The columns a fit has picked, conjugated (one row each, in pick
+    order), and the inverse L^-1 of the lower Cholesky factor of their Gram
+    G = X_S^H X_S, bordered as each block is added. Both are allocated once,
+    not zeroed, at ``cap`` <= min(T, M, k_max s) columns (cap x T and
+    cap x cap); the pages of rows never written are never touched.
 
     A block X_b of s columns adds its cross products [B; C] = X_S^H X_b
     (B = X_S^H X_b for the p columns before it, C = X_b^H X_b; T p s work)
@@ -157,31 +159,18 @@ class _BorderedFactor:
     """
 
     def __init__(self, t: int, cap: int):
-        self.t, self.cap = t, cap
-        self.cols = np.empty((t, 0), dtype=np.complex128, order="F")
-        self.cols_h = np.empty((0, t), dtype=np.complex128)
-        self.linv = np.empty((0, 0), dtype=np.complex128)
+        self.cols_h = np.empty((cap, t), dtype=np.complex128)
+        self.linv = np.empty((cap, cap), dtype=np.complex128)
         self.size = 0
         self.gram_trace = self.inv_trace = 0.0
-
-    def _reserve(self, q: int):
-        """Room for twice the ``q`` columns, up to the cap: a fit of few
-        blocks holds little memory, and the moves cost O(T) per column."""
-        p, room = self.size, min(2 * q, self.cap)
-        self.cols = _moved(self.cols, (self.t, room), np.s_[:, :p], order="F")
-        self.cols_h = _moved(self.cols_h, (room, self.t), np.s_[:p])
-        self.linv = _moved(self.linv, (room, room), np.s_[:p, :p])
 
     def add(self, block: np.ndarray, energy: float) -> bool:
         """Border the factor with the T x s ``block``, of sum of squares
         ``energy``; return whether it did."""
         p = self.size
         q = p + block.shape[1]
-        if q > self.cap:
+        if q > len(self.cols_h):  # past the cap
             return False
-        if q > len(self.cols_h):
-            self._reserve(q)
-        self.cols[:, p:q] = block
         np.conjugate(block.T, out=self.cols_h[p:q])
         cross = self.cols_h[:q] @ block
         w = self.linv[:p, :p] @ cross[:p]
@@ -207,25 +196,18 @@ class _BorderedFactor:
         The solve L^-H L^-1 X_S^H y is refined twice, each time on the
         least-squares residual: c += G^-1 X_S^H (y - X_S c), which keeps the
         residual of an exact fit at rounding level (about eps * ||y||), as
-        the noiseless stopping rule needs.
+        the noiseless stopping rule needs. X_S c is conj(conj(c) X_S^H).
         """
         q = self.size
-        cols, cols_h = self.cols[:, :q], self.cols_h[:q]
+        cols_h = self.cols_h[:q]
         linv = self.linv[:q, :q]
         linv_h = np.conj(linv.T)
         coef = linv_h @ (linv @ (cols_h @ y))
-        resid = y - cols @ coef
+        resid = y - np.conj(np.conj(coef) @ cols_h)
         for _ in range(2):
             coef += linv_h @ (linv @ (cols_h @ resid))
-            resid = y - cols @ coef
+            resid = y - np.conj(np.conj(coef) @ cols_h)
         return coef, resid
-
-
-def _moved(held: np.ndarray, shape: tuple, used: tuple, order: str = "C") -> np.ndarray:
-    """A new, not zeroed complex array of ``shape`` with ``held[used]`` in place."""
-    out = np.empty(shape, dtype=np.complex128, order=order)
-    out[used] = held[used]
-    return out
 
 
 def _columns(blocks, s: int) -> np.ndarray:
@@ -331,10 +313,11 @@ class BlockOMP:
     Each iteration selects the not-yet-chosen block whose columns carry the
     largest residual correlation energy ||X_i^H r||_2 (ties broken toward the
     lowest block index), refits least squares on all selected columns, and
-    updates the residual. The picked block is read once
-    (``SensingProduct.read``) and kept, in pick order, for the rest of the
-    fit. Each refit borders the inverse Cholesky factor of the selected
-    columns' Gram with the new block (``_BorderedFactor``, T p s work for p
+    updates the residual. The picked block is read once, as a slice (a
+    view of a formed X), and kept conjugated, in pick order, for the rest
+    of the fit. Each refit borders the inverse Cholesky factor of the
+    selected columns' Gram with the new block (``_BorderedFactor``,
+    allocated once at min(T, M, k_max s) columns; T p s work for p
     selected columns). A block the factor cannot border ends the loop and
     is not selected: its Schur complement is not positive definite, it takes
     the columns past the rank bound of X, or tr(G) tr(G^-1), a bound on
@@ -462,7 +445,7 @@ class BlockOMP:
             if scores[pick] == 0:  # the residual is orthogonal to every block left
                 stop_reason = "exhausted"
                 break
-            block = psi.read(_columns([pick], s))
+            block = psi.read(slice(pick * s, pick * s + s))
             energy = np.vdot(block, block).real
             if use_score_stop:
                 # u is half the chi-squared statistic on 2s degrees of freedom,

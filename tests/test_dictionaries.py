@@ -189,6 +189,17 @@ def test_dense_synthesis_propagates_a_nan_coefficient(cfg):
     np.testing.assert_allclose(out[1], polar.matrix @ rows[1], rtol=0, atol=1e-13)
 
 
+def test_dense_analysis_copies_no_conjugate_of_the_matrix(cfg):
+    polar = build_polar_baseline(cfg)
+    h = random_complex(np.random.default_rng(6), 3, cfg.n_antennas)
+    single, peak = _traced_peak(lambda: polar.transform(h[0]))
+    # conj(D) alone would be all of the matrix's bytes
+    assert peak < polar.matrix.nbytes / 4
+    expected = h @ np.conj(polar.matrix)
+    np.testing.assert_allclose(single, expected[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(polar.transform(h), expected, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
 def test_a_dense_dictionary_rejects_non_finite_entries(bad):
     matrix = np.eye(4, dtype=complex)
@@ -458,23 +469,31 @@ def test_mutual_coherence_reads_a_sensing_product_as_its_formed_matrix(cfg, case
         assert expected > 0.99
 
 
-@pytest.mark.parametrize(
-    "column, formed_match, match",
-    [(0.0, "zero columns", "zero columns"), (1e300, "^matrix must be finite$", "finite columns")],
-)
-def test_a_sensing_product_with_a_zero_or_non_finite_column_is_rejected(column, formed_match, match):
-    # 1e300 times pilots of entries near 2^150, whose sum of squares is in
-    # range, overflows in P A; the formed overflow is rejected when it is read
+def test_a_sensing_product_with_a_zero_column_is_rejected():
     rng = np.random.default_rng(5)
     atoms = random_complex(rng, 64, 300)
-    atoms[:, 123] = column
+    atoms[:, 123] = 0.0
+    pilots = random_complex(rng, 40, 64) * 2.0**150
+    for X in (pilots @ atoms, Dictionary(atoms).sensing_operator(pilots)):
+        with pytest.raises(ValueError, match="zero columns"):
+            mutual_coherence(X)
+
+
+def test_a_product_that_overflows_when_formed_is_read_in_range():
+    # 1e300 times pilots of entries near 2^150, whose sum of squares is in
+    # range, overflows in the formed P A, which is rejected when it is read;
+    # the dictionary's own sum of squares overflows, so its product reads
+    # its columns scaled, and gives the coherence of P A formed in range
+    rng = np.random.default_rng(5)
+    atoms = random_complex(rng, 64, 300)
+    atoms[:, 123] = 1e300
     pilots = random_complex(rng, 40, 64) * 2.0**150
     with np.errstate(over="ignore", invalid="ignore"):
         formed = pilots @ atoms
-    with pytest.raises(ValueError, match=formed_match):
+    with pytest.raises(ValueError, match="^matrix must be finite$"):
         mutual_coherence(formed)
-    with pytest.raises(ValueError, match=match):
-        mutual_coherence(Dictionary(atoms).sensing_operator(pilots))
+    expected = mutual_coherence(pilots * 2.0**-300 @ atoms)
+    assert mutual_coherence(Dictionary(atoms).sensing_operator(pilots)) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -812,6 +831,11 @@ def test_mutual_coherence_of_columns_whose_scales_span_past_the_float_range():
     matrix = np.c_[1e300 * rng.standard_normal((8, 3)), 1e-300 * rng.standard_normal((8, 2))] + 0j
     per_column = dictionaries.complex_ldexp(matrix, dictionaries.unit_exponent(matrix, axis=0))
     assert mutual_coherence(matrix) == mutual_coherence(per_column)
+    # so do the columns of a dictionary, which its products read kept
+    # scaled by one power of two
+    pilots = random_complex(rng, 6, 8)
+    expected = mutual_coherence(pilots @ per_column)
+    assert mutual_coherence(Dictionary(matrix).sensing_operator(pilots)) == pytest.approx(expected, rel=1e-13)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)

@@ -98,6 +98,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="recovery.block_size"):
             tiny_config(block_size=5).validate()
 
+    @pytest.mark.parametrize("method", ["polar_omp", "dft_omp"])
+    def test_a_fixed_block_method_ignores_the_block_size(self, method):
+        # the run's block size, 4, does not divide 250 columns, but no method reads it
+        config = tiny_config(methods=(method,), n_antennas=250, trials=2)
+        config.validate()
+        rows = run(config)
+        assert {row.method for row in rows} == {method}
+        assert all(math.isfinite(row.value) for row in rows)
+        with pytest.raises(ConfigError, match=r"^recovery.block_size: .* divide the 250 columns, got 4$"):
+            replace(config, methods=(method, "dmu_block_omp")).validate()
+
     def test_a_block_wider_than_the_fewest_measurements_is_rejected(self):
         # such a block has rank <= T < s, so every BlockOMP estimate would be zero
         with pytest.raises(ConfigError, match=r"^recovery.block_size: must be <= 32, .* got 64$"):

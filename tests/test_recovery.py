@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from nfcs import (
     sample_channel,
 )
 from nfcs.dictionaries import Dictionary, SensingProduct, as_sensing, mutual_coherence
+from nfcs.geometry import source_range
 from nfcs.harness import preset_config, run
 from nfcs.recovery import (
     _COND_LIMIT,
@@ -731,6 +733,33 @@ class TestFactoredFit:
             factored.residual_path_, formed.residual_path_, rtol=0, atol=1e-10 * formed.residual_path_[0]
         )
 
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-3], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    def test_a_dense_dictionary_out_of_range_fits_as_its_formed_product(self, scale, noise_var):
+        # the product of a dictionary whose sum of squares leaves the float
+        # range reads a copy scaled into range; read as given, it stopped
+        # "exhausted" on an empty support at 1e-200, and at 1e200 overflowed:
+        # its noiseless fit ran to its budget, its noisy one could not bracket E
+        # a draw whose formed fit finds the support, noisy or not
+        rng = np.random.default_rng(30)
+        n, m, t = 16, 48, 12
+        atoms = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2 * n)
+        dictionary = Dictionary(atoms * scale)
+        pilots = gen_pilots(t, n, seed=rng)
+        beta = np.zeros(m, dtype=np.complex128)
+        beta[[5, 30]] = [1 + 1j, -0.5 + 2j]
+        noise = rng.standard_normal(t) + 1j * rng.standard_normal(t)
+        y = pilots @ (atoms @ beta) + math.sqrt(noise_var / 2) * noise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            product = BlockOMP(noise_var=noise_var).fit(dictionary.sensing_operator(pilots), y)
+        formed = BlockOMP(noise_var=noise_var).fit(pilots @ dictionary.matrix, y)
+        np.testing.assert_array_equal(formed.support_, [5, 30])
+        np.testing.assert_array_equal(product.support_, formed.support_)
+        assert product.stop_reason_ == formed.stop_reason_
+        np.testing.assert_allclose(product.coef_, formed.coef_, rtol=0, atol=1e-9 * np.abs(formed.coef_).max())
+        np.testing.assert_allclose(product.coef_ * scale, beta, rtol=0, atol=0.2)
+
     @pytest.mark.parametrize("factored", [False, True], ids=["formed", "factored"])
     def test_a_noiseless_miss_stops_at_the_first_dependent_block(self, factored):
         # the [256-2-noiseless-T>N] draw misses the support; it used to run on
@@ -1008,6 +1037,27 @@ class TestRecoveryOnChannel:
         est = BlockOMP(block_size=4, noise_var=prob.noise_var)
         est.fit(dmu.sensing_operator(prob.pilots), prob.observations)
         assert nmse(prob.channel, dmu.inverse_transform(est.coef_)) < 1e-10
+
+
+    def test_a_formed_x_fits_alike_in_any_memory_layout(self):
+        # a picked block of a formed X is read as a view of it: C- or
+        # Fortran-ordered, or strided, X gives the same coefficients, bit for
+        # bit, over draws of the nmse_vs_snr desk grid at 5 dB
+        config = preset_config("nmse_vs_snr", "desk", seed=1)
+        cfg = config.array_config()
+        dist_range = source_range(cfg, config.distance_min, config.distance_max)
+        dmu = build_dmu(cfg, config.mu)
+        for trial in range(20):
+            draw = harness._draw(config, cfg, dist_range, (config.n_measurements, 5.0, None), trial)
+            X = np.ascontiguousarray(dmu.sensing_operator(draw.pilots).read(slice(None)))
+            wide = np.zeros((X.shape[0], 2 * X.shape[1]), dtype=X.dtype)
+            wide[:, ::2] = X
+            fits = [
+                BlockOMP(config.block_size, noise_var=draw.noise_var).fit(layout, draw.observations).coef_
+                for layout in (X, np.asfortranarray(X), wide[:, ::2])
+            ]
+            assert np.count_nonzero(fits[0])
+            assert fits[0].tobytes() == fits[1].tobytes() == fits[2].tobytes()
 
 
 class TestLeastSquares:
